@@ -113,11 +113,31 @@ pub fn calibrated_requested(args: &[String]) -> bool {
     args.iter().any(|a| a == "--calibrated")
 }
 
+/// Parses the experiment binaries' arguments (program name excluded)
+/// into `(fresh, calibrated)`.
+///
+/// # Errors
+///
+/// The first argument that is neither `--fresh` nor `--calibrated`: a
+/// misspelled flag must not silently fall back to cached results.
+pub fn parse_flags(args: &[String]) -> Result<(bool, bool), String> {
+    if let Some(bad) = args.iter().find(|a| *a != "--fresh" && *a != "--calibrated") {
+        return Err(format!("unknown argument `{bad}`"));
+    }
+    Ok((fresh_requested(args), calibrated_requested(args)))
+}
+
 /// Convenience used by binaries: parse `(--fresh, --calibrated)` from
-/// `std::env::args`.
+/// `std::env::args`, exiting with code 2 and a usage line on any other
+/// argument.
 pub fn cli_flags() -> (bool, bool) {
-    let args: Vec<String> = std::env::args().collect();
-    (fresh_requested(&args), calibrated_requested(&args))
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    parse_flags(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {program} [--fresh] [--calibrated]");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -136,5 +156,15 @@ mod tests {
         assert!(fresh_requested(&["--fresh".to_string()]));
         assert!(!fresh_requested(&[]));
         assert!(calibrated_requested(&["x".into(), "--calibrated".into()]));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_flags(&args(&[])), Ok((false, false)));
+        assert_eq!(parse_flags(&args(&["--calibrated", "--fresh"])), Ok((true, true)));
+        let err = parse_flags(&args(&["--fresh", "--fersh"])).unwrap_err();
+        assert!(err.contains("--fersh"), "{err}");
+        assert!(parse_flags(&args(&["fresh"])).is_err());
     }
 }

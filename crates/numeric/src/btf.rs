@@ -38,7 +38,12 @@
 //!
 //! The result is a [`BtfOrder`]: composed row/column permutations plus
 //! block boundaries, consumed by `SparseLu::set_btf_order` to restrict
-//! factorization to the diagonal blocks.
+//! factorization to the diagonal blocks. Steps 1–2
+//! ([`SparsePattern::btf_condensation`]) cost a few linear passes and
+//! already fix every block boundary; step 3
+//! ([`SparsePattern::btf_refine`]) costs about one AMD run over the
+//! nontrivial blocks, so a caller deciding *whether* to use BTF decides
+//! on the condensation and refines only the order it will factor.
 
 use crate::sparse::SparsePattern;
 
@@ -138,11 +143,27 @@ impl SparsePattern {
 
     /// Computes the full block-triangular preordering: maximum
     /// transversal, Tarjan SCC condensation, and a fill-reducing AMD
-    /// ordering local to each diagonal block.
+    /// ordering local to each diagonal block — that is,
+    /// [`btf_condensation`](SparsePattern::btf_condensation) refined by
+    /// [`btf_refine`](SparsePattern::btf_refine).
     ///
     /// Returns `None` when the pattern is structurally singular (no
     /// zero-free diagonal exists).
     pub fn btf_order(&self) -> Option<BtfOrder> {
+        self.btf_condensation().map(|order| self.btf_refine(order))
+    }
+
+    /// The first, cheap stage of [`btf_order`](SparsePattern::btf_order):
+    /// maximum transversal plus SCC condensation, without the per-block
+    /// AMD refinement. The block structure (`block_ptr`, hence every
+    /// block count) is already final; within each block, columns sit in
+    /// ascending original order. Callers that only need to know whether
+    /// the condensation found blocks worth exploiting decide here and
+    /// pay for [`btf_refine`](SparsePattern::btf_refine) only when the
+    /// order will actually be factored.
+    ///
+    /// Returns `None` when the pattern is structurally singular.
+    pub fn btf_condensation(&self) -> Option<BtfOrder> {
         let n = self.n;
         let colmatch = self.max_transversal()?;
         if n == 0 {
@@ -228,16 +249,26 @@ impl SparsePattern {
         // Compose the global permutations: column k of the permuted
         // matrix is original column order[k]; its matched row goes to
         // position k so the zero-free diagonal survives.
-        let mut colperm = order;
-        let mut rowperm: Vec<usize> = colperm.iter().map(|&c| colmatch[c]).collect();
+        let rowperm: Vec<usize> = order.iter().map(|&c| colmatch[c]).collect();
+        Some(BtfOrder { rowperm, colperm: order, block_ptr })
+    }
 
-        // Per-block AMD: reorder each diagonal block's local subpattern
-        // for fill, applying the same local permutation to the row and
-        // column segments (keeps matched pairs together, so the
-        // diagonal stays zero-free and the envelope stays triangular).
-        let mut cpos = vec![0usize; n];
-        for (k, &c) in colperm.iter().enumerate() {
-            cpos[c] = k;
+    /// The second stage of [`btf_order`](SparsePattern::btf_order):
+    /// reorders each diagonal block of a condensation of this pattern
+    /// for fill, applying one local AMD permutation to the block's row
+    /// and column segments (keeps matched pairs together, so the
+    /// diagonal stays zero-free and the envelope stays triangular).
+    /// Block boundaries are unchanged.
+    ///
+    /// `order` must be this pattern's
+    /// [`btf_condensation`](SparsePattern::btf_condensation).
+    pub fn btf_refine(&self, order: BtfOrder) -> BtfOrder {
+        let BtfOrder { mut rowperm, mut colperm, block_ptr } = order;
+        // Position of each original row on the permuted diagonal: the
+        // matched row of the column at position k sits at k.
+        let mut rpos = vec![0usize; self.n];
+        for (k, &r) in rowperm.iter().enumerate() {
+            rpos[r] = k;
         }
         for b in 0..block_ptr.len() - 1 {
             let (s, e) = (block_ptr[b], block_ptr[b + 1]);
@@ -248,7 +279,7 @@ impl SparsePattern {
             let mut entries: Vec<(usize, usize)> = Vec::new();
             for (k, &c) in colperm.iter().enumerate().take(e).skip(s) {
                 for &r in &self.row_idx[self.col_ptr[c]..self.col_ptr[c + 1]] {
-                    let kk = cpos[rowmatch[r]];
+                    let kk = rpos[r];
                     if kk >= s && kk < e {
                         entries.push((kk - s, k - s));
                     }
@@ -261,11 +292,9 @@ impl SparsePattern {
             for (i, &p) in perm.iter().enumerate() {
                 colperm[s + i] = old_cols[p];
                 rowperm[s + i] = old_rows[p];
-                cpos[old_cols[p]] = s + i;
             }
         }
-
-        Some(BtfOrder { rowperm, colperm, block_ptr })
+        BtfOrder { rowperm, colperm, block_ptr }
     }
 }
 
@@ -276,7 +305,8 @@ impl SparsePattern {
 /// `colperm[k]`, with original row `rowperm[k]` brought to the
 /// diagonal; `P·A·Q` is block upper triangular with diagonal blocks
 /// `block_ptr[b]..block_ptr[b+1]`, each carrying a zero-free diagonal
-/// and a local fill-reducing ordering.
+/// and — once refined by [`SparsePattern::btf_refine`] — a local
+/// fill-reducing ordering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BtfOrder {
     pub(crate) rowperm: Vec<usize>,
@@ -395,6 +425,41 @@ mod tests {
         let b = pattern(1, &[(0, 0)]).pattern().btf_order().unwrap();
         assert_eq!(b.block_count(), 1);
         assert_eq!(b.block_ptr(), &[0, 1]);
+    }
+
+    #[test]
+    fn condensation_fixes_the_block_counts_of_the_full_order() {
+        // Two coupled 3×3 cycles plus a lone diagonal: the refinement
+        // may reorder inside the cycles but never moves a boundary.
+        let m = pattern(
+            7,
+            &[
+                (0, 0),
+                (1, 0),
+                (1, 1),
+                (2, 1),
+                (2, 2),
+                (0, 2),
+                (3, 3),
+                (4, 3),
+                (4, 4),
+                (5, 4),
+                (5, 5),
+                (3, 5),
+                (2, 3),
+                (6, 6),
+                (6, 0),
+            ],
+        );
+        let p = m.pattern();
+        let condensation = p.btf_condensation().unwrap();
+        let full = p.btf_order().unwrap();
+        assert_eq!(condensation.block_ptr(), full.block_ptr());
+        assert_eq!(condensation.block_count(), 3);
+        assert_eq!(condensation.nontrivial_blocks(), full.nontrivial_blocks());
+        assert_eq!(condensation.largest_block(), full.largest_block());
+        assert_eq!(p.btf_refine(condensation), full);
+        assert!(pattern(2, &[(0, 0), (0, 1)]).pattern().btf_condensation().is_none());
     }
 
     #[test]

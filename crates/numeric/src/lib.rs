@@ -21,7 +21,9 @@
 //!   via [`SparseLu::set_ordering`]) keeps mesh/crossbar-shaped systems
 //!   — whose natural-order fill is O(n·√n) — factoring with near-linear
 //!   fill; ladder/chain systems stay in natural order, bit-identical to
-//!   before orderings existed. See [`sparse`] for the architecture
+//!   before orderings existed. [`SparseLu::factor_until_fill`] prices an
+//!   ordering without paying for it in full: it stops (resumably) once
+//!   the fill reaches a limit. See [`sparse`] for the architecture
 //!   notes.
 //! * [`StampTarget`] — the stamping abstraction both matrix types
 //!   implement, so one circuit-assembly routine drives either solver.
@@ -71,7 +73,9 @@
 //!   ([`SparsePattern::max_transversal`], Duff's MC21) puts a zero-free
 //!   diagonal on the pattern, Tarjan's SCC condensation of the resulting
 //!   digraph yields a block *upper* triangular permutation, and each
-//!   diagonal block gets its own local AMD ordering. Only the diagonal
+//!   diagonal block gets its own local AMD ordering
+//!   ([`SparsePattern::btf_condensation`] stops before that last, costly
+//!   step, for callers that only need the block counts). Only the diagonal
 //!   blocks are factored — off-diagonal coupling entries are stored raw
 //!   and retired during back-substitution in reverse block order — so
 //!   fill cannot spread across blocks, pivoting stays block-local, and
@@ -124,4 +128,4 @@ pub use error::NumericError;
 pub use lu::{LuFactors, LuWorkspace};
 pub use matrix::Matrix;
 pub use powell::{powell_min, PowellOptions, PowellResult};
-pub use sparse::{SparseLu, SparseMatrix, SparsePattern, SparseSymbolic, StampTarget};
+pub use sparse::{FillLimited, SparseLu, SparseMatrix, SparsePattern, SparseSymbolic, StampTarget};

@@ -619,6 +619,57 @@ impl SparseSymbolic {
     }
 }
 
+/// Outcome of [`SparseLu::factor_until_fill`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FillLimited {
+    /// The factorization completed; the workspace is factored and
+    /// [`SparseLu::symbolic`] reports its final fill.
+    Complete,
+    /// The fill reached the limit before the last column: the final
+    /// fill is at least `fill_at_least`. The elimination is paused, and
+    /// the next `factor_until_fill` of the same matrix resumes it.
+    Stopped {
+        /// Fill so far: `L + U` nonzeros (plus BTF couplings) of the
+        /// eliminated columns, plus one diagonal entry per unknown — a
+        /// lower bound of the final [`SparseSymbolic::fill_nnz`].
+        fill_at_least: usize,
+    },
+}
+
+/// The state of a full (pivoting) factorization between columns: the
+/// structure built so far plus the next elimination step. Values live
+/// in the workspace (`lx`/`ux`/`ox`/`udiag`), so a paused elimination
+/// resumes exactly where it stopped.
+#[derive(Debug, Clone)]
+struct Elimination {
+    /// Pattern of the matrix being factored.
+    pattern: Arc<SparsePattern>,
+    /// Block-triangular preordering the elimination runs under, if any.
+    btf: Option<Arc<BtfOrder>>,
+    colperm: Vec<usize>,
+    block_ptr: Vec<usize>,
+    lp: Vec<usize>,
+    li: Vec<usize>,
+    up: Vec<usize>,
+    ui: Vec<usize>,
+    op: Vec<usize>,
+    oi: Vec<usize>,
+    pinv: Vec<usize>,
+    rowperm: Vec<usize>,
+    /// Next elimination step and the diagonal block containing it.
+    next: usize,
+    block: usize,
+}
+
+impl Elimination {
+    /// Fill so far, counting every diagonal entry (eliminated or not):
+    /// a lower bound of the final fill that only grows column by
+    /// column.
+    fn fill(&self) -> usize {
+        self.li.len() + self.ui.len() + self.oi.len() + self.rowperm.len()
+    }
+}
+
 /// Sparse LU workspace: factors a [`SparseMatrix`] and solves against
 /// the stored factors, reusing the symbolic analysis across
 /// factorizations of the same pattern.
@@ -670,6 +721,9 @@ pub struct SparseLu {
     /// Cached per-worker accumulators for the parallel refactorization
     /// (each sized `n`, kept zeroed between uses).
     thread_work: Vec<Vec<f64>>,
+    /// A full factorization paused by
+    /// [`factor_until_fill`](SparseLu::factor_until_fill).
+    paused: Option<Box<Elimination>>,
 }
 
 impl SparseLu {
@@ -718,6 +772,7 @@ impl SparseLu {
             self.symbolic = None;
             self.factored = false;
         }
+        self.paused = None;
         self.btf = None;
         self.ordering = Some(perm);
     }
@@ -746,6 +801,7 @@ impl SparseLu {
             self.symbolic = None;
             self.factored = false;
         }
+        self.paused = None;
         self.ordering = None;
         self.btf = Some(order);
     }
@@ -795,6 +851,7 @@ impl SparseLu {
         self.solve_buf.resize(n, 0.0);
         self.symbolic = Some(symbolic);
         self.factored = false;
+        self.paused = None;
     }
 
     /// Factors `a`. If `a` shares the pattern of the stored symbolic
@@ -910,10 +967,66 @@ impl SparseLu {
         }
     }
 
+    /// Full factorization of `a` — the analysis [`factor`](SparseLu::factor)
+    /// runs when no usable skeleton is stored, under the same ordering
+    /// rules — that stops between columns once the fill reaches
+    /// `limit`.
+    ///
+    /// A factorization that completes is bit-identical to
+    /// [`factor`](SparseLu::factor)'s, whatever the limit: the limit is
+    /// checked only between columns and changes no arithmetic. A stopped
+    /// one keeps its partial factors in the workspace (which stays
+    /// unfactored); calling `factor_until_fill` again with the **same
+    /// matrix** and a higher limit resumes where it stopped, so an
+    /// elimination split over several calls performs exactly the work,
+    /// and yields exactly the skeleton, of one uninterrupted run. Any
+    /// other factorization, ordering change or seeding discards the
+    /// paused state.
+    ///
+    /// This prices a column ordering without paying for it in full: a
+    /// caller that only needs to know whether the fill under some
+    /// ordering exceeds a threshold stops as soon as it does.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::SingularMatrix`] when a column eliminated by this
+    /// call has no usable pivot (the workspace is then left unfactored,
+    /// with nothing paused). A matrix that only turns singular in a
+    /// column beyond the stop point reports
+    /// [`FillLimited::Stopped`].
+    pub fn factor_until_fill(
+        &mut self,
+        a: &SparseMatrix,
+        limit: usize,
+    ) -> Result<FillLimited, NumericError> {
+        let mut elim = match self.paused.take() {
+            Some(e) if Arc::ptr_eq(&e.pattern, a.pattern()) => e,
+            _ => self.begin_elimination(a),
+        };
+        self.eliminate(a, &mut elim, limit)?;
+        if elim.next < a.dim() {
+            let fill_at_least = elim.fill();
+            self.paused = Some(elim);
+            return Ok(FillLimited::Stopped { fill_at_least });
+        }
+        self.freeze(*elim);
+        Ok(FillLimited::Complete)
+    }
+
     /// Full left-looking Gilbert–Peierls factorization with threshold
     /// partial pivoting; records the symbolic skeleton (freshly
     /// allocated and `Arc`-frozen) for subsequent refactorizations.
     fn full_factor(&mut self, a: &SparseMatrix) -> Result<(), NumericError> {
+        let mut elim = self.begin_elimination(a);
+        self.eliminate(a, &mut elim, usize::MAX)?;
+        self.freeze(*elim);
+        Ok(())
+    }
+
+    /// Sets up a full factorization of `a`: resolves the ordering and
+    /// block structure it runs under, drops any stored or paused
+    /// factorization and resets the value and scratch buffers.
+    fn begin_elimination(&mut self, a: &SparseMatrix) -> Box<Elimination> {
         let n = a.dim();
         let pat = a.pattern();
         // Block-triangular preordering: an explicitly set BTF order of
@@ -981,45 +1094,66 @@ impl SparseLu {
             None if n == 0 => vec![0],
             None => vec![0, n],
         };
-        let permuted = colperm.iter().enumerate().any(|(k, &c)| k != c);
         self.factored = false;
         self.symbolic = None;
+        self.paused = None;
 
-        // Structure vectors are built locally and frozen into the
-        // shared skeleton at the end; only full factorizations (rare on
-        // the steady-state path) pay these allocations.
-        let mut lp: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut li: Vec<usize> = Vec::with_capacity(pat.nnz());
-        let mut up: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut ui: Vec<usize> = Vec::with_capacity(pat.nnz());
-        let mut op: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut oi: Vec<usize> = Vec::new();
-        let mut pinv = vec![EMPTY; n];
-        let mut rowperm = vec![EMPTY; n];
+        // Structure vectors are built in the elimination state and
+        // frozen into the shared skeleton at the end; only full
+        // factorizations (rare on the steady-state path) pay these
+        // allocations.
+        let mut elim = Box::new(Elimination {
+            pattern: Arc::clone(pat),
+            btf,
+            colperm,
+            block_ptr,
+            lp: Vec::with_capacity(n + 1),
+            li: Vec::with_capacity(pat.nnz()),
+            up: Vec::with_capacity(n + 1),
+            ui: Vec::with_capacity(pat.nnz()),
+            op: Vec::with_capacity(n + 1),
+            oi: Vec::new(),
+            pinv: vec![EMPTY; n],
+            rowperm: vec![EMPTY; n],
+            next: 0,
+            block: 0,
+        });
+        elim.lp.push(0);
+        elim.up.push(0);
+        elim.op.push(0);
         self.lx.clear();
         self.ux.clear();
         self.ox.clear();
         self.udiag.clear();
         self.udiag.resize(n, 0.0);
-        lp.push(0);
-        up.push(0);
-        op.push(0);
-
         self.work.clear();
         self.work.resize(n, 0.0);
         self.flag.clear();
         self.flag.resize(n, 0);
         self.mark = 0;
+        elim
+    }
 
-        let mut cur_block = 0usize;
-        for j in 0..n {
+    /// Runs elimination steps of `e` until the matrix is done or, with
+    /// columns left, the fill has reached `limit`.
+    fn eliminate(
+        &mut self,
+        a: &SparseMatrix,
+        e: &mut Elimination,
+        limit: usize,
+    ) -> Result<(), NumericError> {
+        let n = a.dim();
+        let pat = Arc::clone(&e.pattern);
+        let btf = e.btf.clone();
+        while e.next < n {
             // Elimination step j processes original column `col`,
             // inside diagonal block `[s, block end)`.
-            let col = colperm[j];
-            while j >= block_ptr[cur_block + 1] {
-                cur_block += 1;
+            let j = e.next;
+            let col = e.colperm[j];
+            while j >= e.block_ptr[e.block + 1] {
+                e.block += 1;
             }
-            let s = block_ptr[cur_block];
+            let s = e.block_ptr[e.block];
             // --- Symbolic: rows reachable from A(:,col) through the
             // DAG of already-computed L columns of *this block*, in
             // topological order. Nodes are *original* rows; a row that
@@ -1033,9 +1167,9 @@ impl SparseLu {
                 if self.flag[r] != self.mark {
                     Self::dfs_from(
                         r,
-                        &lp,
-                        &li,
-                        &pinv,
+                        &e.lp,
+                        &e.li,
+                        &e.pinv,
                         s,
                         &mut self.dfs,
                         &mut self.flag,
@@ -1054,7 +1188,7 @@ impl SparseLu {
                 self.work[pat.row_idx[p]] = a.values[p];
             }
             for &r in self.reach.iter().rev() {
-                let k = pinv[r];
+                let k = e.pinv[r];
                 if k == EMPTY || k < s {
                     continue;
                 }
@@ -1063,8 +1197,8 @@ impl SparseLu {
                     // x[rows of L(:,k)] -= L(:,k) · ukj. During the
                     // factorization L's row indices are still original
                     // rows (the pivot-order remap happens at the end).
-                    let seg = lp[k]..lp[k + 1];
-                    for (row, l) in li[seg.clone()].iter().zip(&self.lx[seg]) {
+                    let seg = e.lp[k]..e.lp[k + 1];
+                    for (row, l) in e.li[seg.clone()].iter().zip(&self.lx[seg]) {
                         self.work[*row] -= l * ukj;
                     }
                 }
@@ -1078,7 +1212,7 @@ impl SparseLu {
             let mut pivot_row = EMPTY;
             let mut pivot_mag = 0.0;
             for &r in self.reach.iter().rev() {
-                if pinv[r] == EMPTY {
+                if e.pinv[r] == EMPTY {
                     let m = self.work[r].abs();
                     if m > pivot_mag {
                         pivot_mag = m;
@@ -1090,7 +1224,7 @@ impl SparseLu {
                 self.reset_work_and_fail();
                 // Report the original column, not the permuted pivot
                 // position — callers name the MNA unknown from it.
-                return Err(NumericError::SingularMatrix { pivot: colperm[j] });
+                return Err(NumericError::SingularMatrix { pivot: col });
             }
             // The preferred pivot row: the matrix diagonal (original
             // row `col`), or under BTF the transversal row the order
@@ -1101,15 +1235,15 @@ impl SparseLu {
                 None => col,
             };
             if pivot_row != pref
-                && pinv[pref] == EMPTY
+                && e.pinv[pref] == EMPTY
                 && self.flag[pref] == self.mark
                 && self.work[pref].abs() >= DIAG_PREFERENCE * pivot_mag
             {
                 pivot_row = pref;
             }
             let ujj = self.work[pivot_row];
-            pinv[pivot_row] = j;
-            rowperm[j] = pivot_row;
+            e.pinv[pivot_row] = j;
+            e.rowperm[j] = pivot_row;
             self.udiag[j] = ujj;
 
             // --- Store the column: pivotal rows into U (pivot-order
@@ -1118,7 +1252,7 @@ impl SparseLu {
             // order as their pivots are chosen — so store original rows
             // here and remap at the end).
             for &r in self.reach.iter().rev() {
-                let k = pinv[r];
+                let k = e.pinv[r];
                 let v = self.work[r];
                 self.work[r] = 0.0; // restore the accumulator
                 if r == pivot_row {
@@ -1129,23 +1263,49 @@ impl SparseLu {
                     // raw (never factored), consumed by the block
                     // back-substitution. `k` is final — earlier blocks
                     // are fully pivoted.
-                    oi.push(k);
+                    e.oi.push(k);
                     self.ox.push(v);
                 } else if k != EMPTY && k < j {
-                    ui.push(k);
+                    e.ui.push(k);
                     self.ux.push(v);
                 } else {
                     // Not yet pivotal: belongs to L. Store the original
                     // row for now.
-                    li.push(r);
+                    e.li.push(r);
                     self.lx.push(v / ujj);
                 }
             }
-            lp.push(li.len());
-            up.push(ui.len());
-            op.push(oi.len());
+            e.lp.push(e.li.len());
+            e.up.push(e.ui.len());
+            e.op.push(e.oi.len());
+            e.next += 1;
+            if e.fill() >= limit {
+                break;
+            }
         }
+        Ok(())
+    }
 
+    /// Completes a finished elimination: remaps L's row indices to
+    /// pivot positions, sorts U's columns, and freezes the structure
+    /// into the shared skeleton.
+    fn freeze(&mut self, e: Elimination) {
+        let Elimination {
+            pattern,
+            btf,
+            colperm,
+            block_ptr,
+            lp,
+            mut li,
+            up,
+            mut ui,
+            op,
+            oi,
+            pinv,
+            rowperm,
+            ..
+        } = e;
+        let n = colperm.len();
         // Remap L's row indices from original rows to pivot positions
         // (every row is pivotal by now), and sort each U column by row
         // for a deterministic ascending refactorization order.
@@ -1166,10 +1326,11 @@ impl SparseLu {
             }
         }
 
+        let permuted = colperm.iter().enumerate().any(|(k, &c)| k != c);
         self.solve_buf.clear();
         self.solve_buf.resize(n, 0.0);
         self.symbolic = Some(Arc::new(SparseSymbolic {
-            pattern: Arc::clone(pat),
+            pattern,
             lp,
             li,
             up,
@@ -1184,7 +1345,6 @@ impl SparseLu {
             btf,
         }));
         self.factored = true;
-        Ok(())
     }
 
     /// Depth-first search from original row `root` through the column
@@ -1864,6 +2024,70 @@ mod tests {
         );
         assert!(!natural.symbolic().unwrap().is_permuted());
         assert!(amd.symbolic().unwrap().is_permuted());
+    }
+
+    /// The fill-limited factorization: finishing under the limit gives
+    /// exactly `factor`'s skeleton and fill; reaching the limit stops
+    /// between columns with a lower bound of the final fill; resuming
+    /// in stages ends bit-identical to one uninterrupted run.
+    #[test]
+    fn fill_limited_factorization_stops_and_resumes_bit_identically() {
+        let a = grid(12, 12, 9);
+        let n = a.dim();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        let mut full = SparseLu::new();
+        full.factor(&a).unwrap();
+        let want = full.symbolic().unwrap();
+        let fill = want.fill_nnz();
+        let mut x_want = vec![0.0; n];
+        full.solve_into(&b, &mut x_want).unwrap();
+        let solve_bits = |lu: &mut SparseLu| {
+            let mut x = vec![0.0; n];
+            lu.solve_into(&b, &mut x).unwrap();
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let same_skeleton = |s: &SparseSymbolic| {
+            [&s.li, &s.ui, &s.lp, &s.up, &s.pinv, &s.rowperm]
+                == [&want.li, &want.ui, &want.lp, &want.up, &want.pinv, &want.rowperm]
+        };
+
+        for limit in [fill + 1, usize::MAX] {
+            let mut lu = SparseLu::new();
+            assert_eq!(lu.factor_until_fill(&a, limit).unwrap(), FillLimited::Complete);
+            assert_eq!(lu.symbolic().unwrap().fill_nnz(), fill);
+            assert!(same_skeleton(&lu.symbolic().unwrap()));
+            assert_eq!(solve_bits(&mut lu), solve_bits(&mut full));
+        }
+
+        let mut lu = SparseLu::new();
+        let mut last = 0;
+        for limit in [a.nnz(), fill / 2, fill / 2, 3 * fill / 4] {
+            match lu.factor_until_fill(&a, limit).unwrap() {
+                FillLimited::Stopped { fill_at_least } => {
+                    assert!(fill_at_least >= limit && fill_at_least < fill, "{fill_at_least}");
+                    assert!(fill_at_least > last, "a resumed call eliminates at least a column");
+                    last = fill_at_least;
+                }
+                FillLimited::Complete => panic!("limit {limit} < fill {fill} must stop"),
+            }
+            assert!(!lu.is_factored());
+            assert!(lu.solve_into(&b, &mut vec![0.0; n]).is_err());
+        }
+        assert_eq!(lu.factor_until_fill(&a, usize::MAX).unwrap(), FillLimited::Complete);
+        assert!(same_skeleton(&lu.symbolic().unwrap()));
+        assert_eq!(solve_bits(&mut lu), solve_bits(&mut full));
+
+        // A plain factor (or any ordering request) discards a paused
+        // elimination rather than finishing it under stale settings.
+        let mut lu = SparseLu::new();
+        assert!(matches!(lu.factor_until_fill(&a, fill / 2), Ok(FillLimited::Stopped { .. })));
+        lu.set_ordering(a.pattern().amd_ordering());
+        assert_eq!(lu.factor_until_fill(&a, usize::MAX).unwrap(), FillLimited::Complete);
+        assert!(lu.symbolic().unwrap().is_permuted());
+        let mut lu = SparseLu::new();
+        assert!(matches!(lu.factor_until_fill(&a, fill / 2), Ok(FillLimited::Stopped { .. })));
+        lu.factor(&a).unwrap();
+        assert!(same_skeleton(&lu.symbolic().unwrap()));
     }
 
     /// An ordered factorization must refactor (same skeleton, same

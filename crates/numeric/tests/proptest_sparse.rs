@@ -321,6 +321,14 @@ proptest! {
                 c
             );
         }
+
+        // The condensation-only stage already fixes the block structure
+        // (the per-block refinement permutes within blocks), and its
+        // refinement is the full order.
+        let condensation = m.pattern().btf_condensation().expect("nonsingular");
+        prop_assert_eq!(condensation.block_ptr(), bp);
+        prop_assert_eq!(condensation.nontrivial_blocks(), btf.nontrivial_blocks());
+        prop_assert_eq!(m.pattern().btf_refine(condensation), btf);
     }
 
     /// The residual of the sparse solve is tiny in its own right (not

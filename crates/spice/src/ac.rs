@@ -411,8 +411,10 @@ impl<'c> AcAnalysis<'c> {
                 lu.set_ordering(big.pattern().amd_ordering());
             }
             crate::solver::OrderingKind::Btf => {
-                match big.pattern().btf_order().filter(|b| b.block_count() > 1) {
-                    Some(order) => lu.set_btf_order(std::sync::Arc::new(order)),
+                match big.pattern().btf_condensation().filter(|b| b.block_count() > 1) {
+                    Some(blocks) => {
+                        lu.set_btf_order(std::sync::Arc::new(big.pattern().btf_refine(blocks)))
+                    }
                     None => lu.set_ordering(big.pattern().amd_ordering()),
                 }
             }

@@ -32,7 +32,7 @@ use crate::analysis::AnalysisOptions;
 use crate::budget::IterBudget;
 use crate::circuit::Circuit;
 use crate::node::NodeId;
-use crate::solver::{MnaSolver, OrderingKind, SolverKind};
+use crate::solver::{Dispatch, MnaSolver, OrderingKind, SolverKind};
 use crate::stamp::StampPlan;
 use crate::stimulus::Waveform;
 use crate::SpiceError;
@@ -107,7 +107,14 @@ pub(crate) struct NewtonScratch {
     /// zero threshold: reuse only when the matrix is provably
     /// bit-identical, so results never change). Nonlinear plans never
     /// set this.
-    pub(crate) factored_for: Option<JacobianKey>,
+    factored_for: Option<JacobianKey>,
+    /// How `solver` was dispatched: with a [`JacobianKey`], the key of
+    /// the plan's factor cache.
+    dispatch: Dispatch,
+    /// Whether `solver` is still exactly as dispatched (no
+    /// factorization attempted yet): only a pristine scratch adopts a
+    /// cached first factorization or publishes its own.
+    pristine: bool,
 }
 
 impl NewtonScratch {
@@ -121,6 +128,7 @@ impl NewtonScratch {
         let plan = circuit.plan();
         let n = plan.dim();
         let solver = MnaSolver::for_plan(&plan, kind, ordering, block_threads, scope);
+        let dispatch = Dispatch::resolve(&plan, kind, ordering, block_threads, scope);
         NewtonScratch {
             plan,
             solver,
@@ -129,7 +137,55 @@ impl NewtonScratch {
             src_vals: Vec::new(),
             overrides: Vec::new(),
             factored_for: None,
+            dispatch,
+            pristine: true,
         }
+    }
+
+    /// Brings the solver to the Newton system at `x`: assembles the
+    /// plan (plus the stamps `extra` adds) into `rhs` and the matrix
+    /// and factors it — unless `key` is the exact [`JacobianKey`] of a
+    /// linear plan's matrix (`None`: the matrix carries stamps no key
+    /// describes) and the stored factors already are that matrix's,
+    /// when only `rhs` is re-derived. A pristine scratch takes the
+    /// factors of `key` from the plan's factor cache when another
+    /// analysis put them there, and puts its own first factorization
+    /// there otherwise, so every analysis of a linear circuit after the
+    /// first starts factored. Returns whether the factors are exactly
+    /// those of `key`.
+    pub(crate) fn factor<F>(
+        &mut self,
+        x: &[f64],
+        gmin: f64,
+        key: Option<JacobianKey>,
+        extra: F,
+    ) -> Result<bool, castg_numeric::NumericError>
+    where
+        F: FnOnce(&mut dyn castg_numeric::StampTarget),
+    {
+        let key = key.filter(|_| self.plan.is_linear());
+        if let Some(k) = key {
+            if self.pristine {
+                if let Some(solver) = self.plan.factor_cache().get(k, self.dispatch) {
+                    self.solver = solver;
+                    self.factored_for = key;
+                    self.pristine = false;
+                }
+            }
+            if self.factored_for == key {
+                self.plan.assemble_rhs_only(&mut self.rhs, &self.src_vals);
+                return Ok(true);
+            }
+        }
+        let first = std::mem::replace(&mut self.pristine, false);
+        self.factored_for = None;
+        self.solver.assemble_and_factor(&self.plan, x, &mut self.rhs, gmin, &self.src_vals, extra)?;
+        let Some(k) = key else { return Ok(false) };
+        self.factored_for = key;
+        if first {
+            self.plan.factor_cache().insert(k, self.dispatch, &self.solver);
+        }
+        Ok(true)
     }
 
     /// Evaluates every stimulus waveform through `f` into the reused
@@ -678,11 +734,12 @@ impl<'c> DcAnalysis<'c> {
     /// For a linear plan the Jacobian depends only on `gmin`, never on
     /// the iterate or the stimulus — so once factored, every further
     /// iteration (and every further *stage* sharing this scratch at the
-    /// same `gmin`, e.g. the source-stepping ramp) skips assembly and
-    /// refactorization, re-deriving only the right-hand side. The reuse
-    /// key is exact; results are bit-identical to the always-refactor
-    /// path. Pseudo-transient stages (α > 0) perturb the matrix and
-    /// never record a reuse key.
+    /// same `gmin`, e.g. the source-stepping ramp, and every later
+    /// analysis of the plan, see [`NewtonScratch::factor`]) skips
+    /// assembly and refactorization, re-deriving only the right-hand
+    /// side. The reuse key is exact; results are bit-identical to the
+    /// always-refactor path. Pseudo-transient stages (α > 0) perturb
+    /// the matrix and never record a reuse key.
     fn newton(
         &self,
         x: &mut [f64],
@@ -692,13 +749,11 @@ impl<'c> DcAnalysis<'c> {
         stat: &mut RungStat,
     ) -> Result<(), SpiceError> {
         scratch.eval_sources(|w| cfg.source_scale * w.dc_value());
-        let NewtonScratch { plan, solver, rhs, x_new, src_vals, factored_for, .. } = scratch;
-        let n = plan.dim();
+        let n = scratch.plan.dim();
         let n_nodes = self.circuit.node_count() - 1;
         let opts = &self.options;
-        let damped = plan.damped();
         let gmin = cfg.gmin;
-        let reuse_key: JacobianKey = (gmin.to_bits(), 0, 0);
+        let reuse_key: Option<JacobianKey> = cfg.ptc.is_none().then_some((gmin.to_bits(), 0, 0));
 
         // Adaptive clamp state: `boost` multiplies the base clamp by a
         // power of two (exact arithmetic) while the pre-damping update
@@ -709,26 +764,19 @@ impl<'c> DcAnalysis<'c> {
         for _iter in 0..cfg.max_iter {
             budget.charge()?;
             stat.iterations += 1;
-            if cfg.ptc.is_none() && plan.is_linear() && *factored_for == Some(reuse_key) {
-                plan.assemble_rhs_only(rhs, src_vals);
-            } else {
-                *factored_for = None;
-                solver
-                    .assemble_and_factor(plan, x, rhs, gmin, src_vals, |mat| {
-                        if let Some((alpha, _)) = cfg.ptc {
-                            // α rides the node diagonals only — the same
-                            // slots gmin occupies, so the sparse pattern
-                            // already holds them.
-                            for i in 0..n_nodes {
-                                mat.add(i, i, alpha);
-                            }
+            let exact = scratch
+                .factor(x, gmin, reuse_key, |mat| {
+                    if let Some((alpha, _)) = cfg.ptc {
+                        // α rides the node diagonals only — the same
+                        // slots gmin occupies, so the sparse pattern
+                        // already holds them.
+                        for i in 0..n_nodes {
+                            mat.add(i, i, alpha);
                         }
-                    })
-                    .map_err(|e| self.circuit.singular_error(e))?;
-                if plan.is_linear() && cfg.ptc.is_none() {
-                    *factored_for = Some(reuse_key);
-                }
-            }
+                    }
+                })
+                .map_err(|e| self.circuit.singular_error(e))?;
+            let NewtonScratch { plan, solver, rhs, x_new, .. } = &mut *scratch;
             if let Some((alpha, anchor)) = cfg.ptc {
                 for i in 0..n_nodes {
                     rhs[i] += alpha * anchor[i];
@@ -739,6 +787,7 @@ impl<'c> DcAnalysis<'c> {
             // Damping: clamp the per-iteration update of
             // nonlinear-device terminals (linear nodes and branch
             // currents take the exact Newton step).
+            let damped = plan.damped();
             let eff_clamp = cfg.clamp * boost;
             let mut converged = true;
             let mut landed_exactly = true;
@@ -780,11 +829,7 @@ impl<'c> DcAnalysis<'c> {
             // (`x += (x_new − x)` does NOT always round to `x_new` —
             // a warm start many orders of magnitude off misses — so
             // the landing really is checked, bit for bit, not assumed.)
-            if cfg.ptc.is_none()
-                && plan.is_linear()
-                && *factored_for == Some(reuse_key)
-                && landed_exactly
-            {
+            if exact && landed_exactly {
                 stat.converged = true;
                 return Ok(());
             }
@@ -1037,6 +1082,71 @@ mod tests {
             DcAnalysis::new(&c).override_stimulus("R1", Waveform::dc(0.0)).solve(),
             Err(SpiceError::InvalidValue { .. })
         ));
+    }
+
+    fn factorizations() -> usize {
+        crate::solver::FACTORIZATIONS.with(|c| c.get())
+    }
+
+    /// A resistor ladder driven by `V1`: linear, and sparse under
+    /// `SolverKind::Auto` once it has 64+ unknowns.
+    fn linear_ladder(sections: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let mut prev = c.node("in");
+        c.add_vsource("V1", prev, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        for i in 0..sections {
+            let next = c.node(&format!("n{i}"));
+            c.add_resistor(&format!("Rs{i}"), prev, next, 100.0 + i as f64).unwrap();
+            c.add_resistor(&format!("Rp{i}"), next, Circuit::GROUND, 1e4).unwrap();
+            prev = next;
+        }
+        c
+    }
+
+    /// A second DC analysis of a linear plan, at another source level,
+    /// adopts the plan's cached first factorization: it performs no
+    /// factorization, spends the same Newton iterations and lands on
+    /// the same bits as the same analysis of a freshly built plan.
+    #[test]
+    fn later_dc_analyses_of_a_linear_plan_start_factored() {
+        for solver in [SolverKind::Dense, SolverKind::Sparse] {
+            for ordering in [OrderingKind::Auto, OrderingKind::Amd] {
+                let opts = AnalysisOptions { solver, ordering, ..AnalysisOptions::default() };
+                let solve = |c: &Circuit, v: f64| {
+                    DcAnalysis::with_options(c, opts)
+                        .override_stimulus("V1", Waveform::dc(v))
+                        .solve()
+                        .unwrap()
+                };
+                let c = linear_ladder(80);
+                solve(&c, 1.0);
+                let before = factorizations();
+                let second = solve(&c, 2.5);
+                assert_eq!(factorizations(), before, "{solver:?}/{ordering:?} refactored");
+
+                let fresh = solve(&linear_ladder(80), 2.5);
+                assert!(factorizations() > before, "a fresh plan factors");
+                assert_eq!(second.convergence(), fresh.convergence());
+                let bits =
+                    |s: &DcSolution| s.state().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&second), bits(&fresh), "{solver:?}/{ordering:?}");
+            }
+        }
+    }
+
+    /// A nonlinear plan never caches factors: every analysis factors.
+    #[test]
+    fn nonlinear_plans_factor_every_analysis() {
+        let mut c = Circuit::new();
+        let d = c.node("d");
+        let params = MosParams::nmos_default(10e-6, 1e-6);
+        c.add_isource("Ib", Circuit::GROUND, d, Waveform::dc(100e-6)).unwrap();
+        c.add_mosfet("M1", d, d, Circuit::GROUND, Circuit::GROUND, MosPolarity::Nmos, params)
+            .unwrap();
+        DcAnalysis::new(&c).solve().unwrap();
+        let before = factorizations();
+        DcAnalysis::new(&c).solve().unwrap();
+        assert!(factorizations() > before);
     }
 
     #[test]

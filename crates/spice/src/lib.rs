@@ -124,7 +124,12 @@
 //!   assembly + refactorization — and the always-converging
 //!   verification iteration — whenever the key matches. A fixed-step
 //!   transient of a linear circuit factors once and then pays only
-//!   rhs re-derivation + substitution per step. Each circuit's plan
+//!   rhs re-derivation + substitution per step. The plan also keeps the
+//!   first factorization of each key (per solver dispatch, bounded,
+//!   filled by whichever thread factors first), so later analyses of
+//!   the same circuit — the next DC level of a campaign variant, the
+//!   next run at the same step — start already factored, with the same
+//!   iterations and bits. Each circuit's plan
 //!   additionally caches one canonical symbolic analysis
 //!   (`castg_numeric::SparseSymbolic`, `Arc`-shared) that seeds every
 //!   sparse solver instance, so a whole campaign performs one symbolic
@@ -171,7 +176,10 @@
 //! symbolic that solvers seed from anyway — a ladder fault campaign
 //! pays nothing for the ordering machinery — and only fill-blown
 //! patterns run the AMD construction and trial factorization, keeping
-//! AMD when it beats natural by [`AMD_AUTO_MARGIN`].
+//! AMD when it beats natural by [`AMD_AUTO_MARGIN`]. Natural order is
+//! only compared against those two thresholds, so its canonical
+//! factorization stops as soon as it reaches the one that matters
+//! (`castg_numeric::SparseLu::factor_until_fill`).
 //! [`sparse_fill_stats`] exposes the comparison (benches and the CI
 //! fill gate are built on it).
 //!
@@ -195,7 +203,9 @@
 //! meshes (one irreducible SCC) see no benefit, so `Auto`'s third gate
 //! picks Btf only when the condensation finds >1 nontrivial block *and*
 //! summed block fill beats the AMD fill by the existing
-//! [`AMD_AUTO_MARGIN`]; a forced `Btf` on an irreducible pattern falls
+//! [`AMD_AUTO_MARGIN`]. The gate reads the block counts off the cheap
+//! condensation stage; the per-block AMD runs only for a BTF order that
+//! is actually factored. A forced `Btf` on an irreducible pattern falls
 //! back to the AMD path (bit-identical to forced `Amd`). Independent
 //! diagonal blocks refactor in parallel under
 //! `AnalysisOptions::block_threads`, thread-count-invariant to the bit.

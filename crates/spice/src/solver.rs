@@ -16,11 +16,14 @@
 //! path, which the differential test harness uses to cross-check the
 //! two implementations against each other.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use castg_numeric::{
     LuWorkspace, Matrix, NumericError, SparseLu, SparseMatrix, StampTarget,
 };
 
-use crate::stamp::StampPlan;
+use crate::dc::JacobianKey;
+use crate::stamp::{PatternScope, StampPlan};
 
 /// Below this unknown count `Auto` never considers the sparse path:
 /// dense LU on a macro-sized system beats any index-chasing.
@@ -41,13 +44,16 @@ pub const AMD_AUTO_MARGIN: f64 = 0.8;
 /// `Auto` considers AMD at all only when natural order's canonical
 /// `nnz(L+U)` is at least this multiple of the pattern's own nonzero
 /// count — i.e. when elimination genuinely *blows up* under natural
-/// order. Chain/ladder structure fills ~1.3× its pattern, so fault
-/// campaigns on it early-out here and pay exactly one factorization
-/// per variant (the natural canonical symbolic their solvers seed from
-/// anyway); a 2-D mesh fills 6× and up, clearing the gate decisively.
-/// Both gates read only the pattern and the canonical values — both
-/// reproduced bit-identically by delta-patched plans — so delta and
-/// rebuilt variants always agree.
+/// order. The natural canonical factorization runs only until its fill
+/// reaches this bound: chain/ladder structure fills ~1.3× its pattern,
+/// completes under it, and so pays exactly one factorization per
+/// campaign variant (the natural canonical symbolic its solvers seed
+/// from anyway). A 2-D mesh fills 6× and up and stops at the bound;
+/// the AMD canonical is computed next, and natural order resumes only
+/// until its fill reaches `amd_fill / AMD_AUTO_MARGIN`, enough to
+/// decide [`AMD_AUTO_MARGIN`]'s gate. Both gates read only the pattern
+/// and the canonical values — both reproduced bit-identically by
+/// delta-patched plans — so delta and rebuilt variants always agree.
 pub const AMD_AUTO_MIN_BLOWUP: f64 = 2.0;
 
 /// Which column ordering the sparse LU eliminates under.
@@ -117,7 +123,7 @@ pub struct FillStats {
 /// broken netlist).
 pub fn sparse_fill_stats(circuit: &crate::Circuit, ordering: OrderingKind) -> Option<FillStats> {
     let plan = circuit.plan();
-    let scope = crate::stamp::PatternScope::Static;
+    let scope = PatternScope::Static;
     let symbolic = plan.canonical_symbolic(ordering, scope)?;
     Some(FillStats {
         unknowns: plan.dim(),
@@ -160,13 +166,97 @@ impl SolverKind {
                 let n = plan.dim();
                 n >= SPARSE_MIN_N
                     && plan
-                        .sparse_template(crate::stamp::PatternScope::Full)
+                        .sparse_template(PatternScope::Full)
                         .pattern()
                         .density()
                         <= SPARSE_MAX_DENSITY
             }
         }
     }
+}
+
+/// Everything a fresh [`MnaSolver::for_plan`] state depends on besides
+/// the plan: pattern scope, path (and, on the sparse path, the resolved
+/// ordering the instance is seeded under) and block threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dispatch {
+    scope: PatternScope,
+    /// `None` on the dense path.
+    ordering: Option<OrderingKind>,
+    block_threads: usize,
+}
+
+impl Dispatch {
+    /// The dispatch [`MnaSolver::for_plan`] performs for these options.
+    pub(crate) fn resolve(
+        plan: &StampPlan,
+        kind: SolverKind,
+        ordering: OrderingKind,
+        block_threads: usize,
+        scope: PatternScope,
+    ) -> Self {
+        let ordering = kind.use_sparse(plan).then(|| plan.resolve_ordering(ordering, scope));
+        Dispatch { scope, ordering, block_threads }
+    }
+}
+
+/// How many factorizations a plan's [`FactorCache`] keeps. Only an
+/// analysis's first factorization is kept — one per DC gmin and one
+/// per transient step size (its first, backward-Euler step) — under
+/// one dispatch outside differential tests.
+const FACTOR_CACHE_CAP: usize = 8;
+
+/// The first factorization of each linear-plan Jacobian, kept on the
+/// plan so that later analyses of the same circuit start already
+/// factored.
+///
+/// A linear plan's Jacobian is a pure function of its
+/// [`JacobianKey`], and a fresh solver's state is a pure function of
+/// its [`Dispatch`]: the solver state right after a fresh solver's
+/// first factorization of a key is therefore the same whichever
+/// analysis — or thread — computes it. The cache keeps that state per
+/// `(key, dispatch)`; an analysis whose solver is still fresh and needs
+/// a cached key adopts a copy instead of factoring, which is exactly
+/// the state it would have reached itself. Bounded by
+/// [`FACTOR_CACHE_CAP`] (entries past it are simply not kept) and
+/// filled by whichever thread factors first.
+#[derive(Debug, Default)]
+pub(crate) struct FactorCache(Mutex<Vec<(JacobianKey, Dispatch, MnaSolver)>>);
+
+impl Clone for FactorCache {
+    fn clone(&self) -> Self {
+        FactorCache(Mutex::new(self.entries().clone()))
+    }
+}
+
+impl FactorCache {
+    fn entries(&self) -> MutexGuard<'_, Vec<(JacobianKey, Dispatch, MnaSolver)>> {
+        // Entries are complete values or absent: a panic elsewhere
+        // while the lock was held leaves nothing half-written.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A copy of the solver state cached for `(key, dispatch)`.
+    pub(crate) fn get(&self, key: JacobianKey, dispatch: Dispatch) -> Option<MnaSolver> {
+        self.entries().iter().find(|(k, d, _)| (*k, *d) == (key, dispatch)).map(|e| e.2.clone())
+    }
+
+    /// Keeps `solver` — a fresh solver right after factoring `key` — if
+    /// the key is new and the cache has room.
+    pub(crate) fn insert(&self, key: JacobianKey, dispatch: Dispatch, solver: &MnaSolver) {
+        let mut entries = self.entries();
+        if entries.len() < FACTOR_CACHE_CAP
+            && !entries.iter().any(|(k, d, _)| (*k, *d) == (key, dispatch))
+        {
+            entries.push((key, dispatch, solver.clone()));
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Factorizations this thread's solvers performed (test-only).
+    pub(crate) static FACTORIZATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The per-analysis solver state behind the dispatch: assembly matrix
@@ -206,7 +296,7 @@ impl MnaSolver {
         kind: SolverKind,
         ordering: OrderingKind,
         block_threads: usize,
-        scope: crate::stamp::PatternScope,
+        scope: PatternScope,
     ) -> Self {
         let n = plan.dim();
         if kind.use_sparse(plan) {
@@ -260,6 +350,8 @@ impl MnaSolver {
     where
         F: FnOnce(&mut dyn StampTarget),
     {
+        #[cfg(test)]
+        FACTORIZATIONS.with(|c| c.set(c.get() + 1));
         match self {
             MnaSolver::Dense { mat, lu } => {
                 plan.assemble_into(x, mat, rhs, gmin, src_vals);
@@ -319,6 +411,25 @@ mod tests {
     }
 
     #[test]
+    fn factor_cache_keeps_one_entry_per_key_up_to_its_cap() {
+        let c = ladder(4);
+        let plan = c.plan();
+        let (kind, ordering, scope) = (SolverKind::Auto, OrderingKind::Auto, PatternScope::Static);
+        let dispatch = Dispatch::resolve(&plan, kind, ordering, 1, scope);
+        let solver = MnaSolver::for_plan(&plan, kind, ordering, 1, scope);
+        let cache = FactorCache::default();
+        for k in 0..2 * FACTOR_CACHE_CAP as u64 {
+            cache.insert((k, 0, 0), dispatch, &solver);
+            cache.insert((k, 0, 0), dispatch, &solver);
+        }
+        assert_eq!(cache.entries().len(), FACTOR_CACHE_CAP);
+        assert!(cache.get((0, 0, 0), dispatch).is_some());
+        assert!(cache.get((FACTOR_CACHE_CAP as u64, 0, 0), dispatch).is_none());
+        let other = Dispatch { block_threads: 2, ..dispatch };
+        assert!(cache.get((0, 0, 0), other).is_none());
+    }
+
+    #[test]
     fn both_arms_solve_the_same_system() {
         let c = ladder(24);
         let plan = c.plan();
@@ -334,7 +445,7 @@ mod tests {
                 kind,
                 OrderingKind::Auto,
                 1,
-                crate::stamp::PatternScope::Full,
+                PatternScope::Full,
             );
             assert_eq!(solver.is_sparse(), kind == SolverKind::Sparse);
             let mut rhs = vec![0.0; n];

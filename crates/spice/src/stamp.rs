@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use castg_numeric::{Matrix, SparseLu, SparseMatrix, SparseSymbolic, StampTarget};
+use castg_numeric::{FillLimited, Matrix, SparseLu, SparseMatrix, SparseSymbolic, StampTarget};
 
 use crate::bjt::{self, BjtParams, BjtPolarity};
 use crate::circuit::Circuit;
@@ -488,6 +488,11 @@ pub(crate) struct StampPlan {
     /// transparently redirected to the `Full` caches, so such plans pay
     /// for one scope exactly as before the split.
     caches: [ScopeCaches; 2],
+    /// First factorizations of a linear plan's Jacobians, adopted by
+    /// later analyses (see [`FactorCache`](crate::solver::FactorCache)).
+    /// Carried over by a wave patch — the matrices are
+    /// stimulus-independent — and reset by a device patch.
+    factors: crate::solver::FactorCache,
 }
 
 /// Which slot set an analysis's matrices (and therefore its symbolic
@@ -525,19 +530,27 @@ struct ScopeCaches {
     /// column ordering; `None` inside when the canonical matrix is
     /// singular. Every sparse solver instance for this circuit seeds
     /// from the one its analysis ordering resolves to, so a whole fault
-    /// campaign pays one symbolic analysis (and at most one AMD run)
-    /// per circuit variant and scope.
+    /// campaign pays one symbolic analysis per circuit variant and
+    /// scope, plus whatever the Auto verdict spends deciding (see
+    /// [`resolve_ordering`](StampPlan::resolve_ordering)): at most one
+    /// whole-pattern AMD run, and a per-block AMD run only when a BTF
+    /// order is factored.
     canonical_natural: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_amd: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_btf: OnceLock<Option<Arc<SparseSymbolic>>>,
-    /// Lazily computed BTF preordering of this scope's pattern (`None`
-    /// inside when the pattern is structurally singular): one
-    /// transversal + condensation + per-block AMD per plan and scope,
-    /// shared by the Btf/Auto resolution, the canonical BTF
-    /// factorization, and solver instances that must order their own
-    /// analysis. Like `amd_perm`, a pure function of the pattern —
-    /// delta-patched and rebuilt variants of one faulted circuit
-    /// compute identical orders.
+    /// Lazily computed BTF condensation of this scope's pattern
+    /// (transversal + SCC blocks, no per-block ordering; `None` inside
+    /// when the pattern is structurally singular): a few linear passes
+    /// that decide whether BTF is usable and whether Auto considers it.
+    /// Like `amd_perm`, a pure function of the pattern — delta-patched
+    /// and rebuilt variants of one faulted circuit compute identical
+    /// orders.
+    btf_blocks: OnceLock<Option<castg_numeric::BtfOrder>>,
+    /// Lazily refined BTF preordering (the condensation plus per-block
+    /// AMD), built only when a BTF order is factored — forced `Btf`, or
+    /// Auto's third gate — and shared by the canonical BTF
+    /// factorization and solver instances that must order their own
+    /// analysis.
     btf_order: OnceLock<Option<Arc<castg_numeric::BtfOrder>>>,
     /// Lazily computed AMD permutation of this scope's pattern: one
     /// ordering construction per plan and scope, shared by the Auto
@@ -547,7 +560,7 @@ struct ScopeCaches {
     amd_perm: OnceLock<Vec<usize>>,
     /// Lazily resolved `OrderingKind::Auto` verdict (`Natural`, `Amd`
     /// or `Btf`); see [`resolve_ordering`](StampPlan::resolve_ordering)
-    /// for the three-gate rule. Every input is reproduced
+    /// for the gates. Every input is reproduced
     /// bit-identically by a delta-patched plan — and the verdict is
     /// never inherited across device patches — so delta-patched and
     /// rebuilt variants of one faulted circuit always resolve
@@ -559,6 +572,22 @@ struct ScopeCaches {
     /// fast path walks this with a cursor instead of binary-searching
     /// each `(row, col)` — same adds, same order, same bits.
     sparse_index: OnceLock<Vec<u32>>,
+}
+
+/// The least fill satisfying `pred`, a predicate monotone in the fill
+/// (false below a threshold, true from it on), searched from a
+/// real-valued `estimate` of the threshold — so a fill-limited
+/// factorization stops exactly where the floating-point gate would
+/// first pass.
+fn least_fill(estimate: f64, pred: impl Fn(usize) -> bool) -> usize {
+    let mut fill = estimate.max(0.0).ceil() as usize;
+    while fill > 0 && pred(fill - 1) {
+        fill -= 1;
+    }
+    while !pred(fill) {
+        fill += 1;
+    }
+    fill
 }
 
 impl StampPlan {
@@ -646,7 +675,13 @@ impl StampPlan {
             static_slots,
             dynamic_slots,
             caches: [ScopeCaches::default(), ScopeCaches::default()],
+            factors: crate::solver::FactorCache::default(),
         }
+    }
+
+    /// The plan's cache of first factorizations (linear plans only).
+    pub(crate) fn factor_cache(&self) -> &crate::solver::FactorCache {
+        &self.factors
     }
 
     /// The cache set `scope` resolves to, applying the redirection rule:
@@ -822,14 +857,26 @@ impl StampPlan {
             .get_or_init(|| self.sparse_template(scope).pattern().amd_ordering())
     }
 
-    /// The BTF preordering of `scope`'s sparse pattern (`None` when
-    /// structurally singular), constructed once and shared by every
-    /// consumer — the Btf/Auto resolution, the canonical BTF
-    /// factorization, and instances analyzing on their own.
+    /// The BTF condensation of `scope`'s sparse pattern (`None` when
+    /// structurally singular): block boundaries only, computed once.
+    fn btf_blocks(&self, scope: PatternScope) -> Option<&castg_numeric::BtfOrder> {
+        self.scope_caches(scope)
+            .btf_blocks
+            .get_or_init(|| self.sparse_template(scope).pattern().btf_condensation())
+            .as_ref()
+    }
+
+    /// The refined BTF preordering of `scope`'s sparse pattern (`None`
+    /// when structurally singular), constructed once and shared by
+    /// every consumer that factors under it — the canonical BTF
+    /// factorization and instances analyzing on their own.
     pub(crate) fn btf_ordering(&self, scope: PatternScope) -> Option<&Arc<castg_numeric::BtfOrder>> {
         self.scope_caches(scope)
             .btf_order
-            .get_or_init(|| self.sparse_template(scope).pattern().btf_order().map(Arc::new))
+            .get_or_init(|| {
+                let blocks = self.btf_blocks(scope)?.clone();
+                Some(Arc::new(self.sparse_template(scope).pattern().btf_refine(blocks)))
+            })
             .as_ref()
     }
 
@@ -840,77 +887,106 @@ impl StampPlan {
     /// resolves to `Amd` there — keeping the forced-Btf path
     /// bit-identical to forced-Amd where blocks don't exist.
     fn btf_usable(&self, scope: PatternScope) -> bool {
-        self.btf_ordering(scope).is_some_and(|b| b.block_count() > 1)
+        self.btf_blocks(scope).is_some_and(|b| b.block_count() > 1)
     }
 
     /// Resolves an [`OrderingKind`] against this plan: `Natural` and
     /// `Amd` pass through; `Auto`'s verdict is computed once from the
-    /// canonical factorizations' fill. The natural-order canonical
-    /// symbolic — which the common Natural outcome seeds solvers from
-    /// anyway, so the gate is free for it — must show genuine fill
-    /// blow-up
-    /// ([`AMD_AUTO_MIN_BLOWUP`](crate::solver::AMD_AUTO_MIN_BLOWUP) ×
-    /// the pattern's nnz; chain/ladder structure fills ~1.3× and
-    /// early-outs here, paying exactly one factorization per campaign
-    /// variant) before the AMD construction and trial factorization
-    /// run at all; AMD then wins only by
-    /// [`AMD_AUTO_MARGIN`](crate::solver::AMD_AUTO_MARGIN). A plan
-    /// whose verdict lands on `Amd` therefore pays one discarded
-    /// natural-order factorization — a deliberate trade: gating on a
-    /// value-free fill *prediction* instead was measured slower on the
-    /// (far more common) chain-shaped campaign variants, whose
-    /// early-out here is free, and the discarded factor is a few
-    /// percent of a fill-blown variant's evaluation cost. Every input
-    /// is a pure function of the plan's pattern and canonical values,
-    /// both of which a delta-patched plan reproduces bit-identically
-    /// to a rebuild — so the two always resolve the same way. Never
-    /// returns `Auto`.
+    /// canonical matrix. AMD wins iff natural order's fill is at least
+    /// both [`AMD_AUTO_MIN_BLOWUP`](crate::solver::AMD_AUTO_MIN_BLOWUP)
+    /// × the pattern's nnz and `amd_fill /`
+    /// [`AMD_AUTO_MARGIN`](crate::solver::AMD_AUTO_MARGIN); BTF then
+    /// supersedes AMD iff the condensation has more than one
+    /// nontrivial block and its fill beats AMD's by the same margin.
+    ///
+    /// The natural-order fill is only ever compared against thresholds,
+    /// so the natural canonical factorization runs fill-limited
+    /// ([`SparseLu::factor_until_fill`]): first up to the blow-up
+    /// threshold — chain/ladder structure fills ~1.3× its pattern and
+    /// completes under it, keeping the natural canonical its solvers
+    /// seed from, one factorization per campaign variant — and, on a
+    /// fill-blown pattern, after the AMD canonical is known, resumed
+    /// only until it reaches `amd_fill / AMD_AUTO_MARGIN`. The BTF gate
+    /// reads block counts off the condensation, so the per-block AMD
+    /// runs only when a BTF order is factored. Measured on a
+    /// 578-unknown mesh bridge variant (one thread, x86-64 release
+    /// build): the unlimited verdict took ~6.6 ms, of which a full
+    /// natural factorization (27,698 entries, ~2.2 ms — about a quarter
+    /// of the variant's ~8.6 ms evaluation) was discarded once AMD won
+    /// and a per-block AMD (~1 ms) was rejected by the BTF gate; the
+    /// limited verdict stops natural order at 14,574 entries and takes
+    /// ~3.9 ms, most of it the AMD ordering and factorization it keeps.
+    ///
+    /// The verdict equals the unlimited one on every canonical matrix
+    /// that natural order factors without a singular pivot. A matrix
+    /// that would turn singular under natural order only *after* the
+    /// stop point used to resolve `Natural` (no fill to compare) and
+    /// now resolves on the AMD comparison. Every input is a pure
+    /// function of the plan's pattern and canonical values, both of
+    /// which a delta-patched plan reproduces bit-identically to a
+    /// rebuild — so the two always resolve the same way. Never returns
+    /// `Auto`.
     pub(crate) fn resolve_ordering(
         &self,
         ordering: OrderingKind,
         scope: PatternScope,
     ) -> OrderingKind {
         match ordering {
-            OrderingKind::Auto => *self.scope_caches(scope).auto_ordering.get_or_init(|| {
-                let nnz = self.sparse_template(scope).pattern().nnz();
-                let natural_fill = match self.natural_symbolic(scope) {
-                    Some(s) => s.fill_nnz(),
-                    // Singular canonical matrix: no fill to compare;
-                    // instances analyze on their own in natural order.
-                    None => return OrderingKind::Natural,
-                };
-                if (natural_fill as f64) < crate::solver::AMD_AUTO_MIN_BLOWUP * nnz as f64 {
-                    return OrderingKind::Natural;
-                }
-                let amd_fill = match self.amd_symbolic(scope).map(|s| s.fill_nnz()) {
-                    Some(a)
-                        if (a as f64)
-                            <= crate::solver::AMD_AUTO_MARGIN * natural_fill as f64 =>
-                    {
-                        a
-                    }
-                    _ => return OrderingKind::Natural,
-                };
-                // Third gate: BTF supersedes AMD only when the
-                // condensation found real block structure (>1
-                // nontrivial block) *and* the total BTF storage beats
-                // global AMD by the same margin AMD had to clear.
-                if self.btf_usable(scope)
-                    && self.btf_ordering(scope).is_some_and(|b| b.nontrivial_blocks() > 1)
-                {
-                    if let Some(b) = self.btf_symbolic(scope) {
-                        if (b.fill_nnz() as f64)
-                            <= crate::solver::AMD_AUTO_MARGIN * amd_fill as f64
-                        {
-                            return OrderingKind::Btf;
-                        }
-                    }
-                }
-                OrderingKind::Amd
-            }),
+            OrderingKind::Auto => {
+                *self.scope_caches(scope).auto_ordering.get_or_init(|| self.auto_verdict(scope))
+            }
             OrderingKind::Btf if !self.btf_usable(scope) => OrderingKind::Amd,
             other => other,
         }
+    }
+
+    /// The `Auto` verdict; see [`resolve_ordering`](StampPlan::resolve_ordering).
+    fn auto_verdict(&self, scope: PatternScope) -> OrderingKind {
+        use crate::solver::{AMD_AUTO_MARGIN, AMD_AUTO_MIN_BLOWUP};
+        let nnz = self.sparse_template(scope).pattern().nnz() as f64;
+        let blown = |fill: usize| fill as f64 >= AMD_AUTO_MIN_BLOWUP * nnz;
+        let mat = self.canonical_matrix(scope);
+        let mut natural = SparseLu::new();
+        // Advances natural order until its fill reaches `limit` (or it
+        // completes, publishing the canonical natural skeleton): the
+        // fill so far, the final fill once complete, `None` when
+        // singular — no fill to compare, so instances analyze on their
+        // own in natural order.
+        let mut natural_fill = |limit: usize| {
+            if !natural.is_factored() {
+                let done = match natural.factor_until_fill(&mat, limit) {
+                    Ok(FillLimited::Stopped { fill_at_least }) => return Some(fill_at_least),
+                    Ok(FillLimited::Complete) => natural.symbolic(),
+                    Err(_) => None,
+                };
+                let _ = self.scope_caches(scope).canonical_natural.set(done);
+            }
+            natural.symbolic().map(|s| s.fill_nnz())
+        };
+        match natural_fill(least_fill(AMD_AUTO_MIN_BLOWUP * nnz, blown)) {
+            Some(fill) if blown(fill) => {}
+            _ => return OrderingKind::Natural,
+        }
+        let Some(amd_fill) = self.amd_symbolic(scope).map(|s| s.fill_nnz()) else {
+            return OrderingKind::Natural;
+        };
+        let amd_wins = |fill: usize| amd_fill as f64 <= AMD_AUTO_MARGIN * fill as f64;
+        match natural_fill(least_fill(amd_fill as f64 / AMD_AUTO_MARGIN, amd_wins)) {
+            Some(fill) if amd_wins(fill) => {}
+            _ => return OrderingKind::Natural,
+        }
+        // Third gate: BTF supersedes AMD only when the condensation
+        // found real block structure (>1 nontrivial block) *and* the
+        // total BTF storage beats global AMD by the same margin AMD had
+        // to clear.
+        if self.btf_blocks(scope).is_some_and(|b| b.nontrivial_blocks() > 1) {
+            if let Some(b) = self.btf_symbolic(scope) {
+                if (b.fill_nnz() as f64) <= AMD_AUTO_MARGIN * amd_fill as f64 {
+                    return OrderingKind::Btf;
+                }
+            }
+        }
+        OrderingKind::Amd
     }
 
     /// The natural-order canonical symbolic analysis (cached).
@@ -949,15 +1025,9 @@ impl StampPlan {
             .clone()
     }
 
-    /// Assembles the canonical matrix and factors it with a workspace
-    /// prepared by `setup` (ordering / BTF-order installation; the
-    /// empty closure = natural order), returning the symbolic skeleton
-    /// or `None` on singularity.
-    fn factor_canonical(
-        &self,
-        scope: PatternScope,
-        setup: impl FnOnce(&mut SparseLu),
-    ) -> Option<Arc<SparseSymbolic>> {
+    /// The canonical matrix of `scope`: assembled at `x = 0` with the
+    /// default gmin and DC source values.
+    fn canonical_matrix(&self, scope: PatternScope) -> SparseMatrix {
         let mut mat = self.sparse_template(scope).clone();
         let mut rhs = vec![0.0; self.n];
         let x0 = vec![0.0; self.n];
@@ -970,12 +1040,22 @@ impl StampPlan {
         // the amortization).
         let gmin = crate::analysis::AnalysisOptions::default().gmin;
         self.assemble_into(&x0, &mut mat, &mut rhs, gmin, &src_vals);
+        mat
+    }
+
+    /// Factors the canonical matrix with a workspace prepared by
+    /// `setup` (ordering / BTF-order installation; the empty closure =
+    /// natural order), returning the symbolic skeleton or `None` on
+    /// singularity.
+    fn factor_canonical(
+        &self,
+        scope: PatternScope,
+        setup: impl FnOnce(&mut SparseLu),
+    ) -> Option<Arc<SparseSymbolic>> {
+        let mat = self.canonical_matrix(scope);
         let mut lu = SparseLu::new();
         setup(&mut lu);
-        match lu.factor(&mat) {
-            Ok(()) => lu.symbolic(),
-            Err(_) => None,
-        }
+        lu.factor(&mat).ok().and_then(|()| lu.symbolic())
     }
 
     /// Whether the plan contains no nonlinear linearization sites, i.e.

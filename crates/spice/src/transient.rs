@@ -539,8 +539,10 @@ impl<'c> TranAnalysis<'c> {
     /// size. The scratch's factorization-reuse key captures exactly
     /// that, so a fixed-step transient of a linear circuit factors
     /// once and then pays only rhs re-derivation + substitution per
-    /// step, bit-identical to the always-refactor path. History terms
-    /// (`i_hist`) live purely in the rhs and never break the reuse.
+    /// step, bit-identical to the always-refactor path — and a later run
+    /// of the same circuit at the same step size starts factored (see
+    /// [`NewtonScratch::factor`]). History terms (`i_hist`) live purely
+    /// in the rhs and never break the reuse.
     #[allow(clippy::too_many_arguments)]
     fn newton_step(
         &self,
@@ -554,8 +556,7 @@ impl<'c> TranAnalysis<'c> {
         budget: &mut IterBudget,
     ) -> Result<(), SpiceError> {
         scratch.eval_sources(|w| w.eval(t1));
-        let NewtonScratch { plan, solver, rhs, x_new, src_vals, factored_for, .. } = scratch;
-        let n = plan.dim();
+        let n = scratch.plan.dim();
         let n_nodes = self.circuit.node_count() - 1;
         let opts = &self.options;
         let reuse_key = companion_key(gmin, method, h);
@@ -565,30 +566,23 @@ impl<'c> TranAnalysis<'c> {
             for _ in 0..max_iter {
                 budget.charge()?;
                 spent += 1;
-                if plan.is_linear() && *factored_for == Some(reuse_key) {
-                    plan.assemble_rhs_only(rhs, src_vals);
-                } else {
-                    *factored_for = None;
-                    solver
-                        .assemble_and_factor(plan, x, rhs, gmin, src_vals, |mat| {
-                            for (el, (geq, _)) in dyns.iter().zip(companions) {
-                                match el {
-                                    DynElement::Cap { a, b, .. } => {
-                                        stamp::stamp_conductance(mat, *a, *b, *geq);
-                                    }
-                                    DynElement::Ind { row, .. } => {
-                                        // `geq` holds `req`; the branch equation
-                                        // gains `−req·i`.
-                                        mat.add(*row, *row, -geq);
-                                    }
+                let exact = scratch
+                    .factor(x, gmin, Some(reuse_key), |mat| {
+                        for (el, (geq, _)) in dyns.iter().zip(companions) {
+                            match el {
+                                DynElement::Cap { a, b, .. } => {
+                                    stamp::stamp_conductance(mat, *a, *b, *geq);
+                                }
+                                DynElement::Ind { row, .. } => {
+                                    // `geq` holds `req`; the branch equation
+                                    // gains `−req·i`.
+                                    mat.add(*row, *row, -geq);
                                 }
                             }
-                        })
-                        .map_err(|e| self.circuit.singular_error(e))?;
-                    if plan.is_linear() {
-                        *factored_for = Some(reuse_key);
-                    }
-                }
+                        }
+                    })
+                    .map_err(|e| self.circuit.singular_error(e))?;
+                let NewtonScratch { plan, solver, rhs, x_new, .. } = &mut *scratch;
                 for (el, (_, hist)) in dyns.iter().zip(companions) {
                     match el {
                         // The history term acts as a current source from b
@@ -633,7 +627,7 @@ impl<'c> TranAnalysis<'c> {
                 // on the solved state, the next iteration would reuse the
                 // identical factors and rhs and produce an exactly-zero
                 // update — skip the verification iteration.
-                if plan.is_linear() && *factored_for == Some(reuse_key) && landed_exactly {
+                if exact && landed_exactly {
                     return Ok(());
                 }
             }
@@ -801,6 +795,32 @@ mod tests {
         .unwrap();
         let i_end = *trace.column(0).last().unwrap();
         assert!((i_end - 1e-3).abs() < 2e-5, "i_end {i_end}");
+    }
+
+    /// A second run of a linear circuit at the same step size starts
+    /// from the plan's cached first factorizations — of the DC
+    /// operating point and of the first step's companion matrix — and
+    /// records the identical trace. (Later steps' `h = t1 − t0` rounds
+    /// to a few distinct keys; those factor per run, as before.)
+    #[test]
+    fn later_linear_runs_start_factored() {
+        let factorizations = || crate::solver::FACTORIZATIONS.with(|c| c.get());
+        let (c, out) = rc_circuit(1e3, 1e-9);
+        let run = |c: &Circuit| {
+            let trace = TranAnalysis::new(c).run(2e-6, 20e-9, &[Probe::NodeVoltage(out)]).unwrap();
+            trace.column(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let counted = |c: &Circuit| {
+            let before = factorizations();
+            let bits = run(c);
+            (bits, factorizations() - before)
+        };
+        let (first, first_n) = counted(&c);
+        let (second, second_n) = counted(&c);
+        let (fresh, fresh_n) = counted(&rc_circuit(1e3, 1e-9).0);
+        assert_eq!((first_n, fresh_n), (second_n + 2, second_n + 2));
+        assert_eq!(first, second);
+        assert_eq!(fresh, second);
     }
 
     #[test]
