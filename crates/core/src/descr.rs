@@ -96,6 +96,16 @@ impl ConfigDescription {
             let keyword = key.split_whitespace().next().unwrap_or("").to_ascii_lowercase();
             let value = value.trim().to_string();
             let err = |reason: String| CoreError::Parse { line: line_no, reason };
+            // Numbers must be finite: a NaN or infinite bound, variable
+            // or seed would reach the optimizer and the simulator
+            // unchecked (a NaN `reltol` makes every Newton solve
+            // "converge" after one iteration).
+            let number = |text: &str, what: &str| {
+                text.parse::<f64>()
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| err(format!("bad {what} `{text}` (expected a finite number)")))
+            };
 
             match keyword.as_str() {
                 "macro" => d.macro_type = value,
@@ -126,14 +136,8 @@ impl ConfigDescription {
                     let (lo, hi) = value
                         .split_once("..")
                         .ok_or_else(|| err(format!("expected `lo .. hi`, got `{value}`")))?;
-                    let lo: f64 = lo
-                        .trim()
-                        .parse()
-                        .map_err(|_| err(format!("bad lower bound `{}`", lo.trim())))?;
-                    let hi: f64 = hi
-                        .trim()
-                        .parse()
-                        .map_err(|_| err(format!("bad upper bound `{}`", hi.trim())))?;
+                    let lo = number(lo.trim(), "lower bound")?;
+                    let hi = number(hi.trim(), "upper bound")?;
                     if lo > hi {
                         return Err(err(format!("inverted interval {lo} .. {hi}")));
                     }
@@ -145,8 +149,7 @@ impl ConfigDescription {
                         .nth(1)
                         .ok_or_else(|| err("missing variable name".to_string()))?
                         .to_string();
-                    let v: f64 =
-                        value.parse().map_err(|_| err(format!("bad value `{value}`")))?;
+                    let v = number(&value, "value")?;
                     d.variables.push((name, v));
                 }
                 "seed" => {
@@ -158,8 +161,7 @@ impl ConfigDescription {
                     if !d.parameters.iter().any(|p| p.name == name) {
                         return Err(err(format!("seed names unknown parameter `{name}`")));
                     }
-                    let v: f64 =
-                        value.parse().map_err(|_| err(format!("bad value `{value}`")))?;
+                    let v = number(&value, "value")?;
                     d.seed.push((name, v));
                 }
                 other => return Err(err(format!("unknown key `{other}`"))),
@@ -276,6 +278,24 @@ seed elev: 2e-5
             let msg = err.to_string();
             assert!(msg.contains(needle), "`{text}` → `{msg}` (wanted `{needle}`)");
             assert!(msg.contains("line 1"), "line number missing in `{msg}`");
+        }
+    }
+
+    /// Regression: `nan` and `inf` used to parse as bounds, variables
+    /// and seeds, and a NaN `reltol` reached the transient unchecked.
+    #[test]
+    fn rejects_non_finite_numbers() {
+        let bad = [
+            ("parameter lev: 0 .. nan", 1),
+            ("parameter lev: -inf .. 0", 1),
+            ("variable reltol: nan", 1),
+            ("variable t: inf", 1),
+            ("parameter a: 0 .. 1\nseed a: NaN", 2),
+        ];
+        for (text, line) in bad {
+            let msg = ConfigDescription::parse(text).unwrap_err().to_string();
+            assert!(msg.contains("finite"), "`{text}` → `{msg}`");
+            assert!(msg.contains(&format!("line {line}")), "line number missing in `{msg}`");
         }
     }
 

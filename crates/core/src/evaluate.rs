@@ -10,8 +10,9 @@
 //! * the nominal circuit's assembly plan is compiled **once** and
 //!   shared (immutably) by every nominal measurement on every worker;
 //! * every fault is injected **once per campaign**, by default through
-//!   the delta path ([`Fault::inject`] patching the nominal plan —
-//!   bridges are pure delta-stamps; see [`InjectionMode`]), and the
+//!   the delta path ([`Fault::inject`](castg_faults::Fault::inject)
+//!   patching the nominal plan — bridges are pure delta-stamps; see
+//!   [`InjectionMode`]), and the
 //!   variant — circuit, plan, sparse template, symbolic analysis — is
 //!   shared read-only by all its tests;
 //! * workers pull `(fault, test)` **work items** from one queue, so a
@@ -56,15 +57,17 @@ use crate::{AnalogMacro, CoreError, TestConfiguration};
 /// How the campaign engine materializes its faulted circuit variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InjectionMode {
-    /// Delta injection ([`Fault::inject`] on a plan-compiled nominal):
-    /// bridge variants patch the nominal circuit's compiled plan
-    /// (delta-stamps) instead of recompiling; structural faults
-    /// (pinholes) recompile once per campaign. The default.
+    /// Delta injection ([`Fault::inject`](castg_faults::Fault::inject)
+    /// on a plan-compiled nominal): bridge variants patch the nominal
+    /// circuit's compiled plan (delta-stamps) instead of recompiling;
+    /// structural faults (pinholes) recompile once per campaign. The
+    /// default.
     #[default]
     Delta,
-    /// Reference path ([`Fault::inject_rebuilt`]): every variant
-    /// recompiles plan, sparse template and symbolic analysis from its
-    /// netlist. Exists so differential harnesses can pin the delta
+    /// Reference path
+    /// ([`Fault::inject_rebuilt`](castg_faults::Fault::inject_rebuilt)):
+    /// every variant recompiles plan, sparse template and symbolic
+    /// analysis from its netlist. Exists so differential harnesses can pin the delta
     /// path's bit-identity; never faster.
     Rebuild,
 }

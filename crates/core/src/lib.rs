@@ -14,10 +14,10 @@
 //!    bounds, seeds and tolerance-box functions).
 //! 2. [`Generator::generate`] produces one optimal test per fault
 //!    (§3.3, Fig. 6): parameters are optimized against a softened fault
-//!    model (Brent/Powell minimizing the sensitivity [`sensitivity`]),
+//!    model (Brent/Powell minimizing the sensitivity [`sensitivity`](fn@sensitivity)),
 //!    then the best configuration is selected by relaxing/intensifying
 //!    the fault impact until exactly one test survives.
-//! 3. [`compact`] collapses the per-fault tests into a compact set
+//! 3. [`compact`](fn@compact) collapses the per-fault tests into a compact set
 //!    (§4.1), screening every collapse with the δ-criterion.
 //! 4. [`evaluate_test_set`] / [`compare_with_baseline`] quantify the
 //!    resulting quality against the fault dictionary and against the

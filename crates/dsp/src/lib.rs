@@ -7,8 +7,8 @@
 //!
 //! * [`UniformSamples`] — a uniformly sampled waveform, with linear-
 //!   interpolation resampling from arbitrary `(t, v)` traces,
-//! * [`goertzel`] — single-bin DFT evaluation at an arbitrary frequency,
-//! * [`thd`] / [`harmonic_magnitudes`] — harmonic analysis,
+//! * [`goertzel`](fn@goertzel) — single-bin DFT evaluation at an arbitrary frequency,
+//! * [`thd`](fn@thd) / [`harmonic_magnitudes`] — harmonic analysis,
 //! * [`metrics`] — RMS, peak, max-deviation, accumulated deviation and
 //!   settling-time helpers,
 //! * [`window`] — Hann window for non-coherent sampling situations.

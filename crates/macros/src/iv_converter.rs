@@ -2,7 +2,7 @@
 //! evaluation (§3.4).
 //!
 //! The original design is a photodetector transimpedance amplifier from
-//! MESA [9] and is not public; this is a representative substitute with
+//! MESA \[9\] and is not public; this is a representative substitute with
 //! the same structural signature: a two-stage Miller-compensated CMOS
 //! op-amp with a resistive feedback network converting an input current
 //! into an output voltage, with exactly **10 fault-site nodes** (so the

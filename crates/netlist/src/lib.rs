@@ -6,7 +6,7 @@
 //! generate → compact → evaluate pipeline can be pointed at a macro it
 //! was never compiled with:
 //!
-//! * [`parse_deck`] — deck text → lowered [`Circuit`]. Device cards
+//! * [`parse_deck`] — deck text → lowered [`Circuit`](castg_spice::Circuit). Device cards
 //!   `R`/`C`/`L`/`V`/`I`/`M` (Level-1 models via `.model nmos`/`pmos`
 //!   cards, `W=`/`L=` instance geometry), `D` (diode, `.model <name> d`
 //!   with `is`/`n`/`rs`/`cjo` keys), `Q` (BJT, `.model <name>
@@ -57,7 +57,7 @@
 //!   X1 in out leg              ; r=1k, rr=2k
 //!   X2 out 0  leg r=500        ; r=500, rr=1k
 //!   ```
-//! * [`write_deck`] / [`write_deck_with_title`] — [`Circuit`] → deck
+//! * [`write_deck`] / [`write_deck_with_title`] — [`Circuit`](castg_spice::Circuit) → deck
 //!   text, exact round-trip (`parse(write(c)) == c`, bit for bit, the
 //!   `.title` included) via the `.nodeorder` extension card and
 //!   bit-exact deduplicated model tables (`castg_m*`/`castg_d*`/

@@ -5,7 +5,7 @@
 //! ladder and chain macros used for scaling work push n into the
 //! hundreds or thousands, where the MNA matrix is extremely sparse
 //! (a handful of entries per row). This module provides the sparse
-//! counterpart of [`Matrix`](crate::Matrix) + [`LuWorkspace`](crate::LuWorkspace):
+//! counterpart of [`Matrix`] + [`LuWorkspace`](crate::LuWorkspace):
 //!
 //! * [`SparseMatrix`] — a compressed-sparse-column matrix with a
 //!   **fixed sparsity pattern**. The pattern is built once per circuit
@@ -89,7 +89,7 @@ const REFACTOR_TOL: f64 = 1e-8;
 
 /// A target that MNA device stamps can be accumulated into.
 ///
-/// Implemented by the dense [`Matrix`](crate::Matrix) and by
+/// Implemented by the dense [`Matrix`] and by
 /// [`SparseMatrix`]; the circuit simulator's assembly loop is generic
 /// over this trait so one compiled stamp plan drives both solver paths.
 pub trait StampTarget {

@@ -4,7 +4,7 @@
 //! # The cache key, precisely
 //!
 //! Two campaign requests share a result-cache entry exactly when their
-//! [`RequestDigest`] inputs match:
+//! [`request_digest`] inputs match:
 //!
 //! 1. **Canonical deck bytes** — the deck parsed and written back
 //!    through the exact round-trip writer

@@ -5,7 +5,7 @@
 //!
 //! * **Thread per connection, pool per campaign.** Connection threads
 //!   only parse and serialize; every campaign (single or batch member)
-//!   is submitted to one process-wide [`Executor`], so total pipeline
+//!   is submitted to one process-wide `Executor`, so total pipeline
 //!   concurrency is bounded by the worker count no matter how many
 //!   clients connect.
 //! * **Graceful shutdown.** The accept loop polls a shutdown flag

@@ -27,9 +27,19 @@ use crate::circuit::Circuit;
 use crate::dc::DcAnalysis;
 use crate::device::DeviceKind;
 use crate::node::NodeId;
-use crate::stamp;
+use crate::stamp::{self, StampPlan};
 use crate::stimulus::Waveform;
 use crate::SpiceError;
+
+/// Stamps every reactance of `plan` into `cap` at its own value, so the
+/// complex system is `G + jω·cap`: capacitances as conductance-shaped
+/// node entries, inductors as `−L` on their branch diagonal (the branch
+/// equation gains `−jωL·i`).
+fn stamp_reactances<M: StampTarget + ?Sized>(plan: &StampPlan, cap: &mut M) {
+    for r in plan.reactances() {
+        r.stamp(cap, r.value());
+    }
+}
 
 /// One AC excitation: a named independent source driven with the given
 /// small-signal magnitude (phase 0).
@@ -299,9 +309,9 @@ impl<'c> AcAnalysis<'c> {
         plan.source_values(&mut src_vals, |w| w.dc_value());
         plan.assemble_into(dc.state(), &mut g, &mut scratch_rhs, self.options.gmin, &src_vals);
 
-        // C: capacitive stamps (explicit capacitors + MOS gate caps).
+        // C: every reactance at its own value.
         let mut cap = Matrix::zeros(n, n);
-        self.stamp_capacitances(&mut cap);
+        stamp_reactances(&plan, &mut cap);
 
         // One complex matrix per worker, reused (cleared and refilled)
         // for every frequency point of its chunk; only the retained
@@ -355,9 +365,9 @@ impl<'c> AcAnalysis<'c> {
         plan.source_values(&mut src_vals, |w| w.dc_value());
         plan.assemble_into(dc.state(), &mut g, &mut scratch_rhs, self.options.gmin, &src_vals);
 
-        // C over the dynamic (capacitive) slots only.
-        let mut cap = SparseMatrix::from_entries(n, plan.dynamic_slots());
-        self.stamp_capacitances(&mut cap);
+        // C over the dynamic (reactance) slots only.
+        let mut cap = SparseMatrix::from_entries(n, &plan.dynamic_slots());
+        stamp_reactances(&plan, &mut cap);
 
         // Pattern of the real embedding: G's slots in both diagonal
         // blocks, C's slots in both off-diagonal blocks.
@@ -457,50 +467,6 @@ impl<'c> AcAnalysis<'c> {
         solutions.push(first);
         solutions.extend(rest);
         Ok(solutions)
-    }
-
-    /// Stamps every reactance into `cap`, scaled so the complex system
-    /// is `G + jω·cap`: capacitances (explicit capacitors plus MOS gate
-    /// capacitances) as conductance-shaped node entries, inductors as
-    /// `−L` on their branch diagonal (the branch equation gains
-    /// `−jωL·i`).
-    fn stamp_capacitances<M: StampTarget + ?Sized>(&self, cap: &mut M) {
-        let n_nodes = self.circuit.node_count() - 1;
-        let mut branch = 0usize;
-        for dev in self.circuit.devices() {
-            match dev.kind() {
-                DeviceKind::Capacitor { a, b, farads } => {
-                    stamp::stamp_conductance(cap, *a, *b, *farads);
-                }
-                DeviceKind::Inductor { henries, .. } => {
-                    cap.add(n_nodes + branch, n_nodes + branch, -henries);
-                }
-                DeviceKind::Mosfet { d, g: gate, s, params, .. } => {
-                    stamp::stamp_conductance(cap, *gate, *s, params.cgs());
-                    stamp::stamp_conductance(cap, *gate, *d, params.cgd());
-                }
-                DeviceKind::Diode { a, k, params } => {
-                    stamp::stamp_conductance(cap, *a, *k, params.cj0);
-                }
-                DeviceKind::Bjt { c, b, e, params, .. } => {
-                    stamp::stamp_conductance(cap, *b, *e, params.cje);
-                    stamp::stamp_conductance(cap, *b, *c, params.cjc);
-                }
-                // Reactance-free devices — listed exhaustively so the
-                // compiler forces every future device kind to decide
-                // its AC stamp here.
-                DeviceKind::Resistor { .. }
-                | DeviceKind::Vsource { .. }
-                | DeviceKind::Isource { .. }
-                | DeviceKind::Vcvs { .. }
-                | DeviceKind::Vccs { .. }
-                | DeviceKind::Cccs { .. }
-                | DeviceKind::Ccvs { .. } => {}
-            }
-            if dev.has_branch_current() {
-                branch += 1;
-            }
-        }
     }
 }
 

@@ -1,4 +1,5 @@
 use crate::solver::{OrderingKind, SolverKind};
+use crate::SpiceError;
 
 /// Tolerances and iteration limits shared by the DC and transient solvers.
 ///
@@ -75,9 +76,43 @@ impl Default for AnalysisOptions {
     }
 }
 
+impl AnalysisOptions {
+    /// Checks the numbers every Newton solve relies on: finite,
+    /// non-negative tolerances and gmin, and a positive update clamp.
+    /// A NaN tolerance makes every convergence test pass after one
+    /// iteration, and a negative gmin never reaches the end of a gmin
+    /// walk.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidAnalysis`] naming the offending option.
+    pub(crate) fn validate(&self) -> Result<(), SpiceError> {
+        let tolerances = [
+            ("reltol", self.reltol),
+            ("vntol", self.vntol),
+            ("abstol", self.abstol),
+            ("gmin", self.gmin),
+        ];
+        for (name, v) in tolerances {
+            if !v.is_finite() || v < 0.0 {
+                return Err(SpiceError::InvalidAnalysis {
+                    reason: format!("{name} must be finite and non-negative, got {v}"),
+                });
+            }
+        }
+        if self.max_step_v.is_nan() || self.max_step_v <= 0.0 {
+            return Err(SpiceError::InvalidAnalysis {
+                reason: format!("max_step_v must be positive, got {}", self.max_step_v),
+            });
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Circuit, DcAnalysis, IntegrationMethod, TranAnalysis, Waveform};
 
     #[test]
     fn defaults_are_sane() {
@@ -87,5 +122,36 @@ mod tests {
         assert!(o.max_iter >= 50);
         assert!(o.gmin > 0.0 && o.gmin < 1e-9);
         assert!(o.max_step_v > 0.0);
+    }
+
+    /// Regression: a NaN tolerance made every Newton solve "converge"
+    /// after one iteration, and a negative gmin could hang the gmin
+    /// walk. DC and transient analyses now refuse such options.
+    #[test]
+    fn invalid_tolerances_are_rejected() {
+        let mut c = Circuit::new();
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.add_vsource("V1", inp, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        c.add_resistor("R1", inp, out, 1e3).unwrap();
+        c.add_capacitor("C1", out, Circuit::GROUND, 1e-9).unwrap();
+        let d = AnalysisOptions::default();
+        let bad = [
+            AnalysisOptions { reltol: f64::NAN, ..d },
+            AnalysisOptions { vntol: -1e-6, ..d },
+            AnalysisOptions { abstol: f64::INFINITY, ..d },
+            AnalysisOptions { gmin: -1e-12, ..d },
+            AnalysisOptions { max_step_v: 0.0, ..d },
+            AnalysisOptions { max_step_v: f64::NAN, ..d },
+        ];
+        for opts in bad {
+            let dc = DcAnalysis::with_options(&c, opts).solve();
+            assert!(matches!(dc, Err(SpiceError::InvalidAnalysis { .. })), "{opts:?}: {dc:?}");
+            let tran = TranAnalysis::with_options(&c, opts, IntegrationMethod::Trapezoidal)
+                .run(1e-6, 1e-7, &[]);
+            assert!(matches!(tran, Err(SpiceError::InvalidAnalysis { .. })), "{opts:?}: {tran:?}");
+        }
+        let edge = AnalysisOptions { gmin: 0.0, max_step_v: f64::INFINITY, ..d };
+        assert!(DcAnalysis::with_options(&c, edge).solve().is_ok());
     }
 }

@@ -43,7 +43,7 @@ pub struct Circuit {
     plan: PlanCache,
 }
 
-/// Interior cache for the compiled [`StampPlan`]. Equality-transparent:
+/// Interior cache for the compiled [`StampPlan`](crate::stamp::StampPlan). Equality-transparent:
 /// two circuits are equal regardless of which has compiled its plan.
 #[derive(Debug, Clone, Default)]
 struct PlanCache(std::sync::OnceLock<std::sync::Arc<crate::stamp::StampPlan>>);
@@ -714,8 +714,9 @@ impl Circuit {
     }
 
     /// Promote a numeric failure to a circuit-level diagnostic:
-    /// [`NumericError::SingularMatrix`] becomes [`SpiceError::Singular`]
-    /// naming the unknown via [`Circuit::unknown_name`]; anything else
+    /// [`NumericError::SingularMatrix`](castg_numeric::NumericError::SingularMatrix)
+    /// becomes [`SpiceError::Singular`] naming the unknown via
+    /// [`Circuit::unknown_name`]; anything else
     /// (or an unnameable pivot) passes through as
     /// [`SpiceError::Numeric`]. The pivot is reduced modulo
     /// [`Circuit::unknown_count`] so analyses that factor a stacked

@@ -27,6 +27,16 @@
 //! every iteration against the per-analysis caps of
 //! [`AnalysisOptions`] and any thread-local
 //! [`crate::with_solve_budget`] overlay a fault campaign has installed.
+//!
+//! This module also owns the two pieces every Newton solve of the crate
+//! is built from, DC and transient alike: [`NewtonScratch::newton`], the
+//! one damped Newton iteration (update clamp, convergence test,
+//! verification-iteration skip, iteration accounting), and
+//! [`gmin_walk`], the one decade-by-decade gmin relaxation. A rung is a
+//! short sequence of calls to them; so is the transient step's rescue
+//! (`transient.rs`).
+
+use castg_numeric::StampTarget;
 
 use crate::analysis::AnalysisOptions;
 use crate::budget::IterBudget;
@@ -197,6 +207,160 @@ impl NewtonScratch {
             self.src_vals[*slot] = f(wave);
         }
     }
+
+    /// One Newton solve — the iteration every DC rung stage and every
+    /// transient step runs — from `x` (updated in place; on error it
+    /// holds the last iterate and the caller decides whether to restart
+    /// it), at the current source values. Each iteration is charged to
+    /// `budget` and counted into `stat`; the iterations spent also go to
+    /// the thread's [`LadderStats`](crate::LadderStats).
+    ///
+    /// An iteration brings the solver to the system at `x` through
+    /// [`factor`](Self::factor) — `stamps` adds on top of the plan's
+    /// matrix (pseudo-transient anchors, transient companions),
+    /// `rhs_terms` on top of its right-hand side — solves, and applies
+    /// the update. Only nonlinear-device terminals are clamped, to
+    /// `cfg.clamp` times an adaptive boost: monotone progress doubles
+    /// the boost up to `cfg.max_boost` (powers of two, so the clamp
+    /// stays exact), a growing update snaps it back to 1. Linear nodes
+    /// and branch currents take the exact Newton step.
+    ///
+    /// The loop allocates nothing: assembly replays the compiled plan,
+    /// the factorization swaps buffers with the LU workspace and the
+    /// solve substitutes into a reused update vector. For a linear plan
+    /// the matrix is a pure function of its [`JacobianKey`], so once
+    /// factored, every further iteration — and every further stage or
+    /// timestep at the same key — only re-derives the right-hand side.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::NoConvergence`] at the iteration cap or on a
+    /// non-finite update, counting this solve's iterations (callers
+    /// relabel it); singular or numeric factorization failures; budget
+    /// verdicts.
+    pub(crate) fn newton<S, R>(
+        &mut self,
+        x: &mut [f64],
+        cfg: &NewtonCfg<'_>,
+        budget: &mut IterBudget,
+        stat: &mut RungStat,
+        stamps: S,
+        rhs_terms: R,
+    ) -> Result<(), SpiceError>
+    where
+        S: Fn(&mut dyn StampTarget),
+        R: Fn(&mut [f64]),
+    {
+        let before = stat.iterations;
+        let result = self.iterate(x, cfg, budget, stat, stamps, rhs_terms);
+        crate::stats::record_iterations((stat.iterations - before) as u64);
+        result
+    }
+
+    /// The loop of [`newton`](Self::newton).
+    fn iterate<S, R>(
+        &mut self,
+        x: &mut [f64],
+        cfg: &NewtonCfg<'_>,
+        budget: &mut IterBudget,
+        stat: &mut RungStat,
+        stamps: S,
+        rhs_terms: R,
+    ) -> Result<(), SpiceError>
+    where
+        S: Fn(&mut dyn StampTarget),
+        R: Fn(&mut [f64]),
+    {
+        let n = self.plan.dim();
+        let n_nodes = self.plan.node_unknowns();
+        let opts = cfg.opts;
+        let key = cfg.key.map(|(tag, h)| (cfg.gmin.to_bits(), tag, h));
+        let before = stat.iterations;
+        let mut boost = 1.0_f64;
+        let mut prev_norm = f64::INFINITY;
+        for _ in 0..cfg.max_iter {
+            budget.charge()?;
+            stat.iterations += 1;
+            let exact = self
+                .factor(x, cfg.gmin, key, &stamps)
+                .map_err(|e| cfg.circuit.singular_error(e))?;
+            let NewtonScratch { plan, solver, rhs, x_new, .. } = &mut *self;
+            rhs_terms(rhs);
+            solver.solve_into(rhs, x_new)?;
+
+            let damped = plan.damped();
+            let eff_clamp = cfg.clamp * boost;
+            let mut converged = true;
+            let mut landed_exactly = true;
+            let mut norm = 0.0_f64;
+            for i in 0..n {
+                let mut delta = x_new[i] - x[i];
+                if !delta.is_finite() {
+                    return Err(SpiceError::NoConvergence {
+                        analysis: "newton (non-finite update)".to_string(),
+                        iterations: stat.iterations - before,
+                    });
+                }
+                norm = norm.max(delta.abs());
+                let (tol, clamp) = if i < n_nodes {
+                    let clamp = if damped[i] { eff_clamp } else { f64::INFINITY };
+                    (opts.vntol + opts.reltol * x_new[i].abs().max(x[i].abs()), clamp)
+                } else {
+                    (opts.abstol + opts.reltol * x_new[i].abs().max(x[i].abs()), f64::INFINITY)
+                };
+                if delta.abs() > tol {
+                    converged = false;
+                }
+                if delta.abs() > clamp {
+                    delta = clamp.copysign(delta);
+                }
+                x[i] += delta;
+                landed_exactly &= landed_on(x[i], x_new[i]);
+            }
+            stat.residual_norm = norm;
+            // A linear plan whose update landed bit-exactly on the
+            // solved state needs no verification iteration: the next
+            // one would reuse identical factors, re-derive an identical
+            // rhs, solve to the identical x_new, take a delta of
+            // exactly +0.0 and converge without changing the state.
+            // (`x += (x_new − x)` does NOT always round to `x_new` —
+            // a warm start many orders of magnitude off misses — so
+            // the landing really is checked, bit for bit, not assumed.)
+            if converged || (exact && landed_exactly) {
+                stat.converged = true;
+                return Ok(());
+            }
+            if cfg.max_boost > 1.0 {
+                boost = if norm <= prev_norm { (boost * 2.0).min(cfg.max_boost) } else { 1.0 };
+            }
+            prev_norm = norm;
+        }
+        Err(SpiceError::NoConvergence {
+            analysis: "newton".to_string(),
+            iterations: stat.iterations - before,
+        })
+    }
+}
+
+/// The gmin walk shared by DC rung 3 and the transient step's rescue:
+/// `solve` at a shunt conductance starting from `start` and divided by
+/// ten per stage, each stage warm-started from the last, until a stage
+/// at `floor` (the analysis's own gmin) converges. Stops at the first
+/// failing stage.
+pub(crate) fn gmin_walk(
+    start: f64,
+    floor: f64,
+    mut solve: impl FnMut(f64) -> Result<(), SpiceError>,
+) -> Result<(), SpiceError> {
+    let mut gmin = start;
+    loop {
+        let stage = if gmin > floor { gmin } else { floor };
+        solve(stage)?;
+        if stage <= floor {
+            return Ok(());
+        }
+        gmin /= 10.0;
+    }
 }
 
 /// One rung of the DC Newton strategy ladder.
@@ -245,7 +409,7 @@ pub struct RungStat {
 }
 
 impl RungStat {
-    fn new(strategy: NewtonStrategy) -> Self {
+    pub(crate) fn new(strategy: NewtonStrategy) -> Self {
         RungStat { strategy, iterations: 0, residual_norm: 0.0, converged: false }
     }
 }
@@ -303,22 +467,28 @@ const PTC_DECAY_MIN: f64 = 1.05;
 /// Cap on Newton calls (stages) in the pseudo-transient rung.
 const PTC_MAX_STAGES: usize = 96;
 
-/// Configuration of one ladder rung's Newton loop.
-struct RungCfg<'a> {
+/// One Newton solve's settings: DC rung stages and transient steps
+/// differ only in these and in the extra stamps they pass to
+/// [`NewtonScratch::newton`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NewtonCfg<'a> {
+    /// The circuit solved (names a singular unknown).
+    pub(crate) circuit: &'a Circuit,
+    /// Convergence tolerances.
+    pub(crate) opts: &'a AnalysisOptions,
     /// Shunt conductance from every node to ground.
-    gmin: f64,
-    /// Stimulus scale (source stepping ramps this 0 → 1).
-    source_scale: f64,
-    /// Iteration cap for this rung stage.
-    max_iter: usize,
+    pub(crate) gmin: f64,
+    /// Iteration cap of this solve.
+    pub(crate) max_iter: usize,
     /// Base per-iteration voltage clamp on nonlinear-device terminals.
-    clamp: f64,
+    pub(crate) clamp: f64,
     /// Cap on the adaptive clamp multiplier (`1.0` disables growth).
-    max_boost: f64,
-    /// Pseudo-transient continuation: `(α, anchor state)` adds `α` to
-    /// every node diagonal and `α·anchor[i]` to every node rhs row,
-    /// pulling the iterate toward the anchor.
-    ptc: Option<(f64, &'a [f64])>,
+    pub(crate) max_boost: f64,
+    /// The tail of a linear plan's [`JacobianKey`] after the gmin bits:
+    /// `(0, 0)` in DC, the integration-method tag and step-size bits in
+    /// a transient step, `None` when the extra stamps make a matrix no
+    /// key describes (pseudo-transient anchors).
+    pub(crate) key: Option<(u64, u64)>,
 }
 
 /// How a DC solve converged: the rung-by-rung trail and the strategy
@@ -437,9 +607,11 @@ impl<'c> DcAnalysis<'c> {
     ///
     /// # Errors
     ///
-    /// [`SpiceError::NoConvergence`] if Newton, gmin stepping and source
-    /// stepping all fail; [`SpiceError::Numeric`] if the MNA matrix is
-    /// structurally singular (floating subcircuit, voltage-source loop).
+    /// [`SpiceError::NoConvergence`] if every rung of the ladder fails;
+    /// [`SpiceError::Singular`] if the MNA matrix is structurally
+    /// singular (floating subcircuit, voltage-source loop);
+    /// [`SpiceError::InvalidAnalysis`] if the options hold an unusable
+    /// tolerance, gmin or clamp.
     pub fn solve(&self) -> Result<DcSolution, SpiceError> {
         let x0 = vec![0.0; self.circuit.unknown_count()];
         self.solve_from(&x0)
@@ -451,8 +623,10 @@ impl<'c> DcAnalysis<'c> {
     /// # Errors
     ///
     /// As for [`DcAnalysis::solve`]; additionally
-    /// [`SpiceError::InvalidAnalysis`] if `initial` has the wrong length.
+    /// [`SpiceError::InvalidAnalysis`] if `initial` has the wrong length
+    /// or the options hold an unusable tolerance, gmin or clamp.
     pub fn solve_from(&self, initial: &[f64]) -> Result<DcSolution, SpiceError> {
+        self.options.validate()?;
         let n = self.circuit.unknown_count();
         if initial.len() != n {
             return Err(SpiceError::InvalidAnalysis {
@@ -480,17 +654,30 @@ impl<'c> DcAnalysis<'c> {
             crate::stamp::PatternScope::Static,
         );
         scratch.overrides = overrides;
+        let n_nodes = scratch.plan.node_unknowns();
         let mut x = initial.to_vec();
         let mut budget = IterBudget::start("dc operating point", &self.options);
         let mut rungs: Vec<RungStat> = Vec::new();
-        let opts = self.options;
+        let opts = &self.options;
+        // Rungs 2–5 run damped at the analysis's own clamp; the rescue
+        // rungs (3–5) allow the generous clamp growth.
+        let rescue = NewtonCfg {
+            circuit: self.circuit,
+            opts,
+            gmin: opts.gmin,
+            max_iter: opts.max_iter,
+            clamp: opts.max_step_v,
+            max_boost: RESCUE_MAX_BOOST,
+            key: Some((0, 0)),
+        };
+        let no_stamps = |_: &mut dyn StampTarget| {};
+        let no_rhs = |_: &mut [f64]| {};
 
         // Closes over nothing mutable: finishes a successful solve.
         macro_rules! land {
             ($x:expr, $strategy:expr) => {{
                 let convergence = ConvergenceReport { rungs, strategy: $strategy };
                 crate::stats::record_landing($strategy);
-                crate::stats::record_iterations(convergence.total_iterations() as u64);
                 return Ok(self.package($x, convergence));
             }};
         }
@@ -501,9 +688,6 @@ impl<'c> DcAnalysis<'c> {
                 let e = $e;
                 if budget.depleted() {
                     crate::stats::record_unconverged();
-                    crate::stats::record_iterations(
-                        rungs.iter().map(|r| r.iterations as u64).sum(),
-                    );
                     return Err(e);
                 }
                 e
@@ -513,16 +697,15 @@ impl<'c> DcAnalysis<'c> {
         // 1. Plain Newton from the provided start, cheaply capped: it
         // exists for warm starts and mildly nonlinear circuits; a stiff
         // cold start must fall through fast.
-        let cfg = RungCfg {
-            gmin: opts.gmin,
-            source_scale: 1.0,
+        scratch.eval_sources(|w| w.dc_value());
+        let cfg = NewtonCfg {
             max_iter: opts.max_iter.min(PLAIN_RUNG_CAP),
             clamp: f64::INFINITY,
             max_boost: 1.0,
-            ptc: None,
+            ..rescue
         };
         let mut stat = RungStat::new(NewtonStrategy::Plain);
-        let plain = self.newton(&mut x, &mut scratch, &cfg, &mut budget, &mut stat);
+        let plain = scratch.newton(&mut x, &cfg, &mut budget, &mut stat, no_stamps, no_rhs);
         rungs.push(stat);
         match plain {
             Ok(()) => land!(x, NewtonStrategy::Plain),
@@ -533,16 +716,9 @@ impl<'c> DcAnalysis<'c> {
 
         // 2. Damped Newton with adaptive clamp growth, restarted.
         x.copy_from_slice(initial);
-        let cfg = RungCfg {
-            gmin: opts.gmin,
-            source_scale: 1.0,
-            max_iter: opts.max_iter,
-            clamp: opts.max_step_v,
-            max_boost: DAMPED_MAX_BOOST,
-            ptc: None,
-        };
+        let cfg = NewtonCfg { max_boost: DAMPED_MAX_BOOST, ..rescue };
         let mut stat = RungStat::new(NewtonStrategy::Damped);
-        let damped = self.newton(&mut x, &mut scratch, &cfg, &mut budget, &mut stat);
+        let damped = scratch.newton(&mut x, &cfg, &mut budget, &mut stat, no_stamps, no_rhs);
         rungs.push(stat);
         match damped {
             Ok(()) => land!(x, NewtonStrategy::Damped),
@@ -554,23 +730,10 @@ impl<'c> DcAnalysis<'c> {
         // 3. gmin stepping: relax a strong shunt decade by decade.
         x.copy_from_slice(initial);
         let mut stat = RungStat::new(NewtonStrategy::GminStepping);
-        let mut gmin = 1e-2;
-        let outcome = loop {
-            let stage_gmin = if gmin > opts.gmin { gmin } else { opts.gmin };
-            let cfg = RungCfg {
-                gmin: stage_gmin,
-                source_scale: 1.0,
-                max_iter: opts.max_iter,
-                clamp: opts.max_step_v,
-                max_boost: RESCUE_MAX_BOOST,
-                ptc: None,
-            };
-            let r = self.newton(&mut x, &mut scratch, &cfg, &mut budget, &mut stat);
-            if r.is_err() || stage_gmin <= opts.gmin {
-                break r;
-            }
-            gmin /= 10.0;
-        };
+        let outcome = gmin_walk(1e-2, opts.gmin, |gmin| {
+            let cfg = NewtonCfg { gmin, ..rescue };
+            scratch.newton(&mut x, &cfg, &mut budget, &mut stat, no_stamps, no_rhs)
+        });
         rungs.push(stat);
         match outcome {
             Ok(()) => land!(x, NewtonStrategy::GminStepping),
@@ -593,15 +756,8 @@ impl<'c> DcAnalysis<'c> {
         let mut stages = 0usize;
         let outcome = loop {
             let scale = (reached + advance).min(1.0);
-            let cfg = RungCfg {
-                gmin: opts.gmin,
-                source_scale: scale,
-                max_iter: opts.max_iter,
-                clamp: opts.max_step_v,
-                max_boost: RESCUE_MAX_BOOST,
-                ptc: None,
-            };
-            let r = self.newton(&mut x, &mut scratch, &cfg, &mut budget, &mut stat);
+            scratch.eval_sources(|w| scale * w.dc_value());
+            let r = scratch.newton(&mut x, &rescue, &mut budget, &mut stat, no_stamps, no_rhs);
             stages += 1;
             match r {
                 Ok(()) if scale >= 1.0 => break Ok(()),
@@ -642,6 +798,7 @@ impl<'c> DcAnalysis<'c> {
         // holds high-gain feedback loops still; branch rows stay
         // un-augmented so voltage-source-loop singularities still
         // surface as `Singular` rather than being masked.
+        scratch.eval_sources(|w| w.dc_value());
         x.copy_from_slice(initial);
         let mut anchor = initial.to_vec();
         let mut stat = RungStat::new(NewtonStrategy::PseudoTransient);
@@ -663,15 +820,32 @@ impl<'c> DcAnalysis<'c> {
             } else {
                 0.0
             };
-            let cfg = RungCfg {
-                gmin: opts.gmin,
-                source_scale: 1.0,
-                max_iter: opts.max_iter,
-                clamp: opts.max_step_v,
-                max_boost: RESCUE_MAX_BOOST,
-                ptc: (next_alpha > 0.0).then_some((next_alpha, anchor.as_slice())),
-            };
-            let r = self.newton(&mut x, &mut scratch, &cfg, &mut budget, &mut stat);
+            // `(α, anchor)` adds α to every node diagonal — the slots
+            // gmin occupies, so the sparse pattern already holds them —
+            // and α·anchor[i] to every node rhs row, pulling the
+            // iterate toward the anchor. No key describes that matrix.
+            let ptc = (next_alpha > 0.0).then_some((next_alpha, anchor.as_slice()));
+            let cfg = NewtonCfg { key: ptc.is_none().then_some((0, 0)), ..rescue };
+            let r = scratch.newton(
+                &mut x,
+                &cfg,
+                &mut budget,
+                &mut stat,
+                |mat: &mut dyn StampTarget| {
+                    if let Some((alpha, _)) = ptc {
+                        for i in 0..n_nodes {
+                            mat.add(i, i, alpha);
+                        }
+                    }
+                },
+                |rhs: &mut [f64]| {
+                    if let Some((alpha, anchor)) = ptc {
+                        for i in 0..n_nodes {
+                            rhs[i] += alpha * anchor[i];
+                        }
+                    }
+                },
+            );
             stages += 1;
             match r {
                 Ok(()) if next_alpha == 0.0 => break Ok(()),
@@ -708,7 +882,6 @@ impl<'c> DcAnalysis<'c> {
             Err(e) => {
                 let e = rung_failed!(e);
                 crate::stats::record_unconverged();
-                crate::stats::record_iterations(rungs.iter().map(|r| r.iterations as u64).sum());
                 Err(match e {
                     SpiceError::Numeric(n) => SpiceError::Numeric(n),
                     SpiceError::Singular { unknown } => SpiceError::Singular { unknown },
@@ -722,126 +895,6 @@ impl<'c> DcAnalysis<'c> {
                 })
             }
         }
-    }
-
-    /// One ladder rung's Newton iteration at the configuration in
-    /// `cfg`, advancing `x` in place and accounting into `stat`. On
-    /// error `x` holds the last iterate and the caller decides whether
-    /// to restart it. The loop allocates nothing: assembly replays the
-    /// compiled plan, the factorization swaps buffers with the LU
-    /// workspace and the solve substitutes into a reused update vector.
-    ///
-    /// For a linear plan the Jacobian depends only on `gmin`, never on
-    /// the iterate or the stimulus — so once factored, every further
-    /// iteration (and every further *stage* sharing this scratch at the
-    /// same `gmin`, e.g. the source-stepping ramp, and every later
-    /// analysis of the plan, see [`NewtonScratch::factor`]) skips
-    /// assembly and refactorization, re-deriving only the right-hand
-    /// side. The reuse key is exact; results are bit-identical to the
-    /// always-refactor path. Pseudo-transient stages (α > 0) perturb
-    /// the matrix and never record a reuse key.
-    fn newton(
-        &self,
-        x: &mut [f64],
-        scratch: &mut NewtonScratch,
-        cfg: &RungCfg<'_>,
-        budget: &mut IterBudget,
-        stat: &mut RungStat,
-    ) -> Result<(), SpiceError> {
-        scratch.eval_sources(|w| cfg.source_scale * w.dc_value());
-        let n = scratch.plan.dim();
-        let n_nodes = self.circuit.node_count() - 1;
-        let opts = &self.options;
-        let gmin = cfg.gmin;
-        let reuse_key: Option<JacobianKey> = cfg.ptc.is_none().then_some((gmin.to_bits(), 0, 0));
-
-        // Adaptive clamp state: `boost` multiplies the base clamp by a
-        // power of two (exact arithmetic) while the pre-damping update
-        // norm keeps shrinking; an increase snaps it back to 1.
-        let mut boost = 1.0_f64;
-        let mut prev_norm = f64::INFINITY;
-
-        for _iter in 0..cfg.max_iter {
-            budget.charge()?;
-            stat.iterations += 1;
-            let exact = scratch
-                .factor(x, gmin, reuse_key, |mat| {
-                    if let Some((alpha, _)) = cfg.ptc {
-                        // α rides the node diagonals only — the same
-                        // slots gmin occupies, so the sparse pattern
-                        // already holds them.
-                        for i in 0..n_nodes {
-                            mat.add(i, i, alpha);
-                        }
-                    }
-                })
-                .map_err(|e| self.circuit.singular_error(e))?;
-            let NewtonScratch { plan, solver, rhs, x_new, .. } = &mut *scratch;
-            if let Some((alpha, anchor)) = cfg.ptc {
-                for i in 0..n_nodes {
-                    rhs[i] += alpha * anchor[i];
-                }
-            }
-            solver.solve_into(rhs, x_new)?;
-
-            // Damping: clamp the per-iteration update of
-            // nonlinear-device terminals (linear nodes and branch
-            // currents take the exact Newton step).
-            let damped = plan.damped();
-            let eff_clamp = cfg.clamp * boost;
-            let mut converged = true;
-            let mut landed_exactly = true;
-            let mut norm = 0.0_f64;
-            for i in 0..n {
-                let mut delta = x_new[i] - x[i];
-                if !delta.is_finite() {
-                    return Err(SpiceError::NoConvergence {
-                        analysis: "dc newton (non-finite update)".to_string(),
-                        iterations: stat.iterations,
-                    });
-                }
-                norm = norm.max(delta.abs());
-                let (tol, clamp) = if i < n_nodes {
-                    let clamp = if damped[i] { eff_clamp } else { f64::INFINITY };
-                    (opts.vntol + opts.reltol * x_new[i].abs().max(x[i].abs()), clamp)
-                } else {
-                    (opts.abstol + opts.reltol * x_new[i].abs().max(x[i].abs()), f64::INFINITY)
-                };
-                if delta.abs() > tol {
-                    converged = false;
-                }
-                if delta.abs() > clamp {
-                    delta = clamp.copysign(delta);
-                }
-                x[i] += delta;
-                landed_exactly &= landed_on(x[i], x_new[i]);
-            }
-            stat.residual_norm = norm;
-            if converged {
-                stat.converged = true;
-                return Ok(());
-            }
-            // A linear plan whose update landed bit-exactly on the
-            // solved state needs no verification iteration: the next
-            // one would reuse identical factors, re-derive an identical
-            // rhs, solve to the identical x_new, take a delta of
-            // exactly +0.0 and converge without changing the state.
-            // (`x += (x_new − x)` does NOT always round to `x_new` —
-            // a warm start many orders of magnitude off misses — so
-            // the landing really is checked, bit for bit, not assumed.)
-            if exact && landed_exactly {
-                stat.converged = true;
-                return Ok(());
-            }
-            if cfg.max_boost > 1.0 {
-                boost = if norm <= prev_norm { (boost * 2.0).min(cfg.max_boost) } else { 1.0 };
-            }
-            prev_norm = norm;
-        }
-        Err(SpiceError::NoConvergence {
-            analysis: "dc newton".to_string(),
-            iterations: stat.iterations,
-        })
     }
 
     fn package(&self, state: Vec<f64>, convergence: ConvergenceReport) -> DcSolution {

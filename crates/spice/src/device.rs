@@ -86,7 +86,7 @@ pub enum DeviceKind {
     },
     /// Junction diode from anode `a` to cathode `k` (Shockley with
     /// series resistance and pn-junction limiting; see
-    /// [`crate::diode`]).
+    /// [`DiodeParams`]).
     Diode {
         /// Anode terminal.
         a: NodeId,
@@ -95,7 +95,7 @@ pub enum DeviceKind {
         /// Model parameters.
         params: DiodeParams,
     },
-    /// Bipolar junction transistor (Ebers-Moll; see [`crate::bjt`]).
+    /// Bipolar junction transistor (Ebers-Moll; see [`BjtParams`]).
     Bjt {
         /// Collector terminal.
         c: NodeId,

@@ -80,11 +80,22 @@
 //!
 //! * **Stamp plans.** Each analysis compiles its [`Circuit`] once into a
 //!   `StampPlan` — node ids resolved to matrix slots, branch rows
-//!   assigned, constant stamp values precomputed. Every Newton iteration
-//!   then *replays* the flat op list into a reused matrix/RHS pair: no
-//!   device dispatch, no node-index arithmetic, no allocation. One plan
-//!   is shared across Newton iterations, gmin/source-stepping ladders,
-//!   and all timesteps of a transient run.
+//!   assigned, constant stamp values precomputed, every reactance
+//!   (capacitor, inductor, MOS gate and junction capacitance) recorded
+//!   once in device order. Every Newton iteration then *replays* the
+//!   flat op list into a reused matrix/RHS pair: no device dispatch, no
+//!   node-index arithmetic, no allocation. One plan is shared across
+//!   Newton iterations, gmin/source-stepping ladders, and all timesteps
+//!   of a transient run.
+//! * **One copy of each decision.** A single replay turns plan ops into
+//!   matrix adds for every target: dense, sparse, and the sparse fast
+//!   path, which adds through value indices recorded by running that
+//!   same replay once through a slot recorder. The transient
+//!   companions, the AC `C` matrix and the dynamic sparsity slots all
+//!   stamp the one reactance list. DC rungs and transient steps run the
+//!   same damped Newton iteration and the same gmin walk, differing
+//!   only in their settings and extra stamps. A new device kind is one
+//!   `emit` arm plus one replay arm.
 //! * **LU workspaces.** The factor/solve cycle runs through
 //!   `castg_numeric::LuWorkspace`: the assembled matrix is *swapped*
 //!   into the workspace (O(1)), eliminated in place, and the solution

@@ -8,8 +8,9 @@
 //! right-hand side.
 //!
 //! Assembly is two-phase: [`StampPlan::build`] walks the device list
-//! *once* per circuit, resolving every node to its matrix slot and
-//! precomputing all constant stamp values; [`StampPlan::assemble_into`]
+//! *once* per circuit — one `emit` arm per device kind — resolving
+//! every node to its matrix slot, precomputing all constant stamp
+//! values and recording every reactance; [`StampPlan::assemble_into`]
 //! then replays the flat op list per Newton iteration with no device
 //! dispatch, no node-index arithmetic and no allocation. The plan is
 //! shared across Newton iterations, gmin/source stepping ladders,
@@ -17,6 +18,19 @@
 //! replay applies ops in device order, so the floating-point
 //! accumulation order (and therefore the result, bit for bit) matches a
 //! direct device-by-device assembly.
+//!
+//! Each decision is written once:
+//!
+//! * **One replay** (one arm per op kind) turns ops into matrix and rhs
+//!   adds for every [`StampTarget`]: the dense matrix, a sparse matrix,
+//!   a recorder that lists the slot of every add (the static sparsity
+//!   pattern), and a target that adds by position through that list
+//!   mapped to value indices (the sparse fast path, no binary search).
+//!   The rhs-only refresh of linear plans replays the rhs-writing ops
+//!   through a target that drops matrix adds.
+//! * **One reactance list** ([`Reactance`], device order): the dynamic
+//!   sparsity slots, the transient companions and the AC `C` matrix
+//!   are all stamped from it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -43,12 +57,9 @@ pub(crate) fn idx(n: NodeId) -> Option<usize> {
 }
 
 /// Voltage of a node under the candidate solution `x` (ground is 0).
-#[inline]
+#[cfg(test)]
 pub(crate) fn voltage_of(x: &[f64], n: NodeId) -> f64 {
-    match idx(n) {
-        Some(i) => x[i],
-        None => 0.0,
-    }
+    slot_voltage(x, idx(n))
 }
 
 /// Voltage of a resolved matrix slot under the candidate solution `x`.
@@ -60,33 +71,152 @@ fn slot_voltage(x: &[f64], slot: Option<usize>) -> f64 {
     }
 }
 
-/// Adds `g` as a two-terminal conductance stamp between `a` and `b`.
-/// Generic over the assembly target so the same stamp drives the dense
-/// and the sparse solver path.
-pub(crate) fn stamp_conductance<M: StampTarget + ?Sized>(mat: &mut M, a: NodeId, b: NodeId, g: f64) {
-    if let Some(i) = idx(a) {
+/// Adds `g` as a two-terminal conductance stamp between the resolved
+/// slots `a` and `b` (`None` is ground). Generic over the assembly
+/// target, so the same add order builds plan ops, drives the dense and
+/// sparse solver paths and records sparsity slots.
+fn conductance<M: StampTarget + ?Sized>(mat: &mut M, a: Option<usize>, b: Option<usize>, g: f64) {
+    if let Some(i) = a {
         mat.add(i, i, g);
-        if let Some(j) = idx(b) {
+        if let Some(j) = b {
             mat.add(i, j, -g);
         }
     }
-    if let Some(j) = idx(b) {
+    if let Some(j) = b {
         mat.add(j, j, g);
-        if let Some(i) = idx(a) {
+        if let Some(i) = a {
             mat.add(j, i, -g);
         }
     }
 }
 
-/// Adds a constant current `i` flowing out of node `from` into node `to`
+/// Adds `g` as a two-terminal conductance stamp between nodes `a` and
+/// `b`.
+#[cfg(test)]
+pub(crate) fn stamp_conductance<M: StampTarget + ?Sized>(mat: &mut M, a: NodeId, b: NodeId, g: f64) {
+    conductance(mat, idx(a), idx(b), g);
+}
+
+/// Adds a constant current `i` flowing out of slot `from` into slot `to`
 /// (through the element being stamped).
-pub(crate) fn stamp_current(rhs: &mut [f64], from: NodeId, to: NodeId, i: f64) {
-    if let Some(a) = idx(from) {
+fn current(rhs: &mut [f64], from: Option<usize>, to: Option<usize>, i: f64) {
+    if let Some(a) = from {
         rhs[a] -= i;
     }
-    if let Some(b) = idx(to) {
+    if let Some(b) = to {
         rhs[b] += i;
     }
+}
+
+/// Adds a constant current `i` flowing out of node `from` into node `to`.
+#[cfg(test)]
+pub(crate) fn stamp_current(rhs: &mut [f64], from: NodeId, to: NodeId, i: f64) {
+    current(rhs, idx(from), idx(to), i);
+}
+
+/// One energy-storage element of a plan, terminals resolved to slots.
+///
+/// [`PlanBuilder::emit`] records every reactance of the circuit once,
+/// in device order; the plan's dynamic sparsity slots, the transient
+/// companions and the AC `C` matrix are all stamped from this list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reactance {
+    /// A capacitance between two nodes: an explicit capacitor, a MOS
+    /// gate capacitance (cgs, cgd) or a junction capacitance (diode
+    /// cj0, BJT cje/cjc).
+    Cap { a: Option<usize>, b: Option<usize>, farads: f64 },
+    /// An inductor between two nodes, carrying branch row `row`.
+    Ind { a: Option<usize>, b: Option<usize>, row: usize, henries: f64 },
+}
+
+impl Reactance {
+    /// The element's capacitance or inductance.
+    pub(crate) fn value(&self) -> f64 {
+        match *self {
+            Reactance::Cap { farads, .. } => farads,
+            Reactance::Ind { henries, .. } => henries,
+        }
+    }
+
+    /// Terminal voltage `v(a) − v(b)` under the candidate solution `x`.
+    pub(crate) fn voltage(&self, x: &[f64]) -> f64 {
+        let (Reactance::Cap { a, b, .. } | Reactance::Ind { a, b, .. }) = *self;
+        slot_voltage(x, a) - slot_voltage(x, b)
+    }
+
+    /// Stamps `value` as the element's matrix entry: a conductance
+    /// between the terminals of a capacitance, `−value` on the branch
+    /// diagonal of an inductor (its branch equation gains `−value·i`).
+    /// The transient passes the companion `geq`/`req`, the AC sweep the
+    /// element's own C or L.
+    pub(crate) fn stamp<M: StampTarget + ?Sized>(&self, mat: &mut M, value: f64) {
+        match *self {
+            Reactance::Cap { a, b, .. } => conductance(mat, a, b, value),
+            Reactance::Ind { row, .. } => mat.add(row, row, -value),
+        }
+    }
+
+    /// Adds a companion history term to the right-hand side: a current
+    /// from `b` into `a` for a capacitance, the branch equation's
+    /// constant for an inductor.
+    pub(crate) fn stamp_history(&self, rhs: &mut [f64], hist: f64) {
+        match *self {
+            Reactance::Cap { a, b, .. } => current(rhs, b, a, hist),
+            Reactance::Ind { row, .. } => rhs[row] += hist,
+        }
+    }
+}
+
+/// A [`StampTarget`] that records the slot of every add instead of
+/// adding: run through a replay or a reactance stamp, it yields exactly
+/// the slots that assembly touches, in assembly order.
+struct SlotRecorder(Vec<(usize, usize)>);
+
+impl StampTarget for SlotRecorder {
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn add(&mut self, row: usize, col: usize, _value: f64) {
+        self.0.push((row, col));
+    }
+}
+
+/// The slots the stamps of `reactances` touch, in stamp order.
+fn slots_of(reactances: &[Reactance]) -> Vec<(usize, usize)> {
+    let mut slots = SlotRecorder(Vec::new());
+    for r in reactances {
+        r.stamp(&mut slots, 0.0);
+    }
+    slots.0
+}
+
+/// A [`StampTarget`] that adds through a precomputed value index — one
+/// entry per add, in replay order — ignoring `(row, col)`: the sparse
+/// fast path of [`StampPlan::assemble_into_sparse`].
+struct IndexedValues<'a> {
+    values: &'a mut [f64],
+    index: std::slice::Iter<'a, u32>,
+}
+
+impl StampTarget for IndexedValues<'_> {
+    fn clear(&mut self) {
+        self.values.fill(0.0);
+    }
+
+    fn add(&mut self, _row: usize, _col: usize, value: f64) {
+        let slot = self.index.next().expect("slot index shorter than the replay");
+        self.values[*slot as usize] += value;
+    }
+}
+
+/// A [`StampTarget`] that drops every add (rhs-only replays).
+struct NoMatrix;
+
+impl StampTarget for NoMatrix {
+    fn clear(&mut self) {}
+
+    fn add(&mut self, _row: usize, _col: usize, _value: f64) {}
 }
 
 /// One replayable assembly operation with fully resolved slots.
@@ -144,63 +274,6 @@ struct BjtSite {
     params: BjtParams,
 }
 
-// Each nonlinear device kind *declares* its limited unknowns (all of
-// its terminal slots — these get the ladder's damped-update clamp) and
-// the KCL rows its linearization writes; `StampPlan::finalize` consumes
-// the declarations device-agnostically. Before this existed, the
-// damping mask was populated from MOSFET sites only, and any other
-// nonlinear device would have run unclamped through every ladder rung.
-impl MosSite {
-    fn terminals(&self) -> [Option<usize>; 4] {
-        [self.d, self.g, self.s, self.b]
-    }
-    fn written_rows(&self) -> [Option<usize>; 2] {
-        // The channel linearization writes the drain and source KCL
-        // rows only (the gate and bulk draw no DC current).
-        [self.d, self.s]
-    }
-}
-
-impl DiodeSite {
-    fn terminals(&self) -> [Option<usize>; 2] {
-        [self.a, self.k]
-    }
-    fn written_rows(&self) -> [Option<usize>; 2] {
-        [self.a, self.k]
-    }
-}
-
-impl BjtSite {
-    fn terminals(&self) -> [Option<usize>; 3] {
-        [self.c, self.b, self.e]
-    }
-    fn written_rows(&self) -> [Option<usize>; 3] {
-        [self.c, self.b, self.e]
-    }
-}
-
-/// Registers one nonlinear linearization site with the plan being
-/// finalized: the plan stops being linear, every terminal unknown joins
-/// the damped mask, and every (written row × terminal column) slot
-/// joins the static sparsity pattern.
-fn register_nonlinear_site(
-    damped: &mut [bool],
-    linear: &mut bool,
-    static_slots: &mut Vec<(usize, usize)>,
-    written_rows: &[Option<usize>],
-    terminals: &[Option<usize>],
-) {
-    *linear = false;
-    for slot in terminals.iter().flatten() {
-        damped[*slot] = true;
-    }
-    for row in written_rows.iter().flatten() {
-        for col in terminals.iter().flatten() {
-            static_slots.push((*row, *col));
-        }
-    }
-}
-
 /// Accumulates the per-device assembly ops during plan construction.
 /// Shared by the full compile ([`StampPlan::build`]) and the
 /// incremental patch ([`StampPlan::patched_with_device`]), so a patched
@@ -211,7 +284,7 @@ struct PlanBuilder {
     mos_sites: Vec<MosSite>,
     diode_sites: Vec<DiodeSite>,
     bjt_sites: Vec<BjtSite>,
-    dynamic_slots: Vec<(usize, usize)>,
+    reactances: Vec<Reactance>,
     /// Next branch-current row/column.
     branch: usize,
     /// Branch row of every voltage-defined device emitted so far, by
@@ -220,205 +293,163 @@ struct PlanBuilder {
     /// its F/H card in device order, so the row is always present by
     /// the time it is looked up.
     branch_rows: HashMap<Arc<str>, usize>,
+    /// See [`StampPlan::damped`]; sized for the finished plan.
+    damped: Vec<bool>,
+    /// See [`StampPlan::linear`].
+    linear: bool,
+}
+
+/// Constant stamps enter the op list through the same [`StampTarget`]
+/// interface the replay drives, so a resistor is emitted in exactly the
+/// add order of [`conductance`].
+impl StampTarget for PlanBuilder {
+    fn clear(&mut self) {}
+
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        self.ops.push(PlanOp::Mat { row, col, value });
+    }
 }
 
 impl PlanBuilder {
-    /// Emits the assembly ops of one device, in exactly the add order
-    /// the direct stamp functions use so replay accumulates
-    /// identically.
+    /// Assigns the next branch row to the voltage-defined device `dev`
+    /// and emits its `±1` incidence pattern between `pos` and `neg`.
+    fn branch_row(&mut self, dev: &Device, pos: NodeId, neg: NodeId) -> usize {
+        let br = self.branch;
+        self.branch += 1;
+        self.branch_rows.insert(dev.name_arc(), br);
+        if let Some(p) = idx(pos) {
+            self.add(p, br, 1.0);
+            self.add(br, p, 1.0);
+        }
+        if let Some(ng) = idx(neg) {
+            self.add(ng, br, -1.0);
+            self.add(br, ng, -1.0);
+        }
+        br
+    }
+
+    /// The branch row of the controlling device of an F/H source.
+    fn sensing_column(&self, ctrl: &str) -> usize {
+        *self
+            .branch_rows
+            .get(ctrl)
+            .expect("Circuit::add validates the controlling device of a current-controlled source")
+    }
+
+    /// Declares a nonlinear linearization site's terminals: the plan
+    /// stops being linear and every terminal unknown gets the ladder's
+    /// damped-update clamp.
+    fn nonlinear(&mut self, terminals: &[Option<usize>]) {
+        self.linear = false;
+        for slot in terminals.iter().flatten() {
+            self.damped[*slot] = true;
+        }
+    }
+
+    /// Emits the assembly ops and reactances of one device, in exactly
+    /// the add order the direct stamp functions use so replay
+    /// accumulates identically.
     fn emit(&mut self, dev: &Device) {
-        let ops = &mut self.ops;
-        let mat = |ops: &mut Vec<PlanOp>, row: usize, col: usize, value: f64| {
-            ops.push(PlanOp::Mat { row, col, value });
-        };
-        // Conductance stamps in exactly the add order of
-        // `stamp_conductance`.
-        let conductance = |ops: &mut Vec<PlanOp>, a: NodeId, b: NodeId, g: f64| {
-            if let Some(i) = idx(a) {
-                ops.push(PlanOp::Mat { row: i, col: i, value: g });
-                if let Some(j) = idx(b) {
-                    ops.push(PlanOp::Mat { row: i, col: j, value: -g });
-                }
-            }
-            if let Some(j) = idx(b) {
-                ops.push(PlanOp::Mat { row: j, col: j, value: g });
-                if let Some(i) = idx(a) {
-                    ops.push(PlanOp::Mat { row: j, col: i, value: -g });
-                }
-            }
-        };
-        // Slots a two-terminal conductance between resolved indices can
-        // touch (the sparsity-pattern counterpart of `stamp_conductance`).
-        let conductance_slots =
-            |slots: &mut Vec<(usize, usize)>, a: Option<usize>, b: Option<usize>| {
-                if let Some(i) = a {
-                    slots.push((i, i));
-                    if let Some(j) = b {
-                        slots.push((i, j));
-                        slots.push((j, i));
-                    }
-                }
-                if let Some(j) = b {
-                    slots.push((j, j));
-                }
-            };
         match dev.kind() {
             DeviceKind::Resistor { a, b, ohms } => {
-                conductance(ops, *a, *b, 1.0 / ohms);
+                conductance(self, idx(*a), idx(*b), 1.0 / ohms);
             }
-            DeviceKind::Capacitor { a, b, .. } => {
-                // Open in DC; transient stamps companions separately
-                // (but their slots belong to the sparsity pattern).
-                conductance_slots(&mut self.dynamic_slots, idx(*a), idx(*b));
+            DeviceKind::Capacitor { a, b, farads } => {
+                // Open in DC.
+                self.reactances.push(Reactance::Cap { a: idx(*a), b: idx(*b), farads: *farads });
             }
-            DeviceKind::Inductor { a, b, .. } => {
+            DeviceKind::Inductor { a, b, henries } => {
                 // DC: an ideal short via the branch equation
-                // `v(a) − v(b) = 0` (±1 pattern, no source row). The
-                // transient companion and the AC reactance stamp the
-                // branch diagonal, which is therefore a dynamic slot.
-                let br = self.branch;
-                self.branch += 1;
-                self.branch_rows.insert(dev.name_arc(), br);
-                if let Some(i) = idx(*a) {
-                    mat(ops, i, br, 1.0);
-                    mat(ops, br, i, 1.0);
-                }
-                if let Some(j) = idx(*b) {
-                    mat(ops, j, br, -1.0);
-                    mat(ops, br, j, -1.0);
-                }
-                self.dynamic_slots.push((br, br));
+                // `v(a) − v(b) = 0` (±1 pattern, no source row).
+                let row = self.branch_row(dev, *a, *b);
+                self.reactances.push(Reactance::Ind {
+                    a: idx(*a),
+                    b: idx(*b),
+                    row,
+                    henries: *henries,
+                });
             }
             DeviceKind::Isource { from, to, wave } => {
                 self.waves.push(wave.clone());
-                ops.push(PlanOp::Current {
+                self.ops.push(PlanOp::Current {
                     from: idx(*from),
                     to: idx(*to),
                     wave: self.waves.len() - 1,
                 });
             }
             DeviceKind::Vsource { pos, neg, wave } => {
-                let br = self.branch;
-                self.branch += 1;
-                self.branch_rows.insert(dev.name_arc(), br);
-                if let Some(p) = idx(*pos) {
-                    mat(ops, p, br, 1.0);
-                    mat(ops, br, p, 1.0);
-                }
-                if let Some(ng) = idx(*neg) {
-                    mat(ops, ng, br, -1.0);
-                    mat(ops, br, ng, -1.0);
-                }
+                let row = self.branch_row(dev, *pos, *neg);
                 self.waves.push(wave.clone());
-                ops.push(PlanOp::SourceRow { row: br, wave: self.waves.len() - 1 });
+                self.ops.push(PlanOp::SourceRow { row, wave: self.waves.len() - 1 });
             }
             DeviceKind::Vcvs { pos, neg, cp, cn, gain } => {
-                let br = self.branch;
-                self.branch += 1;
-                self.branch_rows.insert(dev.name_arc(), br);
-                if let Some(p) = idx(*pos) {
-                    mat(ops, p, br, 1.0);
-                    mat(ops, br, p, 1.0);
-                }
-                if let Some(ng) = idx(*neg) {
-                    mat(ops, ng, br, -1.0);
-                    mat(ops, br, ng, -1.0);
-                }
+                let br = self.branch_row(dev, *pos, *neg);
                 if let Some(c) = idx(*cp) {
-                    mat(ops, br, c, -gain);
+                    self.add(br, c, -gain);
                 }
                 if let Some(c) = idx(*cn) {
-                    mat(ops, br, c, *gain);
+                    self.add(br, c, *gain);
                 }
             }
             DeviceKind::Mosfet { d, g, s, b, polarity, params } => {
-                // Gate capacitances are stamped by the transient and
-                // AC engines.
-                conductance_slots(&mut self.dynamic_slots, idx(*g), idx(*s));
-                conductance_slots(&mut self.dynamic_slots, idx(*g), idx(*d));
-                self.mos_sites.push(MosSite {
-                    d: idx(*d),
-                    g: idx(*g),
-                    s: idx(*s),
-                    b: idx(*b),
-                    polarity: *polarity,
-                    params: *params,
-                });
-                ops.push(PlanOp::Mos { site: self.mos_sites.len() - 1 });
+                let (d, g, s, b) = (idx(*d), idx(*g), idx(*s), idx(*b));
+                self.nonlinear(&[d, g, s, b]);
+                self.reactances.push(Reactance::Cap { a: g, b: s, farads: params.cgs() });
+                self.reactances.push(Reactance::Cap { a: g, b: d, farads: params.cgd() });
+                self.mos_sites.push(MosSite { d, g, s, b, polarity: *polarity, params: *params });
+                self.ops.push(PlanOp::Mos { site: self.mos_sites.len() - 1 });
             }
             DeviceKind::Diode { a, k, params } => {
-                // The junction capacitance is stamped by the transient
-                // and AC engines over the anode/cathode slots.
-                conductance_slots(&mut self.dynamic_slots, idx(*a), idx(*k));
-                self.diode_sites.push(DiodeSite { a: idx(*a), k: idx(*k), params: *params });
-                ops.push(PlanOp::Diode { site: self.diode_sites.len() - 1 });
+                let (a, k) = (idx(*a), idx(*k));
+                self.nonlinear(&[a, k]);
+                self.reactances.push(Reactance::Cap { a, b: k, farads: params.cj0 });
+                self.diode_sites.push(DiodeSite { a, k, params: *params });
+                self.ops.push(PlanOp::Diode { site: self.diode_sites.len() - 1 });
             }
             DeviceKind::Bjt { c, b, e, polarity, params } => {
-                // Base-emitter and base-collector junction capacitances
-                // are stamped by the transient and AC engines.
-                conductance_slots(&mut self.dynamic_slots, idx(*b), idx(*e));
-                conductance_slots(&mut self.dynamic_slots, idx(*b), idx(*c));
-                self.bjt_sites.push(BjtSite {
-                    c: idx(*c),
-                    b: idx(*b),
-                    e: idx(*e),
-                    polarity: *polarity,
-                    params: *params,
-                });
-                ops.push(PlanOp::Bjt { site: self.bjt_sites.len() - 1 });
+                let (c, b, e) = (idx(*c), idx(*b), idx(*e));
+                self.nonlinear(&[c, b, e]);
+                self.reactances.push(Reactance::Cap { a: b, b: e, farads: params.cje });
+                self.reactances.push(Reactance::Cap { a: b, b: c, farads: params.cjc });
+                self.bjt_sites.push(BjtSite { c, b, e, polarity: *polarity, params: *params });
+                self.ops.push(PlanOp::Bjt { site: self.bjt_sites.len() - 1 });
             }
             DeviceKind::Vccs { pos, neg, cp, cn, gm } => {
                 // Current gm·(v(cp) − v(cn)) leaves `pos` and enters
                 // `neg`: the four-entry transconductance pattern.
                 if let Some(p) = idx(*pos) {
                     if let Some(c) = idx(*cp) {
-                        mat(ops, p, c, *gm);
+                        self.add(p, c, *gm);
                     }
                     if let Some(c) = idx(*cn) {
-                        mat(ops, p, c, -*gm);
+                        self.add(p, c, -*gm);
                     }
                 }
                 if let Some(ng) = idx(*neg) {
                     if let Some(c) = idx(*cp) {
-                        mat(ops, ng, c, -*gm);
+                        self.add(ng, c, -*gm);
                     }
                     if let Some(c) = idx(*cn) {
-                        mat(ops, ng, c, *gm);
+                        self.add(ng, c, *gm);
                     }
                 }
             }
             DeviceKind::Cccs { pos, neg, ctrl, gain } => {
                 // Current gain·i(ctrl) leaves `pos` and enters `neg`:
                 // ±gain in the controller's branch column.
-                let ctrl_col = *self
-                    .branch_rows
-                    .get(ctrl.as_ref())
-                    .expect("Circuit::add validates the controlling device of a CCCS");
+                let ctrl_col = self.sensing_column(ctrl);
                 if let Some(p) = idx(*pos) {
-                    mat(ops, p, ctrl_col, *gain);
+                    self.add(p, ctrl_col, *gain);
                 }
                 if let Some(ng) = idx(*neg) {
-                    mat(ops, ng, ctrl_col, -*gain);
+                    self.add(ng, ctrl_col, -*gain);
                 }
             }
             DeviceKind::Ccvs { pos, neg, ctrl, ohms } => {
                 // Branch equation v(pos) − v(neg) − ohms·i(ctrl) = 0.
-                let ctrl_col = *self
-                    .branch_rows
-                    .get(ctrl.as_ref())
-                    .expect("Circuit::add validates the controlling device of a CCVS");
-                let br = self.branch;
-                self.branch += 1;
-                self.branch_rows.insert(dev.name_arc(), br);
-                if let Some(p) = idx(*pos) {
-                    mat(ops, p, br, 1.0);
-                    mat(ops, br, p, 1.0);
-                }
-                if let Some(ng) = idx(*neg) {
-                    mat(ops, ng, br, -1.0);
-                    mat(ops, br, ng, -1.0);
-                }
-                mat(ops, br, ctrl_col, -*ohms);
+                let ctrl_col = self.sensing_column(ctrl);
+                let br = self.branch_row(dev, *pos, *neg);
+                self.add(br, ctrl_col, -*ohms);
             }
         }
     }
@@ -460,24 +491,27 @@ pub(crate) struct StampPlan {
     rhs_ops: Vec<PlanOp>,
     waves: Vec<Waveform>,
     /// `damped[i]` is true when unknown `i` is a terminal of a nonlinear
-    /// device (MOSFET, diode, BJT — each site declares its terminals,
-    /// see [`register_nonlinear_site`]): only those update components
-    /// need Newton damping. Linear nodes (and branch currents) take the
-    /// full, exact Newton step — clamping them would just make a supply
-    /// node crawl to its source voltage half a volt per iteration.
+    /// device (MOSFET, diode, BJT — each `emit` arm declares its site's
+    /// terminals): only those update components need Newton damping.
+    /// Linear nodes (and branch currents) take the full, exact Newton
+    /// step — clamping them would just make a supply node crawl to its
+    /// source voltage half a volt per iteration.
     damped: Vec<bool>,
     /// Whether the plan has no nonlinear (MOSFET/diode/BJT)
     /// linearization sites: the assembled matrix is then independent of
     /// the candidate solution, which the Newton loops exploit to skip
     /// refactorizations (Shamanskii-style, exact for linear plans).
     linear: bool,
-    /// Every matrix slot the static (DC/Jacobian) assembly can touch:
-    /// gmin diagonal, constant stamps, nonlinear linearization sites.
+    /// The slot of every matrix add the replay performs, in replay
+    /// order (gmin diagonal, then ops) — recorded by running the replay
+    /// once through a [`SlotRecorder`], so the static pattern holds
+    /// exactly what assembly touches and the sparse fast path's value
+    /// index is this list mapped through a pattern.
     static_slots: Vec<(usize, usize)>,
-    /// Slots touched only by capacitive stamps: transient companion
-    /// conductances and the AC `C` matrix (explicit capacitors plus MOS
-    /// gate capacitances).
-    dynamic_slots: Vec<(usize, usize)>,
+    /// Every reactance, in device order (see [`Reactance`]): the
+    /// dynamic sparsity slots, the transient companions and the AC `C`
+    /// matrix all derive from it.
+    reactances: Vec<Reactance>,
     /// Per-[`PatternScope`] lazy caches: the sparse template, canonical
     /// symbolic analyses, orderings and stamp indices all come in a
     /// `Static` (DC) and a `Full` (transient / AC) flavor, because the
@@ -566,10 +600,10 @@ struct ScopeCaches {
     /// rebuilt variants of one faulted circuit always resolve
     /// identically.
     auto_ordering: OnceLock<OrderingKind>,
-    /// Lazily resolved value-array indices of every static stamp the
-    /// replay performs against this scope's template, in replay order
-    /// (gmin diagonal first, then per-op adds). The sparse assembly
-    /// fast path walks this with a cursor instead of binary-searching
+    /// Lazily resolved value-array index of every add the replay
+    /// performs against this scope's template, in replay order (the
+    /// plan's `static_slots` mapped through the pattern). The sparse
+    /// assembly fast path adds through it instead of binary-searching
     /// each `(row, col)` — same adds, same order, same bits.
     sparse_index: OnceLock<Vec<u32>>,
 }
@@ -601,9 +635,11 @@ impl StampPlan {
             mos_sites: Vec::new(),
             diode_sites: Vec::new(),
             bjt_sites: Vec::new(),
-            dynamic_slots: Vec::new(),
+            reactances: Vec::new(),
             branch: n_nodes,
             branch_rows: HashMap::new(),
+            damped: vec![false; n],
+            linear: true,
         };
         for dev in circuit.devices() {
             builder.emit(dev);
@@ -611,56 +647,27 @@ impl StampPlan {
         StampPlan::finalize(builder, n, n_nodes)
     }
 
-    /// Completes a plan from emitted ops: derives the damping mask and
-    /// the static slot list (both functions of the op list alone).
+    /// Completes a plan from emitted ops: splits off the rhs-writing ops
+    /// and records the static slot list by replaying the plan once.
     fn finalize(builder: PlanBuilder, n: usize, n_nodes: usize) -> Self {
-        let PlanBuilder { ops, waves, mos_sites, diode_sites, bjt_sites, dynamic_slots, branch_rows, .. } =
-            builder;
-        let mut damped = vec![false; n];
-        let mut linear = true;
-        let mut static_slots: Vec<(usize, usize)> = (0..n_nodes).map(|i| (i, i)).collect();
-        for op in &ops {
-            match op {
-                PlanOp::Mos { site } => {
-                    let s = &mos_sites[*site];
-                    register_nonlinear_site(
-                        &mut damped,
-                        &mut linear,
-                        &mut static_slots,
-                        &s.written_rows(),
-                        &s.terminals(),
-                    );
-                }
-                PlanOp::Diode { site } => {
-                    let s = &diode_sites[*site];
-                    register_nonlinear_site(
-                        &mut damped,
-                        &mut linear,
-                        &mut static_slots,
-                        &s.written_rows(),
-                        &s.terminals(),
-                    );
-                }
-                PlanOp::Bjt { site } => {
-                    let s = &bjt_sites[*site];
-                    register_nonlinear_site(
-                        &mut damped,
-                        &mut linear,
-                        &mut static_slots,
-                        &s.written_rows(),
-                        &s.terminals(),
-                    );
-                }
-                PlanOp::Mat { row, col, .. } => static_slots.push((*row, *col)),
-                PlanOp::Current { .. } | PlanOp::SourceRow { .. } => {}
-            }
-        }
+        let PlanBuilder {
+            ops,
+            waves,
+            mos_sites,
+            diode_sites,
+            bjt_sites,
+            reactances,
+            branch_rows,
+            damped,
+            linear,
+            ..
+        } = builder;
         let rhs_ops = ops
             .iter()
             .filter(|op| matches!(op, PlanOp::Current { .. } | PlanOp::SourceRow { .. }))
             .cloned()
             .collect();
-        StampPlan {
+        let mut plan = StampPlan {
             n,
             n_nodes,
             ops,
@@ -672,11 +679,18 @@ impl StampPlan {
             waves,
             damped,
             linear,
-            static_slots,
-            dynamic_slots,
+            static_slots: Vec::new(),
+            reactances,
             caches: [ScopeCaches::default(), ScopeCaches::default()],
             factors: crate::solver::FactorCache::default(),
-        }
+        };
+        // Which adds a replay performs depends only on which terminals
+        // are grounded, never on values: any state records them.
+        let mut slots = SlotRecorder(Vec::new());
+        let sources = vec![0.0; plan.waves.len()];
+        plan.assemble_into(&vec![0.0; n], &mut slots, &mut vec![0.0; n], 0.0, &sources);
+        plan.static_slots = slots.0;
+        plan
     }
 
     /// The plan's cache of first factorizations (linear plans only).
@@ -728,30 +742,32 @@ impl StampPlan {
     /// The sparse template and canonical symbolic analysis are reset:
     /// the sparsity pattern may have changed.
     pub(crate) fn patched_with_device(&self, dev: &Device) -> Self {
-        let base_dynamic = self.dynamic_slots.len();
+        let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
+        let mut damped = self.damped.clone();
+        damped.resize(n, false);
         let mut builder = PlanBuilder {
             ops: self.ops.clone(),
             waves: self.waves.clone(),
             mos_sites: self.mos_sites.clone(),
             diode_sites: self.diode_sites.clone(),
             bjt_sites: self.bjt_sites.clone(),
-            dynamic_slots: self.dynamic_slots.clone(),
+            reactances: self.reactances.clone(),
             // Branch rows already assigned occupy n_nodes..n; the next
             // one goes at n.
             branch: self.n,
             branch_rows: self.branch_rows.clone(),
+            damped,
+            linear: self.linear,
         };
         builder.emit(dev);
-        let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
         let plan = StampPlan::finalize(builder, n, self.n_nodes);
         // Template fast path: when the base template is built and the
         // dimension is unchanged (no new branch row), the successor's
         // pattern is the base pattern merged with the new device's few
         // slots — identical content to a from-scratch rebuild, without
-        // re-sorting thousands of slots. `finalize` derives slot lists
-        // deterministically (diagonal, then ops in order), so the new
-        // device's static slots are exactly the tail beyond the base
-        // plan's list.
+        // re-sorting thousands of slots. Slot lists follow op and device
+        // order (static: diagonal, then ops), so the new device's slots
+        // are exactly the tails beyond the base plan's lists.
         if n == self.n {
             let new_static: Vec<(usize, usize)> =
                 plan.static_slots[self.static_slots.len()..].to_vec();
@@ -759,7 +775,7 @@ impl StampPlan {
             let static_idx = PatternScope::Static as usize;
             if let Some(base) = self.caches[full_idx].template.get() {
                 let mut new_slots = new_static.clone();
-                new_slots.extend_from_slice(&plan.dynamic_slots[base_dynamic..]);
+                new_slots.extend(slots_of(&plan.reactances[self.reactances.len()..]));
                 let pattern = base.pattern().merged_with(&new_slots);
                 let _ = plan.caches[full_idx].template.set(SparseMatrix::with_pattern(pattern));
             }
@@ -790,9 +806,15 @@ impl StampPlan {
         plan
     }
 
-    /// Slots only capacitive stamps (companions, AC `C`) can touch.
-    pub(crate) fn dynamic_slots(&self) -> &[(usize, usize)] {
-        &self.dynamic_slots
+    /// Every reactance of the circuit, in device order.
+    pub(crate) fn reactances(&self) -> &[Reactance] {
+        &self.reactances
+    }
+
+    /// Slots only reactance stamps (transient companions, AC `C`) can
+    /// touch.
+    pub(crate) fn dynamic_slots(&self) -> Vec<(usize, usize)> {
+        slots_of(&self.reactances)
     }
 
     /// The all-zero sparse assembly matrix over `scope`'s slot set —
@@ -807,7 +829,7 @@ impl StampPlan {
             PatternScope::Full => {
                 self.caches[PatternScope::Full as usize].template.get_or_init(|| {
                     let mut slots = self.static_slots.clone();
-                    slots.extend_from_slice(&self.dynamic_slots);
+                    slots.extend(slots_of(&self.reactances));
                     SparseMatrix::from_entries(self.n, &slots)
                 })
             }
@@ -1066,116 +1088,28 @@ impl StampPlan {
         self.linear
     }
 
-    /// Value-array indices of every static matrix add the replay
-    /// performs against `scope`'s sparse template, in replay order.
-    /// Built on first use; every slot is guaranteed present in either
-    /// scope (static stamps touch static slots only, which both
-    /// patterns contain).
+    /// Value-array index of every add the replay performs against
+    /// `scope`'s sparse template, in replay order. Built on first use;
+    /// every slot is present in either scope (both patterns contain the
+    /// static slots).
     fn sparse_index(&self, scope: PatternScope) -> &[u32] {
         self.scope_caches(scope).sparse_index.get_or_init(|| {
-            let pattern = Arc::clone(self.sparse_template(scope).pattern());
-            let slot = |r: usize, c: usize| {
-                pattern.slot(r, c).expect("static stamp slot missing from template") as u32
-            };
-            let mut index = Vec::new();
-            for i in 0..self.n_nodes {
-                index.push(slot(i, i));
-            }
-            for op in &self.ops {
-                match op {
-                    PlanOp::Mat { row, col, .. } => index.push(slot(*row, *col)),
-                    PlanOp::Mos { site } => {
-                        let MosSite { d, g, s, b, .. } = &self.mos_sites[*site];
-                        // Exactly the conditional add order of the
-                        // `Mos` arm of `assemble_into`.
-                        if let Some(di) = *d {
-                            if let Some(gi) = *g {
-                                index.push(slot(di, gi));
-                            }
-                            index.push(slot(di, di));
-                            if let Some(bi) = *b {
-                                index.push(slot(di, bi));
-                            }
-                            if let Some(si) = *s {
-                                index.push(slot(di, si));
-                            }
-                        }
-                        if let Some(si) = *s {
-                            if let Some(gi) = *g {
-                                index.push(slot(si, gi));
-                            }
-                            if let Some(di) = *d {
-                                index.push(slot(si, di));
-                            }
-                            if let Some(bi) = *b {
-                                index.push(slot(si, bi));
-                            }
-                            index.push(slot(si, si));
-                        }
-                    }
-                    PlanOp::Diode { site } => {
-                        let DiodeSite { a, k, .. } = &self.diode_sites[*site];
-                        // Exactly the conditional add order of the
-                        // `Diode` arm of `assemble_into`.
-                        if let Some(ai) = *a {
-                            index.push(slot(ai, ai));
-                            if let Some(ki) = *k {
-                                index.push(slot(ai, ki));
-                            }
-                        }
-                        if let Some(ki) = *k {
-                            index.push(slot(ki, ki));
-                            if let Some(ai) = *a {
-                                index.push(slot(ki, ai));
-                            }
-                        }
-                    }
-                    PlanOp::Bjt { site } => {
-                        let BjtSite { c, b, e, .. } = &self.bjt_sites[*site];
-                        // Exactly the conditional add order of the
-                        // `Bjt` arm of `assemble_into` (row-major over
-                        // collector, base, emitter).
-                        if let Some(ci) = *c {
-                            index.push(slot(ci, ci));
-                            if let Some(bi) = *b {
-                                index.push(slot(ci, bi));
-                            }
-                            if let Some(ei) = *e {
-                                index.push(slot(ci, ei));
-                            }
-                        }
-                        if let Some(bi) = *b {
-                            if let Some(ci) = *c {
-                                index.push(slot(bi, ci));
-                            }
-                            index.push(slot(bi, bi));
-                            if let Some(ei) = *e {
-                                index.push(slot(bi, ei));
-                            }
-                        }
-                        if let Some(ei) = *e {
-                            if let Some(ci) = *c {
-                                index.push(slot(ei, ci));
-                            }
-                            if let Some(bi) = *b {
-                                index.push(slot(ei, bi));
-                            }
-                            index.push(slot(ei, ei));
-                        }
-                    }
-                    PlanOp::Current { .. } | PlanOp::SourceRow { .. } => {}
-                }
-            }
-            index
+            let pattern = self.sparse_template(scope).pattern();
+            self.static_slots
+                .iter()
+                .map(|&(r, c)| {
+                    pattern.slot(r, c).expect("static stamp slot missing from template") as u32
+                })
+                .collect()
         })
     }
 
     /// [`assemble_into`](StampPlan::assemble_into), specialized for a
-    /// sparse matrix cloned from this plan's template: every matrix add
-    /// lands through the precomputed slot-index list instead of a
-    /// binary search per add. Performs the identical adds in the
-    /// identical order — the result is bit-for-bit the generic path's.
-    /// Falls back to the generic path for any other pattern.
+    /// sparse matrix cloned from this plan's template: the same replay
+    /// adds through the precomputed slot index instead of a binary
+    /// search per add — the identical adds in the identical order, so
+    /// the result is bit-for-bit the generic path's. Falls back to the
+    /// generic path for any other pattern.
     pub(crate) fn assemble_into_sparse(
         &self,
         x: &[f64],
@@ -1193,139 +1127,10 @@ impl StampPlan {
             self.assemble_into(x, mat, rhs, gmin, source_vals);
             return;
         };
-        let index = self.sparse_index(scope);
-        mat.clear();
-        rhs.fill(0.0);
-        let values = mat.values_mut();
-        let mut cursor = 0usize;
-        let mut add = |values: &mut [f64], v: f64| {
-            values[index[cursor] as usize] += v;
-            cursor += 1;
-        };
-        for _ in 0..self.n_nodes {
-            add(values, gmin);
-        }
-        for op in &self.ops {
-            match op {
-                PlanOp::Mat { value, .. } => add(values, *value),
-                PlanOp::Current { from, to, wave } => {
-                    let i = source_vals[*wave];
-                    if let Some(a) = from {
-                        rhs[*a] -= i;
-                    }
-                    if let Some(b) = to {
-                        rhs[*b] += i;
-                    }
-                }
-                PlanOp::SourceRow { row, wave } => {
-                    rhs[*row] = source_vals[*wave];
-                }
-                PlanOp::Mos { site } => {
-                    let MosSite { d, g, s, b, polarity, params } = &self.mos_sites[*site];
-                    let vd = slot_voltage(x, *d);
-                    let vg = slot_voltage(x, *g);
-                    let vs = slot_voltage(x, *s);
-                    let vb = slot_voltage(x, *b);
-                    let op = mos::evaluate(params, *polarity, vd, vg, vs, vb);
-                    let gsum = op.gm + op.gds + op.gmb;
-                    let i_rhs =
-                        op.ids - op.gm * (vg - vs) - op.gds * (vd - vs) - op.gmb * (vb - vs);
-                    if let Some(di) = *d {
-                        if g.is_some() {
-                            add(values, op.gm);
-                        }
-                        add(values, op.gds);
-                        if b.is_some() {
-                            add(values, op.gmb);
-                        }
-                        if s.is_some() {
-                            add(values, -gsum);
-                        }
-                        rhs[di] -= i_rhs;
-                    }
-                    if let Some(si) = *s {
-                        if g.is_some() {
-                            add(values, -op.gm);
-                        }
-                        if d.is_some() {
-                            add(values, -op.gds);
-                        }
-                        if b.is_some() {
-                            add(values, -op.gmb);
-                        }
-                        add(values, gsum);
-                        rhs[si] += i_rhs;
-                    }
-                }
-                PlanOp::Diode { site } => {
-                    let DiodeSite { a, k, params } = &self.diode_sites[*site];
-                    let va = slot_voltage(x, *a);
-                    let vk = slot_voltage(x, *k);
-                    let op = diode::evaluate(params, va, vk);
-                    let i_rhs = op.id - op.gd * (va - vk);
-                    if let Some(ai) = *a {
-                        add(values, op.gd);
-                        if k.is_some() {
-                            add(values, -op.gd);
-                        }
-                        rhs[ai] -= i_rhs;
-                    }
-                    if let Some(ki) = *k {
-                        add(values, op.gd);
-                        if a.is_some() {
-                            add(values, -op.gd);
-                        }
-                        rhs[ki] += i_rhs;
-                    }
-                }
-                PlanOp::Bjt { site } => {
-                    let BjtSite { c, b, e, polarity, params } = &self.bjt_sites[*site];
-                    let vc = slot_voltage(x, *c);
-                    let vb = slot_voltage(x, *b);
-                    let ve = slot_voltage(x, *e);
-                    let op = bjt::evaluate(params, *polarity, vc, vb, ve);
-                    let gcc = -op.dic_dvbc;
-                    let gcb = op.dic_dvbe + op.dic_dvbc;
-                    let gce = -op.dic_dvbe;
-                    let gbc = -op.dib_dvbc;
-                    let gbb = op.dib_dvbe + op.dib_dvbc;
-                    let gbe = -op.dib_dvbe;
-                    let ic_rhs = op.ic - (gcc * vc + gcb * vb + gce * ve);
-                    let ib_rhs = op.ib - (gbc * vc + gbb * vb + gbe * ve);
-                    if let Some(ci) = *c {
-                        add(values, gcc);
-                        if b.is_some() {
-                            add(values, gcb);
-                        }
-                        if e.is_some() {
-                            add(values, gce);
-                        }
-                        rhs[ci] -= ic_rhs;
-                    }
-                    if let Some(bi) = *b {
-                        if c.is_some() {
-                            add(values, gbc);
-                        }
-                        add(values, gbb);
-                        if e.is_some() {
-                            add(values, gbe);
-                        }
-                        rhs[bi] -= ib_rhs;
-                    }
-                    if let Some(ei) = *e {
-                        if c.is_some() {
-                            add(values, -(gcc + gbc));
-                        }
-                        if b.is_some() {
-                            add(values, -(gcb + gbb));
-                        }
-                        add(values, -(gce + gbe));
-                        rhs[ei] += ic_rhs + ib_rhs;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(cursor, index.len(), "slot-index cursor out of sync with replay");
+        let mut indexed =
+            IndexedValues { values: mat.values_mut(), index: self.sparse_index(scope).iter() };
+        self.assemble_into(x, &mut indexed, rhs, gmin, source_vals);
+        debug_assert!(indexed.index.next().is_none(), "slot index longer than the replay");
     }
 
     /// Which unknowns are nonlinear-device terminals and therefore
@@ -1339,6 +1144,12 @@ impl StampPlan {
         self.n
     }
 
+    /// Number of node-voltage unknowns (they come first; branch
+    /// currents follow).
+    pub(crate) fn node_unknowns(&self) -> usize {
+        self.n_nodes
+    }
+
     /// Evaluates every stimulus waveform through `f` into `vals` (a
     /// reused buffer). Source values are constant across the Newton
     /// iterations of one solve, so callers evaluate once per
@@ -1349,40 +1160,20 @@ impl StampPlan {
     }
 
     /// Re-derives only the right-hand side of the static assembly:
-    /// exactly the `rhs` writes [`assemble_into`](StampPlan::assemble_into)
-    /// would perform, without touching any matrix. Valid only for
-    /// linear plans (MOSFET linearization couples `rhs` to the
-    /// candidate solution); the Newton loops use it to refresh stimulus
-    /// terms while skipping a refactorization of a provably unchanged
-    /// Jacobian.
+    /// the replay of the rhs-writing ops, whose matrix adds are none.
+    /// Valid only for linear plans (device linearization couples `rhs`
+    /// to the candidate solution); the Newton loop uses it to refresh
+    /// stimulus terms while skipping a refactorization of a provably
+    /// unchanged Jacobian.
     pub(crate) fn assemble_rhs_only(&self, rhs: &mut [f64], source_vals: &[f64]) {
         debug_assert!(self.linear, "rhs-only assembly requires a linear plan");
         rhs.fill(0.0);
-        for op in &self.rhs_ops {
-            match op {
-                PlanOp::Current { from, to, wave } => {
-                    let i = source_vals[*wave];
-                    if let Some(a) = from {
-                        rhs[*a] -= i;
-                    }
-                    if let Some(b) = to {
-                        rhs[*b] += i;
-                    }
-                }
-                PlanOp::SourceRow { row, wave } => {
-                    rhs[*row] = source_vals[*wave];
-                }
-                PlanOp::Mat { .. }
-                | PlanOp::Mos { .. }
-                | PlanOp::Diode { .. }
-                | PlanOp::Bjt { .. } => {}
-            }
-        }
+        self.replay(&self.rhs_ops, &[], &mut NoMatrix, rhs, source_vals);
     }
 
-    /// Replays the schedule: assembles the static (non-capacitive) MNA
-    /// system into `mat`/`rhs`, linearizing MOSFETs around the candidate
-    /// solution `x`.
+    /// Assembles the static (non-reactive) MNA system into `mat`/`rhs`,
+    /// linearizing the nonlinear devices around the candidate solution
+    /// `x`.
     ///
     /// * `source_vals` holds the present value of every stimulus
     ///   waveform, as produced by
@@ -1390,9 +1181,9 @@ impl StampPlan {
     ///   `|w| scale * w.dc_value()`, transient `|w| w.eval(t)`.
     /// * `gmin` is stamped from every non-ground node to ground.
     ///
-    /// Capacitors are *not* stamped here: DC treats them as open, and
-    /// the transient engine stamps their companion models itself (it
-    /// also owns the MOS intrinsic capacitances).
+    /// Reactances are *not* stamped here: DC treats capacitors as open
+    /// and inductors as shorts; the transient and AC engines stamp
+    /// [`reactances`](StampPlan::reactances) on top.
     pub(crate) fn assemble_into<M: StampTarget + ?Sized>(
         &self,
         x: &[f64],
@@ -1406,18 +1197,26 @@ impl StampPlan {
         for i in 0..self.n_nodes {
             mat.add(i, i, gmin);
         }
-        for op in &self.ops {
+        self.replay(&self.ops, x, mat, rhs, source_vals);
+    }
+
+    /// Replays `ops` into `mat`/`rhs` on top of what they hold: the one
+    /// place that turns a plan op into matrix and rhs adds. Every add
+    /// is conditional on terminal slots only, never on values, which is
+    /// what lets [`SlotRecorder`] record the sequence once and
+    /// [`IndexedValues`] replay it by position.
+    fn replay<M: StampTarget + ?Sized>(
+        &self,
+        ops: &[PlanOp],
+        x: &[f64],
+        mat: &mut M,
+        rhs: &mut [f64],
+        source_vals: &[f64],
+    ) {
+        for op in ops {
             match op {
                 PlanOp::Mat { row, col, value } => mat.add(*row, *col, *value),
-                PlanOp::Current { from, to, wave } => {
-                    let i = source_vals[*wave];
-                    if let Some(a) = from {
-                        rhs[*a] -= i;
-                    }
-                    if let Some(b) = to {
-                        rhs[*b] += i;
-                    }
-                }
+                PlanOp::Current { from, to, wave } => current(rhs, *from, *to, source_vals[*wave]),
                 PlanOp::SourceRow { row, wave } => {
                     rhs[*row] = source_vals[*wave];
                 }
@@ -1457,14 +1256,8 @@ impl StampPlan {
                         }
                         mat.add(si, si, gsum);
                     }
-                    // Drain-to-source RHS current (stamp_current inlined
-                    // on resolved slots).
-                    if let Some(di) = *d {
-                        rhs[di] -= i_rhs;
-                    }
-                    if let Some(si) = *s {
-                        rhs[si] += i_rhs;
-                    }
+                    // Drain-to-source channel current.
+                    current(rhs, *d, *s, i_rhs);
                 }
                 PlanOp::Diode { site } => {
                     let DiodeSite { a, k, params } = &self.diode_sites[*site];
@@ -1473,20 +1266,8 @@ impl StampPlan {
                     let op = diode::evaluate(params, va, vk);
                     // Linearization: id ≈ gd·(va − vk) + i_rhs.
                     let i_rhs = op.id - op.gd * (va - vk);
-                    if let Some(ai) = *a {
-                        mat.add(ai, ai, op.gd);
-                        if let Some(ki) = *k {
-                            mat.add(ai, ki, -op.gd);
-                        }
-                        rhs[ai] -= i_rhs;
-                    }
-                    if let Some(ki) = *k {
-                        mat.add(ki, ki, op.gd);
-                        if let Some(ai) = *a {
-                            mat.add(ki, ai, -op.gd);
-                        }
-                        rhs[ki] += i_rhs;
-                    }
+                    conductance(mat, *a, *k, op.gd);
+                    current(rhs, *a, *k, i_rhs);
                 }
                 PlanOp::Bjt { site } => {
                     let BjtSite { c, b, e, polarity, params } = &self.bjt_sites[*site];

@@ -1,41 +1,49 @@
 //! Fixed-step transient analysis.
 //!
-//! Capacitors (explicit devices plus the MOSFETs' intrinsic gate
-//! capacitances) are replaced by their integration companion models —
-//! trapezoidal after the first step, backward Euler on the first step and
-//! for sub-stepped recovery — and the resulting nonlinear system is
-//! solved with the same damped Newton iteration as the DC analysis.
+//! Every reactance of the plan's list (explicit capacitors and
+//! inductors, MOS gate and junction capacitances) is replaced by its
+//! integration companion model — trapezoidal after the first step,
+//! backward Euler on the first step and for sub-stepped recovery; the
+//! transient keeps only each element's `(v_prev, i_prev)` history. The
+//! resulting nonlinear system is solved by the DC analysis's own Newton
+//! iteration ([`NewtonScratch::newton`]), with the companions as extra
+//! stamps.
 //!
 //! The step size is caller-chosen and fixed; the test configurations of
 //! the paper prescribe their own sample rates (100 MHz for the step
 //! responses), so the engine simply honours whatever resolution the
 //! configuration requests. A step that refuses to converge is retried
-//! with a gmin-stepping ladder and then by recursive 8x step cutting
-//! (up to 512x), which copes with steep stimulus ramps and with
-//! operating-branch snaps such as an op-amp entering clipping.
+//! with two passes of the DC ladder's gmin walk ([`gmin_walk`]) and
+//! then by recursive 8x step cutting (up to 512x), which copes with
+//! steep stimulus ramps and with operating-branch snaps such as an
+//! op-amp entering clipping.
+
+use std::sync::Arc;
+
+use castg_numeric::StampTarget;
 
 use crate::analysis::AnalysisOptions;
 use crate::budget::IterBudget;
 use crate::circuit::Circuit;
-use crate::dc::{resolve_overrides, DcAnalysis, NewtonScratch};
-use crate::device::DeviceKind;
-use crate::node::NodeId;
+use crate::dc::{
+    gmin_walk, resolve_overrides, DcAnalysis, NewtonCfg, NewtonScratch, NewtonStrategy, RungStat,
+};
 use crate::probe::{Probe, Trace};
-use crate::stamp;
+use crate::stamp::Reactance;
 use crate::stimulus::Waveform;
 use crate::SpiceError;
 
-/// The [`JacobianKey`](crate::dc::JacobianKey) of a linear plan's
-/// companion-augmented transient matrix: the companion conductances
-/// `geq` are a pure function of the integration method and the step
-/// size `h`, both carried verbatim (tags 1/2 keep the method spaces
-/// disjoint from DC's zero tag and from each other).
-fn companion_key(gmin: f64, method: IntegrationMethod, h: f64) -> crate::dc::JacobianKey {
+/// The tail of a linear plan's [`JacobianKey`](crate::dc::JacobianKey)
+/// for a companion-augmented transient matrix: the companion
+/// conductances are a pure function of the integration method and the
+/// step size `h`, both carried verbatim (tags 1/2 keep the method
+/// spaces disjoint from DC's zero tag and from each other).
+fn companion_key(method: IntegrationMethod, h: f64) -> (u64, u64) {
     let tag: u64 = match method {
         IntegrationMethod::BackwardEuler => 1,
         IntegrationMethod::Trapezoidal => 2,
     };
-    (gmin.to_bits(), tag, h.to_bits())
+    (tag, h.to_bits())
 }
 
 /// Time-integration scheme.
@@ -62,19 +70,9 @@ fn ladder_error(e: SpiceError, t1: f64) -> SpiceError {
 /// Levels of recursive 8× step cutting attempted on non-convergence.
 const RETRY_DEPTH: usize = 3;
 
-/// One energy-storage element tracked by the integrator, with its state
-/// (`v_prev`/`i_prev`) at the previous accepted timepoint.
-#[derive(Debug, Clone)]
-enum DynElement {
-    /// A capacitance between two nodes (explicit capacitors plus the
-    /// MOSFETs' intrinsic gate capacitances). Its companion is a
-    /// conductance `geq` between the nodes plus a history current.
-    Cap { a: NodeId, b: NodeId, farads: f64, v_prev: f64, i_prev: f64 },
-    /// An inductor riding MNA branch row `row` (absolute matrix index).
-    /// Its companion is a resistance `req` on the branch diagonal plus a
-    /// history voltage on the branch row's right-hand side.
-    Ind { a: NodeId, b: NodeId, row: usize, henries: f64, v_prev: f64, i_prev: f64 },
-}
+/// The integrator state of one reactance at the previous accepted
+/// timepoint: `(v_prev, i_prev)`, terminal voltage and element current.
+type History = (f64, f64);
 
 /// Per-run solver state: the shared Newton scratch (compiled stamp
 /// plan, matrix, rhs, LU workspace, update vector) plus the
@@ -86,16 +84,13 @@ struct TranScratch {
     newton: NewtonScratch,
     /// Newton working state (candidate solution being iterated).
     x_iter: Vec<f64>,
-    /// gmin-ladder stage state.
-    x_stage: Vec<f64>,
-    /// Per-element companion `(geq, i_hist)` for the current step.
+    /// Per-reactance companion `(geq, i_hist)` for the current step.
     companions: Vec<(f64, f64)>,
 }
 
 impl TranScratch {
     fn new(
         circuit: &Circuit,
-        n_dyns: usize,
         solver: crate::solver::SolverKind,
         ordering: crate::solver::OrderingKind,
         block_threads: usize,
@@ -110,12 +105,8 @@ impl TranScratch {
             crate::stamp::PatternScope::Full,
         );
         let n = newton.plan.dim();
-        TranScratch {
-            newton,
-            x_iter: vec![0.0; n],
-            x_stage: vec![0.0; n],
-            companions: Vec::with_capacity(n_dyns),
-        }
+        let companions = Vec::with_capacity(newton.plan.reactances().len());
+        TranScratch { newton, x_iter: vec![0.0; n], companions }
     }
 }
 
@@ -181,9 +172,11 @@ impl<'c> TranAnalysis<'c> {
     ///
     /// # Errors
     ///
-    /// [`SpiceError::InvalidAnalysis`] for non-positive `t_stop`/`dt`,
-    /// plus any DC or per-step convergence failure.
+    /// [`SpiceError::InvalidAnalysis`] for non-positive `t_stop`/`dt`
+    /// or an unusable tolerance, gmin or clamp in the options, plus any
+    /// DC or per-step convergence failure.
     pub fn run(&self, t_stop: f64, dt: f64, probes: &[Probe]) -> Result<Trace, SpiceError> {
+        self.options.validate()?;
         if !(t_stop > 0.0 && t_stop.is_finite() && dt > 0.0 && dt.is_finite()) {
             return Err(SpiceError::InvalidAnalysis {
                 reason: format!("need positive t_stop and dt, got t_stop={t_stop}, dt={dt}"),
@@ -200,7 +193,6 @@ impl<'c> TranAnalysis<'c> {
             .solve()?;
         let mut x = dc.state().to_vec();
 
-        let mut dyns = self.collect_dynamics(&x);
         let labels: Vec<String> = probes.iter().map(|p| p.label(self.circuit)).collect();
         let mut trace = Trace::new(labels);
 
@@ -211,12 +203,24 @@ impl<'c> TranAnalysis<'c> {
         let n_steps = (t_stop / dt - 1e-9).ceil().max(1.0) as usize;
         let mut scratch = TranScratch::new(
             self.circuit,
-            dyns.len(),
             self.options.solver,
             self.options.ordering,
             self.options.block_threads,
         );
         scratch.newton.overrides = resolve_overrides(self.circuit, &self.overrides)?;
+        // Every reactance starts in the DC steady state: a capacitance
+        // at its DC voltage carrying no current, an inductor dropping
+        // nothing while it carries its DC (short) branch current.
+        let mut history: Vec<History> = scratch
+            .newton
+            .plan
+            .reactances()
+            .iter()
+            .map(|r| match *r {
+                Reactance::Cap { .. } => (r.voltage(&x), 0.0),
+                Reactance::Ind { row, .. } => (0.0, x[row]),
+            })
+            .collect();
 
         // One budget for the whole run: every Newton iteration of every
         // timestep (ladder stages and sub-step retries included) charges
@@ -230,7 +234,7 @@ impl<'c> TranAnalysis<'c> {
             let method = if k == 1 { IntegrationMethod::BackwardEuler } else { self.method };
             self.advance(
                 &mut x,
-                &mut dyns,
+                &mut history,
                 t0,
                 t1,
                 method,
@@ -254,7 +258,7 @@ impl<'c> TranAnalysis<'c> {
     fn advance(
         &self,
         x: &mut [f64],
-        dyns: &mut [DynElement],
+        history: &mut [History],
         t0: f64,
         t1: f64,
         method: IntegrationMethod,
@@ -262,7 +266,7 @@ impl<'c> TranAnalysis<'c> {
         scratch: &mut TranScratch,
         budget: &mut IterBudget,
     ) -> Result<(), SpiceError> {
-        match self.step(x, dyns, t1, t1 - t0, method, scratch, budget) {
+        match self.step(x, history, t1, t1 - t0, method, scratch, budget) {
             Ok(()) => Ok(()),
             // A depleted budget caused the failure (or would cut every
             // sub-step off at its first iteration) — don't retry.
@@ -274,7 +278,7 @@ impl<'c> TranAnalysis<'c> {
                     let tb = if j == sub { t1 } else { t0 + h * j as f64 };
                     self.advance(
                         x,
-                        dyns,
+                        history,
                         ta,
                         tb,
                         IntegrationMethod::BackwardEuler,
@@ -289,119 +293,28 @@ impl<'c> TranAnalysis<'c> {
         }
     }
 
-    /// Gathers all energy-storage elements with their DC initial
-    /// conditions: capacitors start at their DC voltage with zero
-    /// current, inductors at zero voltage carrying their DC (short)
-    /// branch current.
-    fn collect_dynamics(&self, x: &[f64]) -> Vec<DynElement> {
-        let n_nodes = self.circuit.node_count() - 1;
-        let mut dyns = Vec::new();
-        let mut branch = 0usize;
-        for dev in self.circuit.devices() {
-            match dev.kind() {
-                DeviceKind::Capacitor { a, b, farads } => {
-                    dyns.push(DynElement::Cap {
-                        a: *a,
-                        b: *b,
-                        farads: *farads,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                DeviceKind::Inductor { a, b, henries } => {
-                    dyns.push(DynElement::Ind {
-                        a: *a,
-                        b: *b,
-                        row: n_nodes + branch,
-                        henries: *henries,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                DeviceKind::Mosfet { d, g, s, params, .. } => {
-                    dyns.push(DynElement::Cap {
-                        a: *g,
-                        b: *s,
-                        farads: params.cgs(),
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                    dyns.push(DynElement::Cap {
-                        a: *g,
-                        b: *d,
-                        farads: params.cgd(),
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                DeviceKind::Diode { a, k, params } => {
-                    dyns.push(DynElement::Cap {
-                        a: *a,
-                        b: *k,
-                        farads: params.cj0,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                DeviceKind::Bjt { c, b, e, params, .. } => {
-                    dyns.push(DynElement::Cap {
-                        a: *b,
-                        b: *e,
-                        farads: params.cje,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                    dyns.push(DynElement::Cap {
-                        a: *b,
-                        b: *c,
-                        farads: params.cjc,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                // Storage-free devices — listed exhaustively so the
-                // compiler forces every future device kind to decide
-                // its transient contribution here.
-                DeviceKind::Resistor { .. }
-                | DeviceKind::Vsource { .. }
-                | DeviceKind::Isource { .. }
-                | DeviceKind::Vcvs { .. }
-                | DeviceKind::Vccs { .. }
-                | DeviceKind::Cccs { .. }
-                | DeviceKind::Ccvs { .. } => {}
-            }
-            if dev.has_branch_current() {
-                branch += 1;
-            }
-        }
-        for el in &mut dyns {
-            match el {
-                DynElement::Cap { a, b, v_prev, i_prev, .. } => {
-                    *v_prev = stamp::voltage_of(x, *a) - stamp::voltage_of(x, *b);
-                    *i_prev = 0.0; // steady state: no capacitor current
-                }
-                DynElement::Ind { row, v_prev, i_prev, .. } => {
-                    *v_prev = 0.0; // steady state: a short drops nothing
-                    *i_prev = x[*row];
-                }
-            }
-        }
-        dyns
-    }
-
-    /// One Newton solve at time `t1` with step `h`; on success updates
-    /// the dynamic-element states and `x` in place. On failure `x` is
-    /// left untouched.
+    /// One Newton solve at time `t1` with step `h` over the
+    /// companion-augmented system; on success updates the reactance
+    /// histories and `x` in place. On failure `x` is left untouched.
     ///
     /// If the warm-started Newton fails (e.g. the circuit snaps between
     /// operating branches, as an op-amp entering clipping does), the step
-    /// is retried with a gmin-stepping ladder on the companion-augmented
-    /// system before giving up.
+    /// is retried with the gmin walk of the DC ladder before giving up.
+    ///
+    /// For a linear plan the companion-augmented Jacobian is a pure
+    /// function of `(gmin, method, h)` — constant across the Newton
+    /// iterations of a step *and across timesteps* at a fixed step
+    /// size — which the key tail `(method, h)` passes on, so a
+    /// fixed-step transient of a linear circuit factors once and then
+    /// pays only rhs re-derivation + substitution per step (and a later
+    /// run at the same step size starts factored, see
+    /// [`NewtonScratch::factor`]). History terms live purely in the rhs
+    /// and never break the reuse.
     #[allow(clippy::too_many_arguments)]
     fn step(
         &self,
         x: &mut [f64],
-        dyns: &mut [DynElement],
+        history: &mut [History],
         t1: f64,
         h: f64,
         method: IntegrationMethod,
@@ -409,235 +322,108 @@ impl<'c> TranAnalysis<'c> {
         budget: &mut IterBudget,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
-        let TranScratch { newton, x_iter, x_stage, companions } = scratch;
+        let TranScratch { newton, x_iter, companions } = scratch;
+        let plan = Arc::clone(&newton.plan);
+        let reactances = plan.reactances();
 
-        // Companion parameters per element (buffer reused across steps):
-        // `(geq, history)` for capacitors, `(req, history)` for
-        // inductors — both pure functions of (element, method, h) and
-        // the previous accepted state.
+        // Companion parameters per reactance (buffer reused across
+        // steps): `(geq, history)` for capacitances, `(req, history)`
+        // for inductors — both pure functions of (element, method, h)
+        // and the previous accepted state.
         companions.clear();
-        companions.extend(dyns.iter().map(|el| match (el, method) {
-            (DynElement::Cap { farads, v_prev, .. }, IntegrationMethod::BackwardEuler) => {
-                let geq = farads / h;
-                (geq, geq * v_prev)
-            }
-            (DynElement::Cap { farads, v_prev, i_prev, .. }, IntegrationMethod::Trapezoidal) => {
-                let geq = 2.0 * farads / h;
-                (geq, geq * v_prev + i_prev)
-            }
-            // Inductor branch row: v(a) − v(b) − req·i = hist.
-            (DynElement::Ind { henries, i_prev, .. }, IntegrationMethod::BackwardEuler) => {
-                let req = henries / h;
-                (req, -req * i_prev)
-            }
-            (DynElement::Ind { henries, v_prev, i_prev, .. }, IntegrationMethod::Trapezoidal) => {
-                let req = 2.0 * henries / h;
-                (req, -req * i_prev - v_prev)
+        companions.extend(reactances.iter().zip(history.iter()).map(|(r, &(v_prev, i_prev))| {
+            match (*r, method) {
+                (Reactance::Cap { farads, .. }, IntegrationMethod::BackwardEuler) => {
+                    let geq = farads / h;
+                    (geq, geq * v_prev)
+                }
+                (Reactance::Cap { farads, .. }, IntegrationMethod::Trapezoidal) => {
+                    let geq = 2.0 * farads / h;
+                    (geq, geq * v_prev + i_prev)
+                }
+                // Inductor branch row: v(a) − v(b) − req·i = hist.
+                (Reactance::Ind { henries, .. }, IntegrationMethod::BackwardEuler) => {
+                    let req = henries / h;
+                    (req, -req * i_prev)
+                }
+                (Reactance::Ind { henries, .. }, IntegrationMethod::Trapezoidal) => {
+                    let req = 2.0 * henries / h;
+                    (req, -req * i_prev - v_prev)
+                }
             }
         }));
+        let companions = &*companions;
+        let stamps = |mat: &mut dyn StampTarget| {
+            for (r, (geq, _)) in reactances.iter().zip(companions) {
+                r.stamp(mat, *geq);
+            }
+        };
+        let rhs_terms = |rhs: &mut [f64]| {
+            for (r, (_, hist)) in reactances.iter().zip(companions) {
+                r.stamp_history(rhs, *hist);
+            }
+        };
 
-        let normal = (opts.max_step_v, opts.max_iter);
+        newton.eval_sources(|w| w.eval(t1));
+        let cfg = NewtonCfg {
+            circuit: self.circuit,
+            opts,
+            gmin: opts.gmin,
+            max_iter: opts.max_iter,
+            clamp: opts.max_step_v,
+            max_boost: 1.0,
+            key: Some(companion_key(method, h)),
+        };
         x_iter.copy_from_slice(x);
-        match self.newton_step(
-            x_iter,
-            companions,
-            dyns,
-            (t1, method, h),
-            opts.gmin,
-            normal,
-            newton,
-            budget,
-        ) {
+        let mut stat = RungStat::new(NewtonStrategy::Damped);
+        match newton.newton(x_iter, &cfg, budget, &mut stat, stamps, rhs_terms) {
             Ok(()) => {}
             Err(SpiceError::NoConvergence { .. }) if !budget.depleted() => {
-                // gmin ladder: solve a heavily shunted version first and
+                // gmin walk: solve a heavily shunted version first and
                 // relax decade by decade, warm-starting each stage. The
-                // first pass uses normal damping; if the circuit is
-                // snapping between operating branches (clipping onset), a
-                // second pass with much stronger damping and a higher
-                // iteration budget usually lands it.
+                // first attempt uses normal damping; if the circuit is
+                // snapping between operating branches (clipping onset),
+                // a second attempt with much stronger damping and a
+                // higher iteration budget usually lands it.
                 let attempts =
                     [(1e-2, opts.max_step_v, opts.max_iter), (1e-1, 0.05, 4 * opts.max_iter)];
-                let mut result = Err(SpiceError::NoConvergence {
-                    analysis: format!("transient @ t={t1:.3e}"),
-                    iterations: opts.max_iter,
-                });
-                'attempt: for (g_start, damp, iters) in attempts {
-                    x_stage.copy_from_slice(x);
-                    let mut gmin = g_start;
-                    while gmin > opts.gmin {
-                        x_iter.copy_from_slice(x_stage);
-                        match self.newton_step(
-                            x_iter,
-                            companions,
-                            dyns,
-                            (t1, method, h),
-                            gmin,
-                            (damp, iters),
-                            newton,
-                            budget,
-                        ) {
-                            Ok(()) => x_stage.copy_from_slice(x_iter),
-                            Err(e) => {
-                                result = Err(ladder_error(e, t1));
-                                continue 'attempt;
-                            }
-                        }
-                        gmin /= 10.0;
-                    }
-                    x_iter.copy_from_slice(x_stage);
-                    match self.newton_step(
-                        x_iter,
-                        companions,
-                        dyns,
-                        (t1, method, h),
-                        opts.gmin,
-                        (damp, iters),
-                        newton,
-                        budget,
-                    ) {
-                        Ok(()) => {
-                            result = Ok(());
-                            break 'attempt;
-                        }
-                        Err(e) => result = Err(ladder_error(e, t1)),
+                let mut result = Ok(());
+                for (start, clamp, max_iter) in attempts {
+                    x_iter.copy_from_slice(x);
+                    let mut stat = RungStat::new(NewtonStrategy::GminStepping);
+                    result = gmin_walk(start, opts.gmin, |gmin| {
+                        let cfg = NewtonCfg { gmin, max_iter, clamp, ..cfg };
+                        newton.newton(x_iter, &cfg, budget, &mut stat, stamps, rhs_terms)
+                    })
+                    .map_err(|e| ladder_error(e, t1));
+                    if result.is_ok() {
+                        break;
                     }
                 }
-                result?
+                result?;
             }
             Err(other) => return Err(other),
         }
 
         // Accept: the converged solution is in x_iter.
         x.copy_from_slice(x_iter);
-        // Update element histories from the converged solution.
-        for (el, (geq, hist)) in dyns.iter_mut().zip(companions.iter()) {
-            match el {
-                DynElement::Cap { a, b, v_prev, i_prev, .. } => {
-                    let v_new = stamp::voltage_of(x, *a) - stamp::voltage_of(x, *b);
+        // Update the histories from the converged solution.
+        for ((r, (geq, hist)), (v_prev, i_prev)) in
+            reactances.iter().zip(companions).zip(history.iter_mut())
+        {
+            match *r {
+                Reactance::Cap { .. } => {
+                    let v_new = r.voltage(x);
                     *i_prev = geq * v_new - hist;
                     *v_prev = v_new;
                 }
-                DynElement::Ind { a, b, row, v_prev, i_prev, .. } => {
-                    *i_prev = x[*row];
-                    *v_prev = stamp::voltage_of(x, *a) - stamp::voltage_of(x, *b);
+                Reactance::Ind { row, .. } => {
+                    *i_prev = x[row];
+                    *v_prev = r.voltage(x);
                 }
             }
         }
         Ok(())
-    }
-
-    /// The damped Newton iteration for one timepoint at fixed `gmin`,
-    /// with explicit `(max_step_v, max_iter)` damping control. Iterates
-    /// `x` in place, allocating nothing: the compiled stamp plan is
-    /// replayed into the reused matrix, companions are added on top, and
-    /// the LU workspace factors and solves into reused buffers.
-    ///
-    /// For a linear plan the companion-augmented Jacobian is a pure
-    /// function of `(gmin, method, h)` — constant across the Newton
-    /// iterations of a step *and across timesteps* at a fixed step
-    /// size. The scratch's factorization-reuse key captures exactly
-    /// that, so a fixed-step transient of a linear circuit factors
-    /// once and then pays only rhs re-derivation + substitution per
-    /// step, bit-identical to the always-refactor path — and a later run
-    /// of the same circuit at the same step size starts factored (see
-    /// [`NewtonScratch::factor`]). History terms (`i_hist`) live purely
-    /// in the rhs and never break the reuse.
-    #[allow(clippy::too_many_arguments)]
-    fn newton_step(
-        &self,
-        x: &mut [f64],
-        companions: &[(f64, f64)],
-        dyns: &[DynElement],
-        (t1, method, h): (f64, IntegrationMethod, f64),
-        gmin: f64,
-        (max_step_v, max_iter): (f64, usize),
-        scratch: &mut NewtonScratch,
-        budget: &mut IterBudget,
-    ) -> Result<(), SpiceError> {
-        scratch.eval_sources(|w| w.eval(t1));
-        let n = scratch.plan.dim();
-        let n_nodes = self.circuit.node_count() - 1;
-        let opts = &self.options;
-        let reuse_key = companion_key(gmin, method, h);
-
-        let mut spent = 0u64;
-        let result = (|| {
-            for _ in 0..max_iter {
-                budget.charge()?;
-                spent += 1;
-                let exact = scratch
-                    .factor(x, gmin, Some(reuse_key), |mat| {
-                        for (el, (geq, _)) in dyns.iter().zip(companions) {
-                            match el {
-                                DynElement::Cap { a, b, .. } => {
-                                    stamp::stamp_conductance(mat, *a, *b, *geq);
-                                }
-                                DynElement::Ind { row, .. } => {
-                                    // `geq` holds `req`; the branch equation
-                                    // gains `−req·i`.
-                                    mat.add(*row, *row, -geq);
-                                }
-                            }
-                        }
-                    })
-                    .map_err(|e| self.circuit.singular_error(e))?;
-                let NewtonScratch { plan, solver, rhs, x_new, .. } = &mut *scratch;
-                for (el, (_, hist)) in dyns.iter().zip(companions) {
-                    match el {
-                        // The history term acts as a current source from b
-                        // to a.
-                        DynElement::Cap { a, b, .. } => stamp::stamp_current(rhs, *b, *a, *hist),
-                        // The history term is the branch equation's rhs.
-                        DynElement::Ind { row, .. } => rhs[*row] += hist,
-                    }
-                }
-                solver.solve_into(rhs, x_new)?;
-
-                let mut converged = true;
-                let mut landed_exactly = true;
-                for i in 0..n {
-                    let mut delta = x_new[i] - x[i];
-                    if !delta.is_finite() {
-                        return Err(SpiceError::NoConvergence {
-                            analysis: format!("transient @ t={t1:.3e} (non-finite)"),
-                            iterations: max_iter,
-                        });
-                    }
-                    // As in DC: only nonlinear-device terminals are damped.
-                    let (tol, clamp) = if i < n_nodes {
-                        let clamp = if plan.damped()[i] { max_step_v } else { f64::INFINITY };
-                        (opts.vntol + opts.reltol * x_new[i].abs().max(x[i].abs()), clamp)
-                    } else {
-                        (opts.abstol + opts.reltol * x_new[i].abs().max(x[i].abs()), f64::INFINITY)
-                    };
-                    if delta.abs() > tol {
-                        converged = false;
-                    }
-                    if delta.abs() > clamp {
-                        delta = clamp.copysign(delta);
-                    }
-                    x[i] += delta;
-                    landed_exactly &= crate::dc::landed_on(x[i], x_new[i]);
-                }
-                if converged {
-                    return Ok(());
-                }
-                // As in DC: when a linear plan's update landed bit-exactly
-                // on the solved state, the next iteration would reuse the
-                // identical factors and rhs and produce an exactly-zero
-                // update — skip the verification iteration.
-                if exact && landed_exactly {
-                    return Ok(());
-                }
-            }
-            Err(SpiceError::NoConvergence {
-                analysis: format!("transient @ t={t1:.3e}"),
-                iterations: max_iter,
-            })
-        })();
-        crate::stats::record_iterations(spent);
-        result
     }
 
     fn record(&self, probes: &[Probe], x: &[f64], row: &mut Vec<f64>) -> Result<(), SpiceError> {
@@ -652,7 +438,7 @@ impl<'c> TranAnalysis<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Waveform;
+    use crate::{NodeId, Waveform};
 
     fn rc_circuit(tau_r: f64, tau_c: f64) -> (Circuit, NodeId) {
         let mut c = Circuit::new();
