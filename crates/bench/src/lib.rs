@@ -1,6 +1,6 @@
-//! Benchmark harness for `castg`: regenerates every table and figure of
-//! the paper's evaluation (§3.4/§4.2) and hosts the Criterion
-//! performance benches.
+//! Experiment harness for `castg`: regenerates every table and figure
+//! of the paper's evaluation (§3.4/§4.2) and the golden reports. The
+//! performance benchmark is the separate `perfbench/` package.
 //!
 //! Each experiment is a library function in [`experiments`] so that the
 //! thin `src/bin/*` wrappers, the `regen_all` driver and the integration

@@ -65,8 +65,8 @@
 //!   (ladder/chain) patterns, where any permutation only adds fill.
 //! * **AMD** ([`SparsePattern::amd_ordering`]) — a global approximate
 //!   minimum degree column ordering. Cuts mesh/crossbar factor fill by
-//!   2–3× (the committed `BENCH_campaign.json` records 2.4× on a 578-
-//!   unknown mesh) at the price of a one-time symbolic analysis.
+//!   2–3× (2.4× on a 578-unknown mesh: 27,698 → 11,659 nnz) at the
+//!   price of a one-time symbolic analysis.
 //! * **BTF** ([`SparsePattern::btf_order`], applied via
 //!   [`SparseLu::set_btf_order`]) — the KLU-style block-triangular
 //!   decomposition: a maximum transversal
@@ -78,13 +78,13 @@
 //!   step, for callers that only need the block counts). Only the diagonal
 //!   blocks are factored — off-diagonal coupling entries are stored raw
 //!   and retired during back-substitution in reverse block order — so
-//!   fill cannot spread across blocks, pivoting stays block-local, and
-//!   *independent* diagonal blocks can be refactored on scoped worker
-//!   threads ([`SparseLu::set_threads`]) with bit-identical results at
-//!   any thread count. The win case is one-directional macro chains
+//!   fill cannot spread across blocks and pivoting stays block-local.
+//!   The structural case for it is one-directional macro chains
 //!   (cascaded stages whose DC pattern has no feedback): a 512-unknown
-//!   OTA chain condenses into ~260 blocks of size ≤ 2 and its DC solve
-//!   runs ~10 % faster than global AMD; on irreducible patterns
+//!   OTA chain condenses into 259 blocks of size ≤ 2, but global AMD
+//!   already factors that chain fill-free, and its DC solve is no
+//!   faster under BTF (0.67–1.07× AMD's speed, median 0.96×, over five
+//!   runs on a shared 2-core box); on irreducible patterns
 //!   (meshes, feedback loops) the condensation finds one block and the
 //!   caller should fall back to AMD — `castg-spice`'s `OrderingKind`
 //!   dispatch does exactly that.

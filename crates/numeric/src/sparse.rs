@@ -66,7 +66,6 @@
 //! # Ok::<(), castg_numeric::NumericError>(())
 //! ```
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::btf::BtfOrder;
@@ -715,12 +714,6 @@ pub struct SparseLu {
     /// [`set_btf_order`](SparseLu::set_btf_order); consulted (not
     /// consumed) by every full factorization whose dimension matches.
     btf: Option<Arc<BtfOrder>>,
-    /// Worker threads for block-parallel refactorization (0 or 1 =
-    /// serial). Results are bit-identical at every thread count.
-    threads: usize,
-    /// Cached per-worker accumulators for the parallel refactorization
-    /// (each sized `n`, kept zeroed between uses).
-    thread_work: Vec<Vec<f64>>,
     /// A full factorization paused by
     /// [`factor_until_fill`](SparseLu::factor_until_fill).
     paused: Option<Box<Elimination>>,
@@ -804,15 +797,6 @@ impl SparseLu {
         self.paused = None;
         self.ordering = None;
         self.btf = Some(order);
-    }
-
-    /// Sets the worker-thread count for block-parallel numeric
-    /// refactorization (0 or 1 = serial). Only BTF skeletons with more
-    /// than one diagonal block fan out; results are **bit-identical**
-    /// at every thread count (each block's arithmetic is self-contained
-    /// and unchanged by the partitioning).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Adopts a shared symbolic skeleton computed elsewhere: the next
@@ -1409,43 +1393,29 @@ impl SparseLu {
     /// ([`factor`](SparseLu::factor)) falls back to a full
     /// factorization on any error.
     fn refactor(&mut self, a: &SparseMatrix) -> Result<(), NumericError> {
-        let n = a.dim();
         let sym = self.symbolic.clone().expect("refactor requires a symbolic skeleton");
         self.factored = false;
-        if self.threads > 1 && sym.block_count() > 1 {
-            self.refactor_parallel(&sym, a)?;
-        } else {
-            Self::refactor_range(
-                &sym,
-                a,
-                0..n,
-                &mut self.lx,
-                &mut self.ux,
-                &mut self.ox,
-                &mut self.udiag,
-                &mut self.work,
-            )?;
-        }
+        Self::refactor_sweep(
+            &sym,
+            a,
+            &mut self.lx,
+            &mut self.ux,
+            &mut self.ox,
+            &mut self.udiag,
+            &mut self.work,
+        )?;
         self.factored = true;
         Ok(())
     }
 
-    /// Refactors the contiguous column range `cols` (which must cover
-    /// whole diagonal blocks) of the skeleton. The value slices are the
-    /// range's segments of `lx`/`ux`/`ox`/`udiag` — indexed relative to
-    /// `cols.start`'s offsets, so disjoint ranges can run on disjoint
-    /// borrows. `work` is a full-dimension accumulator, zeroed on entry
-    /// and on exit (including the error exits).
-    ///
-    /// Because a block's columns read only that block's L/U values and
-    /// scatter/gather through `work`, refactoring block ranges on
-    /// separate workers with separate accumulators produces exactly the
-    /// bits the serial sweep does.
-    #[allow(clippy::too_many_arguments)]
-    fn refactor_range(
+    /// The column sweep of [`refactor`](SparseLu::refactor), on the
+    /// value arrays as separate slices. `work` is a full-dimension
+    /// accumulator, zeroed on entry and on exit (including the error
+    /// exits).
+    #[allow(clippy::needless_range_loop)] // `p`/`q` also index the skeleton's `ui`/`li`
+    fn refactor_sweep(
         sym: &SparseSymbolic,
         a: &SparseMatrix,
-        cols: Range<usize>,
         lx: &mut [f64],
         ux: &mut [f64],
         ox: &mut [f64],
@@ -1453,15 +1423,9 @@ impl SparseLu {
         work: &mut [f64],
     ) -> Result<(), NumericError> {
         let pat = a.pattern();
-        let (cbase, lbase, ubase, obase) = (
-            cols.start,
-            sym.lp[cols.start],
-            sym.up[cols.start],
-            sym.op[cols.start],
-        );
         // `work` is indexed by pivot position here; every position
         // touched is restored to zero before the column ends.
-        for j in cols {
+        for j in 0..a.dim() {
             // Scatter A(:,colperm[j]) through the row permutation.
             let col = sym.colperm[j];
             for p in pat.col_ptr[col]..pat.col_ptr[col + 1] {
@@ -1471,10 +1435,10 @@ impl SparseLu {
             for p in sym.up[j]..sym.up[j + 1] {
                 let k = sym.ui[p];
                 let ukj = work[k];
-                ux[p - ubase] = ukj;
+                ux[p] = ukj;
                 if ukj != 0.0 {
                     for q in sym.lp[k]..sym.lp[k + 1] {
-                        work[sym.li[q]] -= lx[q - lbase] * ukj;
+                        work[sym.li[q]] -= lx[q] * ukj;
                     }
                 }
             }
@@ -1506,111 +1470,21 @@ impl SparseLu {
                     NumericError::NotFactored
                 });
             }
-            udiag[j - cbase] = ujj;
+            udiag[j] = ujj;
             work[j] = 0.0;
             for p in sym.up[j]..sym.up[j + 1] {
                 work[sym.ui[p]] = 0.0;
             }
             // Gather the raw off-diagonal couplings of this column.
             for p in sym.op[j]..sym.op[j + 1] {
-                ox[p - obase] = work[sym.oi[p]];
+                ox[p] = work[sym.oi[p]];
                 work[sym.oi[p]] = 0.0;
             }
             for q in sym.lp[j]..sym.lp[j + 1] {
                 let r = sym.li[q];
-                lx[q - lbase] = work[r] / ujj;
+                lx[q] = work[r] / ujj;
                 work[r] = 0.0;
             }
-        }
-        Ok(())
-    }
-
-    /// Fans the numeric refactorization of a multi-block skeleton
-    /// across scoped worker threads: the diagonal blocks are grouped
-    /// into contiguous fill-balanced chunks, the value arrays are
-    /// partitioned at the chunk boundaries, and each worker sweeps its
-    /// chunk with its own cached full-dimension accumulator. The chunk
-    /// partition affects only which thread computes what — every
-    /// column's arithmetic is self-contained within its block, so the
-    /// results are bit-identical to the serial sweep (and to any other
-    /// thread count).
-    fn refactor_parallel(
-        &mut self,
-        sym: &Arc<SparseSymbolic>,
-        a: &SparseMatrix,
-    ) -> Result<(), NumericError> {
-        let n = sym.dim();
-        let nb = sym.block_count();
-        let workers = self.threads.min(nb);
-        let block_cost = |b: usize| {
-            let (s, e) = (sym.block_ptr[b], sym.block_ptr[b + 1]);
-            (sym.lp[e] - sym.lp[s]) + (sym.up[e] - sym.up[s]) + (sym.op[e] - sym.op[s]) + (e - s)
-        };
-        let total: usize = (0..nb).map(block_cost).sum();
-        let target = total.div_ceil(workers);
-        let mut chunks: Vec<Range<usize>> = Vec::new();
-        let mut start_block = 0usize;
-        let mut acc = 0usize;
-        for b in 0..nb {
-            acc += block_cost(b);
-            if acc >= target && chunks.len() + 1 < workers {
-                chunks.push(sym.block_ptr[start_block]..sym.block_ptr[b + 1]);
-                start_block = b + 1;
-                acc = 0;
-            }
-        }
-        if start_block < nb {
-            chunks.push(sym.block_ptr[start_block]..sym.block_ptr[nb]);
-        }
-        while self.thread_work.len() < chunks.len() {
-            self.thread_work.push(Vec::new());
-        }
-        for w in self.thread_work.iter_mut().take(chunks.len()) {
-            if w.len() != n {
-                w.clear();
-                w.resize(n, 0.0);
-            }
-        }
-        // Partition the value arrays at the chunk boundaries: one
-        // column range plus its L/U/off-diagonal/diagonal value slices
-        // per worker.
-        type FactorPart<'a> =
-            (Range<usize>, &'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
-        let mut parts: Vec<FactorPart<'_>> = Vec::with_capacity(chunks.len());
-        let (mut lx, mut ux, mut ox, mut ud) =
-            (&mut self.lx[..], &mut self.ux[..], &mut self.ox[..], &mut self.udiag[..]);
-        for cols in &chunks {
-            let (l, lr) = lx.split_at_mut(sym.lp[cols.end] - sym.lp[cols.start]);
-            let (u, ur) = ux.split_at_mut(sym.up[cols.end] - sym.up[cols.start]);
-            let (o, or) = ox.split_at_mut(sym.op[cols.end] - sym.op[cols.start]);
-            let (d, dr) = ud.split_at_mut(cols.end - cols.start);
-            parts.push((cols.clone(), l, u, o, d));
-            (lx, ux, ox, ud) = (lr, ur, or, dr);
-        }
-        let results = std::thread::scope(|scope| {
-            let sym: &SparseSymbolic = sym;
-            let mut handles = Vec::with_capacity(parts.len());
-            for ((cols, lx, ux, ox, ud), work) in
-                parts.into_iter().zip(self.thread_work.iter_mut())
-            {
-                handles.push(scope.spawn(move || {
-                    let r = Self::refactor_range(sym, a, cols, lx, ux, ox, ud, work);
-                    if r.is_err() {
-                        // refactor_range clears its own column; a full
-                        // re-zero keeps the cached accumulator safe for
-                        // reuse regardless.
-                        work.fill(0.0);
-                    }
-                    r
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("block refactorization worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for r in results {
-            r?;
         }
         Ok(())
     }
@@ -2280,7 +2154,7 @@ mod tests {
     }
 
     #[test]
-    fn btf_refactor_matches_full_factor_and_is_thread_invariant() {
+    fn btf_refactor_matches_full_factor() {
         let (count, bs) = (10, 5);
         let mut a = block_cascade(count, bs, 77);
         let n = a.dim();
@@ -2312,26 +2186,7 @@ mod tests {
         let mut x1 = vec![0.0; n];
         lu.solve_into(&b, &mut x1).unwrap();
 
-        // From-scratch BTF factorization must agree to the last bit
-        // with the refactor replay of the same values... not required
-        // in general, but threads 1 vs N over the same skeleton is:
-        for threads in [2usize, 4, 16] {
-            let mut lut = SparseLu::new();
-            lut.seed_symbolic(Arc::clone(&sym));
-            lut.set_threads(threads);
-            lut.factor(&a).unwrap();
-            let mut xt = vec![0.0; n];
-            lut.solve_into(&b, &mut xt).unwrap();
-            for (i, (p, q)) in x1.iter().zip(&xt).enumerate() {
-                assert_eq!(
-                    p.to_bits(),
-                    q.to_bits(),
-                    "threads={threads} diverged at component {i}: {p} vs {q}"
-                );
-            }
-        }
-
-        // And the dense reference keeps everyone honest.
+        // The dense reference keeps the replay honest.
         let want = dense_solve(&a.to_dense(), &b);
         for (g, w) in x1.iter().zip(&want) {
             assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
@@ -2362,7 +2217,6 @@ mod tests {
 
         let mut btf = SparseLu::new();
         btf.set_btf_order(Arc::new(order));
-        btf.set_threads(8); // single block: must stay on the serial path
         btf.factor(&a).unwrap();
         assert_eq!(btf.symbolic().unwrap().fill_nnz(), plain.symbolic().unwrap().fill_nnz());
         let mut xb = vec![0.0; n];
@@ -2374,18 +2228,17 @@ mod tests {
     }
 
     #[test]
-    fn btf_parallel_refactor_falls_back_on_decayed_pivot() {
+    fn btf_refactor_falls_back_on_decayed_pivot() {
         // Factor a healthy cascade, then restamp values that flip a
-        // block's pivot dominance; the refactor (serial and parallel)
-        // must reject the stale pivot and the fallback full
-        // factorization must still produce a correct solve.
+        // block's pivot dominance; the refactor must reject the stale
+        // pivot and the fallback full factorization must still produce
+        // a correct solve.
         let (count, bs) = (4, 3);
         let mut a = block_cascade(count, bs, 5);
         let n = a.dim();
         let order = Arc::new(a.pattern().btf_order().unwrap());
         let mut lu = SparseLu::new();
         lu.set_btf_order(Arc::clone(&order));
-        lu.set_threads(4);
         lu.factor(&a).unwrap();
 
         let pat = Arc::clone(a.pattern());

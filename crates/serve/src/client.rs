@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for the daemon's own protocol —
-//! used by `castg bench-serve` and the integration tests. Keep-alive
+//! used by the integration tests and the benchmark. Keep-alive
 //! with one transparent reconnect on a broken connection.
 
 use std::io::{Read, Write};

@@ -72,7 +72,7 @@
 //!
 //! # In-process use
 //!
-//! Tests and `castg bench-serve` spawn the daemon in-process:
+//! Tests and the benchmark spawn the daemon in-process:
 //!
 //! ```
 //! use castg_serve::server::{spawn, ServerConfig};
@@ -90,7 +90,6 @@
 #![deny(unsafe_code)] // one documented exception: server::signal
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod campaign;
 pub mod client;
@@ -100,7 +99,6 @@ pub mod json;
 pub mod request;
 pub mod server;
 
-pub use bench::{run_bench_serve, BenchServeOptions, BenchServeReport};
 pub use campaign::{CacheStatus, CampaignResponse, Engine};
 pub use digest::{hex, request_digest, sha256, sort_configs, Digest, DigestOptions};
 pub use request::{CampaignRequest, ServerCeilings};

@@ -189,7 +189,7 @@ impl ServeState {
 }
 
 /// A running daemon: address, shutdown control, and the accept-loop
-/// join handle. In-process users (tests, `castg bench-serve`) spawn
+/// join handle. In-process users (tests, the benchmark) spawn
 /// one, talk HTTP to `addr`, then `shutdown()` + `join()`.
 pub struct ServerHandle {
     /// The bound address (the ephemeral port, for `127.0.0.1:0`).
@@ -204,7 +204,7 @@ impl ServerHandle {
         self.state.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Shared server state (stats inspection in tests/bench).
+    /// Shared server state (stats inspection in tests and the benchmark).
     pub fn state(&self) -> &Arc<ServeState> {
         &self.state
     }

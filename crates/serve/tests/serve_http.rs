@@ -5,7 +5,10 @@
 //! that populated it, whatever the thread count, and formatting-variant
 //! requests land on the same cache entry.
 
+use std::path::Path;
+
 use castg_serve::client::Client;
+use castg_serve::json::{parse_json, Json};
 use castg_serve::{spawn, CacheStatus, ServerConfig};
 
 const DECK: &str = "\
@@ -174,6 +177,58 @@ fn batch_reuses_the_result_cache_in_order() {
 
     handle.shutdown();
     assert!(handle.join());
+}
+
+/// The two op-amp decks over HTTP, fault-capped: the IV converter with
+/// its two DC configurations and the bipolar op-amp with both of its
+/// configurations, then one replay. No fault outcome panics, the replay
+/// hits the result cache, and `POST /v1/shutdown` drains the daemon.
+#[test]
+fn op_amp_decks_serve_cleanly_and_shut_down_over_http() {
+    let fixture = |name: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(name);
+        escape(&std::fs::read_to_string(&path).expect("fixture exists"))
+    };
+    let job = |name: &str, deck: &str, configs: [&str; 2]| {
+        let [a, b] = configs.map(fixture);
+        format!(
+            "{{\"name\": \"{name}\", \"deck\": \"{}\", \"configs\": [\"{a}\", \"{b}\"], \
+             \"max_faults\": 3}}",
+            fixture(deck)
+        )
+        .into_bytes()
+    };
+    let iv = job(
+        "iv",
+        "iv_converter.sp",
+        ["iv_configs/1_dc_transfer.cfg", "iv_configs/2_supply_current.cfg"],
+    );
+    let bjt = job(
+        "bjt-opamp",
+        "bjt_opamp.sp",
+        ["bjt_configs/1_dc_follow.cfg", "bjt_configs/2_supply_current.cfg"],
+    );
+
+    let (handle, mut client) = start(1);
+    for body in [&iv, &bjt] {
+        let r = client.request("POST", "/v1/campaign", body).expect("campaign");
+        assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
+        assert_eq!(r.header("x-castg-cache"), Some(CacheStatus::Miss.as_str()));
+    }
+    let replay = client.request("POST", "/v1/campaign", &iv).expect("replay");
+    assert_eq!(replay.header("x-castg-cache"), Some(CacheStatus::Hit.as_str()));
+
+    let stats = client.request("GET", "/v1/stats", b"").expect("stats");
+    let stats = parse_json(&stats.body).expect("stats body is JSON");
+    let count = |section: &str, key: &str| {
+        stats.get(section).and_then(|s| s.get(key)).and_then(Json::as_f64).expect("stats field")
+    };
+    assert_eq!(count("outcomes", "panicked"), 0.0);
+    assert!(count("result_cache", "hits") >= 1.0);
+
+    let r = client.request("POST", "/v1/shutdown", b"").expect("shutdown");
+    assert_eq!(r.status, 200);
+    assert!(handle.join(), "daemon drains after POST /v1/shutdown");
 }
 
 /// Wire-level error mapping: malformed JSON is a 400, unknown routes

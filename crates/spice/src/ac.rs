@@ -3,8 +3,10 @@
 //! Linearizes the circuit around its DC operating point and solves the
 //! complex MNA system `(G + jωC)·x = b` per frequency point. This is the
 //! substrate for frequency-domain test configurations (gain, bandwidth,
-//! phase margin) — a natural extension of the paper's configuration set,
-//! exercised by the `ac_gain` extension experiments.
+//! phase margin) — a natural extension of the paper's configuration set.
+//! No test configuration measures AC yet; `tests/ac_cross_check.rs`
+//! checks the sweep against the transient engine and the sparse
+//! differentials against the dense path.
 //!
 //! `G` is the Jacobian of the static stamps at the operating point (the
 //! same matrix the final Newton iteration used), `C` collects explicit

@@ -34,11 +34,6 @@ pub struct AnalysisOptions {
     /// `Natural`/`Amd`/`Btf` force an ordering (the four-way
     /// differential tests cross-check them). Ignored on the dense path.
     pub ordering: OrderingKind,
-    /// Worker threads for block-parallel sparse refactorization (BTF
-    /// orderings with more than one diagonal block; everything else is
-    /// unaffected). Results are bit-identical at every thread count —
-    /// same discipline as `AcAnalysis::threads`. Default 1 (serial).
-    pub block_threads: usize,
     /// Cap on the **total** Newton iterations one analysis run may
     /// spend — summed across every rung of the DC strategy ladder, or
     /// across every timestep (ladder stages and sub-step retries
@@ -69,7 +64,6 @@ impl Default for AnalysisOptions {
             max_step_v: 0.5,
             solver: SolverKind::Auto,
             ordering: OrderingKind::Auto,
-            block_threads: 1,
             max_total_iter: None,
             budget_ms: None,
         }

@@ -132,13 +132,12 @@ impl NewtonScratch {
         circuit: &Circuit,
         kind: SolverKind,
         ordering: OrderingKind,
-        block_threads: usize,
         scope: crate::stamp::PatternScope,
     ) -> Self {
         let plan = circuit.plan();
         let n = plan.dim();
-        let solver = MnaSolver::for_plan(&plan, kind, ordering, block_threads, scope);
-        let dispatch = Dispatch::resolve(&plan, kind, ordering, block_threads, scope);
+        let solver = MnaSolver::for_plan(&plan, kind, ordering, scope);
+        let dispatch = Dispatch::resolve(&plan, kind, ordering, scope);
         NewtonScratch {
             plan,
             solver,
@@ -650,7 +649,6 @@ impl<'c> DcAnalysis<'c> {
             self.circuit,
             self.options.solver,
             self.options.ordering,
-            self.options.block_threads,
             crate::stamp::PatternScope::Static,
         );
         scratch.overrides = overrides;

@@ -191,8 +191,8 @@
 //! only compared against those two thresholds, so its canonical
 //! factorization stops as soon as it reaches the one that matters
 //! (`castg_numeric::SparseLu::factor_until_fill`).
-//! [`sparse_fill_stats`] exposes the comparison (benches and the CI
-//! fill gate are built on it).
+//! [`sparse_fill_stats`] exposes the comparison (`castg check`, the
+//! benchmark and `tests/ordering_verdicts.rs` are built on it).
 //!
 //! The third ordering is **BTF** (`OrderingKind::Btf`): the KLU-style
 //! block-triangular decomposition (`castg_numeric::btf`) — maximum
@@ -206,20 +206,22 @@
 //! capacitor slots — structural zeros in DC that would symmetrically
 //! glue every cascade stage into one giant SCC — are absent; transient
 //! and AC stamp companions into the full union pattern (and the AC
-//! `2n×2n` embedding runs its own BTF condensation per sweep). Measured
-//! crossovers on the synthetic families (committed
-//! `BENCH_campaign.json`, `btf_stats`): a 512-unknown OTA chain
-//! condenses to ~260 blocks (largest 2), block fill ≤ global-AMD fill,
-//! DC solve ~1.1× faster; ladders (banded, AMD already fill-free) and
-//! meshes (one irreducible SCC) see no benefit, so `Auto`'s third gate
-//! picks Btf only when the condensation finds >1 nontrivial block *and*
-//! summed block fill beats the AMD fill by the existing
-//! [`AMD_AUTO_MARGIN`]. The gate reads the block counts off the cheap
-//! condensation stage; the per-block AMD runs only for a BTF order that
-//! is actually factored. A forced `Btf` on an irreducible pattern falls
-//! back to the AMD path (bit-identical to forced `Amd`). Independent
-//! diagonal blocks refactor in parallel under
-//! `AnalysisOptions::block_threads`, thread-count-invariant to the bit.
+//! `2n×2n` embedding runs its own BTF condensation per sweep). On the
+//! synthetic families BTF has not paid off yet: a 512-unknown OTA chain
+//! condenses to 259 blocks (largest 2) with block fill equal to the
+//! global-AMD fill (1,276 nnz; `tests/ordering_verdicts.rs` pins both),
+//! and its forced-BTF DC solve is no faster than forced AMD (0.67–1.07×
+//! AMD's speed, median 0.96×, over five runs on a shared 2-core box); on
+//! the benchmark's `ota_rescue` workload BTF costs about 12 % more per
+//! Newton iteration than Natural or AMD.
+//! Ladders (banded, AMD already fill-free) and meshes (one irreducible
+//! SCC) see no benefit either, so `Auto`'s third gate picks Btf only
+//! when the condensation finds >1 nontrivial block *and* summed block
+//! fill beats the AMD fill by the existing [`AMD_AUTO_MARGIN`]. The gate
+//! reads the block counts off the cheap condensation stage; the
+//! per-block AMD runs only for a BTF order that is actually factored. A
+//! forced `Btf` on an irreducible pattern falls back to the AMD path
+//! (bit-identical to forced `Amd`).
 //!
 //! Ordering composes with every structure-sharing mechanism above
 //! because the permutation lives *inside* the shared symbolic analysis

@@ -176,14 +176,13 @@ impl SolverKind {
 }
 
 /// Everything a fresh [`MnaSolver::for_plan`] state depends on besides
-/// the plan: pattern scope, path (and, on the sparse path, the resolved
-/// ordering the instance is seeded under) and block threads.
+/// the plan: pattern scope and path (and, on the sparse path, the
+/// resolved ordering the instance is seeded under).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Dispatch {
     scope: PatternScope,
     /// `None` on the dense path.
     ordering: Option<OrderingKind>,
-    block_threads: usize,
 }
 
 impl Dispatch {
@@ -192,11 +191,10 @@ impl Dispatch {
         plan: &StampPlan,
         kind: SolverKind,
         ordering: OrderingKind,
-        block_threads: usize,
         scope: PatternScope,
     ) -> Self {
         let ordering = kind.use_sparse(plan).then(|| plan.resolve_ordering(ordering, scope));
-        Dispatch { scope, ordering, block_threads }
+        Dispatch { scope, ordering }
     }
 }
 
@@ -295,7 +293,6 @@ impl MnaSolver {
         plan: &StampPlan,
         kind: SolverKind,
         ordering: OrderingKind,
-        block_threads: usize,
         scope: PatternScope,
     ) -> Self {
         let n = plan.dim();
@@ -316,7 +313,6 @@ impl MnaSolver {
                     _ => {}
                 },
             }
-            lu.set_threads(block_threads);
             MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu }
         } else {
             MnaSolver::Dense { mat: Matrix::zeros(n, n), lu: LuWorkspace::new(n) }
@@ -415,8 +411,8 @@ mod tests {
         let c = ladder(4);
         let plan = c.plan();
         let (kind, ordering, scope) = (SolverKind::Auto, OrderingKind::Auto, PatternScope::Static);
-        let dispatch = Dispatch::resolve(&plan, kind, ordering, 1, scope);
-        let solver = MnaSolver::for_plan(&plan, kind, ordering, 1, scope);
+        let dispatch = Dispatch::resolve(&plan, kind, ordering, scope);
+        let solver = MnaSolver::for_plan(&plan, kind, ordering, scope);
         let cache = FactorCache::default();
         for k in 0..2 * FACTOR_CACHE_CAP as u64 {
             cache.insert((k, 0, 0), dispatch, &solver);
@@ -425,7 +421,7 @@ mod tests {
         assert_eq!(cache.entries().len(), FACTOR_CACHE_CAP);
         assert!(cache.get((0, 0, 0), dispatch).is_some());
         assert!(cache.get((FACTOR_CACHE_CAP as u64, 0, 0), dispatch).is_none());
-        let other = Dispatch { block_threads: 2, ..dispatch };
+        let other = Dispatch { scope: PatternScope::Full, ..dispatch };
         assert!(cache.get((0, 0, 0), other).is_none());
     }
 
@@ -440,13 +436,8 @@ mod tests {
 
         let mut solutions = Vec::new();
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let mut solver = MnaSolver::for_plan(
-                &plan,
-                kind,
-                OrderingKind::Auto,
-                1,
-                PatternScope::Full,
-            );
+            let mut solver =
+                MnaSolver::for_plan(&plan, kind, OrderingKind::Auto, PatternScope::Full);
             assert_eq!(solver.is_sparse(), kind == SolverKind::Sparse);
             let mut rhs = vec![0.0; n];
             let mut x = vec![0.0; n];

@@ -93,17 +93,11 @@ impl TranScratch {
         circuit: &Circuit,
         solver: crate::solver::SolverKind,
         ordering: crate::solver::OrderingKind,
-        block_threads: usize,
     ) -> Self {
         // Transient stamps companion conductances into the dynamic
         // slots, so its Newton systems live on the full pattern.
-        let newton = NewtonScratch::new(
-            circuit,
-            solver,
-            ordering,
-            block_threads,
-            crate::stamp::PatternScope::Full,
-        );
+        let newton =
+            NewtonScratch::new(circuit, solver, ordering, crate::stamp::PatternScope::Full);
         let n = newton.plan.dim();
         let companions = Vec::with_capacity(newton.plan.reactances().len());
         TranScratch { newton, x_iter: vec![0.0; n], companions }
@@ -201,12 +195,8 @@ impl<'c> TranAnalysis<'c> {
         trace.push_row(0.0, &row);
 
         let n_steps = (t_stop / dt - 1e-9).ceil().max(1.0) as usize;
-        let mut scratch = TranScratch::new(
-            self.circuit,
-            self.options.solver,
-            self.options.ordering,
-            self.options.block_threads,
-        );
+        let mut scratch =
+            TranScratch::new(self.circuit, self.options.solver, self.options.ordering);
         scratch.newton.overrides = resolve_overrides(self.circuit, &self.overrides)?;
         // Every reactance starts in the DC steady state: a capacitance
         // at its DC voltage carrying no current, an inductor dropping

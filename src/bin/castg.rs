@@ -38,18 +38,13 @@
 //!     Run the multi-tenant campaign daemon in the foreground until
 //!     SIGINT/SIGTERM or POST /v1/shutdown (see castg_serve docs for
 //!     the HTTP protocol and cache-key definition).
-//!
-//! castg bench-serve [--clients M] [--rounds R] [--workers N]
-//!     [--threads N] [--max-faults N] [--out PATH]
-//!     Spawn the daemon in-process and load-test it with M concurrent
-//!     clients replaying a mixed deck corpus; write throughput, latency
-//!     percentiles and cache hit rates to BENCH_serve.json.
 //! ```
 //!
 //! The text report is the same canonical rendering the golden-fixture
 //! harness and the bench binaries use
-//! (`castg_core::report::render_pipeline_report`); the JSON summary
-//! mirrors `BENCH_campaign.json`'s per-workload fields.
+//! (`castg_core::report::render_pipeline_report`); the JSON summary is
+//! the body `castg serve` answers with
+//! (`castg_core::report::render_json_report`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -64,9 +59,7 @@ use castg::faults::{BridgeDerivation, FaultDictionary};
 use castg::netlist::{
     canonical_deck_bytes, parse_deck_with_params, parse_number, NetlistMacro, NetlistMacroOptions,
 };
-use castg::serve::{
-    hex, request_digest, run_bench_serve, BenchServeOptions, DigestOptions, ServerConfig,
-};
+use castg::serve::{hex, request_digest, DigestOptions, ServerConfig};
 use castg::spice::{sparse_fill_stats, DcAnalysis, OrderingKind, SolverKind};
 
 const USAGE: &str = "\
@@ -82,8 +75,6 @@ USAGE:
     castg serve [--addr HOST:PORT] [--workers N] [--threads N]
           [--result-cache N] [--plan-cache N] [--ceiling-faults N]
           [--ceiling-newton-iters N] [--ceiling-budget-ms MS]
-    castg bench-serve [--clients M] [--rounds R] [--workers N] [--threads N]
-          [--max-faults N] [--out PATH]
 ";
 
 fn main() -> ExitCode {
@@ -92,7 +83,6 @@ fn main() -> ExitCode {
         Some("generate") => generate(&args[1..]),
         Some("check") => check(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("bench-serve") => bench_serve(&args[1..]),
         Some("-h") | Some("--help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -155,12 +145,10 @@ fn parse_generate_args(args: &[String]) -> Result<GenerateArgs, String> {
             "--ordering" => dispatch = Some(parse_ordering(value("--ordering")?)?),
             "--param" => params.push(parse_param_flag(value("--param")?)?),
             "--bridge-ohms" => {
-                options.bridge_ohms =
-                    value("--bridge-ohms")?.parse().map_err(|e| format!("--bridge-ohms: {e}"))?
+                options.bridge_ohms = parse_ohms("--bridge-ohms", value("--bridge-ohms")?)?
             }
             "--pinhole-ohms" => {
-                options.pinhole_ohms =
-                    value("--pinhole-ohms")?.parse().map_err(|e| format!("--pinhole-ohms: {e}"))?
+                options.pinhole_ohms = parse_ohms("--pinhole-ohms", value("--pinhole-ohms")?)?
             }
             "--skip-faults" => {
                 skip_faults =
@@ -223,6 +211,17 @@ fn parse_param_flag(s: &str) -> Result<(String, f64), String> {
     let v = parse_number(value)
         .ok_or_else(|| format!("--param {name}: `{value}` is not a number"))?;
     Ok((name.to_string(), v))
+}
+
+/// Parses a dictionary resistance flag: a SPICE literal (`10k`
+/// welcome) that must be positive, as `castg serve` requires of the
+/// same request fields.
+fn parse_ohms(flag: &str, s: &str) -> Result<f64, String> {
+    match parse_number(s) {
+        Some(v) if v > 0.0 => Ok(v),
+        Some(_) => Err(format!("{flag} must be positive, got `{s}`")),
+        None => Err(format!("{flag}: `{s}` is not a number")),
+    }
 }
 
 /// Parses the `--ordering` flag. Forcing a concrete ordering also
@@ -519,56 +518,4 @@ fn serve(args: &[String]) -> Result<(), String> {
         }
     }
     castg::serve::serve_forever(config).map_err(|e| format!("serve: {e}"))
-}
-
-fn bench_serve(args: &[String]) -> Result<(), String> {
-    let mut options = BenchServeOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{what} needs a value"))
-        };
-        match a.as_str() {
-            "--clients" => {
-                options.clients = value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?
-            }
-            "--rounds" => {
-                options.rounds = value("--rounds")?.parse().map_err(|e| format!("--rounds: {e}"))?
-            }
-            "--workers" => {
-                options.workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
-            }
-            "--threads" => {
-                options.threads_per_campaign =
-                    value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
-            "--max-faults" => {
-                options.max_faults_heavy =
-                    value("--max-faults")?.parse().map_err(|e| format!("--max-faults: {e}"))?
-            }
-            "--out" => options.out = Some(PathBuf::from(value("--out")?)),
-            other => return Err(format!("unknown argument `{other}`\n\n{USAGE}")),
-        }
-    }
-    let report = run_bench_serve(&options)?;
-    let (rh, rm) = report.result_cache;
-    let (ph, pm) = report.plan_cache;
-    eprintln!(
-        "castg: bench-serve: {} clients x {} rounds x {} jobs: {} requests ({} ok), \
-         {:.1} campaigns/s, p50 {:.1} ms, p95 {:.1} ms",
-        report.clients,
-        report.rounds,
-        report.corpus,
-        report.requests,
-        report.ok,
-        report.campaigns_per_s,
-        report.p50_ms,
-        report.p95_ms,
-    );
-    eprintln!(
-        "castg: bench-serve: result cache {rh} hits / {rm} misses, plan cache {ph} hits / \
-         {pm} misses, panicked outcomes {}, clean shutdown {}",
-        report.panicked, report.clean_shutdown,
-    );
-    Ok(())
 }

@@ -46,8 +46,7 @@
 //!   per-`Circuit` stamp-plan/symbolic sharing to the whole daemon.
 //!   Responses are byte-identical to `castg generate --json` output and
 //!   between cache hits and misses; every request runs under server
-//!   budget ceilings and `catch_unwind` isolation. `castg bench-serve`
-//!   load-tests the daemon and writes `BENCH_serve.json`; `castg check`
+//!   budget ceilings and `catch_unwind` isolation. `castg check`
 //!   prints a deck's request digest so clients can predict cache keys.
 //!
 //! The compute-bound pipeline halves — per-fault generation

@@ -224,40 +224,6 @@ fn ota_chain_btf_delta_campaign_is_bit_identical() {
     assert_eq!(detection[0], detection[1], "sparse-amd vs sparse-btf detection diverged");
 }
 
-/// Block-parallel BTF solves must be thread-count invariant at the
-/// analysis level, not just inside the factor kernel: the same forced
-/// Btf DC solve with `block_threads` 1 and 4 — nominal and under every
-/// dictionary fault, delta-injected — returns bit-identical states.
-#[test]
-fn btf_block_threads_solve_bit_identically() {
-    use castg::spice::{AnalysisOptions, DcAnalysis};
-    let mac = OtaChainMacro::with_unknowns(96);
-    let nominal = mac.nominal_circuit();
-    nominal.compile_plan();
-    let opts = |block_threads| AnalysisOptions {
-        solver: SolverKind::Sparse,
-        ordering: OrderingKind::Btf,
-        block_threads,
-        ..AnalysisOptions::default()
-    };
-    let solve = |circuit: &castg::spice::Circuit, threads| {
-        DcAnalysis::with_options(circuit, opts(threads)).solve().unwrap()
-    };
-    let one = solve(&nominal, 1);
-    let many = solve(&nominal, 4);
-    for (a, b) in one.state().iter().zip(many.state()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "nominal block_threads 1 vs 4");
-    }
-    for fault in mac.fault_dictionary().iter() {
-        let patched = fault.inject(&nominal).unwrap();
-        let one = solve(&patched, 1);
-        let many = solve(&patched, 4);
-        for (a, b) in one.state().iter().zip(many.state()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{} block_threads 1 vs 4", fault.name());
-        }
-    }
-}
-
 /// The ladder campaign through the forced Sparse-AMD configuration:
 /// tridiagonal-plus-branch-row structure under a non-identity
 /// permutation, delta vs rebuild, threads 1 vs 4.

@@ -12,7 +12,7 @@ use castg::core::{
     CoreError, FaultOutcome, Measurement, NominalCache, ParamSpec, PortAction,
     TestConfiguration, TestInstance,
 };
-use castg::core::synthetic::LadderMacro;
+use castg::core::synthetic::{LadderMacro, MeshMacro, OtaChainMacro};
 use castg::faults::{Fault, FaultDictionary};
 use castg::numeric::{Bounds, ParamSpace};
 use castg::spice::{Circuit, DcAnalysis, MosParams, MosPolarity, Waveform};
@@ -268,6 +268,42 @@ fn iteration_allowance_degrades_deterministically() {
     }
     assert_eq!(report.tally().unconverged, 3);
     assert_eq!(run(4).per_fault, report.per_fault);
+}
+
+/// The evaluation-only re-screens the synthetic families exist for:
+/// each macro's full dictionary against DC tests on its own `dc_out`
+/// configuration. Every faulted solve must land; the OTA chain's need
+/// the gmin, source-stepping and pseudo-transient rungs.
+#[test]
+fn synthetic_dc_screens_have_no_suspect_outcomes() {
+    let screens: [(&str, Box<dyn AnalogMacro>, &[f64]); 3] = [
+        ("ladder_256", Box::new(LadderMacro::with_unknowns(256)), &[2.0, 3.5, 5.0, 6.0, 7.0, 8.0]),
+        ("mesh_256", Box::new(MeshMacro::with_unknowns(256)), &[2.0, 3.5, 5.0, 6.5, 8.0]),
+        ("ota_chain_512", Box::new(OtaChainMacro::with_unknowns(512)), &[1.6, 2.0, 2.4]),
+    ];
+    for (name, mac, levels) in screens {
+        let config = mac
+            .configurations()
+            .into_iter()
+            .find(|c| c.name() == "dc_out")
+            .expect("synthetic macros have a dc_out configuration");
+        let tests: Vec<TestInstance> = levels
+            .iter()
+            .map(|&lev| TestInstance { config: Arc::clone(&config), params: vec![lev] })
+            .collect();
+        let dict = mac.fault_dictionary();
+        let cache = NominalCache::new();
+        let report =
+            evaluate_campaign(&*mac, &cache, &tests, &dict, &CampaignOptions::default())
+                .expect("screen completes");
+        assert_eq!(report.per_fault.len(), dict.len(), "{name}");
+        let tally = report.tally();
+        assert_eq!(
+            (tally.unconverged, tally.panicked, tally.timed_out, tally.injection_failed),
+            (0, 0, 0, 0),
+            "{name}: robustness regression: {tally:?}"
+        );
+    }
 }
 
 /// Node universe for the random-dictionary campaigns: every fault site

@@ -122,6 +122,8 @@ fn generate_reports_outcomes_and_ladder_statistics() {
         .arg(fixture("divider_configs"))
         .arg("--json")
         .arg(&json)
+        // The default resistances, spelled with SPICE scale suffixes.
+        .args(["--bridge-ohms", "10k", "--pinhole-ohms", "2k"])
         .output()
         .unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -175,9 +177,18 @@ fn generate_strict_fails_on_exhausted_iteration_budget() {
 
 #[test]
 fn generate_rejects_malformed_budget_flags() {
-    for bad in
-        [&["--max-newton-iters", "many"][..], &["--budget-ms", "-5"][..], &["--budget-ms"][..]]
-    {
+    let bad_flags: [&[&str]; 9] = [
+        &["--max-newton-iters", "many"],
+        &["--budget-ms", "-5"],
+        &["--budget-ms"],
+        &["--bridge-ohms", "-5"],
+        &["--bridge-ohms", "0"],
+        &["--bridge-ohms", "NaN"],
+        &["--pinhole-ohms", "inf"],
+        &["--pinhole-ohms", "0"],
+        &["--pinhole-ohms", "ten"],
+    ];
+    for bad in bad_flags {
         let out = castg()
             .arg("generate")
             .arg(fixture("divider.sp"))
