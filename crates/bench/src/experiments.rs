@@ -1,4 +1,4 @@
-//! One function per paper artifact. See `DESIGN.md` §4 for the index.
+//! One function per paper artifact; `regen_all` runs them all in order.
 
 use castg_core::{
     compact, compare_with_baseline, evaluate_test_set, test_instances_from_compaction,

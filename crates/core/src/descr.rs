@@ -184,6 +184,12 @@ impl ConfigDescription {
             })
             .collect()
     }
+
+    /// The value of the `variable` line named `name` (matched
+    /// case-insensitively), if the description declares one.
+    pub fn variable(&self, name: &str) -> Option<f64> {
+        self.variables.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| *v)
+    }
 }
 
 impl fmt::Display for ConfigDescription {

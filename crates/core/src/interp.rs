@@ -2,11 +2,13 @@
 //! textual [`ConfigDescription`] (the paper's Fig. 1 exchange format)
 //! into a live, executable [`TestConfiguration`].
 //!
-//! The hand-coded macros implement their configurations in Rust; a
-//! macro that arrives as a *parsed netlist* (the `castg-netlist`
-//! frontend) has no Rust code, so its configurations are description
-//! files on disk interpreted by [`DescribedConfig`]. The interpreter
-//! covers the template vocabulary of the paper's Table 1:
+//! Every test configuration in the workspace is a description run by
+//! [`DescribedConfig`]: the `.cfg` files a *parsed netlist* (the
+//! `castg-netlist` frontend) loads from disk, the same files the
+//! IV-converter and bipolar macros of `castg-macros` embed, and the
+//! description text the synthetic families of [`crate::synthetic`]
+//! carry. The interpreter covers the template vocabulary of the paper's
+//! Table 1:
 //!
 //! * **control** — `dc(lev)`, `step(base, elev, slew_rate=sl)`,
 //!   `sine(offset, amp, freq)`; arguments name attached parameters,
@@ -19,8 +21,8 @@
 //! * **return** — `dV(..)` / `dI(..)` (Δ against nominal),
 //!   `Max(dV(..))`, `acc(dV(..))`, `THD(..)`.
 //!
-//! Tolerance boxes are the analytic formula every hand-coded macro's
-//! analytic policy uses, with its constants read from `variable` lines:
+//! Tolerance boxes are one analytic formula, with its constants read
+//! from `variable` lines:
 //!
 //! ```text
 //! box = box_rel·(Σᵢ gainᵢ·|pᵢ| + box_offset) + box_abs + box_floor
@@ -28,10 +30,12 @@
 //! ```
 //!
 //! where `gainᵢ` is `box_gain_<param>` (falling back to `box_gain`,
-//! default 0). Simulation knobs (`reltol`, `euler`, `t0`, `thd_*`) are
-//! also plain variables, so a description file fully determines the
-//! measurement — see `tests/fixtures/iv_configs/` for the five Table-1
-//! configurations expressed this way.
+//! default 0). `castg-macros` can replace it with a Monte-Carlo
+//! calibrated box-function that keeps `box_floor` and `box_rel_nom`.
+//! Simulation knobs (`reltol`, `euler`, `t0`, `thd_*`) are also plain
+//! variables, so a description file fully determines the measurement —
+//! see `tests/fixtures/iv_configs/` for the five Table-1 configurations
+//! expressed this way.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -203,7 +207,10 @@ impl DescribedConfig {
     /// [`CoreError::Configuration`] when the description is not
     /// interpretable: no/too many control or observe lines, an unknown
     /// template, an argument naming neither a parameter, a variable nor
-    /// a literal, or invalid parameter bounds.
+    /// a literal, invalid parameter bounds, or THD counts that cannot
+    /// measure (`thd_points`, `thd_settle`, `thd_measure` and
+    /// `thd_harmonics` must be whole numbers with `thd_measure ≥ 1`,
+    /// `thd_harmonics ≥ 2` and `thd_points > 2·thd_harmonics`).
     pub fn new(id: usize, descr: ConfigDescription) -> Result<Self, CoreError> {
         let name = slug(&descr.title);
         let err = |reason: String| CoreError::Configuration { config: name.clone(), reason };
@@ -219,9 +226,7 @@ impl DescribedConfig {
         let space = ParamSpace::new(bounds);
         let seed = descr.seed_vector();
 
-        let var = |key: &str| -> Option<f64> {
-            descr.variables.iter().find(|(n, _)| n.eq_ignore_ascii_case(key)).map(|(_, v)| *v)
-        };
+        let var = |key: &str| descr.variable(key);
         let resolve = |arg: &str| -> Result<Expr, CoreError> {
             if let Some(i) = param_names.iter().position(|p| p == arg) {
                 return Ok(Expr::Param(i));
@@ -331,6 +336,28 @@ impl DescribedConfig {
             }
         }
 
+        // THD counts must be whole and able to measure: at least one
+        // measured period, a harmonic beyond the fundamental, and every
+        // harmonic below the Nyquist rate of `thd_points` per period
+        // (the DFT reads a harmonic at or above it as zero).
+        let count = |key: &str, default: f64, min: f64| -> Result<usize, CoreError> {
+            let v = var(key).unwrap_or(default);
+            if v.fract() != 0.0 || v < min {
+                return Err(err(format!("`{key}` must be a whole number ≥ {min}, got {v}")));
+            }
+            Ok(v as usize)
+        };
+        let thd_points = count("thd_points", 128.0, 1.0)?;
+        let thd_settle = count("thd_settle", 2.0, 0.0)?;
+        let thd_measure = count("thd_measure", 4.0, 1.0)?;
+        let thd_harmonics = count("thd_harmonics", 5.0, 2.0)?;
+        if thd_points <= 2 * thd_harmonics {
+            return Err(err(format!(
+                "`thd_points` ({thd_points}) must exceed twice `thd_harmonics` \
+                 ({thd_harmonics}) to sample every harmonic below Nyquist"
+            )));
+        }
+
         let box_gain_default = var("box_gain").unwrap_or(0.0);
         let box_gains = param_names
             .iter()
@@ -352,10 +379,10 @@ impl DescribedConfig {
             box_gains,
             reltol: var("reltol"),
             euler: var("euler").is_some_and(|v| v != 0.0),
-            thd_points: var("thd_points").unwrap_or(128.0) as usize,
-            thd_settle: var("thd_settle").unwrap_or(2.0) as usize,
-            thd_measure: var("thd_measure").unwrap_or(4.0) as usize,
-            thd_harmonics: var("thd_harmonics").unwrap_or(5.0) as usize,
+            thd_points,
+            thd_settle,
+            thd_measure,
+            thd_harmonics,
             thd_stuck: var("thd_stuck").unwrap_or(999.0),
             solver: SolverKind::Auto,
             ordering: OrderingKind::Auto,
@@ -479,8 +506,8 @@ impl DescribedConfig {
     }
 
     /// Transient options: the description's `reltol` (when declared)
-    /// loosened onto the defaults, exactly like the hand-coded macros'
-    /// long-transient configurations, plus the solver/ordering dispatch.
+    /// loosened onto the defaults for long transients, plus the
+    /// solver/ordering dispatch.
     fn tran_options(&self) -> AnalysisOptions {
         let mut opts = self.dc_options();
         if let Some(reltol) = self.reltol {
@@ -600,8 +627,8 @@ impl TestConfiguration for DescribedConfig {
                 let period = 1.0 / f0;
                 let dt = period / self.thd_points as f64;
                 let periods = self.thd_settle + self.thd_measure;
-                // Backward Euler: L-stable across wide time-constant
-                // spreads, matching the hand-coded THD configuration.
+                // Backward Euler: L-stable across the wide spread of
+                // time constants at low stimulus frequencies.
                 let trace = TranAnalysis::with_options(
                     circuit,
                     self.tran_options(),
@@ -814,6 +841,32 @@ variable box_gain_b: 7
                 "should reject: {text}"
             );
         }
+        // THD counts that cannot measure: no measured period, no
+        // harmonic beyond the fundamental, a non-whole or negative
+        // sample count, or a harmonic at or above Nyquist.
+        let thd = "macro type: X\ntest configuration: T\ncontrol vin: sine(0, 1, f)\n\
+                   observe out: thd(f)\nreturn: THD(V(out))\nparameter f: 1e3 .. 1e4\n";
+        for (line, variable) in [
+            ("variable thd_measure: 0", "thd_measure"),
+            ("variable thd_harmonics: 0", "thd_harmonics"),
+            ("variable thd_harmonics: 1", "thd_harmonics"),
+            ("variable thd_points: 0", "thd_points"),
+            ("variable thd_points: -3", "thd_points"),
+            ("variable thd_points: 127.5", "thd_points"),
+            ("variable thd_settle: 0.5", "thd_settle"),
+            ("variable thd_points: 10", "thd_points"),
+        ] {
+            let descr = ConfigDescription::parse(&format!("{thd}{line}\n")).unwrap();
+            let e = DescribedConfig::new(1, descr).err().unwrap_or_else(|| {
+                panic!("should reject: {line}")
+            });
+            assert!(
+                matches!(e, CoreError::Configuration { .. }) && e.to_string().contains(variable),
+                "{line}: {e}"
+            );
+        }
+        let fits = ConfigDescription::parse(&format!("{thd}variable thd_points: 11\n")).unwrap();
+        assert!(DescribedConfig::new(1, fits).is_ok(), "11 points sample 5 harmonics");
     }
 
     #[test]

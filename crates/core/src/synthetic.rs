@@ -26,32 +26,91 @@
 //!   readout stages: mesh-like fill *plus* nonlinear devices and a
 //!   bridge+pinhole dictionary.
 //!
-//! The scalable macros accept a solver/ordering override
-//! (`with_solver`) so the four-way differential tests can force
-//! Dense, Sparse-Natural, Sparse-AMD and Sparse-BTF evaluation of one
-//! workload; the default is `Auto`/`Auto`, identical to every other
-//! analysis.
+//! Every family's test configurations are Fig.-1 description text
+//! (`DC out`, `Step dev`) interpreted by [`DescribedConfig`], the same
+//! interpreter that runs the `.cfg` files of a parsed deck. The
+//! scalable macros accept a solver/ordering override (`with_solver`,
+//! forwarded to [`DescribedConfig::with_solver`]) so the four-way
+//! differential tests can force Dense, Sparse-Natural, Sparse-AMD and
+//! Sparse-BTF evaluation of one workload; the default is `Auto`/`Auto`,
+//! identical to every other analysis.
 
 use std::sync::Arc;
 
-use castg_dsp::metrics;
 use castg_faults::{exhaustive_bridge_faults, Fault, FaultDictionary};
-use castg_numeric::{Bounds, ParamSpace};
-use castg_spice::{
-    AnalysisOptions, Circuit, DcAnalysis, IntegrationMethod, MosParams, MosPolarity, OrderingKind,
-    Probe, SolverKind, TranAnalysis, Waveform,
-};
+use castg_spice::{Circuit, MosParams, MosPolarity, OrderingKind, SolverKind, Waveform};
 
-use crate::config::{check_params, Measurement};
-use crate::descr::{ConfigDescription, ParamSpec, PortAction};
-use crate::{AnalogMacro, CoreError, TestConfiguration};
+use crate::descr::ConfigDescription;
+use crate::{AnalogMacro, DescribedConfig, TestConfiguration};
 
-/// Analysis options a scalable macro's configurations solve with:
-/// the default `Auto`/`Auto` everywhere except the four-way
-/// (Dense / Sparse-Natural / Sparse-AMD / Sparse-BTF) differential
-/// harnesses, which force a path via `with_solver`.
-fn solve_options(solver: SolverKind, ordering: OrderingKind) -> AnalysisOptions {
-    AnalysisOptions { solver, ordering, ..AnalysisOptions::default() }
+/// Tolerance-box variables of the DC and step configurations: 2 % of
+/// half the drive (the divider-like output level) plus a 1 mV meter
+/// floor.
+const HALF_DRIVE_BOX: &str = "\
+variable box_rel: 0.02
+variable box_gain: 0.5
+variable box_floor: 1e-3
+";
+
+/// Tolerance-box variable of the MOS families' DC configuration: a
+/// flat 50 mV on a 0–5 V output swing.
+const FLAT_BOX: &str = "variable box_abs: 0.05\n";
+
+/// Configuration `DC out`: drive the `source` device with a DC level
+/// `lev` from `lo` to `hi` and return `ΔV(out)`.
+fn dc_out(macro_type: &str, source: &str, lo: f64, hi: f64, seed: f64, tolerance: &str) -> String {
+    format!(
+        "macro type: {macro_type}\n\
+         test configuration: DC out\n\
+         control {source}: dc(lev)\n\
+         observe out: dc()\n\
+         return: dV(out)\n\
+         parameter lev: {lo} .. {hi}\n\
+         {tolerance}\
+         seed lev: {seed}\n"
+    )
+}
+
+/// Configuration `Step dev`: step `V1` from `base` to `base + elev` at
+/// `t0` over `rise`, sample `v(out)` at `rate` for `time`, and return
+/// the maximum absolute deviation from nominal.
+fn step_dev(macro_type: &str, t0: f64, rise: f64, rate: f64, time: f64) -> String {
+    format!(
+        "macro type: {macro_type}\n\
+         test configuration: Step dev\n\
+         control V1: step(base, elev, slew_rate=sl)\n\
+         observe out: sample(rate=sa, time=t)\n\
+         return: Max(dV(out))\n\
+         parameter base: 0 .. 4\n\
+         parameter elev: -4 .. 4\n\
+         variable sl: {rise:e}\n\
+         variable t0: {t0:e}\n\
+         variable sa: {rate:e}\n\
+         variable t: {time:e}\n\
+         {HALF_DRIVE_BOX}\
+         seed base: 1\n\
+         seed elev: 2\n"
+    )
+}
+
+/// Interprets a macro's description texts (ids 1… in order), every
+/// measurement dispatching through `solver`/`ordering`.
+fn described(
+    texts: &[String],
+    solver: SolverKind,
+    ordering: OrderingKind,
+) -> Vec<Arc<dyn TestConfiguration>> {
+    texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let descr = ConfigDescription::parse(text).expect("built-in descriptions parse");
+            let config = DescribedConfig::new(i + 1, descr)
+                .expect("built-in descriptions interpret")
+                .with_solver(solver, ordering);
+            Arc::new(config) as Arc<dyn TestConfiguration>
+        })
+        .collect()
 }
 
 /// A three-node resistive divider with an output capacitor, driven by a
@@ -117,156 +176,14 @@ impl AnalogMacro for DividerMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![Arc::new(DividerDcConfig), Arc::new(DividerStepConfig)]
-    }
-}
-
-/// Configuration #1 of the synthetic macro: drive `V1` with a DC level
-/// `lev` and return `ΔV(out)`.
-#[derive(Debug, Clone, Default)]
-pub struct DividerDcConfig;
-
-impl TestConfiguration for DividerDcConfig {
-    fn id(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &str {
-        "dc_out"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["lev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(1.0, 8.0).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![5.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let sol = DcAnalysis::new(circuit)
-            .override_stimulus("V1", Waveform::dc(params[0]))
-            .solve()?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        Ok(Measurement::scalar(sol.voltage(out)))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        // 2 % of the expected output level plus a 1 mV meter floor.
-        vec![0.02 * params[0] * 0.5 + 1e-3]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "R-divider".into(),
-            title: "DC output".into(),
-            controls: vec![PortAction { node: "vin".into(), action: "dc(lev)".into() }],
-            observes: vec![PortAction { node: "out".into(), action: "dc()".into() }],
-            return_value: "dV(out)".into(),
-            parameters: vec![ParamSpec { name: "lev".into(), lo: 1.0, hi: 8.0 }],
-            variables: vec![],
-            seed: vec![("lev".into(), 5.0)],
-        }
-    }
-}
-
-/// Configuration #2 of the synthetic macro: step `V1` from `base` to
-/// `base + elev`, sample `v(out)` and return the maximum absolute
-/// deviation from nominal.
-#[derive(Debug, Clone, Default)]
-pub struct DividerStepConfig;
-
-impl DividerStepConfig {
-    const T_STOP: f64 = 10e-6;
-    const DT: f64 = 0.2e-6;
-}
-
-impl TestConfiguration for DividerStepConfig {
-    fn id(&self) -> usize {
-        2
-    }
-
-    fn name(&self) -> &str {
-        "step_dev"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["base".into(), "elev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![
-            Bounds::new(0.0, 4.0).expect("static bounds"),
-            Bounds::new(-4.0, 4.0).expect("static bounds"),
-        ])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![1.0, 2.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        let trace = TranAnalysis::new(circuit)
-            .override_stimulus("V1", Waveform::step(params[0], params[1], 1e-6, 0.1e-6))
-            .run(Self::T_STOP, Self::DT, &[Probe::NodeVoltage(out)])?;
-        Ok(Measurement::Waveform(castg_dsp::UniformSamples::new(
-            0.0,
-            Self::DT,
-            trace.column(0).to_vec(),
-        )))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_waveform(), nominal.as_waveform()) {
-            (Some(m), Some(n)) => vec![metrics::max_abs_deviation(m, n)],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        vec![0.02 * (params[0].abs() + params[1].abs()).max(0.5) * 0.5 + 1e-3]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "R-divider".into(),
-            title: "Step response".into(),
-            controls: vec![PortAction {
-                node: "vin".into(),
-                action: "step(base, elev, slew_rate=sl)".into(),
-            }],
-            observes: vec![PortAction {
-                node: "out".into(),
-                action: "sample(rate=sa, time=t)".into(),
-            }],
-            return_value: "Max(dV(out))".into(),
-            parameters: vec![
-                ParamSpec { name: "base".into(), lo: 0.0, hi: 4.0 },
-                ParamSpec { name: "elev".into(), lo: -4.0, hi: 4.0 },
+        described(
+            &[
+                dc_out("R-divider", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
+                step_dev("R-divider", 1e-6, 0.1e-6, 5e6, 10e-6),
             ],
-            variables: vec![("sl".into(), 0.1e-6), ("sa".into(), 5e6), ("t".into(), 10e-6)],
-            seed: vec![("base".into(), 1.0), ("elev".into(), 2.0)],
-        }
+            SolverKind::Auto,
+            OrderingKind::Auto,
+        )
     }
 }
 
@@ -420,178 +337,14 @@ impl AnalogMacro for LadderMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![
-            Arc::new(LadderDcConfig {
-                sections: self.sections,
-                solver: self.solver,
-                ordering: self.ordering,
-            }),
-            Arc::new(LadderStepConfig {
-                sections: self.sections,
-                solver: self.solver,
-                ordering: self.ordering,
-            }),
-        ]
-    }
-}
-
-/// Ladder configuration #1: drive `V1` with DC level `lev`, return
-/// `ΔV(out)`.
-#[derive(Debug, Clone)]
-pub struct LadderDcConfig {
-    sections: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
-}
-
-impl TestConfiguration for LadderDcConfig {
-    fn id(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &str {
-        "dc_out"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["lev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(1.0, 8.0).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![5.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let sol = DcAnalysis::with_options(circuit, solve_options(self.solver, self.ordering))
-            .override_stimulus("V1", Waveform::dc(params[0]))
-            .solve()?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        Ok(Measurement::scalar(sol.voltage(out)))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        // 2 % of the expected output level plus a 1 mV meter floor.
-        vec![0.02 * params[0] * 0.5 + 1e-3]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "RC-ladder".into(),
-            title: format!("DC output ({} sections)", self.sections),
-            controls: vec![PortAction { node: "in".into(), action: "dc(lev)".into() }],
-            observes: vec![PortAction { node: "out".into(), action: "dc()".into() }],
-            return_value: "dV(out)".into(),
-            parameters: vec![ParamSpec { name: "lev".into(), lo: 1.0, hi: 8.0 }],
-            variables: vec![],
-            seed: vec![("lev".into(), 5.0)],
-        }
-    }
-}
-
-/// Ladder configuration #2: step `V1` from `base` to `base + elev` and
-/// return the maximum absolute deviation of `v(out)` from nominal.
-#[derive(Debug, Clone)]
-pub struct LadderStepConfig {
-    sections: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
-}
-
-impl LadderStepConfig {
-    const T_STOP: f64 = 2e-6;
-    const DT: f64 = 0.05e-6;
-}
-
-impl TestConfiguration for LadderStepConfig {
-    fn id(&self) -> usize {
-        2
-    }
-
-    fn name(&self) -> &str {
-        "step_dev"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["base".into(), "elev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![
-            Bounds::new(0.0, 4.0).expect("static bounds"),
-            Bounds::new(-4.0, 4.0).expect("static bounds"),
-        ])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![1.0, 2.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        let trace = TranAnalysis::with_options(
-            circuit,
-            solve_options(self.solver, self.ordering),
-            IntegrationMethod::default(),
-        )
-        .override_stimulus("V1", Waveform::step(params[0], params[1], 0.2e-6, 0.05e-6))
-        .run(Self::T_STOP, Self::DT, &[Probe::NodeVoltage(out)])?;
-        Ok(Measurement::Waveform(castg_dsp::UniformSamples::new(
-            0.0,
-            Self::DT,
-            trace.column(0).to_vec(),
-        )))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_waveform(), nominal.as_waveform()) {
-            (Some(m), Some(n)) => vec![metrics::max_abs_deviation(m, n)],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        vec![0.02 * (params[0].abs() + params[1].abs()).max(0.5) * 0.5 + 1e-3]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "RC-ladder".into(),
-            title: format!("Step response ({} sections)", self.sections),
-            controls: vec![PortAction {
-                node: "in".into(),
-                action: "step(base, elev, slew_rate=sl)".into(),
-            }],
-            observes: vec![PortAction {
-                node: "out".into(),
-                action: "sample(rate=sa, time=t)".into(),
-            }],
-            return_value: "Max(dV(out))".into(),
-            parameters: vec![
-                ParamSpec { name: "base".into(), lo: 0.0, hi: 4.0 },
-                ParamSpec { name: "elev".into(), lo: -4.0, hi: 4.0 },
+        described(
+            &[
+                dc_out("RC-ladder", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
+                step_dev("RC-ladder", 0.2e-6, 0.05e-6, 20e6, 2e-6),
             ],
-            variables: vec![("sl".into(), 0.05e-6), ("sa".into(), 20e6), ("t".into(), 2e-6)],
-            seed: vec![("base".into(), 1.0), ("elev".into(), 2.0)],
-        }
+            self.solver,
+            self.ordering,
+        )
     }
 }
 
@@ -779,79 +532,11 @@ impl AnalogMacro for OtaChainMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![Arc::new(OtaChainDcConfig {
-            stages: self.stages,
-            solver: self.solver,
-            ordering: self.ordering,
-        })]
-    }
-}
-
-/// OTA-chain configuration #1: drive `VIN` with DC level `lev`, return
-/// `ΔV(out)`.
-#[derive(Debug, Clone)]
-pub struct OtaChainDcConfig {
-    stages: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
-}
-
-impl TestConfiguration for OtaChainDcConfig {
-    fn id(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &str {
-        "dc_out"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["lev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(0.0, 5.0).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![2.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let sol = DcAnalysis::with_options(circuit, solve_options(self.solver, self.ordering))
-            .override_stimulus("VIN", Waveform::dc(params[0]))
-            .solve()?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        Ok(Measurement::scalar(sol.voltage(out)))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, _params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        // 50 mV on a 0–5 V output swing.
-        vec![0.05]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "OTA-chain".into(),
-            title: format!("DC output ({} stages)", self.stages),
-            controls: vec![PortAction { node: "vin".into(), action: "dc(lev)".into() }],
-            observes: vec![PortAction { node: "out".into(), action: "dc()".into() }],
-            return_value: "dV(out)".into(),
-            parameters: vec![ParamSpec { name: "lev".into(), lo: 0.0, hi: 5.0 }],
-            variables: vec![],
-            seed: vec![("lev".into(), 2.0)],
-        }
+        described(
+            &[dc_out("OTA-chain", "VIN", 0.0, 5.0, 2.0, FLAT_BOX)],
+            self.solver,
+            self.ordering,
+        )
     }
 }
 
@@ -1072,182 +757,14 @@ impl AnalogMacro for MeshMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![
-            Arc::new(MeshDcConfig {
-                rows: self.rows,
-                cols: self.cols,
-                solver: self.solver,
-                ordering: self.ordering,
-            }),
-            Arc::new(MeshStepConfig {
-                rows: self.rows,
-                cols: self.cols,
-                solver: self.solver,
-                ordering: self.ordering,
-            }),
-        ]
-    }
-}
-
-/// Mesh configuration #1: drive `V1` with DC level `lev`, return
-/// `ΔV(out)`.
-#[derive(Debug, Clone)]
-pub struct MeshDcConfig {
-    rows: usize,
-    cols: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
-}
-
-impl TestConfiguration for MeshDcConfig {
-    fn id(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &str {
-        "dc_out"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["lev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(1.0, 8.0).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![5.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let sol = DcAnalysis::with_options(circuit, solve_options(self.solver, self.ordering))
-            .override_stimulus("V1", Waveform::dc(params[0]))
-            .solve()?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        Ok(Measurement::scalar(sol.voltage(out)))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        // 2 % of the expected output level plus a 1 mV meter floor.
-        vec![0.02 * params[0] * 0.5 + 1e-3]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "R-mesh".into(),
-            title: format!("DC output ({}x{} mesh)", self.rows, self.cols),
-            controls: vec![PortAction { node: "in".into(), action: "dc(lev)".into() }],
-            observes: vec![PortAction { node: "out".into(), action: "dc()".into() }],
-            return_value: "dV(out)".into(),
-            parameters: vec![ParamSpec { name: "lev".into(), lo: 1.0, hi: 8.0 }],
-            variables: vec![],
-            seed: vec![("lev".into(), 5.0)],
-        }
-    }
-}
-
-/// Mesh configuration #2: step `V1` from `base` to `base + elev` and
-/// return the maximum absolute deviation of `v(out)` from nominal.
-#[derive(Debug, Clone)]
-pub struct MeshStepConfig {
-    rows: usize,
-    cols: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
-}
-
-impl MeshStepConfig {
-    const T_STOP: f64 = 2e-6;
-    const DT: f64 = 0.05e-6;
-}
-
-impl TestConfiguration for MeshStepConfig {
-    fn id(&self) -> usize {
-        2
-    }
-
-    fn name(&self) -> &str {
-        "step_dev"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["base".into(), "elev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![
-            Bounds::new(0.0, 4.0).expect("static bounds"),
-            Bounds::new(-4.0, 4.0).expect("static bounds"),
-        ])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![1.0, 2.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        let trace = TranAnalysis::with_options(
-            circuit,
-            solve_options(self.solver, self.ordering),
-            IntegrationMethod::default(),
-        )
-        .override_stimulus("V1", Waveform::step(params[0], params[1], 0.2e-6, 0.05e-6))
-        .run(Self::T_STOP, Self::DT, &[Probe::NodeVoltage(out)])?;
-        Ok(Measurement::Waveform(castg_dsp::UniformSamples::new(
-            0.0,
-            Self::DT,
-            trace.column(0).to_vec(),
-        )))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_waveform(), nominal.as_waveform()) {
-            (Some(m), Some(n)) => vec![metrics::max_abs_deviation(m, n)],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        vec![0.02 * (params[0].abs() + params[1].abs()).max(0.5) * 0.5 + 1e-3]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "R-mesh".into(),
-            title: format!("Step response ({}x{} mesh)", self.rows, self.cols),
-            controls: vec![PortAction {
-                node: "in".into(),
-                action: "step(base, elev, slew_rate=sl)".into(),
-            }],
-            observes: vec![PortAction {
-                node: "out".into(),
-                action: "sample(rate=sa, time=t)".into(),
-            }],
-            return_value: "Max(dV(out))".into(),
-            parameters: vec![
-                ParamSpec { name: "base".into(), lo: 0.0, hi: 4.0 },
-                ParamSpec { name: "elev".into(), lo: -4.0, hi: 4.0 },
+        described(
+            &[
+                dc_out("R-mesh", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
+                step_dev("R-mesh", 0.2e-6, 0.05e-6, 20e6, 2e-6),
             ],
-            variables: vec![("sl".into(), 0.05e-6), ("sa".into(), 20e6), ("t".into(), 2e-6)],
-            seed: vec![("base".into(), 1.0), ("elev".into(), 2.0)],
-        }
+            self.solver,
+            self.ordering,
+        )
     }
 }
 
@@ -1479,87 +996,19 @@ impl AnalogMacro for CrossbarMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![Arc::new(CrossbarDcConfig {
-            rows: self.rows,
-            cols: self.cols,
-            solver: self.solver,
-            ordering: self.ordering,
-        })]
-    }
-}
-
-/// Crossbar configuration #1: drive `V1` with DC level `lev`, return
-/// `ΔV(out)`.
-#[derive(Debug, Clone)]
-pub struct CrossbarDcConfig {
-    rows: usize,
-    cols: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
-}
-
-impl TestConfiguration for CrossbarDcConfig {
-    fn id(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &str {
-        "dc_out"
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["lev".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(0.5, 8.0).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![5.0]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let sol = DcAnalysis::with_options(circuit, solve_options(self.solver, self.ordering))
-            .override_stimulus("V1", Waveform::dc(params[0]))
-            .solve()?;
-        let out = circuit.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "macro has no `out` node".to_string(),
-        })?;
-        Ok(Measurement::scalar(sol.voltage(out)))
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, _params: &[f64], _nominal_returns: &[f64]) -> Vec<f64> {
-        // 50 mV on a 0–5 V readout swing.
-        vec![0.05]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "RX-crossbar".into(),
-            title: format!("DC output ({}x{} crossbar)", self.rows, self.cols),
-            controls: vec![PortAction { node: "in".into(), action: "dc(lev)".into() }],
-            observes: vec![PortAction { node: "out".into(), action: "dc()".into() }],
-            return_value: "dV(out)".into(),
-            parameters: vec![ParamSpec { name: "lev".into(), lo: 0.5, hi: 8.0 }],
-            variables: vec![],
-            seed: vec![("lev".into(), 5.0)],
-        }
+        described(
+            &[dc_out("RX-crossbar", "V1", 0.5, 8.0, 5.0, FLAT_BOX)],
+            self.solver,
+            self.ordering,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Measurement;
+    use castg_spice::DcAnalysis;
 
     #[test]
     fn nominal_divider_solves() {
@@ -1574,7 +1023,7 @@ mod tests {
     fn dc_config_measures_divider_ratio() {
         let m = DividerMacro::new();
         let c = m.nominal_circuit();
-        let cfg = DividerDcConfig;
+        let cfg = &m.configurations()[0];
         let meas = cfg.measure(&c, &[4.0]).unwrap();
         assert!((meas.as_scalars().unwrap()[0] - 2.0).abs() < 1e-6);
     }
@@ -1583,14 +1032,14 @@ mod tests {
     fn dc_config_rejects_wrong_arity() {
         let m = DividerMacro::new();
         let c = m.nominal_circuit();
-        assert!(DividerDcConfig.measure(&c, &[1.0, 2.0]).is_err());
+        assert!(m.configurations()[0].measure(&c, &[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn step_config_produces_waveform() {
         let m = DividerMacro::new();
         let c = m.nominal_circuit();
-        let cfg = DividerStepConfig;
+        let cfg = &m.configurations()[1];
         let meas = cfg.measure(&c, &[1.0, 2.0]).unwrap();
         let w = meas.as_waveform().unwrap();
         assert!(w.len() > 10);
@@ -1601,7 +1050,7 @@ mod tests {
 
     #[test]
     fn return_values_are_deltas() {
-        let cfg = DividerDcConfig;
+        let cfg = &DividerMacro::new().configurations()[0];
         let nom = Measurement::scalar(2.0);
         let flt = Measurement::scalar(2.4);
         let rv = cfg.return_values(&flt, &nom);
@@ -1884,11 +1333,7 @@ mod tests {
     fn ota_chain_dc_config_responds_to_input() {
         let m = OtaChainMacro::new(4);
         let c = m.nominal_circuit();
-        let cfg = OtaChainDcConfig {
-            stages: 4,
-            solver: SolverKind::Auto,
-            ordering: OrderingKind::Auto,
-        };
+        let cfg = &m.configurations()[0];
         let lo = cfg.measure(&c, &[0.5]).unwrap();
         let hi = cfg.measure(&c, &[3.5]).unwrap();
         let d = (lo.as_scalars().unwrap()[0] - hi.as_scalars().unwrap()[0]).abs();

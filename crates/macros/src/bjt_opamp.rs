@@ -9,15 +9,17 @@
 
 use std::sync::Arc;
 
-use castg_core::{
-    check_params, AnalogMacro, ConfigDescription, CoreError, Measurement, ParamSpec, PortAction,
-    TestConfiguration,
-};
+use castg_core::{AnalogMacro, TestConfiguration};
 use castg_faults::{exhaustive_bridge_faults, Fault, FaultDictionary, Junction};
-use castg_numeric::{Bounds, ParamSpace};
-use castg_spice::{BjtParams, BjtPolarity, Circuit, DcAnalysis, DiodeParams, Waveform};
+use castg_spice::{BjtParams, BjtPolarity, Circuit, DiodeParams, Waveform};
 
-use crate::Equipment;
+/// The two test configurations — DC follower output and VCC supply
+/// current — as the committed `tests/fixtures/bjt_configs/*.cfg`
+/// descriptions, byte for byte.
+const BJT_CONFIGS: [&str; 2] = [
+    include_str!("../../../tests/fixtures/bjt_configs/1_dc_follow.cfg"),
+    include_str!("../../../tests/fixtures/bjt_configs/2_supply_current.cfg"),
+];
 
 /// A two-stage bipolar op-amp wired as a unity-gain voltage follower:
 /// NPN diff pair (Q1/Q2) with 4 kΩ collector loads, PNP common-emitter
@@ -127,118 +129,14 @@ impl AnalogMacro for BjtOpAmp {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![
-            Arc::new(BjtConfig { kind: BjtConfigKind::DcFollow }),
-            Arc::new(BjtConfig { kind: BjtConfigKind::SupplyCurrent }),
-        ]
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BjtConfigKind {
-    DcFollow,
-    SupplyCurrent,
-}
-
-struct BjtConfig {
-    kind: BjtConfigKind,
-}
-
-impl TestConfiguration for BjtConfig {
-    fn id(&self) -> usize {
-        match self.kind {
-            BjtConfigKind::DcFollow => 1,
-            BjtConfigKind::SupplyCurrent => 2,
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self.kind {
-            BjtConfigKind::DcFollow => "dc_follow",
-            BjtConfigKind::SupplyCurrent => "supply_current",
-        }
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["vin".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(1.5, 3.5).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![2.5]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let mut c = circuit.clone();
-        c.set_stimulus("VIN", Waveform::dc(params[0]))?;
-        let sol = DcAnalysis::new(&c).solve()?;
-        match self.kind {
-            BjtConfigKind::DcFollow => {
-                let out = c.find_node("out").ok_or_else(|| CoreError::Configuration {
-                    config: self.name().to_string(),
-                    reason: "no `out` node".to_string(),
-                })?;
-                Ok(Measurement::scalar(sol.voltage(out)))
-            }
-            BjtConfigKind::SupplyCurrent => Ok(Measurement::scalar(
-                sol.source_current("VCC").ok_or_else(|| CoreError::Configuration {
-                    config: self.name().to_string(),
-                    reason: "no `VCC` source".to_string(),
-                })?,
-            )),
-        }
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], nominal_returns: &[f64]) -> Vec<f64> {
-        let e = Equipment::default();
-        let r_nom = nominal_returns.first().copied().unwrap_or(0.0);
-        let v = match self.kind {
-            BjtConfigKind::DcFollow => 0.02 * params[0] + e.voltage_floor,
-            BjtConfigKind::SupplyCurrent => 10e-6 + e.current_floor,
-        };
-        vec![v + e.relative * r_nom.abs()]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "BJT-opamp".into(),
-            title: match self.kind {
-                BjtConfigKind::DcFollow => "DC follow".into(),
-                BjtConfigKind::SupplyCurrent => "Supply current".into(),
-            },
-            controls: vec![PortAction { node: "vin".into(), action: "dc(vin)".into() }],
-            observes: vec![PortAction {
-                node: match self.kind {
-                    BjtConfigKind::DcFollow => "out".into(),
-                    BjtConfigKind::SupplyCurrent => "VCC".into(),
-                },
-                action: "dc()".into(),
-            }],
-            return_value: match self.kind {
-                BjtConfigKind::DcFollow => "dV(out)".into(),
-                BjtConfigKind::SupplyCurrent => "dI(VCC)".into(),
-            },
-            parameters: vec![ParamSpec { name: "vin".into(), lo: 1.5, hi: 3.5 }],
-            variables: vec![],
-            seed: vec![("vin".into(), 2.5)],
-        }
+        crate::described(&BJT_CONFIGS)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use castg_spice::DcAnalysis;
 
     #[test]
     fn follower_tracks_its_input() {

@@ -7,25 +7,27 @@
 //! Calibration runs fault-free Monte-Carlo process samples over a coarse
 //! parameter grid, records the worst return-value deviation per grid
 //! point, and interpolates multilinearly at query time. A safety margin
-//! and the equipment-accuracy floor are folded in.
+//! and the equipment-accuracy floor are folded in. [`BoxPolicy`] applies
+//! it to any configuration: the calibrated grid replaces the
+//! configuration's own box, keeping its `box_floor` and `box_rel_nom`
+//! description variables.
 
-use castg_core::{CoreError, Measurement, TestConfiguration};
+use std::sync::{Arc, OnceLock};
+
+use castg_core::{ConfigDescription, CoreError, Measurement, TestConfiguration};
 use castg_numeric::grid::linspace;
+use castg_numeric::ParamSpace;
 use castg_spice::Circuit;
 
 use crate::ProcessVariation;
 
-/// How a configuration obtains its tolerance box.
+/// How a macro's configurations obtain their tolerance boxes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoxPolicy {
-    /// `box = rel · |r_nom| + abs` — no calibration, instant; used by
-    /// unit tests and quick experiments.
-    Analytic {
-        /// Relative part (fraction of the nominal return value).
-        rel: f64,
-        /// Absolute floor.
-        abs: f64,
-    },
+    /// Each configuration's own box formula (the `box_*` variables of
+    /// its description) — no calibration, instant; used by unit tests,
+    /// the goldens and quick experiments.
+    Analytic,
     /// Monte-Carlo calibrated grid (the paper's box-functions).
     Calibrated {
         /// Grid points per parameter dimension.
@@ -43,6 +45,114 @@ impl BoxPolicy {
     /// The default calibrated policy used by the IV-converter macro.
     pub fn calibrated_default() -> Self {
         BoxPolicy::Calibrated { grid_points: 3, mc_samples: 6, seed: 0xCA57, margin: 1.2 }
+    }
+
+    /// Applies the policy to configurations of the macro whose fault-free
+    /// circuit is `nominal`: `Analytic` returns them unchanged,
+    /// `Calibrated` wraps each in its box-function, calibrated on first
+    /// use.
+    pub(crate) fn apply(
+        self,
+        nominal: &Circuit,
+        configs: Vec<Arc<dyn TestConfiguration>>,
+    ) -> Vec<Arc<dyn TestConfiguration>> {
+        let BoxPolicy::Calibrated { grid_points, mc_samples, seed, margin } = self else {
+            return configs;
+        };
+        configs
+            .into_iter()
+            .map(|inner| {
+                let description = inner.description();
+                Arc::new(Calibrated {
+                    floor: description.variable("box_floor").unwrap_or(0.0),
+                    rel_nom: description.variable("box_rel_nom").unwrap_or(0.0),
+                    inner,
+                    nominal: nominal.clone(),
+                    grid_points,
+                    mc_samples,
+                    seed,
+                    margin,
+                    grid: OnceLock::new(),
+                }) as Arc<dyn TestConfiguration>
+            })
+            .collect()
+    }
+}
+
+/// A configuration whose tolerance box is the Monte-Carlo box-function
+/// calibrated through it: `grid(params) + rel_nom·|r_nominal|`, with the
+/// grid floor and `rel_nom` read from the inner description's
+/// `box_floor` and `box_rel_nom`. Everything else is the inner
+/// configuration's.
+struct Calibrated {
+    inner: Arc<dyn TestConfiguration>,
+    nominal: Circuit,
+    grid_points: usize,
+    mc_samples: usize,
+    seed: u64,
+    margin: f64,
+    floor: f64,
+    rel_nom: f64,
+    /// The calibrated grid, or `None` when calibration failed.
+    grid: OnceLock<Option<BoxGrid>>,
+}
+
+impl TestConfiguration for Calibrated {
+    fn id(&self) -> usize {
+        self.inner.id()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn param_names(&self) -> Vec<String> {
+        self.inner.param_names()
+    }
+
+    fn space(&self) -> ParamSpace {
+        self.inner.space()
+    }
+
+    fn seed(&self) -> Vec<f64> {
+        self.inner.seed()
+    }
+
+    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
+        self.inner.measure(circuit, params)
+    }
+
+    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
+        self.inner.return_values(measured, nominal)
+    }
+
+    fn tolerance_box(&self, params: &[f64], nominal_returns: &[f64]) -> Vec<f64> {
+        let grid = self.grid.get_or_init(|| {
+            calibrate_box(
+                self.inner.as_ref(),
+                &self.nominal,
+                &ProcessVariation::default(),
+                self.grid_points,
+                self.mc_samples,
+                self.seed,
+                self.margin,
+                self.floor,
+            )
+            .ok()
+        });
+        match grid {
+            Some(grid) => {
+                let r_nom = nominal_returns.first().copied().unwrap_or(0.0);
+                vec![grid.query(params) + self.rel_nom * r_nom.abs()]
+            }
+            // Calibration failure: the configuration's own box lets
+            // generation proceed.
+            None => self.inner.tolerance_box(params, nominal_returns),
+        }
+    }
+
+    fn description(&self) -> ConfigDescription {
+        self.inner.description()
     }
 }
 
@@ -181,18 +291,6 @@ fn spread_at(
         }
     }
     Ok(worst)
-}
-
-/// Convenience: evaluate a measurement deviation-based [`Measurement`]
-/// pair the way the calibration does (exposed for tests).
-pub(crate) fn _measurement_deviation(
-    config: &dyn TestConfiguration,
-    sample: &Measurement,
-    nominal: &Measurement,
-) -> f64 {
-    let r_n = config.return_values(nominal, nominal);
-    let r_s = config.return_values(sample, nominal);
-    r_s.iter().zip(&r_n).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -1,536 +1,83 @@
-//! The paper's five test-configuration implementations for the
-//! IV-converter (Table 1).
+//! The paper's five IV-converter test configurations (Table 1): the
+//! committed description files `tests/fixtures/iv_configs/*.cfg`, byte
+//! for byte, interpreted by [`castg_core::DescribedConfig`] — the same
+//! text `castg generate --configs` loads, so the paper experiments and
+//! the CLI run one definition.
 //!
-//! | # | name            | stimulus at `IIN`                  | parameters      | return value        |
-//! |---|-----------------|------------------------------------|-----------------|---------------------|
-//! | 1 | `dc_transfer`   | DC level `lev`                     | `lev`           | `ΔV(out)`           |
-//! | 2 | `supply_current`| DC level `lev`                     | `lev`           | `ΔI(VDD)`           |
-//! | 3 | `thd`           | sine, 5 µA amplitude, offset/freq  | `iindc`, `freq` | `THD(V(out))`       |
-//! | 4 | `step_max_dev`  | step `base → base+elev`, 10 ns ramp| `base`, `elev`  | `Max(ΔV(out))`      |
-//! | 5 | `step_acc_dev`  | same step                          | `base`, `elev`  | `Σ ΔV(out)·Δt`      |
+//! | # | name                  | stimulus at `IIN`                   | parameters      | return value   |
+//! |---|-----------------------|-------------------------------------|-----------------|----------------|
+//! | 1 | `dc_transfer`         | DC level `lev`                      | `lev`           | `ΔV(out)`      |
+//! | 2 | `supply_current`      | DC level `lev`                      | `lev`           | `ΔI(VDD)`      |
+//! | 3 | `harmonic_distortion` | sine, 5 µA amplitude, offset/freq   | `iindc`, `freq` | `THD(V(out))`  |
+//! | 4 | `step_response_1`     | step `base → base+elev`, 10 ns ramp | `base`, `elev`  | `Max(ΔV(out))` |
+//! | 5 | `step_response_2`     | same step                           | `base`, `elev`  | `Σ ΔV(out)·Δt` |
 //!
 //! Configurations #4/#5 sample `V(out)` at 100 MHz for 7.5 µs exactly as
 //! §3.4 prescribes. Two configurations have one parameter, three have
 //! two — matching the paper. The scanned Table 1 is partially garbled;
-//! the reconstruction choices are documented in `DESIGN.md` §6.
+//! the stimulus amplitudes, bounds and seeds are a reconstruction.
 
-use std::sync::{Arc, OnceLock};
-
-use castg_core::{
-    check_params, ConfigDescription, CoreError, Measurement, ParamSpec, PortAction,
-    TestConfiguration,
-};
-use castg_dsp::{metrics, thd, UniformSamples};
-use castg_numeric::{Bounds, ParamSpace};
-use castg_spice::{
-    AnalysisOptions, Circuit, DcAnalysis, IntegrationMethod, Probe, TranAnalysis, Waveform,
-};
-
-use crate::boxes::{calibrate_box, BoxGrid, BoxPolicy};
-use crate::iv_converter::IvConverterParams;
-use crate::{Equipment, ProcessVariation};
-
-/// Sine amplitude of the THD configuration (the paper's 5 µA).
-pub const THD_AMPLITUDE: f64 = 5e-6;
-/// THD measurement: harmonics 2..=5 are accumulated.
-pub const THD_HARMONICS: usize = 5;
-/// THD reported when the output has no measurable fundamental (a stuck
-/// or dead output is maximally distorted).
-pub const THD_STUCK: f64 = 999.0;
-/// Step-response sample rate (100 MHz, §3.4).
-pub const STEP_SAMPLE_RATE: f64 = 100e6;
-/// Step-response record length (7.5 µs, §3.4).
-pub const STEP_TEST_TIME: f64 = 7.5e-6;
-/// Step stimulus ramp time (Table 1: base → base+elev over 10 ns).
-pub const STEP_RISE: f64 = 10e-9;
-/// Step stimulus start time.
-pub const STEP_T0: f64 = 0.5e-6;
-
-const THD_POINTS_PER_PERIOD: usize = 128;
-const THD_SETTLE_PERIODS: usize = 2;
-const THD_MEASURE_PERIODS: usize = 4;
-
-/// The five IV-converter configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IvConfigKind {
-    /// #1 — DC transfer: `ΔV(out)` under a DC input current.
-    DcTransfer,
-    /// #2 — supply current: `ΔI(VDD)` under a DC input current
-    /// (Eckersall-style supply-current monitoring).
-    SupplyCurrent,
-    /// #3 — THD of `V(out)` under a DC-offset sine input current.
-    Thd,
-    /// #4 — maximum deviation of the sampled step response.
-    StepMaxDev,
-    /// #5 — accumulated (integrated) deviation of the sampled step
-    /// response.
-    StepAccDev,
-}
-
-impl IvConfigKind {
-    /// All five kinds in paper order.
-    pub fn all() -> [IvConfigKind; 5] {
-        [
-            IvConfigKind::DcTransfer,
-            IvConfigKind::SupplyCurrent,
-            IvConfigKind::Thd,
-            IvConfigKind::StepMaxDev,
-            IvConfigKind::StepAccDev,
-        ]
-    }
-
-    fn index(&self) -> usize {
-        match self {
-            IvConfigKind::DcTransfer => 0,
-            IvConfigKind::SupplyCurrent => 1,
-            IvConfigKind::Thd => 2,
-            IvConfigKind::StepMaxDev => 3,
-            IvConfigKind::StepAccDev => 4,
-        }
-    }
-}
-
-/// State shared by the five configuration objects of one macro instance.
-pub(crate) struct IvShared {
-    nominal: Circuit,
-    #[allow(dead_code)]
-    params: IvConverterParams,
-    rf: f64,
-    process: ProcessVariation,
-    equipment: Equipment,
-    policy: BoxPolicy,
-    box_grids: [OnceLock<BoxGrid>; 5],
-}
-
-impl IvShared {
-    pub(crate) fn new(
-        nominal: Circuit,
-        params: IvConverterParams,
-        process: ProcessVariation,
-        equipment: Equipment,
-        policy: BoxPolicy,
-    ) -> Self {
-        IvShared {
-            rf: params.rf,
-            nominal,
-            params,
-            process,
-            equipment,
-            policy,
-            box_grids: Default::default(),
-        }
-    }
-}
-
-/// Builds the five configurations sharing one [`IvShared`].
-pub(crate) fn make_iv_configs(shared: Arc<IvShared>) -> Vec<Arc<dyn TestConfiguration>> {
-    IvConfigKind::all()
-        .into_iter()
-        .map(|kind| {
-            Arc::new(IvConfig { kind, shared: Arc::clone(&shared) }) as Arc<dyn TestConfiguration>
-        })
-        .collect()
-}
-
-/// One of the five IV-converter test configurations.
-pub(crate) struct IvConfig {
-    kind: IvConfigKind,
-    shared: Arc<IvShared>,
-}
-
-impl IvConfig {
-    fn out_node(&self, c: &Circuit) -> Result<castg_spice::NodeId, CoreError> {
-        c.find_node("out").ok_or_else(|| CoreError::Configuration {
-            config: self.name().to_string(),
-            reason: "circuit has no `out` node".to_string(),
-        })
-    }
-
-    /// Loosened tolerances for the long transient runs: the measurement
-    /// layer (THD ratio / deviation maxima) dominates the error budget.
-    fn tran_options() -> AnalysisOptions {
-        AnalysisOptions { reltol: 1e-4, ..AnalysisOptions::default() }
-    }
-
-    /// Equipment floor appropriate to this configuration's return value.
-    fn equipment_floor(&self) -> f64 {
-        let e = &self.shared.equipment;
-        match self.kind {
-            IvConfigKind::DcTransfer | IvConfigKind::StepMaxDev => e.voltage_floor,
-            IvConfigKind::SupplyCurrent => e.current_floor,
-            IvConfigKind::Thd => e.thd_floor,
-            IvConfigKind::StepAccDev => e.voltage_floor * STEP_TEST_TIME,
-        }
-    }
-
-    /// Expected response magnitude at `params`, used by the analytic box
-    /// policy (an engineer's estimate; the calibrated policy measures
-    /// the real spread instead).
-    ///
-    /// Every voltage-type estimate includes a constant ~0.5 V term: a
-    /// fault-free but process-shifted device shows an output *offset*
-    /// spread (tens of millivolts after the 5 % policy factor) even with
-    /// zero stimulus, so the box must never collapse to the bare
-    /// equipment floor at the origin of the parameter space — otherwise
-    /// a degenerate zero-amplitude "step" would look like a perfect
-    /// test.
-    fn expected_magnitude(&self, params: &[f64]) -> f64 {
-        let rf = self.shared.rf;
-        const OFFSET_SPREAD_EQ: f64 = 0.5; // volts, before the policy factor
-        match self.kind {
-            IvConfigKind::DcTransfer => params[0].abs() * rf + OFFSET_SPREAD_EQ,
-            // The ±8 % lot spread of the class-A quiescent (~130 µA)
-            // dominates any signal steering; size the estimate so a 3σ
-            // fault-free sample stays inside the analytic box.
-            IvConfigKind::SupplyCurrent => 400e-6 + 2.0 * params[0].abs(),
-            // Percent-scale; good-device distortion spread grows toward
-            // the clipping corner at Iin_dc → 40 µA.
-            IvConfigKind::Thd => 2.0 + 2.0 * (params[0] / 40e-6).abs(),
-            IvConfigKind::StepMaxDev => {
-                (params[0].abs() + params[1].abs()) * rf + OFFSET_SPREAD_EQ
-            }
-            IvConfigKind::StepAccDev => {
-                // The signal contribution integrates over roughly the
-                // post-step window (T/4 equivalent), but a good-device
-                // *offset* integrates over the whole record — weigh it
-                // with the full test time (×3 headroom) so a zero-
-                // elevation "step" cannot masquerade as a perfect test.
-                (params[0].abs() + params[1].abs()) * rf * (STEP_TEST_TIME / 4.0)
-                    + 3.0 * OFFSET_SPREAD_EQ * STEP_TEST_TIME
-            }
-        }
-    }
-}
-
-impl TestConfiguration for IvConfig {
-    fn id(&self) -> usize {
-        self.kind.index() + 1
-    }
-
-    fn name(&self) -> &str {
-        match self.kind {
-            IvConfigKind::DcTransfer => "dc_transfer",
-            IvConfigKind::SupplyCurrent => "supply_current",
-            IvConfigKind::Thd => "thd",
-            IvConfigKind::StepMaxDev => "step_max_dev",
-            IvConfigKind::StepAccDev => "step_acc_dev",
-        }
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        match self.kind {
-            IvConfigKind::DcTransfer | IvConfigKind::SupplyCurrent => vec!["lev".into()],
-            IvConfigKind::Thd => vec!["iindc".into(), "freq".into()],
-            IvConfigKind::StepMaxDev | IvConfigKind::StepAccDev => {
-                vec!["base".into(), "elev".into()]
-            }
-        }
-    }
-
-    fn space(&self) -> ParamSpace {
-        let b = |lo, hi| Bounds::new(lo, hi).expect("static bounds");
-        match self.kind {
-            IvConfigKind::DcTransfer | IvConfigKind::SupplyCurrent => {
-                ParamSpace::new(vec![b(-40e-6, 40e-6)])
-            }
-            // The paper's Figs. 2–4 axes: Iin_dc ∈ [0, 40 µA]; the
-            // frequency axis is bounded by the equipment (1–100 kHz).
-            IvConfigKind::Thd => ParamSpace::new(vec![b(0.0, 40e-6), b(1e3, 100e3)]),
-            IvConfigKind::StepMaxDev | IvConfigKind::StepAccDev => {
-                ParamSpace::new(vec![b(-20e-6, 20e-6), b(-40e-6, 40e-6)])
-            }
-        }
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        match self.kind {
-            IvConfigKind::DcTransfer => vec![20e-6],
-            IvConfigKind::SupplyCurrent => vec![-20e-6],
-            IvConfigKind::Thd => vec![20e-6, 10e3],
-            IvConfigKind::StepMaxDev => vec![0.0, 20e-6],
-            IvConfigKind::StepAccDev => vec![0.0, -20e-6],
-        }
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        match self.kind {
-            IvConfigKind::DcTransfer => {
-                let sol = DcAnalysis::new(circuit)
-                    .override_stimulus("IIN", Waveform::dc(params[0]))
-                    .solve()?;
-                let out = self.out_node(circuit)?;
-                Ok(Measurement::scalar(sol.voltage(out)))
-            }
-            IvConfigKind::SupplyCurrent => {
-                let sol = DcAnalysis::new(circuit)
-                    .override_stimulus("IIN", Waveform::dc(params[0]))
-                    .solve()?;
-                let idd = sol.source_current("VDD").ok_or_else(|| CoreError::Configuration {
-                    config: self.name().to_string(),
-                    reason: "circuit has no `VDD` source".to_string(),
-                })?;
-                Ok(Measurement::scalar(idd))
-            }
-            IvConfigKind::Thd => {
-                let (iindc, freq) = (params[0], params[1]);
-                let out = self.out_node(circuit)?;
-                let period = 1.0 / freq;
-                let dt = period / THD_POINTS_PER_PERIOD as f64;
-                let periods = THD_SETTLE_PERIODS + THD_MEASURE_PERIODS;
-                // Backward Euler: L-stable across the macro's wide
-                // spread of time constants at low stimulus frequencies.
-                let trace = TranAnalysis::with_options(
-                    circuit,
-                    Self::tran_options(),
-                    IntegrationMethod::BackwardEuler,
-                )
-                .override_stimulus("IIN", Waveform::sine(iindc, THD_AMPLITUDE, freq))
-                .run(periods as f64 * period, dt, &[Probe::NodeVoltage(out)])?;
-                let skip = THD_SETTLE_PERIODS * THD_POINTS_PER_PERIOD;
-                let count = THD_MEASURE_PERIODS * THD_POINTS_PER_PERIOD;
-                let column = trace.column(0);
-                let vals = column[skip..(skip + count).min(column.len())].to_vec();
-                let samples = UniformSamples::new(0.0, dt, vals);
-                let d = thd(&samples, freq, THD_HARMONICS).unwrap_or(THD_STUCK);
-                Ok(Measurement::scalar(d))
-            }
-            IvConfigKind::StepMaxDev | IvConfigKind::StepAccDev => {
-                let (base, elev) = (params[0], params[1]);
-                let out = self.out_node(circuit)?;
-                let dt = 1.0 / STEP_SAMPLE_RATE;
-                let trace = TranAnalysis::with_options(
-                    circuit,
-                    Self::tran_options(),
-                    IntegrationMethod::Trapezoidal,
-                )
-                .override_stimulus("IIN", Waveform::step(base, elev, STEP_T0, STEP_RISE))
-                .run(STEP_TEST_TIME, dt, &[Probe::NodeVoltage(out)])?;
-                Ok(Measurement::Waveform(UniformSamples::new(0.0, dt, trace.column(0).to_vec())))
-            }
-        }
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match self.kind {
-            // Δ-type scalar returns (Table 1's Δy).
-            IvConfigKind::DcTransfer | IvConfigKind::SupplyCurrent => {
-                match (measured.as_scalars(), nominal.as_scalars()) {
-                    (Some(m), Some(n)) => vec![m[0] - n[0]],
-                    _ => vec![f64::NAN],
-                }
-            }
-            // Absolute THD value.
-            IvConfigKind::Thd => match measured.as_scalars() {
-                Some(m) => vec![m[0]],
-                None => vec![f64::NAN],
-            },
-            IvConfigKind::StepMaxDev => match (measured.as_waveform(), nominal.as_waveform()) {
-                (Some(m), Some(n)) => vec![metrics::max_abs_deviation(m, n)],
-                _ => vec![f64::NAN],
-            },
-            IvConfigKind::StepAccDev => match (measured.as_waveform(), nominal.as_waveform()) {
-                (Some(m), Some(n)) => vec![metrics::accumulated_deviation(m, n)],
-                _ => vec![f64::NAN],
-            },
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], nominal_returns: &[f64]) -> Vec<f64> {
-        let r_nom = nominal_returns.first().copied().unwrap_or(0.0);
-        // Relative spread on the nominal reading itself. Distortion is a
-        // ratio of small harmonics and spreads by tens of percent across
-        // a fault-free process lot — especially near the clipping corner
-        // where the nominal THD is large — so the THD box must track the
-        // nominal value much more aggressively than a DC meter reading.
-        let rel_on_nominal = match self.kind {
-            IvConfigKind::Thd => 0.25,
-            _ => self.shared.equipment.relative,
-        };
-        let value = match self.shared.policy {
-            BoxPolicy::Analytic { rel, abs } => {
-                rel * self.expected_magnitude(params)
-                    + abs
-                    + self.equipment_floor()
-                    + rel_on_nominal * r_nom.abs()
-            }
-            BoxPolicy::Calibrated { grid_points, mc_samples, seed, margin } => {
-                let grid = self.shared.box_grids[self.kind.index()].get_or_init(|| {
-                    calibrate_box(
-                        self,
-                        &self.shared.nominal,
-                        &self.shared.process,
-                        grid_points,
-                        mc_samples,
-                        seed,
-                        margin,
-                        self.equipment_floor(),
-                    )
-                    .unwrap_or_else(|_| {
-                        // Calibration failure: fall back to a generous
-                        // analytic box so generation can proceed.
-                        BoxGrid::new(
-                            vec![vec![0.0]; params.len()],
-                            vec![0.1 * self.expected_magnitude(params)],
-                            self.equipment_floor(),
-                        )
-                    })
-                });
-                grid.query(params) + rel_on_nominal * r_nom.abs()
-            }
-        };
-        vec![value]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        let space = self.space();
-        let parameters: Vec<ParamSpec> = self
-            .param_names()
-            .into_iter()
-            .enumerate()
-            .map(|(i, name)| ParamSpec {
-                name,
-                lo: space.bounds(i).lo(),
-                hi: space.bounds(i).hi(),
-            })
-            .collect();
-        let seed = self
-            .param_names()
-            .into_iter()
-            .zip(self.seed())
-            .collect::<Vec<(String, f64)>>();
-        let (title, control, observe, ret, variables) = match self.kind {
-            IvConfigKind::DcTransfer => (
-                "DC transfer",
-                "dc(lev)",
-                "dc()",
-                "dV(Vout)",
-                vec![],
-            ),
-            IvConfigKind::SupplyCurrent => (
-                "Supply current",
-                "dc(lev)",
-                "idd()",
-                "dI(VDD)",
-                vec![],
-            ),
-            IvConfigKind::Thd => (
-                "Harmonic distortion",
-                "sine(iindc, amp, freq)",
-                "sample(rate=sa, time=t)",
-                "THD(V(Vout))",
-                vec![("amp".to_string(), THD_AMPLITUDE)],
-            ),
-            IvConfigKind::StepMaxDev => (
-                "Step response 1",
-                "step(base, elev, slew_rate=sl)",
-                "sample(rate=sa, time=t)",
-                "Max(dV(Vout))",
-                vec![
-                    ("sl".to_string(), STEP_RISE),
-                    ("sa".to_string(), STEP_SAMPLE_RATE),
-                    ("t".to_string(), STEP_TEST_TIME),
-                ],
-            ),
-            IvConfigKind::StepAccDev => (
-                "Step response 2",
-                "step(base, elev, slew_rate=sl)",
-                "sample(rate=sa, time=t)",
-                "acc(dV(Vout))",
-                vec![
-                    ("sl".to_string(), STEP_RISE),
-                    ("sa".to_string(), STEP_SAMPLE_RATE),
-                    ("t".to_string(), STEP_TEST_TIME),
-                ],
-            ),
-        };
-        ConfigDescription {
-            macro_type: "IV-converter".into(),
-            title: title.into(),
-            controls: vec![PortAction { node: "Iin".into(), action: control.into() }],
-            observes: vec![PortAction { node: "Vout".into(), action: observe.into() }],
-            return_value: ret.into(),
-            parameters,
-            variables,
-            seed,
-        }
-    }
-}
+/// The five description texts, in paper order (ids #1…#5).
+pub(crate) const IV_CONFIGS: [&str; 5] = [
+    include_str!("../../../tests/fixtures/iv_configs/1_dc_transfer.cfg"),
+    include_str!("../../../tests/fixtures/iv_configs/2_supply_current.cfg"),
+    include_str!("../../../tests/fixtures/iv_configs/3_thd.cfg"),
+    include_str!("../../../tests/fixtures/iv_configs/4_step_max_dev.cfg"),
+    include_str!("../../../tests/fixtures/iv_configs/5_step_acc_dev.cfg"),
+];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::IvConverter;
-    use castg_core::AnalogMacro;
+    use crate::{BoxPolicy, IvConverter};
+    use castg_core::{AnalogMacro, ConfigDescription, TestConfiguration};
+    use std::sync::Arc;
 
-    fn fast_macro() -> IvConverter {
-        IvConverter::with_analytic_boxes()
+    fn configs() -> Vec<Arc<dyn TestConfiguration>> {
+        IvConverter::with_analytic_boxes().configurations()
     }
 
-    #[test]
-    fn five_configs_with_paper_arities() {
-        let mac = fast_macro();
-        let configs = mac.configurations();
-        assert_eq!(configs.len(), 5);
-        let arities: Vec<usize> = configs.iter().map(|c| c.space().dim()).collect();
-        // Two one-parameter, three two-parameter configurations (§3.4).
-        assert_eq!(arities.iter().filter(|&&a| a == 1).count(), 2);
-        assert_eq!(arities.iter().filter(|&&a| a == 2).count(), 3);
-        // Ids are #1..#5 and names unique.
-        let ids: Vec<usize> = configs.iter().map(|c| c.id()).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+    fn circuit() -> castg_spice::Circuit {
+        IvConverter::with_analytic_boxes().nominal_circuit()
     }
 
     #[test]
     fn seeds_are_inside_bounds() {
-        for c in fast_macro().configurations() {
+        for c in configs() {
             assert!(c.space().contains(&c.seed()), "seed of {} out of bounds", c.name());
         }
     }
 
     #[test]
     fn dc_transfer_tracks_rf() {
-        let mac = fast_macro();
-        let circuit = mac.nominal_circuit();
-        let configs = mac.configurations();
+        let (circuit, configs) = (circuit(), configs());
         let c1 = &configs[0];
-        let m0 = c1.measure(&circuit, &[0.0]).unwrap();
-        let m1 = c1.measure(&circuit, &[10e-6]).unwrap();
-        let v0 = m0.as_scalars().unwrap()[0];
-        let v1 = m1.as_scalars().unwrap()[0];
+        let v0 = c1.measure(&circuit, &[0.0]).unwrap().as_scalars().unwrap()[0];
+        let v1 = c1.measure(&circuit, &[10e-6]).unwrap().as_scalars().unwrap()[0];
         assert!(((v1 - v0) / 10e-6 - 39e3).abs() < 2e3, "gain {}", (v1 - v0) / 10e-6);
     }
 
     #[test]
     fn supply_current_measures_vdd_branch() {
-        let mac = fast_macro();
-        let circuit = mac.nominal_circuit();
-        let configs = mac.configurations();
-        let m = configs[1].measure(&circuit, &[0.0]).unwrap();
+        let m = configs()[1].measure(&circuit(), &[0.0]).unwrap();
         let idd = m.as_scalars().unwrap()[0];
         assert!(idd < -50e-6 && idd > -400e-6, "idd {idd}");
     }
 
     #[test]
     fn thd_is_small_mid_range_and_larger_near_clipping() {
-        let mac = fast_macro();
-        let circuit = mac.nominal_circuit();
-        let configs = mac.configurations();
-        let thd_cfg = &configs[2];
-        let mid = thd_cfg.measure(&circuit, &[10e-6, 10e3]).unwrap().as_scalars().unwrap()[0];
-        let edge = thd_cfg.measure(&circuit, &[40e-6, 10e3]).unwrap().as_scalars().unwrap()[0];
+        let (circuit, configs) = (circuit(), configs());
+        let thd = |p: [f64; 2]| configs[2].measure(&circuit, &p).unwrap().as_scalars().unwrap()[0];
+        let mid = thd([10e-6, 10e3]);
+        let edge = thd([40e-6, 10e3]);
         assert!((0.0..10.0).contains(&mid), "mid-range THD {mid}");
         assert!(edge > mid, "clipping must raise THD: {edge} !> {mid}");
     }
 
     #[test]
     fn step_config_samples_at_100mhz_for_7us5() {
-        let mac = fast_macro();
-        let circuit = mac.nominal_circuit();
-        let configs = mac.configurations();
-        let m = configs[3].measure(&circuit, &[0.0, 20e-6]).unwrap();
+        let m = configs()[3].measure(&circuit(), &[0.0, 20e-6]).unwrap();
         let w = m.as_waveform().unwrap();
-        assert_eq!(w.dt(), 1.0 / STEP_SAMPLE_RATE);
+        assert_eq!(w.dt(), 1.0 / 100e6);
         assert_eq!(w.len(), 751); // t = 0 plus 750 samples
         // Step of 20 µA over 39 kΩ ≈ 0.78 V swing.
         let swing = w.values().last().unwrap() - w.values()[0];
@@ -539,22 +86,16 @@ mod tests {
 
     #[test]
     fn step_acc_dev_is_zero_for_nominal_vs_nominal() {
-        let mac = fast_macro();
-        let circuit = mac.nominal_circuit();
-        let configs = mac.configurations();
-        let m = configs[4].measure(&circuit, &[0.0, 10e-6]).unwrap();
-        let r = configs[4].return_values(&m, &m);
-        assert_eq!(r, vec![0.0]);
+        let configs = configs();
+        let m = configs[4].measure(&circuit(), &[0.0, 10e-6]).unwrap();
+        assert_eq!(configs[4].return_values(&m, &m), vec![0.0]);
     }
 
     #[test]
     fn boxes_are_positive_everywhere() {
-        let mac = fast_macro();
-        for c in mac.configurations() {
+        for c in configs() {
             let space = c.space();
-            let probe_points: Vec<Vec<f64>> =
-                vec![space.center(), space.clamp(&c.seed())];
-            for p in probe_points {
+            for p in [space.center(), space.clamp(&c.seed())] {
                 let b = c.tolerance_box(&p, &[0.0]);
                 assert!(b[0] > 0.0, "box of {} at {:?} is {}", c.name(), p, b[0]);
             }
@@ -563,13 +104,13 @@ mod tests {
 
     #[test]
     fn descriptions_have_table1_structure() {
-        let mac = fast_macro();
-        for c in mac.configurations() {
+        for c in configs() {
             let d = c.description();
             assert_eq!(d.macro_type, "IV-converter");
             assert_eq!(d.controls.len(), 1);
-            assert_eq!(d.controls[0].node, "Iin");
-            assert_eq!(d.observes[0].node, "Vout");
+            assert_eq!(d.controls[0].node, "IIN");
+            let observed = if c.id() == 2 { "VDD" } else { "out" };
+            assert_eq!(d.observes[0].node, observed);
             assert_eq!(d.parameters.len(), c.space().dim());
             // Round-trip through the Fig.-1 text format.
             let parsed = ConfigDescription::parse(&d.to_string()).unwrap();
@@ -579,12 +120,11 @@ mod tests {
 
     #[test]
     fn calibrated_box_policy_measures_real_spread() {
-        use crate::BoxPolicy;
         // Small calibration (3 grid points × 3 Monte-Carlo samples) on
         // the two DC-based configurations: the calibrated box must
-        // exceed the bare equipment floor (process spread is real) and
-        // stay finite.
-        let mac = crate::IvConverter::new().with_box_policy(BoxPolicy::Calibrated {
+        // exceed the `.cfg` floor (process spread is real) and stay
+        // finite.
+        let mac = IvConverter::new().with_box_policy(BoxPolicy::Calibrated {
             grid_points: 3,
             mc_samples: 3,
             seed: 11,
@@ -600,9 +140,7 @@ mod tests {
 
     #[test]
     fn strong_bridge_detected_by_dc_transfer() {
-        let mac = fast_macro();
-        let circuit = mac.nominal_circuit();
-        let configs = mac.configurations();
+        let (circuit, configs) = (circuit(), configs());
         let cache = castg_core::NominalCache::new();
         let ev = castg_core::Evaluator::new(configs[0].as_ref(), &circuit, &cache);
         // Bridge the output to the input node: destroys the closed loop.

@@ -35,45 +35,15 @@ use castg_faults::{
 use castg_spice::{Circuit, MosParams, MosPolarity, Waveform};
 use std::sync::Arc;
 
-use crate::iv_configs::{make_iv_configs, IvShared};
-use crate::{BoxPolicy, Equipment, ProcessVariation};
+use crate::iv_configs::IV_CONFIGS;
+use crate::BoxPolicy;
 
-/// Electrical parameters of the IV-converter design.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IvConverterParams {
-    /// Supply voltage (V).
-    pub vdd: f64,
-    /// Feedback (transimpedance) resistance (Ω).
-    pub rf: f64,
-    /// Feedback capacitance (F).
-    pub cf: f64,
-    /// Bias reference current (A).
-    pub ibias: f64,
-    /// Miller compensation capacitance (F).
-    pub cc: f64,
-    /// Compensation zero-nulling resistance (Ω).
-    pub rz: f64,
-}
-
-impl Default for IvConverterParams {
-    fn default() -> Self {
-        IvConverterParams {
-            vdd: 5.0,
-            rf: 39e3,
-            cf: 1.5e-12,
-            ibias: 20e-6,
-            cc: 4e-12,
-            rz: 2e3,
-        }
-    }
-}
-
-/// The IV-converter macro (see the module docs for the topology).
+/// The IV-converter macro (see the module docs for the topology). Its
+/// five test configurations are the committed
+/// `tests/fixtures/iv_configs/*.cfg` descriptions; the [`BoxPolicy`]
+/// picks their tolerance boxes.
 #[derive(Debug, Clone)]
 pub struct IvConverter {
-    params: IvConverterParams,
-    process: ProcessVariation,
-    equipment: Equipment,
     box_policy: BoxPolicy,
 }
 
@@ -83,39 +53,16 @@ impl IvConverter {
     /// Dictionary impact of pinhole faults (2 kΩ, §3.4).
     pub const PINHOLE_R0: f64 = 2e3;
 
-    /// Creates the macro with default parameters and Monte-Carlo
-    /// calibrated box-functions.
+    /// Creates the macro with Monte-Carlo calibrated box-functions.
     pub fn new() -> Self {
-        IvConverter {
-            params: IvConverterParams::default(),
-            process: ProcessVariation::default(),
-            equipment: Equipment::default(),
-            box_policy: BoxPolicy::calibrated_default(),
-        }
+        IvConverter { box_policy: BoxPolicy::calibrated_default() }
     }
 
-    /// Creates the macro with analytic (uncalibrated) box-functions —
-    /// much faster to start up; used by unit tests and quick demos.
+    /// Creates the macro with the `.cfg` files' analytic boxes — much
+    /// faster to start up; used by unit tests, the goldens and quick
+    /// demos.
     pub fn with_analytic_boxes() -> Self {
-        IvConverter { box_policy: BoxPolicy::Analytic { rel: 0.05, abs: 0.0 }, ..Self::new() }
-    }
-
-    /// Overrides the electrical design parameters.
-    pub fn with_params(mut self, params: IvConverterParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Overrides the process-variation model used for box calibration.
-    pub fn with_process(mut self, process: ProcessVariation) -> Self {
-        self.process = process;
-        self
-    }
-
-    /// Overrides the equipment-accuracy model.
-    pub fn with_equipment(mut self, equipment: Equipment) -> Self {
-        self.equipment = equipment;
-        self
+        IvConverter { box_policy: BoxPolicy::Analytic }
     }
 
     /// Overrides the box policy.
@@ -124,14 +71,8 @@ impl IvConverter {
         self
     }
 
-    /// The design parameters.
-    pub fn params(&self) -> &IvConverterParams {
-        &self.params
-    }
-
     /// Builds the netlist.
     pub fn build_circuit(&self) -> Circuit {
-        let p = &self.params;
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let vref = c.node("vref");
@@ -146,7 +87,7 @@ impl IvConverter {
         let gnd = Circuit::GROUND;
 
         // Supply and stimulus.
-        c.add_vsource("VDD", vdd, gnd, Waveform::dc(p.vdd)).expect("fresh netlist");
+        c.add_vsource("VDD", vdd, gnd, Waveform::dc(5.0)).expect("fresh netlist");
         c.add_isource("IIN", inn, gnd, Waveform::dc(0.0)).expect("fresh netlist");
 
         // Reference divider.
@@ -156,7 +97,7 @@ impl IvConverter {
 
         // Bias chain: IBIAS into the NMOS diode M10; M9 mirrors it into
         // the PMOS diode M8, generating biasp.
-        c.add_isource("IBIAS", vdd, biasn, Waveform::dc(p.ibias)).expect("fresh netlist");
+        c.add_isource("IBIAS", vdd, biasn, Waveform::dc(20e-6)).expect("fresh netlist");
         c.add_mosfet(
             "M10",
             biasn,
@@ -267,21 +208,11 @@ impl IvConverter {
         .expect("fresh netlist");
 
         // Compensation and feedback.
-        c.add_resistor("RZ", na, nz, p.rz).expect("fresh netlist");
-        c.add_capacitor("CC", nz, out, p.cc).expect("fresh netlist");
-        c.add_resistor("RF", out, inn, p.rf).expect("fresh netlist");
-        c.add_capacitor("CF", out, inn, p.cf).expect("fresh netlist");
+        c.add_resistor("RZ", na, nz, 2e3).expect("fresh netlist");
+        c.add_capacitor("CC", nz, out, 4e-12).expect("fresh netlist");
+        c.add_resistor("RF", out, inn, 39e3).expect("fresh netlist");
+        c.add_capacitor("CF", out, inn, 1.5e-12).expect("fresh netlist");
         c
-    }
-
-    pub(crate) fn shared(&self) -> Arc<IvShared> {
-        Arc::new(IvShared::new(
-            self.build_circuit(),
-            self.params,
-            self.process,
-            self.equipment,
-            self.box_policy,
-        ))
     }
 }
 
@@ -321,7 +252,7 @@ impl AnalogMacro for IvConverter {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        make_iv_configs(self.shared())
+        self.box_policy.apply(&self.build_circuit(), crate::described(&IV_CONFIGS))
     }
 }
 
@@ -367,11 +298,7 @@ mod tests {
         c.set_stimulus("IIN", Waveform::dc(10e-6)).unwrap();
         let v1 = solve(&c).voltage(out);
         let gain = (v1 - v0) / 10e-6;
-        assert!(
-            (gain - iv.params().rf).abs() / iv.params().rf < 0.03,
-            "transimpedance {gain} vs RF {}",
-            iv.params().rf
-        );
+        assert!((gain - 39e3).abs() / 39e3 < 0.03, "transimpedance {gain} vs RF 39 kΩ");
     }
 
     #[test]

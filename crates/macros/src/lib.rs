@@ -9,18 +9,23 @@
 //! bridge pairs) and **10 transistors** (10 pinholes), so the fault
 //! universe matches the paper's.
 //!
+//! Every macro's test configurations are Fig.-1 description text run
+//! by [`castg_core::DescribedConfig`]. The IV-converter's five Table-1
+//! configurations (DC transfer, supply current, THD, step
+//! max-deviation, step accumulated-deviation) and the bipolar op-amp's
+//! two are the committed fixture files `tests/fixtures/iv_configs/*.cfg`
+//! and `tests/fixtures/bjt_configs/*.cfg` — the same files
+//! `castg generate --configs` loads. Their `box_*` variables fold the
+//! equipment accuracy into the box (§2.2).
+//!
 //! The crate also provides:
 //!
-//! * [`IvConfigKind`] — the five test-configuration implementations of
-//!   Table 1 (DC transfer, supply current, THD, step max-deviation,
-//!   step accumulated-deviation),
 //! * [`ProcessVariation`] — a lot-plus-mismatch process model used to
 //!   calibrate tolerance boxes by Monte Carlo,
-//! * [`Equipment`] — measurement-accuracy floors folded into the boxes
-//!   (§2.2 includes equipment accuracy in the box),
-//! * [`BoxGrid`] / [`calibrate_box`] — the paper's *box-functions*:
-//!   cheap per-configuration estimators of the tolerance-box value at
-//!   any parameter vector,
+//! * [`BoxPolicy`] / [`BoxGrid`] / [`calibrate_box`] — the paper's
+//!   *box-functions*: cheap per-configuration estimators of the
+//!   tolerance-box value at any parameter vector, calibrated through
+//!   any configuration,
 //! * [`OtaBuffer`] — a second, smaller macro demonstrating that the
 //!   framework generalizes beyond the IV-converter,
 //! * [`BjtOpAmp`] — a bipolar (diode + BJT) two-stage follower whose
@@ -45,7 +50,6 @@
 
 mod bjt_opamp;
 mod boxes;
-mod equipment;
 mod iv_configs;
 mod iv_converter;
 mod ota;
@@ -53,8 +57,24 @@ mod process;
 
 pub use bjt_opamp::BjtOpAmp;
 pub use boxes::{calibrate_box, BoxGrid, BoxPolicy};
-pub use equipment::Equipment;
-pub use iv_configs::IvConfigKind;
-pub use iv_converter::{IvConverter, IvConverterParams};
+pub use iv_converter::IvConverter;
 pub use ota::OtaBuffer;
 pub use process::ProcessVariation;
+
+use std::sync::Arc;
+
+use castg_core::{ConfigDescription, DescribedConfig, TestConfiguration};
+
+/// Interprets a macro's built-in description texts, ids 1… in order.
+fn described(texts: &[&str]) -> Vec<Arc<dyn TestConfiguration>> {
+    texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let descr = ConfigDescription::parse(text).expect("built-in descriptions parse");
+            let config =
+                DescribedConfig::new(i + 1, descr).expect("built-in descriptions interpret");
+            Arc::new(config) as Arc<dyn TestConfiguration>
+        })
+        .collect()
+}

@@ -7,17 +7,44 @@
 
 use std::sync::Arc;
 
-use castg_core::{
-    check_params, AnalogMacro, ConfigDescription, CoreError, Measurement, ParamSpec, PortAction,
-    TestConfiguration,
-};
+use castg_core::{AnalogMacro, TestConfiguration};
 use castg_faults::{
     exhaustive_bridge_faults, exhaustive_pinhole_faults, FaultDictionary,
 };
-use castg_numeric::{Bounds, ParamSpace};
-use castg_spice::{Circuit, DcAnalysis, MosParams, MosPolarity, Waveform};
+use castg_spice::{Circuit, MosParams, MosPolarity, Waveform};
 
-use crate::Equipment;
+/// The two test configurations: the DC follower output (2 % of the
+/// input level plus a 1 mV voltmeter floor) and the VDD supply current
+/// (8 µA plus a 50 nA ammeter floor), each with 0.5 % of the nominal
+/// reading.
+const OTA_CONFIGS: [&str; 2] = [
+    "\
+macro type: OTA-buffer
+test configuration: DC follow
+control VIN: dc(vin)
+observe out: dc()
+return: dV(out)
+parameter vin: 1.2 .. 4
+variable box_rel: 0.02
+variable box_gain: 1
+variable box_floor: 1e-3
+variable box_rel_nom: 5e-3
+seed vin: 2.5
+",
+    "\
+macro type: OTA-buffer
+test configuration: Supply current
+control VIN: dc(vin)
+observe VDD: i()
+return: dI(VDD)
+parameter vin: 1.2 .. 4
+variable box_rel: 0
+variable box_abs: 8e-6
+variable box_floor: 5e-8
+variable box_rel_nom: 5e-3
+seed vin: 2.5
+",
+];
 
 /// A five-transistor NMOS-input OTA wired as a unity-gain voltage
 /// follower. Fault sites: `vdd`, `vin`, `tail`, `nmir`, `out` (10
@@ -121,118 +148,14 @@ impl AnalogMacro for OtaBuffer {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        vec![
-            Arc::new(OtaConfig { kind: OtaConfigKind::DcFollow }),
-            Arc::new(OtaConfig { kind: OtaConfigKind::SupplyCurrent }),
-        ]
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OtaConfigKind {
-    DcFollow,
-    SupplyCurrent,
-}
-
-struct OtaConfig {
-    kind: OtaConfigKind,
-}
-
-impl TestConfiguration for OtaConfig {
-    fn id(&self) -> usize {
-        match self.kind {
-            OtaConfigKind::DcFollow => 1,
-            OtaConfigKind::SupplyCurrent => 2,
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self.kind {
-            OtaConfigKind::DcFollow => "dc_follow",
-            OtaConfigKind::SupplyCurrent => "supply_current",
-        }
-    }
-
-    fn param_names(&self) -> Vec<String> {
-        vec!["vin".into()]
-    }
-
-    fn space(&self) -> ParamSpace {
-        ParamSpace::new(vec![Bounds::new(1.2, 4.0).expect("static bounds")])
-    }
-
-    fn seed(&self) -> Vec<f64> {
-        vec![2.5]
-    }
-
-    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
-        check_params(self, params)?;
-        let mut c = circuit.clone();
-        c.set_stimulus("VIN", Waveform::dc(params[0]))?;
-        let sol = DcAnalysis::new(&c).solve()?;
-        match self.kind {
-            OtaConfigKind::DcFollow => {
-                let out = c.find_node("out").ok_or_else(|| CoreError::Configuration {
-                    config: self.name().to_string(),
-                    reason: "no `out` node".to_string(),
-                })?;
-                Ok(Measurement::scalar(sol.voltage(out)))
-            }
-            OtaConfigKind::SupplyCurrent => Ok(Measurement::scalar(
-                sol.source_current("VDD").ok_or_else(|| CoreError::Configuration {
-                    config: self.name().to_string(),
-                    reason: "no `VDD` source".to_string(),
-                })?,
-            )),
-        }
-    }
-
-    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
-        match (measured.as_scalars(), nominal.as_scalars()) {
-            (Some(m), Some(n)) => vec![m[0] - n[0]],
-            _ => vec![f64::NAN],
-        }
-    }
-
-    fn tolerance_box(&self, params: &[f64], nominal_returns: &[f64]) -> Vec<f64> {
-        let e = Equipment::default();
-        let r_nom = nominal_returns.first().copied().unwrap_or(0.0);
-        let v = match self.kind {
-            OtaConfigKind::DcFollow => 0.02 * params[0] + e.voltage_floor,
-            OtaConfigKind::SupplyCurrent => 8e-6 + e.current_floor,
-        };
-        vec![v + e.relative * r_nom.abs()]
-    }
-
-    fn description(&self) -> ConfigDescription {
-        ConfigDescription {
-            macro_type: "OTA-buffer".into(),
-            title: match self.kind {
-                OtaConfigKind::DcFollow => "DC follow".into(),
-                OtaConfigKind::SupplyCurrent => "Supply current".into(),
-            },
-            controls: vec![PortAction { node: "vin".into(), action: "dc(vin)".into() }],
-            observes: vec![PortAction {
-                node: match self.kind {
-                    OtaConfigKind::DcFollow => "out".into(),
-                    OtaConfigKind::SupplyCurrent => "VDD".into(),
-                },
-                action: "dc()".into(),
-            }],
-            return_value: match self.kind {
-                OtaConfigKind::DcFollow => "dV(out)".into(),
-                OtaConfigKind::SupplyCurrent => "dI(VDD)".into(),
-            },
-            parameters: vec![ParamSpec { name: "vin".into(), lo: 1.2, hi: 4.0 }],
-            variables: vec![],
-            seed: vec![("vin".into(), 2.5)],
-        }
+        crate::described(&OTA_CONFIGS)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use castg_spice::DcAnalysis;
 
     #[test]
     fn buffer_follows_input() {

@@ -58,6 +58,8 @@ fn five_configurations_with_paper_structure() {
     let one_param = configs.iter().filter(|c| c.space().dim() == 1).count();
     let two_param = configs.iter().filter(|c| c.space().dim() == 2).count();
     assert_eq!((one_param, two_param), (2, 3));
+    let ids: Vec<usize> = configs.iter().map(|c| c.id()).collect();
+    assert_eq!(ids, [1, 2, 3, 4, 5]);
 }
 
 #[test]
