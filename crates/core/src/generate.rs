@@ -19,7 +19,18 @@
 //! 3. **Critical impact.** The surviving test's *critical impact level* —
 //!    the weakest impact scale it still detects — is located by
 //!    bisection; the compaction screen can evaluate there.
+//!
+//! The three steps revisit points: Powell's second sweep replays the
+//! first sweep's line search when the other axis did not move, step 3
+//! starts at the scale-1 round the selection already ran, and the
+//! bisection can land on the softened scale of step 1. Within one fault
+//! each `S_f` is therefore simulated once per configuration, impact
+//! scale and parameter point (bit for bit), and a repeat is answered
+//! from a memo. [`BestTest::evaluations`] still counts every objective
+//! call, repeats included.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -122,7 +133,11 @@ pub struct BestTest {
     /// impact and the model had to be intensified to find the most
     /// sensitive test.
     pub required_intensify: bool,
-    /// Simulator evaluations spent on this fault.
+    /// Objective evaluations spent on this fault: every `S_f` the
+    /// optimizers, the selection loop and the critical-impact search
+    /// asked for, including repeats of an earlier point, which are
+    /// answered without simulating (see the module doc). A column of
+    /// `results/generation.csv`.
     pub evaluations: usize,
 }
 
@@ -204,6 +219,40 @@ struct Candidate {
     evaluations: usize,
 }
 
+/// A point of one fault's generation: configuration index, impact-scale
+/// bits and parameter bits.
+type Point = (usize, u64, Vec<u64>);
+
+/// `S_f` of the fault under generation by [`Point`] (see the module
+/// doc): a simulation is a pure function of the point.
+#[derive(Default)]
+struct SensitivityMemo(RefCell<HashMap<Point, f64>>);
+
+impl SensitivityMemo {
+    /// The memoized `S_f` of `fault` at `params` under configuration
+    /// `config_idx`, running `measure` only on a miss. Errors are not
+    /// kept.
+    fn get_or_measure(
+        &self,
+        config_idx: usize,
+        fault: &Fault,
+        params: &[f64],
+        measure: impl FnOnce() -> Result<f64, CoreError>,
+    ) -> Result<f64, CoreError> {
+        let key: Point = (
+            config_idx,
+            fault.impact_scale().to_bits(),
+            params.iter().map(|p| p.to_bits()).collect(),
+        );
+        if let Some(&s) = self.0.borrow().get(&key) {
+            return Ok(s);
+        }
+        let s = measure()?;
+        self.0.borrow_mut().insert(key, s);
+        Ok(s)
+    }
+}
+
 /// The test generator: owns the macro's nominal circuit and configuration
 /// set, and runs the Fig.-6 flow per fault.
 pub struct Generator<'a> {
@@ -272,6 +321,7 @@ impl<'a> Generator<'a> {
             });
         }
         let mut evaluations = 0usize;
+        let memo = SensitivityMemo::default();
         log(format!("fault under generation: {fault}"));
 
         // Step 1: per-configuration parameter optimization on the
@@ -285,7 +335,7 @@ impl<'a> Generator<'a> {
         ));
         let mut candidates = Vec::with_capacity(self.configs.len());
         for (idx, config) in self.configs.iter().enumerate() {
-            let cand = self.optimize_config(idx, config.as_ref(), &soft)?;
+            let cand = self.optimize_config(&memo, idx, &soft)?;
             log(format!(
                 "  config #{} {:<14} T* = {:?} ({} simulator evaluations)",
                 config.id(),
@@ -300,8 +350,10 @@ impl<'a> Generator<'a> {
         // Step 2: select the best test by impact manipulation.
         log("step 2: select by fault-impact relax/intensify".to_string());
         let (winner_idx, required_intensify, sel_evals) = match self.options.selection {
-            SelectionMethod::PaperIterative => self.select_iterative(fault, &candidates)?,
-            SelectionMethod::MaxCriticalImpact => self.select_by_critical(fault, &candidates)?,
+            SelectionMethod::PaperIterative => self.select_iterative(&memo, fault, &candidates)?,
+            SelectionMethod::MaxCriticalImpact => {
+                self.select_by_critical(&memo, fault, &candidates)?
+            }
         };
         evaluations += sel_evals;
         let winner = &candidates[winner_idx];
@@ -312,14 +364,12 @@ impl<'a> Generator<'a> {
             config.name(),
             required_intensify
         ));
-        let ev = Evaluator::new(config.as_ref(), &self.nominal, self.cache);
 
         // Step 3: dictionary-impact sensitivity and critical impact.
-        let dict_circuit = ev.inject(fault)?;
-        let s_dict = ev.sensitivity_of(&dict_circuit, &winner.params)?;
+        let s_dict = self.sensitivity(&memo, winner.config_idx, fault, &winner.params)?;
         evaluations += 1;
         let (critical_scale, crit_evals) =
-            self.critical_scale(&ev, fault, &winner.params, s_dict)?;
+            self.critical_scale(&memo, winner.config_idx, fault, &winner.params, s_dict)?;
         evaluations += crit_evals;
         log(format!(
             "step 3: S_f at dictionary impact = {s_dict:.4}; critical impact scale = \
@@ -385,10 +435,11 @@ impl<'a> Generator<'a> {
     /// do worse than the seed test.
     fn optimize_config(
         &self,
+        memo: &SensitivityMemo,
         config_idx: usize,
-        config: &dyn TestConfiguration,
         soft: &Fault,
     ) -> Result<Candidate, CoreError> {
+        let config = self.configs[config_idx].as_ref();
         let ev = Evaluator::new(config, &self.nominal, self.cache);
         let faulty = ev.inject(soft)?;
         let space = config.space();
@@ -397,7 +448,8 @@ impl<'a> Generator<'a> {
             evals.fetch_add(1, Ordering::Relaxed);
             // Injection cannot fail here (already injected); nominal
             // failure means this parameter region is unusable.
-            ev.sensitivity_of(&faulty, params).unwrap_or(f64::INFINITY)
+            memo.get_or_measure(config_idx, soft, params, || ev.sensitivity_of(&faulty, params))
+                .unwrap_or(f64::INFINITY)
         };
 
         let seed = space.clamp(&config.seed());
@@ -427,6 +479,7 @@ impl<'a> Generator<'a> {
     /// Returns `(winner index, required_intensify, evaluations)`.
     fn select_iterative(
         &self,
+        memo: &SensitivityMemo,
         fault: &Fault,
         candidates: &[Candidate],
     ) -> Result<(usize, bool, usize), CoreError> {
@@ -442,7 +495,7 @@ impl<'a> Generator<'a> {
 
         for _ in 0..opts.max_rounds {
             let scaled = fault.with_impact_scale(scale);
-            let sens = self.sensitivities_at(&scaled, candidates)?;
+            let sens = self.sensitivities_at(memo, &scaled, candidates)?;
             evals += candidates.len();
             let (best_idx, best_s) = argmin(&sens);
             if fallback.is_none_or(|(_, s)| best_s < s) {
@@ -482,18 +535,17 @@ impl<'a> Generator<'a> {
     /// pick the candidate that keeps detecting at the weakest impact.
     fn select_by_critical(
         &self,
+        memo: &SensitivityMemo,
         fault: &Fault,
         candidates: &[Candidate],
     ) -> Result<(usize, bool, usize), CoreError> {
         let mut evals = 0usize;
         let mut best: Option<(usize, f64, f64)> = None; // (idx, crit, s_dict)
         for (i, cand) in candidates.iter().enumerate() {
-            let config = &self.configs[cand.config_idx];
-            let ev = Evaluator::new(config.as_ref(), &self.nominal, self.cache);
-            let circuit = ev.inject(fault)?;
-            let s_dict = ev.sensitivity_of(&circuit, &cand.params)?;
+            let s_dict = self.sensitivity(memo, cand.config_idx, fault, &cand.params)?;
             evals += 1;
-            let (crit, e) = self.critical_scale(&ev, fault, &cand.params, s_dict)?;
+            let (crit, e) =
+                self.critical_scale(memo, cand.config_idx, fault, &cand.params, s_dict)?;
             evals += e;
             // Prefer the largest critical scale; break ties on s_dict.
             let better = match &best {
@@ -515,7 +567,8 @@ impl<'a> Generator<'a> {
     /// computed sensitivity at scale 1.
     fn critical_scale(
         &self,
-        ev: &Evaluator<'_>,
+        memo: &SensitivityMemo,
+        config_idx: usize,
         fault: &Fault,
         params: &[f64],
         s_dict: f64,
@@ -523,9 +576,9 @@ impl<'a> Generator<'a> {
         let opts = &self.options;
         let mut evals = 0usize;
         let mut probe = |scale: f64| -> Result<bool, CoreError> {
-            let circuit = ev.inject(&fault.with_impact_scale(scale))?;
             evals += 1;
-            Ok(is_detected(ev.sensitivity_of(&circuit, params)?))
+            let s = self.sensitivity(memo, config_idx, &fault.with_impact_scale(scale), params)?;
+            Ok(is_detected(s))
         };
 
         // Establish a bracket [detected, undetected].
@@ -581,17 +634,30 @@ impl<'a> Generator<'a> {
     /// Evaluates each candidate's sensitivity against a scaled fault.
     fn sensitivities_at(
         &self,
+        memo: &SensitivityMemo,
         fault: &Fault,
         candidates: &[Candidate],
     ) -> Result<Vec<f64>, CoreError> {
-        let mut out = Vec::with_capacity(candidates.len());
-        for cand in candidates {
-            let config = &self.configs[cand.config_idx];
-            let ev = Evaluator::new(config.as_ref(), &self.nominal, self.cache);
-            let circuit = ev.inject(fault)?;
-            out.push(ev.sensitivity_of(&circuit, &cand.params)?);
-        }
-        Ok(out)
+        candidates
+            .iter()
+            .map(|cand| self.sensitivity(memo, cand.config_idx, fault, &cand.params))
+            .collect()
+    }
+
+    /// `S_f` of `fault` at `params` under configuration `config_idx`,
+    /// injecting and simulating only when `memo` has no value for the
+    /// point.
+    fn sensitivity(
+        &self,
+        memo: &SensitivityMemo,
+        config_idx: usize,
+        fault: &Fault,
+        params: &[f64],
+    ) -> Result<f64, CoreError> {
+        memo.get_or_measure(config_idx, fault, params, || {
+            let ev = Evaluator::new(self.configs[config_idx].as_ref(), &self.nominal, self.cache);
+            ev.sensitivity_of(&ev.inject(fault)?, params)
+        })
     }
 }
 
@@ -708,6 +774,89 @@ mod tests {
         for t in report.undetected() {
             assert!(!t.detected_at_dictionary);
         }
+    }
+
+    /// A configuration that records, for every `measure()` on a bridged
+    /// circuit, the bridge resistance and the parameter bits.
+    struct Recording {
+        inner: std::sync::Arc<dyn TestConfiguration>,
+        faulted: Mutex<Vec<(u64, Vec<u64>)>>,
+    }
+
+    impl TestConfiguration for Recording {
+        fn id(&self) -> usize {
+            self.inner.id()
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn param_names(&self) -> Vec<String> {
+            self.inner.param_names()
+        }
+        fn space(&self) -> castg_numeric::ParamSpace {
+            self.inner.space()
+        }
+        fn seed(&self) -> Vec<f64> {
+            self.inner.seed()
+        }
+        fn measure(
+            &self,
+            circuit: &Circuit,
+            params: &[f64],
+        ) -> Result<crate::Measurement, CoreError> {
+            if let Some(bridge) = circuit.device("F_bridge") {
+                let castg_spice::DeviceKind::Resistor { ohms, .. } = bridge.kind() else {
+                    panic!("a bridge fault injects a resistor");
+                };
+                let bits = params.iter().map(|p| p.to_bits()).collect();
+                self.faulted.lock().push((ohms.to_bits(), bits));
+            }
+            self.inner.measure(circuit, params)
+        }
+        fn return_values(
+            &self,
+            measured: &crate::Measurement,
+            nominal: &crate::Measurement,
+        ) -> Vec<f64> {
+            self.inner.return_values(measured, nominal)
+        }
+        fn tolerance_box(&self, params: &[f64], nominal_returns: &[f64]) -> Vec<f64> {
+            self.inner.tolerance_box(params, nominal_returns)
+        }
+        fn description(&self) -> crate::ConfigDescription {
+            self.inner.description()
+        }
+    }
+
+    /// One fault's generation simulates each (impact, parameter) point
+    /// once — Powell revisits points, step 3 repeats the selection's
+    /// scale-1 round and the bisection probes the softened scale — yet
+    /// `evaluations` still counts every objective call.
+    #[test]
+    fn generation_simulates_each_point_once_and_counts_every_call() {
+        let step = DividerMacro::new()
+            .configurations()
+            .into_iter()
+            .find(|c| c.space().dim() == 2)
+            .expect("the divider has a two-parameter configuration");
+        let recording =
+            std::sync::Arc::new(Recording { inner: step, faulted: Mutex::new(Vec::new()) });
+        let cache = NominalCache::new();
+        let gen = Generator {
+            configs: vec![recording.clone()],
+            nominal: DividerMacro::new().nominal_circuit(),
+            cache: &cache,
+            options: quick_options(),
+        };
+        let best = gen.generate_for_fault(&castg_faults::Fault::bridge("out", "0", 10e3)).unwrap();
+
+        let faulted = recording.faulted.lock();
+        let distinct: std::collections::HashSet<_> = faulted.iter().collect();
+        assert_eq!(distinct.len(), faulted.len(), "a faulted point was simulated twice");
+        // Without the memo each of the 67 objective calls simulated once
+        // (42 distinct points); the memo must not change the count.
+        assert_eq!(best.evaluations, 67);
+        assert_eq!(faulted.len(), 42);
     }
 
     #[test]

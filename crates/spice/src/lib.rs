@@ -120,10 +120,15 @@
 //!   the sparse template and symbolic analysis — matrix structure and
 //!   values are stimulus-independent) and [`Circuit::add`] appends the
 //!   new device's ops exactly as a recompile would emit them, merging
-//!   its few new sparsity slots into the existing pattern. Bridge-fault
-//!   injection therefore costs a plan patch, not a recompilation.
-//!   Structural mutations (node interning, removal, `device_mut`)
-//!   still drop the plan.
+//!   its few new sparsity slots into the existing pattern. A device
+//!   that adds no slot (a bridge across an existing resistor, as every
+//!   adjacent bridge of a mesh is) keeps the pattern's `Arc`, and the
+//!   patched plan takes over the pattern-only state with it: the AMD
+//!   permutation and the BTF orders. What depends on values — the
+//!   canonical factorizations, the `Auto` verdict, the factor cache —
+//!   is recomputed per variant. Bridge-fault injection therefore costs
+//!   a plan patch, not a recompilation. Structural mutations (node
+//!   interning, removal, `device_mut`) still drop the plan.
 //! * **Stimulus overrides.** Every analysis accepts
 //!   `override_stimulus(name, wave)`: the override applies at
 //!   source-evaluation time, so test configurations sweep stimulus
@@ -229,8 +234,11 @@
 //! computed per ordering and seeded into every solver instance, seeded
 //! refactorizations and stability fallbacks keep factoring under the
 //! recorded permutation, delta-stamp plan patches re-resolve `Auto` on
-//! the merged pattern (a pure function of the pattern, so a patched
-//! variant and a from-scratch rebuild always agree bit for bit), and
+//! the merged pattern and the variant's canonical values (pure
+//! functions of the faulted circuit, so a patched variant and a
+//! from-scratch rebuild always agree bit for bit — the patched one
+//! merely reuses the nominal's AMD permutation when the pattern is
+//! unchanged), and
 //! the AC sweep's `2n×2n` real embedding computes its own AMD
 //! permutation once per sweep and shares it across every frequency
 //! point. The four-way differential harness (Dense / Sparse-Natural /

@@ -63,7 +63,8 @@ pub const AMD_AUTO_MIN_BLOWUP: f64 = 2.0;
 /// per circuit pattern, recorded in the plan's canonical symbolic
 /// analysis, and inherited by every seeded solver instance — including
 /// refactorizations and stability fallbacks — so a whole fault campaign
-/// pays one AMD run per circuit variant.
+/// pays one AMD run per sparsity pattern: a delta-patched variant that
+/// adds no slot reuses its nominal's permutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderingKind {
     /// Compare the actual `nnz(L+U)` of both orderings on the circuit's

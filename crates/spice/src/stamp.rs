@@ -225,7 +225,7 @@ impl StampTarget for NoMatrix {
 /// [`MosSite`]): the op list is cloned per fault-injection patch and
 /// walked once per Newton iteration, so its footprint is hot-loop
 /// memory traffic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum PlanOp {
     /// Add a precomputed constant to one matrix slot (resistors and the
     /// ±1/±gain patterns of voltage-defined devices).
@@ -470,7 +470,8 @@ impl PlanBuilder {
 /// successor plan from the compiled one instead of recompiling from the
 /// netlist. A wave patch even keeps the cached sparse template and
 /// canonical symbolic analysis — the matrix structure and values are
-/// stimulus-independent.
+/// stimulus-independent. A device patch that adds no sparsity slot
+/// keeps the template's pattern and the orderings computed from it.
 #[derive(Debug, Clone)]
 pub(crate) struct StampPlan {
     n: usize,
@@ -566,9 +567,10 @@ struct ScopeCaches {
     /// from the one its analysis ordering resolves to, so a whole fault
     /// campaign pays one symbolic analysis per circuit variant and
     /// scope, plus whatever the Auto verdict spends deciding (see
-    /// [`resolve_ordering`](StampPlan::resolve_ordering)): at most one
-    /// whole-pattern AMD run, and a per-block AMD run only when a BTF
-    /// order is factored.
+    /// [`resolve_ordering`](StampPlan::resolve_ordering)). Values
+    /// differ between variants, so a device patch never carries these
+    /// over; the orderings they factor under are pattern-only state
+    /// (`amd_perm`, `btf_order`) and do carry over.
     canonical_natural: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_amd: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_btf: OnceLock<Option<Arc<SparseSymbolic>>>,
@@ -578,7 +580,7 @@ struct ScopeCaches {
     /// that decide whether BTF is usable and whether Auto considers it.
     /// Like `amd_perm`, a pure function of the pattern — delta-patched
     /// and rebuilt variants of one faulted circuit compute identical
-    /// orders.
+    /// orders, and a device patch that keeps the pattern inherits it.
     btf_blocks: OnceLock<Option<castg_numeric::BtfOrder>>,
     /// Lazily refined BTF preordering (the condensation plus per-block
     /// AMD), built only when a BTF order is factored — forced `Btf`, or
@@ -587,10 +589,12 @@ struct ScopeCaches {
     /// analysis.
     btf_order: OnceLock<Option<Arc<castg_numeric::BtfOrder>>>,
     /// Lazily computed AMD permutation of this scope's pattern: one
-    /// ordering construction per plan and scope, shared by the Auto
+    /// ordering construction per pattern, shared by the Auto
     /// comparison, the canonical AMD factorization, and solver
     /// instances that must order their own analysis (singular
-    /// canonical).
+    /// canonical). A device patch that keeps the pattern inherits it,
+    /// so a campaign of such variants runs the ordering once, on the
+    /// nominal; a variant that adds slots runs it at most once.
     amd_perm: OnceLock<Vec<usize>>,
     /// Lazily resolved `OrderingKind::Auto` verdict (`Natural`, `Amd`
     /// or `Btf`); see [`resolve_ordering`](StampPlan::resolve_ordering)
@@ -606,6 +610,22 @@ struct ScopeCaches {
     /// assembly fast path adds through it instead of binary-searching
     /// each `(row, col)` — same adds, same order, same bits.
     sparse_index: OnceLock<Vec<u32>>,
+}
+
+impl ScopeCaches {
+    /// Takes over `base`'s pattern-only state (`amd_perm`, `btf_blocks`,
+    /// `btf_order`); valid only when this scope's pattern is `base`'s.
+    fn inherit_pattern_state(&mut self, base: &ScopeCaches) {
+        self.amd_perm = base.amd_perm.clone();
+        self.btf_blocks = base.btf_blocks.clone();
+        self.btf_order = base.btf_order.clone();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// AMD orderings this thread's plans computed (test-only).
+    static AMD_ORDERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The least fill satisfying `pred`, a predicate monotone in the fill
@@ -739,8 +759,12 @@ impl StampPlan {
     /// equivalent to `StampPlan::build` of the extended circuit — but
     /// no netlist walk, node interning or waveform re-clone happens.
     ///
-    /// The sparse template and canonical symbolic analysis are reset:
-    /// the sparsity pattern may have changed.
+    /// Built templates are extended by the device's slots. A scope whose
+    /// pattern gains no slot keeps the base's pattern `Arc` and inherits
+    /// its pattern-only caches (AMD permutation, BTF orders). Everything
+    /// that depends on values — the canonical symbolic analyses, the
+    /// `Auto` verdict, the factor cache — starts empty, because the
+    /// device changes the canonical matrix.
     pub(crate) fn patched_with_device(&self, dev: &Device) -> Self {
         let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
         let mut damped = self.damped.clone();
@@ -760,7 +784,7 @@ impl StampPlan {
             linear: self.linear,
         };
         builder.emit(dev);
-        let plan = StampPlan::finalize(builder, n, self.n_nodes);
+        let mut plan = StampPlan::finalize(builder, n, self.n_nodes);
         // Template fast path: when the base template is built and the
         // dimension is unchanged (no new branch row), the successor's
         // pattern is the base pattern merged with the new device's few
@@ -773,10 +797,18 @@ impl StampPlan {
                 plan.static_slots[self.static_slots.len()..].to_vec();
             let full_idx = PatternScope::Full as usize;
             let static_idx = PatternScope::Static as usize;
+            // `merged_with` hands back the base `Arc` when the device
+            // adds no slot (a bridge across an existing resistor), and
+            // the scope then takes over the base's pattern-only state —
+            // the AMD permutation and the BTF orders, pure functions of
+            // the pattern that a rebuild would recompute identically.
             if let Some(base) = self.caches[full_idx].template.get() {
                 let mut new_slots = new_static.clone();
                 new_slots.extend(slots_of(&plan.reactances[self.reactances.len()..]));
                 let pattern = base.pattern().merged_with(&new_slots);
+                if Arc::ptr_eq(&pattern, base.pattern()) {
+                    plan.caches[full_idx].inherit_pattern_state(&self.caches[full_idx]);
+                }
                 let _ = plan.caches[full_idx].template.set(SparseMatrix::with_pattern(pattern));
             }
             if let Some(base) = self.caches[static_idx].template.get() {
@@ -784,20 +816,28 @@ impl StampPlan {
                 // Arc-sharing redirection when the merged static
                 // pattern still matches the (pre-seeded) full one, so a
                 // patched variant collapses its scopes exactly like a
-                // rebuild would.
+                // rebuild would. A redirected scope reads the `Full`
+                // caches; an unredirected one inherits from whichever
+                // caches served the base's static pattern.
                 let pattern = base.pattern().merged_with(&new_static);
                 let shared = plan.caches[full_idx]
                     .template
                     .get()
                     .filter(|full| full.pattern().as_ref() == pattern.as_ref())
                     .map(|full| Arc::clone(full.pattern()));
+                if shared.is_none() && Arc::ptr_eq(&pattern, base.pattern()) {
+                    plan.caches[static_idx]
+                        .inherit_pattern_state(self.scope_caches(PatternScope::Static));
+                }
                 let _ = plan.caches[static_idx]
                     .template
                     .set(SparseMatrix::with_pattern(shared.unwrap_or(pattern)));
             }
-            // `auto_ordering` is deliberately *not* carried over: the
-            // Auto verdict must stay a pure function of the (possibly
-            // extended) pattern, so a delta-patched variant and a
+            // Value-dependent state — the canonical factorizations, the
+            // Auto verdict and the factor cache — is deliberately *not*
+            // carried over: the device changes the canonical values, and
+            // the Auto verdict must stay a pure function of the pattern
+            // and those values, so a delta-patched variant and a
             // from-scratch rebuild of the same faulted circuit resolve
             // identically — the bit-identity contract of the campaign
             // differential harness. Near the fill margin an inherited
@@ -864,7 +904,7 @@ impl StampPlan {
         scope: PatternScope,
     ) -> Option<Arc<SparseSymbolic>> {
         match self.resolve_ordering(ordering, scope) {
-            OrderingKind::Amd => self.amd_symbolic(scope),
+            OrderingKind::Amd => self.amd_symbolic(scope, None),
             OrderingKind::Btf => self.btf_symbolic(scope),
             _ => self.natural_symbolic(scope),
         }
@@ -874,9 +914,11 @@ impl StampPlan {
     /// once and shared by every consumer (Auto fill prediction,
     /// canonical AMD factorization, instances analyzing on their own).
     pub(crate) fn amd_permutation(&self, scope: PatternScope) -> &Vec<usize> {
-        self.scope_caches(scope)
-            .amd_perm
-            .get_or_init(|| self.sparse_template(scope).pattern().amd_ordering())
+        self.scope_caches(scope).amd_perm.get_or_init(|| {
+            #[cfg(test)]
+            AMD_ORDERINGS.with(|c| c.set(c.get() + 1));
+            self.sparse_template(scope).pattern().amd_ordering()
+        })
     }
 
     /// The BTF condensation of `scope`'s sparse pattern (`None` when
@@ -930,14 +972,14 @@ impl StampPlan {
     /// fill-blown pattern, after the AMD canonical is known, resumed
     /// only until it reaches `amd_fill / AMD_AUTO_MARGIN`. The BTF gate
     /// reads block counts off the condensation, so the per-block AMD
-    /// runs only when a BTF order is factored. Measured on a
-    /// 578-unknown mesh bridge variant (one thread, x86-64 release
-    /// build): the unlimited verdict took ~6.6 ms, of which a full
-    /// natural factorization (27,698 entries, ~2.2 ms — about a quarter
-    /// of the variant's ~8.6 ms evaluation) was discarded once AMD won
-    /// and a per-block AMD (~1 ms) was rejected by the BTF gate; the
-    /// limited verdict stops natural order at 14,574 entries and takes
-    /// ~3.9 ms, most of it the AMD ordering and factorization it keeps.
+    /// runs only when a BTF order is factored. The canonical matrix is
+    /// assembled once and shared by both factorizations. Measured on 96
+    /// bridge variants of a 578-unknown mesh (one CPU, x86-64 release
+    /// build, mean per variant): natural order stops at 14,574 entries
+    /// after ~1.1 ms over its two stages, and the AMD canonical it keeps
+    /// factors in ~1.1 ms. A variant whose bridge adds slots also runs
+    /// the AMD ordering (~1.4 ms), ~3.4 ms in all; one that keeps the
+    /// nominal's pattern inherits the ordering and resolves in ~2.3 ms.
     ///
     /// The verdict equals the unlimited one on every canonical matrix
     /// that natural order factors without a singular pivot. A matrix
@@ -989,7 +1031,7 @@ impl StampPlan {
             Some(fill) if blown(fill) => {}
             _ => return OrderingKind::Natural,
         }
-        let Some(amd_fill) = self.amd_symbolic(scope).map(|s| s.fill_nnz()) else {
+        let Some(amd_fill) = self.amd_symbolic(scope, Some(&mat)).map(|s| s.fill_nnz()) else {
             return OrderingKind::Natural;
         };
         let amd_wins = |fill: usize| amd_fill as f64 <= AMD_AUTO_MARGIN * fill as f64;
@@ -1015,17 +1057,22 @@ impl StampPlan {
     fn natural_symbolic(&self, scope: PatternScope) -> Option<Arc<SparseSymbolic>> {
         self.scope_caches(scope)
             .canonical_natural
-            .get_or_init(|| self.factor_canonical(scope, |_| {}))
+            .get_or_init(|| self.factor_canonical(scope, None, |_| {}))
             .clone()
     }
 
-    /// The AMD-ordered canonical symbolic analysis (cached).
-    fn amd_symbolic(&self, scope: PatternScope) -> Option<Arc<SparseSymbolic>> {
+    /// The AMD-ordered canonical symbolic analysis (cached), factored
+    /// from `canonical` when the caller has the canonical matrix at hand.
+    fn amd_symbolic(
+        &self,
+        scope: PatternScope,
+        canonical: Option<&SparseMatrix>,
+    ) -> Option<Arc<SparseSymbolic>> {
         self.scope_caches(scope)
             .canonical_amd
             .get_or_init(|| {
                 let perm = self.amd_permutation(scope).clone();
-                self.factor_canonical(scope, |lu| lu.set_ordering(perm))
+                self.factor_canonical(scope, canonical, |lu| lu.set_ordering(perm))
             })
             .clone()
     }
@@ -1035,14 +1082,14 @@ impl StampPlan {
     /// [`resolve_ordering`](StampPlan::resolve_ordering).
     fn btf_symbolic(&self, scope: PatternScope) -> Option<Arc<SparseSymbolic>> {
         if !self.btf_usable(scope) {
-            return self.amd_symbolic(scope);
+            return self.amd_symbolic(scope, None);
         }
         self.scope_caches(scope)
             .canonical_btf
             .get_or_init(|| {
                 let order =
                     Arc::clone(self.btf_ordering(scope).expect("btf_usable implies order"));
-                self.factor_canonical(scope, |lu| lu.set_btf_order(order))
+                self.factor_canonical(scope, None, |lu| lu.set_btf_order(order))
             })
             .clone()
     }
@@ -1061,23 +1108,31 @@ impl StampPlan {
         // refactorization stability fallback covers it, just without
         // the amortization).
         let gmin = crate::analysis::AnalysisOptions::default().gmin;
-        self.assemble_into(&x0, &mut mat, &mut rhs, gmin, &src_vals);
+        self.assemble_into_sparse(&x0, &mut mat, &mut rhs, gmin, &src_vals);
         mat
     }
 
-    /// Factors the canonical matrix with a workspace prepared by
-    /// `setup` (ordering / BTF-order installation; the empty closure =
-    /// natural order), returning the symbolic skeleton or `None` on
-    /// singularity.
+    /// Factors the canonical matrix — `canonical`, or assembled here when
+    /// `None` — with a workspace prepared by `setup` (ordering / BTF-order
+    /// installation; the empty closure = natural order), returning the
+    /// symbolic skeleton or `None` on singularity.
     fn factor_canonical(
         &self,
         scope: PatternScope,
+        canonical: Option<&SparseMatrix>,
         setup: impl FnOnce(&mut SparseLu),
     ) -> Option<Arc<SparseSymbolic>> {
-        let mat = self.canonical_matrix(scope);
+        let assembled;
+        let mat = match canonical {
+            Some(mat) => mat,
+            None => {
+                assembled = self.canonical_matrix(scope);
+                &assembled
+            }
+        };
         let mut lu = SparseLu::new();
         setup(&mut lu);
-        lu.factor(&mat).ok().and_then(|()| lu.symbolic())
+        lu.factor(mat).ok().and_then(|()| lu.symbolic())
     }
 
     /// Whether the plan contains no nonlinear linearization sites, i.e.
@@ -1442,6 +1497,26 @@ mod tests {
             b.sparse_template(PatternScope::Static).pattern(),
             "static patterns diverged"
         );
+        // The slot lists and everything derived from the pattern alone,
+        // whether carried over by a patch or computed afresh.
+        assert_eq!(a.static_slots, b.static_slots, "static slot lists diverged");
+        assert_eq!(a.rhs_ops, b.rhs_ops, "rhs op lists diverged");
+        for scope in [PatternScope::Full, PatternScope::Static] {
+            assert_eq!(a.sparse_index(scope), b.sparse_index(scope), "{scope:?} slot index");
+            assert_eq!(a.amd_permutation(scope), b.amd_permutation(scope), "{scope:?} AMD");
+            assert_eq!(a.btf_ordering(scope), b.btf_ordering(scope), "{scope:?} BTF");
+        }
+    }
+
+    /// `plan` with its templates, slot indices and orderings built in
+    /// both scopes, so a device patch of it takes the carry-over path.
+    fn warmed(plan: StampPlan) -> StampPlan {
+        for scope in [PatternScope::Full, PatternScope::Static] {
+            let _ = plan.sparse_index(scope);
+            let _ = plan.amd_permutation(scope);
+            let _ = plan.btf_ordering(scope);
+        }
+        plan
     }
 
     fn patch_fixture() -> Circuit {
@@ -1493,24 +1568,42 @@ mod tests {
     }
 
     /// A device-add patch (the bridge-fault delta-stamp path) must
-    /// replay exactly like a recompile of the extended circuit — for a
-    /// plain two-node resistor and for a branch-adding voltage source.
+    /// replay exactly like a recompile of the extended circuit, and
+    /// carry the same slot lists, slot indices and orderings — for
+    /// resistors that keep or extend the pattern, a branch-adding
+    /// voltage source, a diode and a current-controlled source.
     #[test]
     fn device_patch_matches_recompile() {
         let c = patch_fixture();
-        let base = StampPlan::build(&c);
+        let base = warmed(StampPlan::build(&c));
+        let (vdd, g, d) =
+            (c.find_node("vdd").unwrap(), c.find_node("g").unwrap(), c.find_node("d").unwrap());
 
-        // Bridge resistor between two existing nodes.
-        let mut bridged = c.clone();
-        let (g, d) = (c.find_node("g").unwrap(), c.find_node("d").unwrap());
+        // A resistor across RD adds no slot: both scopes keep their
+        // (distinct) patterns.
+        let mut parallel = c.clone();
+        parallel.add_resistor("F_parallel", vdd, d, 20e3).unwrap();
+        let patched0 = base.patched_with_device(parallel.device("F_parallel").unwrap());
+        for scope in [PatternScope::Full, PatternScope::Static] {
+            assert!(Arc::ptr_eq(
+                patched0.sparse_template(scope).pattern(),
+                base.sparse_template(scope).pattern()
+            ));
+        }
+        assert_plans_replay_identically(&patched0, &StampPlan::build(&parallel));
+        let patched0 = warmed(patched0);
+
+        // Bridge resistor between two existing nodes: a new static slot
+        // that the full pattern (gate-drain capacitance) already holds.
+        let mut bridged = parallel.clone();
         bridged.add_resistor("F_bridge", g, d, 10e3).unwrap();
-        let patched = base.patched_with_device(bridged.device("F_bridge").unwrap());
+        let patched = warmed(patched0.patched_with_device(bridged.device("F_bridge").unwrap()));
         assert_plans_replay_identically(&patched, &StampPlan::build(&bridged));
 
         // A branch-current device grows the system by one unknown.
         let mut extended = bridged.clone();
         extended.add_vsource("VX", d, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
-        let patched2 = patched.patched_with_device(extended.device("VX").unwrap());
+        let patched2 = warmed(patched.patched_with_device(extended.device("VX").unwrap()));
         assert_eq!(patched2.dim(), patched.dim() + 1);
         assert_plans_replay_identically(&patched2, &StampPlan::build(&extended));
 
@@ -1518,7 +1611,7 @@ mod tests {
         // for diode/BJT circuits) must register its damped slots too.
         let mut dioded = extended.clone();
         dioded.add_diode("DX", d, g, crate::diode::DiodeParams::signal_default()).unwrap();
-        let patched3 = patched2.patched_with_device(dioded.device("DX").unwrap());
+        let patched3 = warmed(patched2.patched_with_device(dioded.device("DX").unwrap()));
         assert_plans_replay_identically(&patched3, &StampPlan::build(&dioded));
 
         // A patched-in current-controlled source resolves its sensing
@@ -1527,6 +1620,65 @@ mod tests {
         sensed.add_cccs("FX", g, Circuit::GROUND, "VX", 0.5).unwrap();
         let patched4 = patched3.patched_with_device(sensed.device("FX").unwrap());
         assert_plans_replay_identically(&patched4, &StampPlan::build(&sensed));
+    }
+
+    /// A `k × k` resistive mesh driven at one corner and loaded at the
+    /// other: natural order fills it far past the Auto blow-up gate.
+    fn mesh(k: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let nodes: Vec<NodeId> = (0..k * k).map(|i| c.node(&format!("n{i}"))).collect();
+        c.add_vsource("V1", nodes[0], Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        for i in 0..k * k {
+            if i % k + 1 < k {
+                c.add_resistor(&format!("RH{i}"), nodes[i], nodes[i + 1], 1e3).unwrap();
+            }
+            if i + k < k * k {
+                c.add_resistor(&format!("RV{i}"), nodes[i], nodes[i + k], 1e3).unwrap();
+            }
+        }
+        c.add_resistor("RL", nodes[k * k - 1], Circuit::GROUND, 1e3).unwrap();
+        c
+    }
+
+    /// AMD orderings this thread has computed so far.
+    fn amd_orderings() -> usize {
+        AMD_ORDERINGS.with(std::cell::Cell::get)
+    }
+
+    /// A bridge across an existing resistor keeps the mesh's pattern, so
+    /// the delta-patched variant resolves `Auto` on the nominal's AMD
+    /// permutation without computing its own — and still reaches the
+    /// rebuild's verdict and fill. A bridge that adds slots orders its
+    /// new pattern exactly once.
+    #[test]
+    fn pattern_keeping_patch_inherits_the_amd_ordering() {
+        use crate::solver::sparse_fill_stats;
+        let k = 10;
+        let nominal = mesh(k);
+        let stats = sparse_fill_stats(&nominal, OrderingKind::Auto).unwrap();
+        assert_eq!(stats.resolved, OrderingKind::Amd, "the fixture must resolve Auto to AMD");
+        let rebuilt_stats = |circuit: &Circuit| {
+            let mut rebuilt = circuit.clone();
+            rebuilt.drop_compiled_plan();
+            sparse_fill_stats(&rebuilt, OrderingKind::Auto).unwrap()
+        };
+        let node = |i: usize| nominal.find_node(&format!("n{i}")).unwrap();
+
+        let mut parallel = nominal.clone();
+        parallel.add_resistor("F_bridge", node(0), node(1), 50e3).unwrap();
+        let before = amd_orderings();
+        let stats = sparse_fill_stats(&parallel, OrderingKind::Auto).unwrap();
+        assert_eq!(amd_orderings(), before, "a pattern-keeping variant reordered");
+        assert_eq!(stats.resolved, OrderingKind::Amd);
+        assert_eq!(stats, rebuilt_stats(&parallel));
+
+        let mut far = nominal.clone();
+        far.add_resistor("F_bridge", node(0), node(k * k - 1), 50e3).unwrap();
+        let before = amd_orderings();
+        let stats = sparse_fill_stats(&far, OrderingKind::Auto).unwrap();
+        assert_eq!(amd_orderings(), before + 1, "a slot-adding variant orders once");
+        assert_eq!(stats.resolved, OrderingKind::Amd);
+        assert_eq!(stats, rebuilt_stats(&far));
     }
 
     /// Regression (device-zoo PR): the damped mask used to be populated

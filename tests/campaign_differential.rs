@@ -143,22 +143,26 @@ fn ladder_256_delta_campaign_is_bit_identical() {
 }
 
 /// The mesh campaign — the workload whose natural-order fill justifies
-/// the AMD ordering — run four-way: Dense, Sparse-Natural, Sparse-AMD
-/// and Sparse-BTF variants of the macro each get the full
+/// the AMD ordering — run five-way: Dense, Sparse-Natural, Sparse-AMD,
+/// Sparse-BTF and the default Auto-Auto dispatch each get the full
 /// delta-vs-rebuild and threads-1-vs-4 bit-identity treatment, so plan
 /// patching over a *permuted* pattern is pinned exactly like the
 /// unpermuted paths. (The mesh is irreducible, so its forced-BTF column
 /// resolves to the AMD fallback — which is exactly the degenerate case
-/// the bit-identity contract must cover.) The configurations must also
-/// agree with each other on which faults are detected (their
+/// the bit-identity contract must cover.) The Auto row is the dispatch
+/// `castg generate` runs; at 256 unknowns (release) it resolves to AMD,
+/// so delta variants that keep the nominal's pattern reuse its AMD
+/// permutation while rebuilt ones compute their own. The configurations
+/// must also agree with each other on which faults are detected (their
 /// sensitivities differ only in the last ulps).
 #[test]
-fn mesh_four_way_delta_campaigns_are_bit_identical() {
-    let configs: [(SolverKind, OrderingKind); 4] = [
+fn mesh_five_way_delta_campaigns_are_bit_identical() {
+    let configs: [(SolverKind, OrderingKind); 5] = [
         (SolverKind::Dense, OrderingKind::Natural),
         (SolverKind::Sparse, OrderingKind::Natural),
         (SolverKind::Sparse, OrderingKind::Amd),
         (SolverKind::Sparse, OrderingKind::Btf),
+        (SolverKind::Auto, OrderingKind::Auto),
     ];
     let size = if cfg!(debug_assertions) { 64 } else { 256 };
     let mut detection: Vec<Vec<bool>> = Vec::new();
@@ -187,6 +191,7 @@ fn mesh_four_way_delta_campaigns_are_bit_identical() {
     assert_eq!(detection[0], detection[1], "dense vs sparse-natural detection diverged");
     assert_eq!(detection[0], detection[2], "dense vs sparse-amd detection diverged");
     assert_eq!(detection[0], detection[3], "dense vs sparse-btf detection diverged");
+    assert_eq!(detection[0], detection[4], "dense vs auto detection diverged");
 }
 
 /// The OTA-chain campaign under *forced BTF* — the one macro whose
