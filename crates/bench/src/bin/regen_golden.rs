@@ -1,7 +1,8 @@
-//! Regenerates only the golden-report fixtures under `tests/golden/`
-//! (and the deck fixtures under `tests/fixtures/`), skipping the full
-//! experiment suite that `regen_all` re-runs first. Use after a change
-//! that intentionally moves a pipeline rendering:
+//! Regenerates only the golden-report fixtures under `tests/golden/`,
+//! skipping the full experiment suite that `regen_all` re-runs first.
+//! It writes nothing under `tests/fixtures/`: the decks and `.cfg`
+//! files there are the macro definitions, edited by hand. Use after a
+//! change that intentionally moves a pipeline rendering:
 //!
 //! ```text
 //! cargo run --release -p castg-bench --bin regen_golden

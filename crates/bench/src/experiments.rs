@@ -7,9 +7,14 @@ use castg_core::{
 };
 use castg_core::report::{fmt_num, fmt_si, TextTable};
 use castg_faults::Fault;
-use castg_macros::{IvConverter, ProcessVariation};
+use castg_macros::ProcessVariation;
 
 use crate::{generation_cached, harness_options, iv_macro, write_result};
+
+/// The fault of `mac`'s dictionary named `name`, at dictionary impact.
+fn dictionary_fault(mac: &dyn AnalogMacro, name: &str) -> Fault {
+    mac.fault_dictionary().by_name(name).expect("a dictionary fault").clone()
+}
 
 /// E1 / Fig. 1 — the textual test-configuration description, round-
 /// tripped through the parser.
@@ -144,7 +149,7 @@ pub fn fig6_trace() {
     let mac = iv_macro(false);
     let cache = NominalCache::new();
     let generator = Generator::with_options(&mac, &cache, harness_options());
-    let fault = Fault::bridge("na", "out", IvConverter::BRIDGE_R0);
+    let fault = dictionary_fault(&mac, "bridge(na,out)");
     let mut lines = Vec::new();
     let best = generator
         .generate_for_fault_logged(&fault, &mut |line| {
@@ -165,7 +170,7 @@ pub fn fig7_pinhole() {
     println!("== Fig. 7: pinhole fault model (Eckersall), injected into M6 ==");
     let mac = iv_macro(false);
     let circuit = mac.nominal_circuit();
-    let fault = Fault::pinhole("M6", IvConverter::PINHOLE_R0);
+    let fault = dictionary_fault(&mac, "pinhole(M6)");
     let faulty = fault.inject(&circuit).expect("injection");
     let before: Vec<&str> = circuit.devices().iter().map(|d| d.name()).collect();
     let after: Vec<&str> = faulty.devices().iter().map(|d| d.name()).collect();

@@ -6,9 +6,11 @@
 //!
 //! The pipeline is deterministic — fixed seeds, deterministic
 //! optimizers, order-stable parallel fan-out — so these renderings
-//! change only when an algorithm or a macro definition changes. When
-//! that happens intentionally, regenerate the fixtures and review the
-//! diff like any other code change.
+//! change only when an algorithm or a macro definition (a deck or
+//! `.cfg` file under `tests/fixtures/`) changes. When that happens
+//! intentionally, regenerate the goldens and review the diff like any
+//! other code change. The decks themselves are source files: nothing
+//! here writes them.
 
 use castg_core::synthetic::{DividerMacro, MeshMacro};
 use castg_core::{
@@ -17,8 +19,9 @@ use castg_core::{
     GeneratorOptions, NominalCache,
 };
 use castg_faults::FaultDictionary;
-use castg_macros::{BjtOpAmp, IvConverter};
 use castg_numeric::{BrentOptions, PowellOptions};
+
+use crate::{fixtures_dir, iv_macro};
 
 /// Number of dictionary faults the IV-converter golden run covers. The
 /// full 55-fault run is a release-binary workload; the golden fixture
@@ -31,12 +34,13 @@ pub const IV_GOLDEN_FAULTS: usize = 4;
 /// debug-mode `cargo test`).
 pub const MESH_GOLDEN_FAULTS: usize = 4;
 
-/// Dictionary indices the bipolar golden run covers: two bridges (a
+/// Dictionary faults the bipolar golden run covers: two bridges (a
 /// supply-to-input short and an input-to-tail short) plus a diode
 /// anode–cathode pinhole and a diff-pair base–emitter pinhole — a
 /// stable mix of both fault models over the junction-device Newton
 /// path that stays fast in debug-mode `cargo test`.
-pub const BJT_GOLDEN_FAULTS: [usize; 4] = [0, 6, 21, 25];
+pub const BJT_GOLDEN_FAULTS: [&str; 4] =
+    ["bridge(vcc,vin)", "bridge(vin,tail)", "pinhole(D1)", "pinhole(Q2:be)"];
 
 /// Generator options for the golden runs: frugal optimizer budgets
 /// (the fixtures pin behavior, not quality) and a fixed worker count.
@@ -129,7 +133,7 @@ pub fn json_report() -> String {
 /// dictionary faults (analytic tolerance boxes; the calibrated boxes
 /// are Monte-Carlo-based and belong to the release experiments).
 pub fn iv_report() -> String {
-    let mac = IvConverter::with_analytic_boxes();
+    let mac = iv_macro(false);
     let dict = FaultDictionary::new(
         mac.fault_dictionary().iter().take(IV_GOLDEN_FAULTS).cloned().collect(),
     );
@@ -151,26 +155,20 @@ pub fn mesh_report() -> String {
 /// The bipolar (diode + BJT) golden report over the
 /// [`BJT_GOLDEN_FAULTS`] dictionary picks.
 pub fn bjt_report() -> String {
-    let mac = BjtOpAmp::new();
-    let all: Vec<_> = mac.fault_dictionary().iter().cloned().collect();
-    let dict =
-        FaultDictionary::new(BJT_GOLDEN_FAULTS.iter().map(|&i| all[i].clone()).collect());
+    let mac = bjt_macro(&fixtures_dir());
+    let all = mac.fault_dictionary();
+    let dict = BJT_GOLDEN_FAULTS
+        .iter()
+        .map(|name| all.by_name(name).expect("golden pick is a dictionary fault").clone())
+        .collect();
     pipeline_report(&mac, &dict)
 }
 
-/// The committed bipolar deck fixture (`tests/fixtures/bjt_opamp.sp`):
-/// the hand-built [`BjtOpAmp`] circuit serialized by the netlist
-/// writer, exercising the `D`/`Q` cards and the `.model d`/`npn`/`pnp`
-/// tables of the round-trip grammar.
-pub fn bjt_deck() -> String {
-    castg_netlist::write_deck(&BjtOpAmp::new().nominal_circuit())
-        .expect("the hand-built bipolar netlist is deck-representable")
-}
-
-/// The parsed-deck bipolar macro: the op-amp deck + description-file
-/// configurations under `tests/fixtures/`, entering the pipeline
-/// through the `castg-netlist` frontend exactly as the `castg` CLI
-/// would.
+/// The bipolar op-amp: the `tests/fixtures/bjt_opamp.sp` deck and its
+/// `bjt_configs/` descriptions, with the topology-derived 55-fault
+/// dictionary (45 bridges over the 10 non-ground nets plus 10 junction
+/// pinholes), entering the pipeline through the `castg-netlist`
+/// frontend exactly as the `castg` CLI would.
 pub fn bjt_macro(fixtures: &std::path::Path) -> castg_netlist::NetlistMacro {
     castg_netlist::NetlistMacro::from_files(
         &fixtures.join("bjt_opamp.sp"),
@@ -178,16 +176,6 @@ pub fn bjt_macro(fixtures: &std::path::Path) -> castg_netlist::NetlistMacro {
         castg_netlist::NetlistMacroOptions::default(),
     )
     .expect("bjt op-amp deck fixtures parse")
-}
-
-/// The committed IV-converter deck fixture
-/// (`tests/fixtures/iv_converter.sp`): the hand-built [`IvConverter`]
-/// circuit serialized by the netlist writer, which is what makes the
-/// netlist-vs-compiled differential bit-exact (`.nodeorder` reproduces
-/// the node table, shortest-round-trip floats reproduce every value).
-pub fn iv_deck() -> String {
-    castg_netlist::write_deck(&IvConverter::with_analytic_boxes().nominal_circuit())
-        .expect("the hand-built IV-converter netlist is deck-representable")
 }
 
 /// The parsed-deck macro the netlist golden fixture runs: the divider
@@ -211,8 +199,7 @@ pub fn netlist_report(fixtures: &std::path::Path) -> String {
     pipeline_report(&mac, &dict)
 }
 
-/// Writes every fixture into `dir` (the workspace's `tests/golden/`) —
-/// including the deck fixture under the sibling `tests/fixtures/`.
+/// Writes every golden into `dir` (the workspace's `tests/golden/`).
 pub fn write_fixtures(dir: &std::path::Path) {
     std::fs::create_dir_all(dir).expect("create golden dir");
     std::fs::write(dir.join("divider_generation.txt"), divider_report())
@@ -221,11 +208,7 @@ pub fn write_fixtures(dir: &std::path::Path) {
     std::fs::write(dir.join("iv_generation.txt"), iv_report()).expect("write iv fixture");
     std::fs::write(dir.join("mesh_generation.txt"), mesh_report()).expect("write mesh fixture");
     std::fs::write(dir.join("bjt_generation.txt"), bjt_report()).expect("write bjt fixture");
-    let fixtures = dir.parent().expect("tests/golden has a parent").join("fixtures");
-    std::fs::create_dir_all(&fixtures).expect("create fixtures dir");
-    std::fs::write(fixtures.join("iv_converter.sp"), iv_deck()).expect("write iv deck");
-    std::fs::write(fixtures.join("bjt_opamp.sp"), bjt_deck()).expect("write bjt deck");
-    std::fs::write(dir.join("netlist_generation.txt"), netlist_report(&fixtures))
+    std::fs::write(dir.join("netlist_generation.txt"), netlist_report(&fixtures_dir()))
         .expect("write netlist fixture");
     println!("golden fixtures regenerated into {}", dir.display());
 }

@@ -8,10 +8,15 @@
 //! `results/` directory at the workspace root as CSV plus a rendered
 //! text table, and a summary is printed to stdout.
 //!
+//! The experiments run the IV-converter exactly as `castg generate`
+//! does: the committed deck and `.cfg` files under `tests/fixtures/`,
+//! loaded by [`iv_macro`].
+//!
 //! The full 55-fault generation run is expensive on small machines, so
 //! its outcome is cached in `results/generation.csv`; downstream
 //! experiments (Table 2, Table 3, Fig. 8, compaction, baseline) reuse
-//! the cache unless it is missing or `--fresh` is passed.
+//! the cache unless it is missing, does not hold one test per
+//! dictionary fault, or `--fresh` is passed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,10 +27,11 @@ mod persist;
 
 pub use persist::{load_generation, save_generation};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use castg_core::{GeneratorOptions, NominalCache};
-use castg_macros::IvConverter;
+use castg_core::{AnalogMacro, Generator, GeneratorOptions, NominalCache};
+use castg_macros::BoxPolicy;
+use castg_netlist::{NetlistMacro, NetlistMacroOptions};
 
 /// Where experiment outputs land (workspace-root `results/`).
 pub fn results_dir() -> PathBuf {
@@ -55,16 +61,34 @@ pub fn write_result(name: &str, content: &str) -> PathBuf {
     path
 }
 
-/// The device under test used by all experiments.
+/// The committed decks and configuration texts (workspace-root
+/// `tests/fixtures/`): the definitions of the paper macros.
+pub fn fixtures_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
+}
+
+/// The device under test used by all experiments: the IV-converter
+/// deck and its five Table-1 configurations, loaded exactly as
+/// `castg generate tests/fixtures/iv_converter.sp --configs
+/// tests/fixtures/iv_configs` loads them, with the topology-derived
+/// 55-fault dictionary.
 ///
-/// `calibrated` selects the Monte-Carlo box-functions (paper-faithful,
-/// slower to start) versus the analytic boxes (fast demos).
-pub fn iv_macro(calibrated: bool) -> IvConverter {
-    if calibrated {
-        IvConverter::new()
-    } else {
-        IvConverter::with_analytic_boxes()
+/// `calibrated` wraps the configurations in the Monte-Carlo
+/// box-functions ([`BoxPolicy::calibrated_default`]; paper-faithful,
+/// slower to start) instead of the `.cfg` files' analytic boxes.
+pub fn iv_macro(calibrated: bool) -> NetlistMacro {
+    let fixtures = fixtures_dir();
+    let mac = NetlistMacro::from_files(
+        &fixtures.join("iv_converter.sp"),
+        &fixtures.join("iv_configs"),
+        NetlistMacroOptions::default(),
+    )
+    .expect("IV-converter deck fixtures parse");
+    if !calibrated {
+        return mac;
     }
+    let configs = BoxPolicy::calibrated_default().apply(mac.circuit(), mac.configurations());
+    mac.with_configurations(configs)
 }
 
 /// Generator options tuned for the experiment harness.
@@ -73,25 +97,27 @@ pub fn harness_options() -> GeneratorOptions {
 }
 
 /// Runs the 55-fault generation or loads it from the results cache.
+/// The cache is used only when it holds one test for every fault of
+/// `mac`'s dictionary.
 ///
 /// Returns the report plus a flag saying whether it was freshly
 /// computed.
 pub fn generation_cached(
-    mac: &IvConverter,
+    mac: &dyn AnalogMacro,
     cache: &NominalCache,
     fresh: bool,
 ) -> (castg_core::GenerationReport, bool) {
-    use castg_core::{AnalogMacro, Generator};
     let path = results_dir().join("generation.csv");
+    let dict = mac.fault_dictionary();
     if !fresh {
-        if let Some(report) = load_generation(&path) {
+        if let Some(report) = load_generation(&path, &dict) {
             println!("[generation] loaded {} tests from {}", report.tests.len(), path.display());
             return (report, false);
         }
     }
-    println!("[generation] running the full fault dictionary (55 faults)...");
+    println!("[generation] running the full fault dictionary ({} faults)...", dict.len());
     let generator = Generator::with_options(mac, cache, harness_options());
-    let report = generator.generate(&mac.fault_dictionary());
+    let report = generator.generate(&dict);
     save_generation(&path, &report);
     println!(
         "[generation] {} tests, {} failures, {} simulator evaluations, {:.1?}",

@@ -1,11 +1,11 @@
 //! CSV persistence of a [`GenerationReport`] so the expensive 55-fault
 //! run is shared by all downstream experiments.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use castg_core::{BestTest, GenerationReport};
-use castg_faults::Fault;
-use castg_macros::IvConverter;
+use castg_faults::FaultDictionary;
 
 const HEADER: &str = "fault,config_id,config_name,params,s_dict,detected,critical_scale,\
                       required_intensify,evaluations";
@@ -35,30 +35,19 @@ pub fn save_generation(path: &Path, report: &GenerationReport) {
     }
 }
 
-/// Reconstructs a fault from its [`Fault::name`] using the IV-converter
-/// dictionary impacts (`bridge(a,b)` → 10 kΩ bridge, `pinhole(M)` →
-/// 2 kΩ pinhole).
-pub(crate) fn fault_from_name(name: &str) -> Option<Fault> {
-    if let Some(rest) = name.strip_prefix("bridge(").and_then(|r| r.strip_suffix(')')) {
-        let (a, b) = rest.split_once(',')?;
-        return Some(Fault::bridge(a, b, IvConverter::BRIDGE_R0));
-    }
-    if let Some(dev) = name.strip_prefix("pinhole(").and_then(|r| r.strip_suffix(')')) {
-        return Some(Fault::pinhole(dev, IvConverter::PINHOLE_R0));
-    }
-    None
-}
-
-/// Loads a generation report saved by [`save_generation`]. Returns
-/// `None` when the file is absent or malformed (callers then re-run the
-/// generation).
-pub fn load_generation(path: &Path) -> Option<GenerationReport> {
+/// Loads a generation report saved by [`save_generation`], resolving
+/// each row's fault by name in `dictionary`. Returns `None` when the
+/// file is absent or malformed, or when its rows do not name every
+/// dictionary fault exactly once (a truncated file, or one from another
+/// dictionary); callers then re-run the generation.
+pub fn load_generation(path: &Path, dictionary: &FaultDictionary) -> Option<GenerationReport> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut lines = text.lines();
     if lines.next()?.trim() != HEADER {
         return None;
     }
     let mut report = GenerationReport::default();
+    let mut seen = HashSet::new();
     for line in lines {
         if line.trim().is_empty() {
             continue;
@@ -71,7 +60,10 @@ pub fn load_generation(path: &Path) -> Option<GenerationReport> {
             return None;
         }
         cols.reverse();
-        let fault = fault_from_name(cols[0])?;
+        if !seen.insert(cols[0]) {
+            return None;
+        }
+        let fault = dictionary.by_name(cols[0])?.clone();
         let params: Vec<f64> =
             cols[3].split(';').map(|p| p.parse().ok()).collect::<Option<Vec<f64>>>()?;
         report.tests.push(BestTest {
@@ -86,16 +78,13 @@ pub fn load_generation(path: &Path) -> Option<GenerationReport> {
             evaluations: cols[8].parse().ok()?,
         });
     }
-    if report.tests.is_empty() {
-        None
-    } else {
-        Some(report)
-    }
+    (seen.len() == dictionary.len()).then_some(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use castg_faults::Fault;
 
     fn sample_report() -> GenerationReport {
         GenerationReport {
@@ -127,39 +116,74 @@ mod tests {
         }
     }
 
+    fn sample_dictionary() -> FaultDictionary {
+        sample_report().tests.into_iter().map(|t| t.fault).collect()
+    }
+
+    /// Saves the sample report to a per-test file, lets `edit` rewrite
+    /// its text, and loads it back against `dictionary`.
+    fn load_edited(
+        file: &str,
+        dictionary: &FaultDictionary,
+        edit: impl FnOnce(String) -> String,
+    ) -> Option<GenerationReport> {
+        let dir = std::env::temp_dir().join("castg_persist_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        save_generation(&path, &sample_report());
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, edit(text)).unwrap();
+        let loaded = load_generation(&path, dictionary);
+        let _ = std::fs::remove_file(&path);
+        loaded
+    }
+
     #[test]
     fn roundtrip_through_csv() {
-        let dir = std::env::temp_dir().join("castg_persist_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("gen.csv");
         let report = sample_report();
-        save_generation(&path, &report);
-        let loaded = load_generation(&path).expect("must load back");
+        let dictionary = sample_dictionary();
+        let loaded = load_edited("roundtrip.csv", &dictionary, |t| t).expect("must load back");
         assert_eq!(loaded.tests.len(), 2);
         for (a, b) in report.tests.iter().zip(&loaded.tests) {
-            assert_eq!(a.fault.name(), b.fault.name());
+            assert_eq!(a.fault, b.fault);
             assert_eq!(a.config_id, b.config_id);
             assert_eq!(a.params, b.params);
             assert_eq!(a.detected_at_dictionary, b.detected_at_dictionary);
             assert_eq!(a.required_intensify, b.required_intensify);
             assert!((a.critical_scale - b.critical_scale).abs() < 1e-12);
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn fault_name_parsing() {
-        let f = fault_from_name("bridge(na,nz)").unwrap();
-        assert_eq!(f.name(), "bridge(na,nz)");
-        assert_eq!(f.base_resistance(), IvConverter::BRIDGE_R0);
-        let p = fault_from_name("pinhole(M3)").unwrap();
-        assert_eq!(p.base_resistance(), IvConverter::PINHOLE_R0);
-        assert!(fault_from_name("stuck(x)").is_none());
-        assert!(fault_from_name("bridge(no-comma)").is_none());
+    fn truncated_file_loads_none() {
+        let dictionary = sample_dictionary();
+        let drop_last_row = |t: String| {
+            let mut lines: Vec<&str> = t.lines().collect();
+            lines.pop();
+            lines.join("\n") + "\n"
+        };
+        assert!(load_edited("truncated.csv", &dictionary, drop_last_row).is_none());
+    }
+
+    #[test]
+    fn foreign_or_duplicated_fault_names_load_none() {
+        let dictionary = sample_dictionary();
+        let foreign = |t: String| t.replace("pinhole(M6)", "pinhole(M7)");
+        assert!(load_edited("foreign.csv", &dictionary, foreign).is_none());
+        let duplicated = |t: String| {
+            let row = t.lines().nth(1).unwrap().to_string();
+            format!("{t}{row}\n")
+        };
+        assert!(load_edited("duplicated.csv", &dictionary, duplicated).is_none());
+        // A file from a smaller dictionary does not cover this one.
+        let mut larger = sample_dictionary();
+        larger.extend([Fault::bridge("out", "vdd", 10e3)]);
+        assert!(load_edited("smaller.csv", &larger, |t| t).is_none());
     }
 
     #[test]
     fn missing_file_loads_none() {
-        assert!(load_generation(Path::new("/nonexistent/gen.csv")).is_none());
+        let dictionary = sample_dictionary();
+        assert!(load_generation(Path::new("/nonexistent/gen.csv"), &dictionary).is_none());
     }
 }

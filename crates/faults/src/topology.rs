@@ -1,17 +1,17 @@
 //! Dictionary-from-topology constructors: derive a fault dictionary
 //! from a netlist alone.
 //!
-//! The hand-coded macros enumerate their dictionaries explicitly; a
-//! macro that arrives as a *parsed deck* (the `castg-netlist` frontend)
-//! has no Rust code to do that, so these constructors mirror what the
-//! hand-coded macros ship, derived purely from circuit structure:
+//! A macro that arrives as a *parsed deck* (the `castg-netlist`
+//! frontend) — the paper's IV-converter among them — has no Rust code
+//! to enumerate its faults, so these constructors derive them purely
+//! from circuit structure:
 //!
 //! * bridge faults between nets — either **exhaustively** over every
-//!   pair of non-ground nets (the paper's §3.4 enumeration, which is
-//!   what the IV-converter's hand-coded dictionary does over its ten
-//!   fault-site nodes), or restricted to **topologically adjacent**
-//!   nets (nets sharing at least one device — physically plausible
-//!   shorts between neighboring layout wires);
+//!   pair of non-ground nets (the paper's §3.4 enumeration: over the
+//!   IV-converter's ten fault-site nodes, its 45 bridges), or
+//!   restricted to **topologically adjacent** nets (nets sharing at
+//!   least one device — physically plausible shorts between
+//!   neighboring layout wires);
 //! * pinhole faults at **every MOS gate** (one per transistor, the
 //!   paper's rule).
 //!
@@ -107,12 +107,10 @@ pub fn topology_pinhole_faults(circuit: &Circuit, base_ohms: f64) -> Vec<Fault> 
 /// `derivation` at `bridge_ohms`, plus a pinhole at every MOS gate at
 /// `pinhole_ohms`.
 ///
-/// With [`BridgeDerivation::Exhaustive`] on the IV-converter netlist
-/// this reproduces the paper's 55-fault dictionary (45 bridges over the
-/// 10 non-ground nets + 10 pinholes) exactly, in the same order as the
-/// hand-coded [`IvConverter`] enumeration.
-///
-/// [`IvConverter`]: https://docs.rs/castg-macros
+/// With [`BridgeDerivation::Exhaustive`] on the IV-converter deck
+/// (`tests/fixtures/iv_converter.sp`) this is the paper's 55-fault
+/// dictionary: 45 bridges over the 10 non-ground nets in node order,
+/// then the 10 pinholes in device order.
 pub fn derive_fault_dictionary(
     circuit: &Circuit,
     derivation: BridgeDerivation,

@@ -25,8 +25,8 @@ use crate::ProcessVariation;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoxPolicy {
     /// Each configuration's own box formula (the `box_*` variables of
-    /// its description) — no calibration, instant; used by unit tests,
-    /// the goldens and quick experiments.
+    /// its description) — no calibration, instant; used by the tests,
+    /// the goldens and the experiments without `--calibrated`.
     Analytic,
     /// Monte-Carlo calibrated grid (the paper's box-functions).
     Calibrated {
@@ -42,7 +42,8 @@ pub enum BoxPolicy {
 }
 
 impl BoxPolicy {
-    /// The default calibrated policy used by the IV-converter macro.
+    /// The default calibrated policy: the paper experiments'
+    /// `--calibrated` boxes for the IV-converter.
     pub fn calibrated_default() -> Self {
         BoxPolicy::Calibrated { grid_points: 3, mc_samples: 6, seed: 0xCA57, margin: 1.2 }
     }
@@ -51,7 +52,7 @@ impl BoxPolicy {
     /// circuit is `nominal`: `Analytic` returns them unchanged,
     /// `Calibrated` wraps each in its box-function, calibrated on first
     /// use.
-    pub(crate) fn apply(
+    pub fn apply(
         self,
         nominal: &Circuit,
         configs: Vec<Arc<dyn TestConfiguration>>,

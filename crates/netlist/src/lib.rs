@@ -61,10 +61,9 @@
 //!   text, exact round-trip (`parse(write(c)) == c`, bit for bit, the
 //!   `.title` included) via the `.nodeorder` extension card and
 //!   bit-exact deduplicated model tables (`castg_m*`/`castg_d*`/
-//!   `castg_q*` for MOS/diode/BJT parameter sets); this is
-//!   how the committed deck fixtures are regenerated from the
-//!   hand-built reference macros. Written decks carry only resolved
-//!   values — `.param` and `{…}` never appear in writer output.
+//!   `castg_q*` for MOS/diode/BJT parameter sets). Written decks
+//!   carry only resolved values — `.param` and `{…}` never appear in
+//!   writer output.
 //! * [`NetlistMacro`] — a parsed deck + a directory of textual
 //!   configuration descriptions ([`castg_core::DescribedConfig`]) + a
 //!   topology-derived fault dictionary
@@ -107,7 +106,7 @@
 //! )?)?;
 //! let mac = mac.with_configurations(vec![std::sync::Arc::new(cfg)]);
 //!
-//! // The exact pipeline the paper runs on its hand-coded macro:
+//! // The exact pipeline the paper runs on its IV-converter deck:
 //! let cache = NominalCache::new();
 //! let dict = mac.fault_dictionary();
 //! let generation = Generator::new(&mac, &cache).generate(&dict);

@@ -4,10 +4,9 @@
 //! same devices in the same order, bit-identical values (floats are
 //! printed with Rust's shortest round-trip formatting).
 //!
-//! This is the regeneration path for the committed deck fixtures:
-//! `tests/fixtures/iv_converter.sp` is `write_deck` of the hand-built
-//! `IvConverter` circuit, which is what makes the netlist-vs-compiled
-//! differential test bit-exact.
+//! Its output is the canonical deck form behind
+//! [`NetlistMacro::canonical_bytes`](crate::NetlistMacro::canonical_bytes),
+//! the key of the serve caches.
 
 use std::fmt::Write as _;
 

@@ -3,8 +3,8 @@
 //! * **Round-trip**: `parse(write(c)) == c` — exactly, including node
 //!   interning order and bit-identical element values — over the
 //!   synthetic macro families (ladder, OTA chain, mesh, crossbar,
-//!   divider), the hand-built IV-converter, and randomly generated RC
-//!   networks with random waveforms.
+//!   divider), the circuit parsed from the IV-converter deck, and
+//!   randomly generated RC networks with random waveforms.
 //! * **Robustness**: the parser returns `Err` (never panics, never
 //!   loops) on arbitrary byte soup and on random mutations of valid
 //!   decks, and every error carries a 1-based line/column.
@@ -18,7 +18,6 @@
 
 use castg_core::synthetic::{CrossbarMacro, DividerMacro, LadderMacro, MeshMacro, OtaChainMacro};
 use castg_core::AnalogMacro;
-use castg_macros::IvConverter;
 use castg_netlist::{parse_deck, write_deck, write_deck_with_title, NetlistError};
 use castg_spice::{Circuit, Waveform};
 use proptest::prelude::*;
@@ -32,7 +31,8 @@ fn assert_round_trip(c: &Circuit) {
 #[test]
 fn synthetic_families_round_trip_exactly() {
     assert_round_trip(&DividerMacro::new().nominal_circuit());
-    assert_round_trip(&IvConverter::with_analytic_boxes().nominal_circuit());
+    let iv = include_str!("../../../tests/fixtures/iv_converter.sp");
+    assert_round_trip(parse_deck(iv).expect("the IV-converter deck parses").circuit());
     for sections in [2, 7, 40] {
         assert_round_trip(&LadderMacro::new(sections).nominal_circuit());
     }

@@ -8,7 +8,6 @@
 //! ```
 
 use castg::core::{AnalogMacro, ConfigDescription};
-use castg::macros::IvConverter;
 
 const STEP_RESPONSE: &str = "\
 # A test configuration description for IV-converter macros,
@@ -45,8 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(parsed, reparsed);
     println!("\nround-trip through the text format: ok");
 
-    // Compare with the live implementation shipped for the IV-converter.
-    let mac = IvConverter::with_analytic_boxes();
+    // Compare with configuration #4 of the IV-converter macro
+    // (`tests/fixtures/iv_configs/4_step_max_dev.cfg`).
+    let mac = castg_bench::iv_macro(false);
     let configs = mac.configurations();
     let live = configs.iter().find(|c| c.id() == 4).expect("config #4 exists");
     let live_d = live.description();

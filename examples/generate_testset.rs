@@ -12,12 +12,11 @@ use castg::core::{
     CompactionOptions, Generator, NominalCache,
 };
 use castg::faults::FaultDictionary;
-use castg::macros::IvConverter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8);
 
-    let mac = IvConverter::with_analytic_boxes();
+    let mac = castg_bench::iv_macro(false);
     let full = mac.fault_dictionary();
     let dict: FaultDictionary = full.faults().iter().take(n).cloned().collect();
     println!("generating optimal tests for {} / {} faults...", dict.len(), full.len());

@@ -7,12 +7,12 @@
 
 use castg::core::{AnalogMacro, Evaluator, NominalCache};
 use castg::faults::Fault;
-use castg::macros::IvConverter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The device under test: a CMOS transimpedance amplifier with
-    // standardized node names (vdd, inn, out, ...).
-    let mac = IvConverter::with_analytic_boxes();
+    // The device under test: the IV-converter deck
+    // (`tests/fixtures/iv_converter.sp`), a CMOS transimpedance
+    // amplifier with standardized node names (vdd, inn, out, ...).
+    let mac = castg_bench::iv_macro(false);
     let circuit = mac.nominal_circuit();
     println!(
         "macro `{}` ({}): {} nodes, {} devices, {} faults in the dictionary",

@@ -9,12 +9,11 @@
 
 use castg::core::{tps_graph, AnalogMacro, Evaluator, NominalCache};
 use castg::faults::Fault;
-use castg::macros::IvConverter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(9);
 
-    let mac = IvConverter::with_analytic_boxes();
+    let mac = castg_bench::iv_macro(false);
     let circuit = mac.nominal_circuit();
     let cache = NominalCache::new();
     let configs = mac.configurations();

@@ -8,9 +8,12 @@
 //! * [`core`] (`castg-core`) — the paper's contribution: sensitivity,
 //!   tps-graphs, per-fault optimal test generation, compaction,
 //!   baselines and reporting.
-//! * [`macros`] (`castg-macros`) — the devices under test (the
-//!   IV-converter with its five Table-1 test configurations, plus an
-//!   OTA buffer) with tolerance-box calibration.
+//! * [`macros`] (`castg-macros`) — process variation and the
+//!   Monte-Carlo tolerance-box calibration (the paper's
+//!   box-functions). The devices under test themselves — the
+//!   IV-converter with its five Table-1 test configurations and a
+//!   bipolar op-amp — are the decks and `.cfg` files under
+//!   `tests/fixtures/`, loaded through [`netlist`].
 //! * [`netlist`] (`castg-netlist`) — the SPICE-deck frontend: parse
 //!   decks (R/C/L/V/I/M/E cards, `.subckt` flattening, `.model` cards,
 //!   scale suffixes) into [`spice`] circuits, write circuits back out

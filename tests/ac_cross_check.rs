@@ -4,7 +4,6 @@
 //! right.
 
 use castg::core::AnalogMacro;
-use castg::macros::IvConverter;
 use castg::spice::{
     AcAnalysis, AcSource, Circuit, Probe, TranAnalysis, Waveform,
 };
@@ -45,8 +44,7 @@ fn ac_matches_transient_steady_state_for_rc() {
 
 #[test]
 fn iv_converter_ac_transimpedance_is_rf_in_band() {
-    let mac = IvConverter::with_analytic_boxes();
-    let circuit = mac.nominal_circuit();
+    let circuit = castg_bench::iv_macro(false).nominal_circuit();
     let out = circuit.find_node("out").unwrap();
     let sweep = AcAnalysis::new(&circuit)
         .source(AcSource { name: "IIN".into(), magnitude: 1.0 })
@@ -65,8 +63,7 @@ fn iv_converter_ac_transimpedance_is_rf_in_band() {
 #[test]
 fn iv_converter_bandwidth_is_finite_and_reasonable() {
     // Far above the loop bandwidth the transimpedance must roll off.
-    let mac = IvConverter::with_analytic_boxes();
-    let circuit = mac.nominal_circuit();
+    let circuit = castg_bench::iv_macro(false).nominal_circuit();
     let out = circuit.find_node("out").unwrap();
     let sweep = AcAnalysis::new(&circuit)
         .source(AcSource { name: "IIN".into(), magnitude: 1.0 })
@@ -85,8 +82,7 @@ fn iv_converter_bandwidth_is_finite_and_reasonable() {
 fn bridge_fault_shifts_ac_response() {
     // A feedback bridge halves the transimpedance — visible in AC too,
     // foreshadowing gain-style extension test configurations.
-    let mac = IvConverter::with_analytic_boxes();
-    let circuit = mac.nominal_circuit();
+    let circuit = castg_bench::iv_macro(false).nominal_circuit();
     let faulty = castg::faults::Fault::bridge("out", "inn", 39e3).inject(&circuit).unwrap();
     let out = circuit.find_node("out").unwrap();
     let run = |c: &Circuit| {

@@ -17,8 +17,7 @@ use castg::core::{
     evaluate_campaign, AnalogMacro, CampaignOptions, CoverageReport, InjectionMode,
     NominalCache, TestInstance,
 };
-use castg::faults::{Fault, FaultDictionary, Junction};
-use castg::macros::{BjtOpAmp, IvConverter};
+use castg::faults::{Fault, FaultDictionary, FaultKind, Junction};
 use castg::spice::{OrderingKind, SolverKind};
 
 /// Builds a few test instances per configuration of `mac` by scaling
@@ -110,7 +109,7 @@ fn differential(mac: &dyn AnalogMacro, dict: &FaultDictionary, tests: &[TestInst
 /// both fault models.
 #[test]
 fn iv_converter_delta_campaign_is_bit_identical() {
-    let mac = IvConverter::with_analytic_boxes();
+    let mac = castg_bench::iv_macro(false);
     let full = mac.fault_dictionary();
     let take = if cfg!(debug_assertions) {
         // Two bridges plus the first pinhole keep `cargo test` quick.
@@ -262,20 +261,19 @@ fn ladder_auto_dense_delta_campaign_is_bit_identical() {
 }
 
 /// The bipolar op-amp — the pure junction-device Newton path: every
-/// dictionary fault (21 bridges + 10 diode/BJT junction pinholes in
+/// dictionary fault (45 bridges + 10 diode/BJT junction pinholes in
 /// release; a mix of both in debug) gets the full delta-vs-rebuild and
 /// threads-1-vs-4 bit-identity treatment, pinning the patched-plan
 /// `DiodeSite`/`BjtSite` stamping against clone-and-recompile.
 #[test]
 fn bjt_opamp_delta_campaign_is_bit_identical() {
-    let mac = BjtOpAmp::new();
+    let mac = castg_bench::golden::bjt_macro(&castg_bench::fixtures_dir());
     let full = mac.fault_dictionary();
     let dict = if cfg!(debug_assertions) {
-        // Three bridges plus three junction pinholes keep `cargo test`
-        // quick while covering both fault models.
-        FaultDictionary::new(
-            full.iter().take(3).chain(full.iter().skip(21).take(3)).cloned().collect(),
-        )
+        // Three bridges plus the first three junction pinholes keep
+        // `cargo test` quick while covering both fault models.
+        let pinholes = full.iter().filter(|f| f.kind() == FaultKind::Pinhole);
+        FaultDictionary::new(full.iter().take(3).chain(pinholes.take(3)).cloned().collect())
     } else {
         full
     };

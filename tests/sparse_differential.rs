@@ -15,12 +15,16 @@
 use castg::core::synthetic::{CrossbarMacro, LadderMacro, MeshMacro, OtaChainMacro};
 use castg::core::AnalogMacro;
 use castg::faults::{Fault, Junction};
-use castg::macros::{BjtOpAmp, IvConverter};
 use castg::spice::{
     AcAnalysis, AcSource, AnalysisOptions, Circuit, DcAnalysis, DiodeParams, NewtonStrategy,
     OrderingKind, Probe, SolverKind, TranAnalysis, Waveform,
 };
 use proptest::prelude::*;
+
+/// The bipolar op-amp deck and its configurations.
+fn bjt_macro() -> castg::netlist::NetlistMacro {
+    castg_bench::golden::bjt_macro(&castg_bench::fixtures_dir())
+}
 
 /// Relative agreement both solver paths must reach.
 const REL_TOL: f64 = 1e-9;
@@ -109,7 +113,7 @@ fn iv_converter_dc_agrees_with_sparse_forced() {
     // The paper's real macro: 10 MOSFETs at n = 11 — a size Auto solves
     // densely, so forcing sparse here cross-checks the nonlinear path
     // on the exact circuit the generation pipeline hammers.
-    let mac = IvConverter::with_analytic_boxes();
+    let mac = castg_bench::iv_macro(false);
     let mut c = mac.nominal_circuit();
     c.set_stimulus("IIN", Waveform::dc(20e-6)).unwrap();
     assert_dc_paths_agree_with(&c, "iv-converter nominal", tight_opts, REL_TOL);
@@ -596,7 +600,7 @@ fn rectifier_transient_dense_vs_sparse() {
 }
 
 /// The bipolar op-amp through all four solver paths, nominal and under
-/// its entire 31-fault dictionary (21 bridges + 10 junction pinholes).
+/// its entire 55-fault dictionary (45 bridges + 10 junction pinholes).
 /// Faulted variants get a conditioning-aware bound like the
 /// IV-converter's: a supply bridge into the high-gain loop leaves two
 /// equally correct factorizations ~κ·ε apart.
@@ -609,7 +613,7 @@ fn bjt_opamp_dc_four_way_nominal_and_faulted() {
         max_iter: 400,
         ..opts3(solver, ordering)
     };
-    let mac = BjtOpAmp::new();
+    let mac = bjt_macro();
     let c = mac.nominal_circuit();
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
         .solve()
@@ -649,7 +653,7 @@ fn bjt_opamp_dc_four_way_nominal_and_faulted() {
 /// capacitances in the 2n×2n sparse embedding.
 #[test]
 fn bjt_opamp_ac_dense_vs_sparse() {
-    let c = BjtOpAmp::new().nominal_circuit();
+    let c = bjt_macro().nominal_circuit();
     let out = c.find_node("out").unwrap();
     let freqs = [1e3, 1e6, 100e6];
     let run = |kind| {
@@ -680,7 +684,7 @@ fn bjt_opamp_ac_dense_vs_sparse() {
 fn junction_cold_starts_stay_on_the_cheap_rungs() {
     for (name, c) in [
         ("rectifier", rectifier()),
-        ("bjt_opamp", BjtOpAmp::new().nominal_circuit()),
+        ("bjt_opamp", bjt_macro().nominal_circuit()),
     ] {
         let sol = DcAnalysis::new(&c).solve().unwrap();
         let report = sol.convergence();
