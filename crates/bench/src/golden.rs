@@ -12,11 +12,12 @@
 //! other code change. The decks themselves are source files: nothing
 //! here writes them.
 
+use castg_core::report::{render_json_report, render_pipeline_report, PipelineTimings};
 use castg_core::synthetic::{DividerMacro, MeshMacro};
 use castg_core::{
     compact, evaluate_test_set_with_threads, test_instances_from_compaction, AnalogMacro,
     CompactionOptions, CompactionReport, CoverageReport, GenerationReport, Generator,
-    GeneratorOptions, NominalCache,
+    GeneratorOptions, NominalCache, TestInstance,
 };
 use castg_faults::FaultDictionary;
 use castg_numeric::{BrentOptions, PowellOptions};
@@ -58,21 +59,13 @@ pub fn golden_options() -> GeneratorOptions {
     }
 }
 
-/// Canonical text rendering of one macro's full pipeline outcome —
-/// shared with the `castg` CLI via
-/// [`castg_core::report::render_pipeline_report`].
-pub fn render_report(
-    macro_name: &str,
-    generation: &GenerationReport,
-    compaction: &CompactionReport,
-    coverage: &CoverageReport,
-) -> String {
-    castg_core::report::render_pipeline_report(macro_name, generation, compaction, coverage)
-}
-
-/// Runs the pipeline for one macro over `dict` and renders the golden
-/// report.
-fn pipeline_report(mac: &dyn AnalogMacro, dict: &FaultDictionary) -> String {
+/// Runs generate → compact → evaluate for one macro over `dict` with
+/// the golden options and returns the generation, the compaction, the
+/// compacted test instances and their coverage.
+fn run_pipeline(
+    mac: &dyn AnalogMacro,
+    dict: &FaultDictionary,
+) -> (GenerationReport, CompactionReport, Vec<TestInstance>, CoverageReport) {
     let cache = NominalCache::new();
     let generator = Generator::with_options(mac, &cache, golden_options());
     let generation = generator.generate(dict);
@@ -86,7 +79,15 @@ fn pipeline_report(mac: &dyn AnalogMacro, dict: &FaultDictionary) -> String {
     let instances = test_instances_from_compaction(mac, &compaction).expect("instances");
     let coverage =
         evaluate_test_set_with_threads(mac, &cache, &instances, dict, 2).expect("coverage");
-    render_report(mac.name(), &generation, &compaction, &coverage)
+    (generation, compaction, instances, coverage)
+}
+
+/// Runs the pipeline for one macro over `dict` and renders the golden
+/// report — the text the `castg` CLI writes
+/// ([`castg_core::report::render_pipeline_report`]).
+fn pipeline_report(mac: &dyn AnalogMacro, dict: &FaultDictionary) -> String {
+    let (generation, compaction, _, coverage) = run_pipeline(mac, dict);
+    render_pipeline_report(mac.name(), &generation, &compaction, &coverage)
 }
 
 /// The `DividerMacro` golden report (full dictionary).
@@ -104,25 +105,13 @@ pub fn divider_report() -> String {
 pub fn json_report() -> String {
     let mac = DividerMacro::new();
     let dict = mac.fault_dictionary();
-    let cache = NominalCache::new();
-    let generator = Generator::with_options(&mac, &cache, golden_options());
-    let generation = generator.generate(&dict);
-    assert!(
-        generation.failures.is_empty(),
-        "golden generation must not fail: {:?}",
-        generation.failures
-    );
-    let compaction =
-        compact(&mac, &cache, &generation, &CompactionOptions::default()).expect("compaction");
-    let instances = test_instances_from_compaction(&mac, &compaction).expect("instances");
-    let coverage =
-        evaluate_test_set_with_threads(&mac, &cache, &instances, &dict, 2).expect("coverage");
-    castg_core::report::render_json_report(
+    let (_, compaction, instances, coverage) = run_pipeline(&mac, &dict);
+    render_json_report(
         mac.name(),
         mac.macro_type(),
         dict.len(),
         2,
-        &castg_core::report::PipelineTimings::default(),
+        &PipelineTimings::default(),
         instances.len(),
         compaction.original_count,
         &coverage,

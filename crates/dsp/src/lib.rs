@@ -9,9 +9,8 @@
 //!   interpolation resampling from arbitrary `(t, v)` traces,
 //! * [`goertzel`](fn@goertzel) — single-bin DFT evaluation at an arbitrary frequency,
 //! * [`thd`](fn@thd) / [`harmonic_magnitudes`] — harmonic analysis,
-//! * [`metrics`] — RMS, peak, max-deviation, accumulated deviation and
-//!   settling-time helpers,
-//! * [`window`] — Hann window for non-coherent sampling situations.
+//! * [`metrics`] — the max and accumulated deviations between a faulty
+//!   and a nominal sampled response.
 //!
 //! # Example
 //!
@@ -39,7 +38,6 @@ mod goertzel;
 pub mod metrics;
 mod sample;
 mod thd;
-pub mod window;
 
 pub use goertzel::{goertzel, GoertzelResult};
 pub use sample::UniformSamples;

@@ -7,27 +7,6 @@
 
 use crate::UniformSamples;
 
-/// Root-mean-square of the samples; `0.0` for an empty record.
-pub fn rms(s: &UniformSamples) -> f64 {
-    if s.is_empty() {
-        return 0.0;
-    }
-    (s.values().iter().map(|v| v * v).sum::<f64>() / s.len() as f64).sqrt()
-}
-
-/// Largest absolute sample value; `0.0` for an empty record.
-pub fn peak(s: &UniformSamples) -> f64 {
-    s.values().iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
-/// Arithmetic mean; `0.0` for an empty record.
-pub fn mean(s: &UniformSamples) -> f64 {
-    if s.is_empty() {
-        return 0.0;
-    }
-    s.values().iter().sum::<f64>() / s.len() as f64
-}
-
 /// `Max_i |a_i − b_i|` over the overlapping prefix of two records — the
 /// return value of test configuration #4 (maximum deviation between the
 /// faulty and nominal sampled step responses).
@@ -48,73 +27,12 @@ pub fn accumulated_deviation(a: &UniformSamples, b: &UniformSamples) -> f64 {
     a.values().iter().zip(b.values()).map(|(x, y)| (x - y) * dt).sum()
 }
 
-/// Time (relative to the record start) after which the waveform stays
-/// within `±tolerance` of its final value. Returns `None` if the record
-/// is empty or only the very last sample is within tolerance — a single
-/// in-band sample at the end is not credible evidence of settling.
-pub fn settling_time(s: &UniformSamples, tolerance: f64) -> Option<f64> {
-    let vals = s.values();
-    let last = *vals.last()?;
-    let mut settle_idx = 0usize;
-    for (i, v) in vals.iter().enumerate() {
-        if (v - last).abs() > tolerance {
-            settle_idx = i + 1;
-        }
-    }
-    if settle_idx + 1 >= vals.len() {
-        None
-    } else {
-        Some(settle_idx as f64 * s.dt())
-    }
-}
-
-/// Overshoot beyond the final value, as a fraction of the total step
-/// swing from the initial to the final value. `None` for records shorter
-/// than two samples or zero swing.
-pub fn overshoot(s: &UniformSamples) -> Option<f64> {
-    let vals = s.values();
-    if vals.len() < 2 {
-        return None;
-    }
-    let first = vals[0];
-    let last = *vals.last().expect("len >= 2");
-    let swing = last - first;
-    if swing.abs() < 1e-300 {
-        return None;
-    }
-    let extreme = if swing > 0.0 {
-        vals.iter().fold(f64::NEG_INFINITY, |m, v| m.max(*v))
-    } else {
-        vals.iter().fold(f64::INFINITY, |m, v| m.min(*v))
-    };
-    Some(((extreme - last) / swing).max(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn samples(vals: &[f64]) -> UniformSamples {
         UniformSamples::new(0.0, 1e-6, vals.to_vec())
-    }
-
-    #[test]
-    fn rms_of_constant_and_empty() {
-        assert_eq!(rms(&samples(&[2.0, 2.0, 2.0])), 2.0);
-        assert_eq!(rms(&samples(&[])), 0.0);
-    }
-
-    #[test]
-    fn rms_of_alternating() {
-        assert!((rms(&samples(&[1.0, -1.0, 1.0, -1.0])) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peak_and_mean() {
-        let s = samples(&[1.0, -3.0, 2.0]);
-        assert_eq!(peak(&s), 3.0);
-        assert_eq!(mean(&s), 0.0);
-        assert_eq!(mean(&samples(&[])), 0.0);
     }
 
     #[test]
@@ -133,40 +51,5 @@ mod tests {
         assert!(accumulated_deviation(&a, &b).abs() < 1e-18);
         let c = samples(&[0.0, 0.0, 0.0, 0.0]);
         assert!((accumulated_deviation(&a, &c) - 4.0 * 1e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn settling_time_of_step() {
-        // Settles to 1.0 after the third sample.
-        let s = samples(&[0.0, 0.5, 0.9, 1.0, 1.0, 1.0]);
-        let t = settling_time(&s, 0.05).unwrap();
-        assert!((t - 3e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn settling_time_none_if_never_settles() {
-        let s = samples(&[0.0, 1.0, 0.0, 1.0]);
-        assert_eq!(settling_time(&s, 0.1), None);
-        assert_eq!(settling_time(&samples(&[]), 0.1), None);
-    }
-
-    #[test]
-    fn overshoot_of_ringing_step() {
-        let s = samples(&[0.0, 1.4, 0.8, 1.1, 1.0, 1.0]);
-        let o = overshoot(&s).unwrap();
-        assert!((o - 0.4).abs() < 1e-12, "overshoot {o}");
-    }
-
-    #[test]
-    fn overshoot_none_for_flat_or_short() {
-        assert_eq!(overshoot(&samples(&[1.0, 1.0])), None);
-        assert_eq!(overshoot(&samples(&[1.0])), None);
-    }
-
-    #[test]
-    fn overshoot_handles_falling_step() {
-        let s = samples(&[1.0, -0.2, 0.1, 0.0, 0.0]);
-        let o = overshoot(&s).unwrap();
-        assert!((o - 0.2).abs() < 1e-12, "overshoot {o}");
     }
 }

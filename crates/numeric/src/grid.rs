@@ -21,17 +21,6 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     }
 }
 
-/// Returns `n` logarithmically spaced values covering `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics if `lo <= 0` or `hi <= 0` — logarithmic spacing needs positive
-/// endpoints (frequency axes always satisfy this).
-pub fn logspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(lo > 0.0 && hi > 0.0, "logspace requires positive endpoints, got [{lo}, {hi}]");
-    linspace(lo.ln(), hi.ln(), n).into_iter().map(f64::exp).collect()
-}
-
 /// A two-dimensional rectangular sweep grid with row-major cell storage.
 ///
 /// The tps-graphs of the paper are exactly this: a grid over two test
@@ -148,20 +137,6 @@ mod tests {
     fn linspace_edge_cases() {
         assert!(linspace(0.0, 1.0, 0).is_empty());
         assert_eq!(linspace(3.0, 9.0, 1), vec![3.0]);
-    }
-
-    #[test]
-    fn logspace_is_geometric() {
-        let v = logspace(1.0, 100.0, 3);
-        assert!((v[0] - 1.0).abs() < 1e-12);
-        assert!((v[1] - 10.0).abs() < 1e-9);
-        assert!((v[2] - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive endpoints")]
-    fn logspace_rejects_nonpositive() {
-        logspace(0.0, 10.0, 3);
     }
 
     #[test]

@@ -36,8 +36,6 @@
 //! * [`Bounds`] / [`ParamSpace`] — rectangular parameter domains with
 //!   normalization helpers.
 //! * [`grid`] — sweep helpers used to compute tps-graphs.
-//! * [`stats`] — small statistics helpers (mean, standard deviation,
-//!   percentiles) used by the tolerance-box calibration.
 //!
 //! # Dense or sparse?
 //!
@@ -111,19 +109,16 @@
 mod bounds;
 mod brent;
 pub mod btf;
-pub mod complex;
 mod error;
 pub mod grid;
 mod lu;
 mod matrix;
 mod powell;
 pub mod sparse;
-pub mod stats;
 
 pub use bounds::{Bounds, ParamSpace};
 pub use btf::BtfOrder;
 pub use brent::{brent_min, golden_section_min, BrentOptions, Minimum};
-pub use complex::{CMatrix, Complex};
 pub use error::NumericError;
 pub use lu::{LuFactors, LuWorkspace};
 pub use matrix::Matrix;

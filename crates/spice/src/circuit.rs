@@ -321,9 +321,9 @@ impl Circuit {
     }
 
     /// Adds an inductor (`henries > 0` and finite). In DC it behaves as
-    /// a short (its branch equation forces `v(a) = v(b)`), transient
+    /// a short (its branch equation forces `v(a) = v(b)`), and transient
     /// analysis integrates `v = L·di/dt` with the same companion-model
-    /// machinery capacitors use, and AC stamps `−jωL` on its branch row.
+    /// machinery capacitors use.
     ///
     /// # Errors
     ///
@@ -718,17 +718,11 @@ impl Circuit {
     /// becomes [`SpiceError::Singular`] naming the unknown via
     /// [`Circuit::unknown_name`]; anything else
     /// (or an unnameable pivot) passes through as
-    /// [`SpiceError::Numeric`]. The pivot is reduced modulo
-    /// [`Circuit::unknown_count`] so analyses that factor a stacked
-    /// embedding of the MNA system (the AC sweep's 2n×2n real form) can
-    /// use the same helper.
+    /// [`SpiceError::Numeric`].
     pub fn singular_error(&self, e: castg_numeric::NumericError) -> SpiceError {
         if let castg_numeric::NumericError::SingularMatrix { pivot } = e {
-            let n = self.unknown_count();
-            if n > 0 {
-                if let Some(unknown) = self.unknown_name(pivot % n) {
-                    return SpiceError::Singular { unknown };
-                }
+            if let Some(unknown) = self.unknown_name(pivot) {
+                return SpiceError::Singular { unknown };
             }
         }
         SpiceError::Numeric(e)

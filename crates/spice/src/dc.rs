@@ -595,8 +595,8 @@ impl<'c> DcAnalysis<'c> {
         self
     }
 
-    /// Adds a batch of by-name overrides (used by the transient and AC
-    /// front-ends to pass theirs through to the inner DC solve).
+    /// Adds a batch of by-name overrides (used by the transient
+    /// front-end to pass its own through to the inner DC solve).
     pub(crate) fn with_overrides(mut self, overrides: Vec<(String, Waveform)>) -> Self {
         self.overrides.extend(overrides);
         self
@@ -953,6 +953,21 @@ mod tests {
         // i.e. +5 mA through the source in SPICE convention.
         let i = sol.source_current("V1").unwrap();
         assert!((i + 5e-3).abs() < 1e-6, "i = {i}");
+    }
+
+    /// DC treats the inductor as a short carrying the loop current.
+    #[test]
+    fn dc_inductor_is_a_short() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let mid = ckt.node("mid");
+        ckt.add_vsource("V1", vin, Circuit::GROUND, Waveform::dc(2.0)).unwrap();
+        ckt.add_resistor("R1", vin, mid, 1e3).unwrap();
+        ckt.add_inductor("L1", mid, Circuit::GROUND, 1e-3).unwrap();
+        let sol = DcAnalysis::new(&ckt).solve().unwrap();
+        assert!((sol.voltage(mid)).abs() < 1e-9, "v(mid) = {}", sol.voltage(mid));
+        let i = sol.source_current("L1").unwrap();
+        assert!((i - 2e-3).abs() < 1e-9, "i(L1) = {i}");
     }
 
     #[test]

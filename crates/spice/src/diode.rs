@@ -29,7 +29,7 @@ pub struct DiodeParams {
     /// Ohmic series resistance in ohms (≥ 0).
     pub rs: f64,
     /// Zero-bias junction capacitance in farads (≥ 0), stamped as a
-    /// constant capacitance by the transient and AC engines.
+    /// constant capacitance by the transient engine.
     pub cj0: f64,
 }
 

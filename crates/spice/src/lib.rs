@@ -9,9 +9,8 @@
 //!   and all four linear controlled sources — VCVS `E`, VCCS `G`, CCCS
 //!   `F`, CCVS `H`; inductors are DC shorts carrying a branch-current
 //!   unknown, integrated by the same companion-model machinery as
-//!   capacitors and stamped as `−jωL` on their branch row in AC, and the
-//!   current-sensing `F`/`H` sources read any branch-current-carrying
-//!   controller's row the same way),
+//!   capacitors, and the current-sensing `F`/`H` sources read any
+//!   branch-current-carrying controller's row the same way),
 //!
 //!   Every pn junction — the diode's and both BJT junctions — evaluates
 //!   through the same stateless critical-voltage limiting: exact
@@ -28,10 +27,11 @@
 //!   five-rung convergence strategy ladder (see below),
 //! * [`TranAnalysis`] — fixed-step transient analysis (trapezoidal with a
 //!   backward-Euler start) recording [`Probe`]d quantities into a
-//!   [`Trace`],
-//! * [`AcAnalysis`] — small-signal frequency sweeps around the DC
-//!   operating point (the substrate for gain/bandwidth-style extension
-//!   test configurations).
+//!   [`Trace`].
+//!
+//! These are the analyses the paper's test configurations run: DC
+//! transfer and supply current need the operating point; THD and the
+//! sampled step responses need the transient.
 //!
 //! The simulator is deliberately small (fixed timestep, Level-1 MOS) but
 //! numerically honest: every nonlinear solve either converges to the
@@ -91,11 +91,11 @@
 //!   matrix adds for every target: dense, sparse, and the sparse fast
 //!   path, which adds through value indices recorded by running that
 //!   same replay once through a slot recorder. The transient
-//!   companions, the AC `C` matrix and the dynamic sparsity slots all
-//!   stamp the one reactance list. DC rungs and transient steps run the
-//!   same damped Newton iteration and the same gmin walk, differing
-//!   only in their settings and extra stamps. A new device kind is one
-//!   `emit` arm plus one replay arm.
+//!   companions and the dynamic sparsity slots both stamp the one
+//!   reactance list. DC rungs and transient steps run the same damped
+//!   Newton iteration and the same gmin walk, differing only in their
+//!   settings and extra stamps. A new device kind is one `emit` arm
+//!   plus one replay arm.
 //! * **LU workspaces.** The factor/solve cycle runs through
 //!   `castg_numeric::LuWorkspace`: the assembled matrix is *swapped*
 //!   into the workspace (O(1)), eliminated in place, and the solution
@@ -149,8 +149,7 @@
 //!   additionally caches one canonical symbolic analysis
 //!   (`castg_numeric::SparseSymbolic`, `Arc`-shared) that seeds every
 //!   sparse solver instance, so a whole campaign performs one symbolic
-//!   DFS per variant. AC sweeps fan frequency points out over worker
-//!   threads ([`AcAnalysis::threads`]) against that shared skeleton.
+//!   DFS per variant.
 //!
 //! # Solver dispatch: dense vs sparse
 //!
@@ -163,12 +162,10 @@
 //! * **Sparse** (`castg_numeric::SparseLu`) — for large, structurally
 //!   sparse netlists. The compiled stamp plan records every matrix slot
 //!   any analysis can touch (static stamps, MOS linearization sites,
-//!   capacitor companion/AC slots) and caches a pattern-fixed CSC
+//!   reactance companion slots) and caches a pattern-fixed CSC
 //!   template per circuit; assembly then costs O(nnz) per iteration and
 //!   the factorization reuses its symbolic skeleton across all Newton
-//!   iterations, stepping ladders and timesteps of an analysis. AC
-//!   sweeps solve the real `2n×2n` embedding `[[G, −ωC], [ωC, G]]`,
-//!   reusing one symbolic analysis across every frequency point.
+//!   iterations, stepping ladders and timesteps of an analysis.
 //! * **Auto** (default) picks sparse iff `n ≥` [`SPARSE_MIN_N`] and the
 //!   structural density is at most [`SPARSE_MAX_DENSITY`].
 //!
@@ -210,8 +207,7 @@
 //! solves factor the static (resistive + Jacobian) pattern only, where
 //! capacitor slots — structural zeros in DC that would symmetrically
 //! glue every cascade stage into one giant SCC — are absent; transient
-//! and AC stamp companions into the full union pattern (and the AC
-//! `2n×2n` embedding runs its own BTF condensation per sweep). On the
+//! solves stamp companions into the full union pattern. On the
 //! synthetic families BTF has not paid off yet: a 512-unknown OTA chain
 //! condenses to 259 blocks (largest 2) with block fill equal to the
 //! global-AMD fill (1,276 nnz; `tests/ordering_verdicts.rs` pins both),
@@ -238,13 +234,11 @@
 //! functions of the faulted circuit, so a patched variant and a
 //! from-scratch rebuild always agree bit for bit — the patched one
 //! merely reuses the nominal's AMD permutation when the pattern is
-//! unchanged), and
-//! the AC sweep's `2n×2n` real embedding computes its own AMD
-//! permutation once per sweep and shares it across every frequency
-//! point. The four-way differential harness (Dense / Sparse-Natural /
-//! Sparse-AMD / Sparse-BTF, `tests/sparse_differential.rs` +
-//! `tests/campaign_differential.rs`) pins all of this, nominal and
-//! after fault injection, at worker counts 1 and 4.
+//! unchanged). The four-way differential harness (Dense /
+//! Sparse-Natural / Sparse-AMD / Sparse-BTF,
+//! `tests/sparse_differential.rs` + `tests/campaign_differential.rs`)
+//! pins all of this, nominal and after fault injection, at worker
+//! counts 1 and 4.
 //!
 //! # Example: resistor divider
 //!
@@ -265,7 +259,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ac;
 mod analysis;
 mod bjt;
 mod budget;
@@ -283,7 +276,6 @@ mod stats;
 mod stimulus;
 mod transient;
 
-pub use ac::{AcAnalysis, AcSource, AcSweep};
 pub use analysis::AnalysisOptions;
 pub use bjt::{BjtOperatingPoint, BjtParams, BjtPolarity};
 pub use budget::with_solve_budget;

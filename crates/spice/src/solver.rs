@@ -1,11 +1,10 @@
 //! Dense/sparse linear-solver dispatch for the MNA analyses.
 //!
-//! Every analysis (DC Newton, transient timesteps, the AC
-//! operating-point linearization) bottoms out in "assemble the MNA
-//! system, factor it, substitute". For macro-sized circuits the dense
-//! [`LuWorkspace`] is unbeatable — no indices, no indirection, hot in
-//! cache. Past a hundred-odd unknowns the O(n³) factor and the O(n²)
-//! per-iteration clear take over, and the sparse
+//! Every analysis (DC Newton, transient timesteps) bottoms out in
+//! "assemble the MNA system, factor it, substitute". For macro-sized
+//! circuits the dense [`LuWorkspace`] is unbeatable — no indices, no
+//! indirection, hot in cache. Past a hundred-odd unknowns the O(n³)
+//! factor and the O(n²) per-iteration clear take over, and the sparse
 //! [`SparseLu`]/[`SparseMatrix`] path (O(nnz) assembly, fill-bounded
 //! factorization with symbolic reuse across iterations) wins by orders
 //! of magnitude.

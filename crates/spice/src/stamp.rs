@@ -13,11 +13,10 @@
 //! values and recording every reactance; [`StampPlan::assemble_into`]
 //! then replays the flat op list per Newton iteration with no device
 //! dispatch, no node-index arithmetic and no allocation. The plan is
-//! shared across Newton iterations, gmin/source stepping ladders,
-//! transient timesteps, and AC operating-point linearization. The
-//! replay applies ops in device order, so the floating-point
-//! accumulation order (and therefore the result, bit for bit) matches a
-//! direct device-by-device assembly.
+//! shared across Newton iterations, gmin/source stepping ladders and
+//! transient timesteps. The replay applies ops in device order, so the
+//! floating-point accumulation order (and therefore the result, bit for
+//! bit) matches a direct device-by-device assembly.
 //!
 //! Each decision is written once:
 //!
@@ -29,8 +28,8 @@
 //!   The rhs-only refresh of linear plans replays the rhs-writing ops
 //!   through a target that drops matrix adds.
 //! * **One reactance list** ([`Reactance`], device order): the dynamic
-//!   sparsity slots, the transient companions and the AC `C` matrix
-//!   are all stamped from it.
+//!   sparsity slots and the transient companions are both stamped from
+//!   it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -117,8 +116,8 @@ pub(crate) fn stamp_current(rhs: &mut [f64], from: NodeId, to: NodeId, i: f64) {
 /// One energy-storage element of a plan, terminals resolved to slots.
 ///
 /// [`PlanBuilder::emit`] records every reactance of the circuit once,
-/// in device order; the plan's dynamic sparsity slots, the transient
-/// companions and the AC `C` matrix are all stamped from this list.
+/// in device order; the plan's dynamic sparsity slots and the
+/// transient companions are both stamped from this list.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reactance {
     /// A capacitance between two nodes: an explicit capacitor, a MOS
@@ -130,14 +129,6 @@ pub(crate) enum Reactance {
 }
 
 impl Reactance {
-    /// The element's capacitance or inductance.
-    pub(crate) fn value(&self) -> f64 {
-        match *self {
-            Reactance::Cap { farads, .. } => farads,
-            Reactance::Ind { henries, .. } => henries,
-        }
-    }
-
     /// Terminal voltage `v(a) − v(b)` under the candidate solution `x`.
     pub(crate) fn voltage(&self, x: &[f64]) -> f64 {
         let (Reactance::Cap { a, b, .. } | Reactance::Ind { a, b, .. }) = *self;
@@ -147,8 +138,8 @@ impl Reactance {
     /// Stamps `value` as the element's matrix entry: a conductance
     /// between the terminals of a capacitance, `−value` on the branch
     /// diagonal of an inductor (its branch equation gains `−value·i`).
-    /// The transient passes the companion `geq`/`req`, the AC sweep the
-    /// element's own C or L.
+    /// The transient passes the companion `geq`/`req`; the slot
+    /// recorder passes zero.
     pub(crate) fn stamp<M: StampTarget + ?Sized>(&self, mat: &mut M, value: f64) {
         match *self {
             Reactance::Cap { a, b, .. } => conductance(mat, a, b, value),
@@ -510,12 +501,12 @@ pub(crate) struct StampPlan {
     /// index is this list mapped through a pattern.
     static_slots: Vec<(usize, usize)>,
     /// Every reactance, in device order (see [`Reactance`]): the
-    /// dynamic sparsity slots, the transient companions and the AC `C`
-    /// matrix all derive from it.
+    /// dynamic sparsity slots and the transient companions both derive
+    /// from it.
     reactances: Vec<Reactance>,
     /// Per-[`PatternScope`] lazy caches: the sparse template, canonical
     /// symbolic analyses, orderings and stamp indices all come in a
-    /// `Static` (DC) and a `Full` (transient / AC) flavor, because the
+    /// `Static` (DC) and a `Full` (transient) flavor, because the
     /// two scopes factor different sparsity patterns. When the static
     /// and full slot sets produce the same pattern (no off-diagonal
     /// capacitive coupling — ladders, meshes), the static template
@@ -540,13 +531,12 @@ pub(crate) struct StampPlan {
 /// the static pattern but is one giant strongly connected component
 /// under the full one (the gate-drain capacitance couples every stage
 /// symmetrically). Transient solves stamp companion conductances into
-/// the dynamic slots and need the **full** union; the AC engine stamps
-/// `G` and `C` over the full template too.
+/// the dynamic slots and need the **full** union.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PatternScope {
     /// Static (DC/Jacobian) slots only.
     Static = 0,
-    /// Static ∪ dynamic slots (transient companions, AC reactances).
+    /// Static ∪ dynamic slots (transient companions).
     Full = 1,
 }
 
@@ -849,12 +839,6 @@ impl StampPlan {
     /// Every reactance of the circuit, in device order.
     pub(crate) fn reactances(&self) -> &[Reactance] {
         &self.reactances
-    }
-
-    /// Slots only reactance stamps (transient companions, AC `C`) can
-    /// touch.
-    pub(crate) fn dynamic_slots(&self) -> Vec<(usize, usize)> {
-        slots_of(&self.reactances)
     }
 
     /// The all-zero sparse assembly matrix over `scope`'s slot set —
@@ -1237,7 +1221,7 @@ impl StampPlan {
     /// * `gmin` is stamped from every non-ground node to ground.
     ///
     /// Reactances are *not* stamped here: DC treats capacitors as open
-    /// and inductors as shorts; the transient and AC engines stamp
+    /// and inductors as shorts; the transient stamps the companions of
     /// [`reactances`](StampPlan::reactances) on top.
     pub(crate) fn assemble_into<M: StampTarget + ?Sized>(
         &self,

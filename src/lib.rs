@@ -26,10 +26,11 @@
 //! * [`faults`] (`castg-faults`) — bridge and pinhole fault models with
 //!   tunable impact, and exhaustive fault lists.
 //! * [`spice`] (`castg-spice`) — the built-in MNA circuit simulator
-//!   (DC Newton–Raphson, fixed-step transient, AC sweeps; R/C/L,
-//!   independent sources, VCVS, Level-1 MOSFETs). Its
-//!   Newton loops run allocation-free: circuits compile once into stamp
-//!   plans that are replayed per iteration (see the crate docs).
+//!   (DC Newton–Raphson and fixed-step transient, the two analyses the
+//!   test configurations run; R/C/L, independent and controlled
+//!   sources, Level-1 MOSFETs, diodes, BJTs). Its Newton loops run
+//!   allocation-free: circuits compile once into stamp plans that are
+//!   replayed per iteration (see the crate docs).
 //! * [`dsp`] (`castg-dsp`) — waveform post-processing (Goertzel, THD,
 //!   deviation metrics).
 //! * [`numeric`] (`castg-numeric`) — dense LU (including the reusable

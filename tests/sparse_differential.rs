@@ -6,18 +6,18 @@
 //! LU under the BTF block-triangular decomposition (the four-way) — on
 //! the same circuit, and the solutions must agree to 1e-9 *relative*.
 //! The circuits come from the scalable synthetic families
-//! (`LadderMacro`, `OtaChainMacro`, `MeshMacro`, `CrossbarMacro`) and
-//! from the paper's IV-converter, nominal **and** after fault
-//! injection, so the cross-check covers linear and MOS-nonlinear
-//! systems, DC, transient and AC, at sizes where `Auto` would pick any
-//! path.
+//! (`LadderMacro`, `OtaChainMacro`, `MeshMacro`, `CrossbarMacro`),
+//! from the paper's IV-converter, and from a diode bridge and the
+//! bipolar op-amp deck, nominal **and** after fault injection, so the
+//! cross-check covers linear, MOS and junction-nonlinear systems, DC
+//! and transient, at sizes where `Auto` would pick any path.
 
 use castg::core::synthetic::{CrossbarMacro, LadderMacro, MeshMacro, OtaChainMacro};
 use castg::core::AnalogMacro;
 use castg::faults::{Fault, Junction};
 use castg::spice::{
-    AcAnalysis, AcSource, AnalysisOptions, Circuit, DcAnalysis, DiodeParams, NewtonStrategy,
-    OrderingKind, Probe, SolverKind, TranAnalysis, Waveform,
+    AnalysisOptions, Circuit, DcAnalysis, DiodeParams, NewtonStrategy, OrderingKind, Probe,
+    SolverKind, TranAnalysis, Waveform,
 };
 use proptest::prelude::*;
 
@@ -153,33 +153,6 @@ fn ladder_transient_dense_vs_sparse() {
         assert!(
             (d - s).abs() <= REL_TOL * scale,
             "transient t[{i}]: dense {d} vs sparse {s}"
-        );
-    }
-}
-
-#[test]
-fn ladder_ac_dense_vs_sparse() {
-    // The sparse AC path solves the real 2n×2n embedding; magnitudes
-    // and phases must match the dense complex solver.
-    let mac = LadderMacro::with_unknowns(80);
-    let c = mac.nominal_circuit();
-    let out = c.find_node("out").unwrap();
-    let freqs = [1e3, 100e3, 10e6];
-    let run = |kind| {
-        AcAnalysis::with_options(&c, opts(kind))
-            .source(AcSource { name: "V1".into(), magnitude: 1.0 })
-            .run(&freqs)
-            .unwrap()
-    };
-    let dense = run(SolverKind::Dense);
-    let sparse = run(SolverKind::Sparse);
-    for (i, f) in freqs.iter().enumerate() {
-        let d = dense.voltage(i, out);
-        let s = sparse.voltage(i, out);
-        let scale = d.abs().max(s.abs()).max(1.0);
-        assert!(
-            (d - s).abs() <= 1e-8 * scale,
-            "ac f={f}: dense {d:?} vs sparse {s:?}"
         );
     }
 }
@@ -353,36 +326,6 @@ fn ota_chain_transient_four_way() {
     }
 }
 
-/// AC on the OTA chain: the 2n×2n embedding couples G and ωC, so the
-/// BTF resolution runs its own transversal/condensation per sweep and
-/// falls back to the embedding's AMD ordering when it cannot condense.
-#[test]
-fn ota_chain_ac_four_way() {
-    let mac = OtaChainMacro::with_unknowns(64);
-    let c = mac.nominal_circuit();
-    let out = c.find_node("out").unwrap();
-    let freqs = [1e3, 1e6, 100e6];
-    let run = |solver, ordering| {
-        AcAnalysis::with_options(&c, opts3(solver, ordering))
-            .source(AcSource { name: "VIN".into(), magnitude: 1.0 })
-            .run(&freqs)
-            .unwrap()
-    };
-    let reference = run(SolverKind::Dense, OrderingKind::Natural);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
-        let got = run(solver, ordering);
-        for (i, f) in freqs.iter().enumerate() {
-            let d = reference.voltage(i, out);
-            let s = got.voltage(i, out);
-            let scale = d.abs().max(s.abs()).max(1.0);
-            assert!(
-                (d - s).abs() <= 1e-8 * scale,
-                "ota ac {solver:?}/{ordering:?} f={f}: {d:?} vs {s:?}"
-            );
-        }
-    }
-}
-
 /// The crossbar is the *nonlinear* mesh-fill workload: MOS readout
 /// stages on two overlaid bar lattices. Newton must converge to the
 /// same fixed point through all four solver paths, nominal and with
@@ -451,36 +394,6 @@ fn mesh_transient_four_way() {
             assert!(
                 (d - s).abs() <= REL_TOL * scale,
                 "mesh transient {solver:?}/{ordering:?} t[{i}]: {d} vs {s}"
-            );
-        }
-    }
-}
-
-/// AC on the mesh: the sparse path's 2n×2n real embedding gets its own
-/// AMD permutation or BTF run (computed once per sweep); magnitudes
-/// must match the dense complex solver under every ordering.
-#[test]
-fn mesh_ac_four_way() {
-    let mac = MeshMacro::with_unknowns(100);
-    let c = mac.nominal_circuit();
-    let out = c.find_node("out").unwrap();
-    let freqs = [1e3, 1e6, 100e6];
-    let run = |solver, ordering| {
-        AcAnalysis::with_options(&c, opts3(solver, ordering))
-            .source(AcSource { name: "V1".into(), magnitude: 1.0 })
-            .run(&freqs)
-            .unwrap()
-    };
-    let reference = run(SolverKind::Dense, OrderingKind::Natural);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
-        let got = run(solver, ordering);
-        for (i, f) in freqs.iter().enumerate() {
-            let d = reference.voltage(i, out);
-            let s = got.voltage(i, out);
-            let scale = d.abs().max(s.abs()).max(1.0);
-            assert!(
-                (d - s).abs() <= 1e-8 * scale,
-                "mesh ac {solver:?}/{ordering:?} f={f}: {d:?} vs {s:?}"
             );
         }
     }
@@ -573,18 +486,14 @@ fn rectifier_dc_four_way_nominal_and_faulted() {
     }
 }
 
-/// Transient on the rectifier: junction capacitances enter the
-/// companion-augmented pattern, and the step drives the diodes across
-/// their conduction threshold mid-run.
-#[test]
-fn rectifier_transient_dense_vs_sparse() {
-    let mut c = rectifier();
-    c.set_stimulus("V1", Waveform::step(0.0, 3.0, 0.2e-6, 0.05e-6)).unwrap();
-    let p = c.find_node("p").unwrap();
-    let probes = [Probe::NodeVoltage(p)];
+/// Runs a 2 µs transient of `c` at step `dt` through the dense and the
+/// sparse path under [`tight_opts`], checks that `V(node)` agrees to
+/// 1e-8 relative at every step, and returns the dense waveform.
+fn tight_transient_dense_vs_sparse(c: &Circuit, node: &str, dt: f64) -> Vec<f64> {
+    let probes = [Probe::NodeVoltage(c.find_node(node).unwrap())];
     let run = |kind| {
-        TranAnalysis::with_options(&c, tight_opts(kind), Default::default())
-            .run(2e-6, 0.05e-6, &probes)
+        TranAnalysis::with_options(c, tight_opts(kind), Default::default())
+            .run(2e-6, dt, &probes)
             .unwrap()
     };
     let dense = run(SolverKind::Dense);
@@ -594,9 +503,33 @@ fn rectifier_transient_dense_vs_sparse() {
         let scale = d.abs().max(s.abs()).max(1.0);
         assert!(
             (d - s).abs() <= 1e-8 * scale,
-            "rectifier transient t[{i}]: dense {d} vs sparse {s}"
+            "v({node}) transient t[{i}]: dense {d} vs sparse {s}"
         );
     }
+    dense.column(0).to_vec()
+}
+
+/// Transient on the rectifier: junction capacitances enter the
+/// companion-augmented pattern, and the step drives the diodes across
+/// their conduction threshold mid-run.
+#[test]
+fn rectifier_transient_dense_vs_sparse() {
+    let mut c = rectifier();
+    c.set_stimulus("V1", Waveform::step(0.0, 3.0, 0.2e-6, 0.05e-6)).unwrap();
+    tight_transient_dense_vs_sparse(&c, "p", 0.05e-6);
+}
+
+/// Transient on the bipolar op-amp: a small input step moves the
+/// output through the junction-limited Newton path, and the cje/cjc/cj0
+/// junction capacitances enter the companion-augmented sparse pattern.
+#[test]
+fn bjt_opamp_transient_dense_vs_sparse() {
+    let mut c = bjt_macro().nominal_circuit();
+    c.set_stimulus("VIN", Waveform::step(2.5, 0.2, 0.2e-6, 0.05e-6)).unwrap();
+    let out = tight_transient_dense_vs_sparse(&c, "out", 20e-9);
+    let (lo, hi) =
+        out.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(*v), hi.max(*v)));
+    assert!(hi - lo > 0.1, "bjt transient output barely moves: {lo} .. {hi}");
 }
 
 /// The bipolar op-amp through all four solver paths, nominal and under
@@ -645,33 +578,6 @@ fn bjt_opamp_dc_four_way_nominal_and_faulted() {
                 );
             }
         }
-    }
-}
-
-/// AC on the bipolar op-amp: the small-signal linearization around the
-/// junction-limited operating point, with cje/cjc/cj0 junction
-/// capacitances in the 2n×2n sparse embedding.
-#[test]
-fn bjt_opamp_ac_dense_vs_sparse() {
-    let c = bjt_macro().nominal_circuit();
-    let out = c.find_node("out").unwrap();
-    let freqs = [1e3, 1e6, 100e6];
-    let run = |kind| {
-        AcAnalysis::with_options(&c, opts(kind))
-            .source(AcSource { name: "VIN".into(), magnitude: 1.0 })
-            .run(&freqs)
-            .unwrap()
-    };
-    let dense = run(SolverKind::Dense);
-    let sparse = run(SolverKind::Sparse);
-    for (i, f) in freqs.iter().enumerate() {
-        let d = dense.voltage(i, out);
-        let s = sparse.voltage(i, out);
-        let scale = d.abs().max(s.abs()).max(1.0);
-        assert!(
-            (d - s).abs() <= 1e-8 * scale,
-            "bjt ac f={f}: dense {d:?} vs sparse {s:?}"
-        );
     }
 }
 
