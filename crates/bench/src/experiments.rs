@@ -1,4 +1,6 @@
 //! One function per paper artifact; `regen_all` runs them all in order.
+//! The experiments built on the 55-fault generation take the report of
+//! one [`generation`] run instead of running their own.
 
 use castg_core::{
     compact, compare_with_baseline, evaluate_test_set, test_instances_from_compaction,
@@ -9,7 +11,7 @@ use castg_core::report::{fmt_num, fmt_si, TextTable};
 use castg_faults::Fault;
 use castg_macros::ProcessVariation;
 
-use crate::{generation_cached, harness_options, iv_macro, write_result};
+use crate::{iv_macro, write_result};
 
 /// The fault of `mac`'s dictionary named `name`, at dictionary impact.
 fn dictionary_fault(mac: &dyn AnalogMacro, name: &str) -> Fault {
@@ -148,7 +150,7 @@ pub fn fig6_trace() {
     println!("== Fig. 6: generation scheme trace for one dictionary fault ==");
     let mac = iv_macro(false);
     let cache = NominalCache::new();
-    let generator = Generator::with_options(&mac, &cache, harness_options());
+    let generator = Generator::new(&mac, &cache);
     let fault = dictionary_fault(&mac, "bridge(na,out)");
     let mut lines = Vec::new();
     let best = generator
@@ -241,12 +243,54 @@ pub fn table1_configs() {
     write_result("table1_descriptions.txt", &fig1_texts);
 }
 
+/// The 55-fault generation over `mac`'s whole dictionary, which Table 2,
+/// Fig. 8, Table 3, the compaction sweep and the baseline ablation all
+/// read. Writes its per-fault best tests to `results/generation.csv`.
+pub fn generation(mac: &dyn AnalogMacro, cache: &NominalCache) -> GenerationReport {
+    let dict = mac.fault_dictionary();
+    println!("[generation] running the full fault dictionary ({} faults)...", dict.len());
+    let report = Generator::new(mac, cache).generate(&dict);
+    write_result("generation.csv", &generation_csv(&report));
+    println!(
+        "[generation] {} tests, {} failures, {} simulator evaluations, {:.1?}",
+        report.tests.len(),
+        report.failures.len(),
+        report.total_evaluations(),
+        report.wall_time
+    );
+    report
+}
+
+/// Renders the per-fault best tests as CSV, one row per test in
+/// dictionary order. Fault names keep their commas (`bridge(a,b)`);
+/// the eight fields after the name hold none.
+pub fn generation_csv(report: &GenerationReport) -> String {
+    let mut out = String::from(
+        "fault,config_id,config_name,params,s_dict,detected,critical_scale,\
+         required_intensify,evaluations\n",
+    );
+    for t in &report.tests {
+        let params =
+            t.params.iter().map(|p| format!("{p:e}")).collect::<Vec<_>>().join(";");
+        out.push_str(&format!(
+            "{},{},{},{},{:e},{},{:e},{},{}\n",
+            t.fault.name(),
+            t.config_id,
+            t.config_name,
+            params,
+            t.sensitivity_at_dictionary,
+            t.detected_at_dictionary,
+            t.critical_scale,
+            t.required_intensify,
+            t.evaluations
+        ));
+    }
+    out
+}
+
 /// E9 / Table 2 — distribution of best tests over configurations.
-pub fn table2_distribution(fresh: bool, calibrated: bool) -> GenerationReport {
+pub fn table2_distribution(report: &GenerationReport) {
     println!("== Table 2: best-test distribution over configurations ==");
-    let mac = iv_macro(calibrated);
-    let cache = NominalCache::new();
-    let (report, _) = generation_cached(&mac, &cache, fresh);
     let mut table = TextTable::new(vec![
         "ID test configuration tc".into(),
         "bridge(45)".into(),
@@ -269,17 +313,13 @@ pub fn table2_distribution(fresh: bool, calibrated: bool) -> GenerationReport {
     );
     write_result("table2_distribution.txt", &rendered);
     write_result("table2_distribution.csv", &table.csv());
-    report
 }
 
 /// E10 / Fig. 8 — optimal parameter values for configurations #1–#3,
 /// with compaction group labels.
-pub fn fig8_scatter(fresh: bool, calibrated: bool) {
+pub fn fig8_scatter(mac: &dyn AnalogMacro, cache: &NominalCache, report: &GenerationReport) {
     println!("== Fig. 8: optimal test parameter values (configs #1, #2, #3) ==");
-    let mac = iv_macro(calibrated);
-    let cache = NominalCache::new();
-    let (report, _) = generation_cached(&mac, &cache, fresh);
-    let compaction = compact(&mac, &cache, &report, &CompactionOptions::default())
+    let compaction = compact(mac, cache, report, &CompactionOptions::default())
         .expect("compaction succeeds");
 
     let mut table = TextTable::new(vec![
@@ -315,11 +355,8 @@ pub fn fig8_scatter(fresh: bool, calibrated: bool) {
 }
 
 /// E11 / Table 3 — the tests defined by configuration #5.
-pub fn table3_config5(fresh: bool, calibrated: bool) {
+pub fn table3_config5(report: &GenerationReport) {
     println!("== Table 3: tests selected from configuration #5 ==");
-    let mac = iv_macro(calibrated);
-    let cache = NominalCache::new();
-    let (report, _) = generation_cached(&mac, &cache, fresh);
     let mut table = TextTable::new(vec![
         "fault".into(),
         "par1 = base [A]".into(),
@@ -343,11 +380,8 @@ pub fn table3_config5(fresh: bool, calibrated: bool) {
 
 /// E12 / §4.2 — compaction sweep over δ: collapsed set size, screen
 /// rejections, and coverage of the compacted set.
-pub fn compaction_sweep(fresh: bool, calibrated: bool) {
+pub fn compaction_sweep(mac: &dyn AnalogMacro, cache: &NominalCache, report: &GenerationReport) {
     println!("== §4.2: test-set collapse vs. δ ==");
-    let mac = iv_macro(calibrated);
-    let cache = NominalCache::new();
-    let (report, _) = generation_cached(&mac, &cache, fresh);
     let dict = mac.fault_dictionary();
     let mut table = TextTable::new(vec![
         "delta".into(),
@@ -358,10 +392,10 @@ pub fn compaction_sweep(fresh: bool, calibrated: bool) {
     ]);
     for delta in [0.0, 0.1, 0.25, 0.5] {
         let options = CompactionOptions { delta, ..CompactionOptions::default() };
-        let compaction = compact(&mac, &cache, &report, &options).expect("compaction");
+        let compaction = compact(mac, cache, report, &options).expect("compaction");
         let tests =
-            test_instances_from_compaction(&mac, &compaction).expect("instances resolve");
-        let coverage = evaluate_test_set(&mac, &cache, &tests, &dict).expect("coverage");
+            test_instances_from_compaction(mac, &compaction).expect("instances resolve");
+        let coverage = evaluate_test_set(mac, cache, &tests, &dict).expect("coverage");
         table.push_row(vec![
             format!("{delta:.2}"),
             compaction.tests.len().to_string(),
@@ -379,13 +413,10 @@ pub fn compaction_sweep(fresh: bool, calibrated: bool) {
 
 /// E13 / §2.2 — the fixed-seed selection baseline vs. tailored
 /// optimization.
-pub fn baseline_ablation(fresh: bool, calibrated: bool) {
+pub fn baseline_ablation(mac: &dyn AnalogMacro, cache: &NominalCache, report: &GenerationReport) {
     println!("== §2.2 ablation: seed-selection baseline vs. optimized generation ==");
-    let mac = iv_macro(calibrated);
-    let cache = NominalCache::new();
-    let (report, _) = generation_cached(&mac, &cache, fresh);
     let dict = mac.fault_dictionary();
-    let cmp = compare_with_baseline(&mac, &cache, &report, &dict).expect("comparison");
+    let cmp = compare_with_baseline(mac, cache, report, &dict).expect("comparison");
     let mut table = TextTable::new(vec![
         "strategy".into(),
         "tests".into(),
@@ -439,4 +470,39 @@ pub fn tps_profiles_1param() {
             fmt_si(best.0, "A"));
     }
     write_result("tps_profiles_1param.csv", &out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use castg_core::BestTest;
+
+    #[test]
+    fn generation_csv_keeps_commas_in_fault_names() {
+        let test = |fault, config_id, config_name: &str, params: Vec<f64>| BestTest {
+            fault,
+            config_id,
+            config_name: config_name.into(),
+            params,
+            sensitivity_at_dictionary: -12.5,
+            detected_at_dictionary: config_id == 3,
+            critical_scale: 42.0,
+            required_intensify: config_id != 3,
+            evaluations: 123,
+        };
+        let report = GenerationReport {
+            tests: vec![
+                test(Fault::bridge("out", "inn", 10e3), 3, "thd", vec![4e-5, 2.5e4]),
+                test(Fault::bridge("na", "out", 10e3), 1, "dc_transfer", vec![-4e-5]),
+            ],
+            ..Default::default()
+        };
+        assert_eq!(
+            generation_csv(&report),
+            "fault,config_id,config_name,params,s_dict,detected,critical_scale,\
+             required_intensify,evaluations\n\
+             bridge(out,inn),3,thd,4e-5;2.5e4,-1.25e1,true,4.2e1,false,123\n\
+             bridge(na,out),1,dc_transfer,-4e-5,-1.25e1,false,4.2e1,true,123\n"
+        );
+    }
 }

@@ -36,9 +36,8 @@ pub enum SimFailure {
         /// The unknown whose pivot vanished.
         unknown: String,
     },
-    /// The variant overran a wall-clock budget
-    /// ([`castg_spice::AnalysisOptions::budget_ms`] or the campaign's
-    /// per-item budget).
+    /// The variant overran the campaign's per-item wall-clock budget
+    /// ([`castg_spice::with_solve_budget`]).
     TimedOut,
 }
 

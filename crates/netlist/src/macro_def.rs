@@ -307,8 +307,7 @@ impl NetlistMacro {
     ///
     /// This is the cache-key normalization `castg serve` uses: the
     /// content-addressed result cache and the process-wide plan cache
-    /// both key on these bytes (hashed), and `castg check` prints the
-    /// digest so clients can predict cache keys offline.
+    /// both key on these bytes (hashed).
     ///
     /// # Errors
     ///

@@ -189,8 +189,7 @@ pub fn hex(d: &Digest) -> String {
 
 /// The request options that participate in the digest (everything
 /// beyond deck + configs + params). Defaults mirror the server's
-/// request defaults, so `castg check` can print the digest of the
-/// default request offline.
+/// request defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigestOptions {
     /// Bridge-derivation mode of the derived dictionary.

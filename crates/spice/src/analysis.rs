@@ -34,23 +34,6 @@ pub struct AnalysisOptions {
     /// `Natural`/`Amd`/`Btf` force an ordering (the four-way
     /// differential tests cross-check them). Ignored on the dense path.
     pub ordering: OrderingKind,
-    /// Cap on the **total** Newton iterations one analysis run may
-    /// spend — summed across every rung of the DC strategy ladder, or
-    /// across every timestep (ladder stages and sub-step retries
-    /// included) of a transient run. `None` (the default) leaves only
-    /// the per-rung `max_iter` limits. Exhaustion reports
-    /// [`crate::SpiceError::NoConvergence`], so the verdict is
-    /// deterministic at any thread count — the budget of choice for
-    /// reproducible fault campaigns.
-    pub max_total_iter: Option<usize>,
-    /// Wall-clock budget for one analysis run, in milliseconds; the
-    /// clock starts when the solve starts and is checked once per
-    /// Newton iteration. Overrun reports
-    /// [`crate::SpiceError::Timeout`]. `None` (the default) never times
-    /// out. Wall-clock verdicts are inherently machine- and
-    /// scheduling-dependent — use `max_total_iter` when bit-identical
-    /// behavior matters.
-    pub budget_ms: Option<u64>,
 }
 
 impl Default for AnalysisOptions {
@@ -64,8 +47,6 @@ impl Default for AnalysisOptions {
             max_step_v: 0.5,
             solver: SolverKind::Auto,
             ordering: OrderingKind::Auto,
-            max_total_iter: None,
-            budget_ms: None,
         }
     }
 }

@@ -1,19 +1,15 @@
-//! Solve budgets: per-analysis iteration/time caps and the thread-local
-//! campaign overlay.
+//! Solve budgets: the thread-local overlay that caps Newton iterations
+//! and wall clock.
 //!
-//! Two layers impose limits on a nonlinear solve:
-//!
-//! * [`AnalysisOptions::max_total_iter`] / [`AnalysisOptions::budget_ms`]
-//!   bound **one analysis run** (a DC ladder, a whole transient).
-//! * [`with_solve_budget`] installs a **thread-local overlay** spanning
-//!   everything the closure runs — typically one `(fault, test)`
-//!   campaign work item, which may perform several analyses. The fault
-//!   campaign engine uses this to bound each faulted measurement
-//!   without threading budget parameters through the
-//!   `TestConfiguration` trait.
+//! [`with_solve_budget`] installs a **thread-local overlay** spanning
+//! everything the closure runs — one fuzzed DC solve, or one
+//! `(fault, test)` campaign work item, which may perform several
+//! analyses. The fault campaign engine uses it to bound each faulted
+//! measurement without threading budget parameters through the
+//! `TestConfiguration` trait.
 //!
 //! Every Newton iteration anywhere (DC ladder rungs, transient
-//! timesteps, gmin stages, sub-step retries) charges both layers
+//! timesteps, gmin stages, sub-step retries) charges the overlay
 //! through [`IterBudget::charge`]. Iteration allowances are exact and
 //! deterministic: the same work item exhausts its allowance at the same
 //! iteration on any machine at any thread count. Wall-clock deadlines
@@ -24,7 +20,6 @@
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-use crate::analysis::AnalysisOptions;
 use crate::SpiceError;
 
 thread_local! {
@@ -70,21 +65,16 @@ pub fn with_solve_budget<R>(
     out
 }
 
-/// The combined per-analysis budget: the analysis' own caps from
-/// [`AnalysisOptions`] plus whatever [`with_solve_budget`] overlay is
-/// active on this thread. Created once per analysis run; charged once
-/// per Newton iteration.
+/// One analysis run's handle on the thread's [`with_solve_budget`]
+/// overlay. Created once per analysis run; charged once per Newton
+/// iteration.
 #[derive(Debug)]
 pub(crate) struct IterBudget {
     analysis: &'static str,
-    /// Iterations remaining under `AnalysisOptions::max_total_iter`.
-    own_remaining: Option<usize>,
     /// Iterations granted so far (for the exhaustion diagnostic).
     spent: usize,
-    /// Deadline from `AnalysisOptions::budget_ms`.
-    own_deadline: Option<(Instant, u64)>,
-    /// Whether any deadline (own or overlay) exists — skips the clock
-    /// read entirely on the common unbudgeted path.
+    /// Whether an overlay deadline exists — skips the clock read
+    /// entirely on the common unbudgeted path.
     timed: bool,
     /// Set once a charge has been refused. A depleted budget ends the
     /// strategy ladder: further rungs could only re-trip it.
@@ -92,18 +82,9 @@ pub(crate) struct IterBudget {
 }
 
 impl IterBudget {
-    pub(crate) fn start(analysis: &'static str, opts: &AnalysisOptions) -> Self {
-        let own_deadline =
-            opts.budget_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
-        let timed = own_deadline.is_some() || DEADLINE.with(|c| c.get().is_some());
-        IterBudget {
-            analysis,
-            own_remaining: opts.max_total_iter,
-            spent: 0,
-            own_deadline,
-            timed,
-            depleted: false,
-        }
+    pub(crate) fn start(analysis: &'static str) -> Self {
+        let timed = DEADLINE.with(|c| c.get().is_some());
+        IterBudget { analysis, spent: 0, timed, depleted: false }
     }
 
     /// Whether a charge has been refused (allowance exhausted or
@@ -113,21 +94,14 @@ impl IterBudget {
         self.depleted
     }
 
-    /// Charges one Newton iteration against every active limit.
+    /// Charges one Newton iteration against the overlay's limits.
     ///
     /// # Errors
     ///
-    /// [`SpiceError::NoConvergence`] when an iteration allowance (the
-    /// analysis' own or the thread overlay's) is exhausted;
-    /// [`SpiceError::Timeout`] when a deadline has passed.
+    /// [`SpiceError::NoConvergence`] when the iteration allowance is
+    /// exhausted; [`SpiceError::Timeout`] when the deadline has passed.
     pub(crate) fn charge(&mut self) -> Result<(), SpiceError> {
-        if let Some(rem) = self.own_remaining {
-            if rem == 0 {
-                return Err(self.exhausted());
-            }
-            self.own_remaining = Some(rem - 1);
-        }
-        let overlay_ok = ITER_ALLOWANCE.with(|c| match c.get() {
+        let allowed = ITER_ALLOWANCE.with(|c| match c.get() {
             Some(0) => false,
             Some(rem) => {
                 c.set(Some(rem - 1));
@@ -135,18 +109,20 @@ impl IterBudget {
             }
             None => true,
         });
-        if !overlay_ok {
-            return Err(self.exhausted());
+        if !allowed {
+            self.depleted = true;
+            return Err(SpiceError::NoConvergence {
+                analysis: format!("{} (iteration budget exhausted)", self.analysis),
+                iterations: self.spent,
+            });
         }
         if self.timed {
-            let now = Instant::now();
-            for (deadline, ms) in self.own_deadline.iter().chain(DEADLINE.with(|c| c.get()).iter())
-            {
-                if now >= *deadline {
+            if let Some((deadline, ms)) = DEADLINE.with(|c| c.get()) {
+                if Instant::now() >= deadline {
                     self.depleted = true;
                     return Err(SpiceError::Timeout {
                         analysis: self.analysis.to_string(),
-                        budget_ms: *ms,
+                        budget_ms: ms,
                     });
                 }
             }
@@ -154,27 +130,15 @@ impl IterBudget {
         self.spent += 1;
         Ok(())
     }
-
-    fn exhausted(&mut self) -> SpiceError {
-        self.depleted = true;
-        SpiceError::NoConvergence {
-            analysis: format!("{} (iteration budget exhausted)", self.analysis),
-            iterations: self.spent,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn opts() -> AnalysisOptions {
-        AnalysisOptions::default()
-    }
-
     #[test]
     fn unbudgeted_charges_freely() {
-        let mut b = IterBudget::start("t", &opts());
+        let mut b = IterBudget::start("t");
         for _ in 0..10_000 {
             b.charge().unwrap();
         }
@@ -182,36 +146,41 @@ mod tests {
 
     #[test]
     fn own_iteration_cap_is_exact() {
-        let o = AnalysisOptions { max_total_iter: Some(3), ..opts() };
-        let mut b = IterBudget::start("t", &o);
-        b.charge().unwrap();
-        b.charge().unwrap();
-        b.charge().unwrap();
-        let err = b.charge().unwrap_err();
-        match err {
-            SpiceError::NoConvergence { analysis, iterations } => {
-                assert!(analysis.contains("budget exhausted"), "{analysis}");
-                assert_eq!(iterations, 3);
+        with_solve_budget(Some(3), None, || {
+            let mut b = IterBudget::start("t");
+            b.charge().unwrap();
+            b.charge().unwrap();
+            b.charge().unwrap();
+            match b.charge().unwrap_err() {
+                SpiceError::NoConvergence { analysis, iterations } => {
+                    assert!(analysis.contains("budget exhausted"), "{analysis}");
+                    assert_eq!(iterations, 3);
+                }
+                other => panic!("expected NoConvergence, got {other:?}"),
             }
-            other => panic!("expected NoConvergence, got {other:?}"),
-        }
+            assert!(b.depleted());
+        });
     }
 
     #[test]
     fn overlay_caps_across_budgets() {
         with_solve_budget(Some(5), None, || {
-            let mut a = IterBudget::start("a", &opts());
+            let mut a = IterBudget::start("a");
             for _ in 0..3 {
                 a.charge().unwrap();
             }
-            // A second analysis in the same scope shares the allowance.
-            let mut b = IterBudget::start("b", &opts());
+            // A second analysis in the same scope shares the allowance;
+            // its diagnostic counts its own iterations.
+            let mut b = IterBudget::start("b");
             b.charge().unwrap();
             b.charge().unwrap();
-            assert!(matches!(b.charge(), Err(SpiceError::NoConvergence { .. })));
+            match b.charge().unwrap_err() {
+                SpiceError::NoConvergence { iterations, .. } => assert_eq!(iterations, 2),
+                other => panic!("expected NoConvergence, got {other:?}"),
+            }
         });
         // Outside the scope the allowance is gone.
-        let mut c = IterBudget::start("c", &opts());
+        let mut c = IterBudget::start("c");
         for _ in 0..100 {
             c.charge().unwrap();
         }
@@ -221,12 +190,12 @@ mod tests {
     fn overlay_scopes_nest_and_restore() {
         with_solve_budget(Some(10), None, || {
             with_solve_budget(Some(1), None, || {
-                let mut b = IterBudget::start("inner", &opts());
+                let mut b = IterBudget::start("inner");
                 b.charge().unwrap();
                 assert!(b.charge().is_err());
             });
             // Outer allowance restored (inner replaced it wholesale).
-            let mut b = IterBudget::start("outer", &opts());
+            let mut b = IterBudget::start("outer");
             for _ in 0..10 {
                 b.charge().unwrap();
             }
@@ -236,23 +205,24 @@ mod tests {
 
     #[test]
     fn elapsed_deadline_times_out() {
-        let o = AnalysisOptions { budget_ms: Some(0), ..opts() };
-        let mut b = IterBudget::start("t", &o);
-        std::thread::sleep(Duration::from_millis(2));
-        match b.charge().unwrap_err() {
-            SpiceError::Timeout { analysis, budget_ms } => {
-                assert_eq!(analysis, "t");
-                assert_eq!(budget_ms, 0);
+        with_solve_budget(None, Some(0), || {
+            let mut b = IterBudget::start("t");
+            std::thread::sleep(Duration::from_millis(2));
+            match b.charge().unwrap_err() {
+                SpiceError::Timeout { analysis, budget_ms } => {
+                    assert_eq!(analysis, "t");
+                    assert_eq!(budget_ms, 0);
+                }
+                other => panic!("expected Timeout, got {other:?}"),
             }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
+        });
     }
 
     #[test]
     fn overlay_deadline_times_out() {
         with_solve_budget(None, Some(0), || {
             std::thread::sleep(Duration::from_millis(2));
-            let mut b = IterBudget::start("t", &opts());
+            let mut b = IterBudget::start("t");
             assert!(matches!(b.charge(), Err(SpiceError::Timeout { .. })));
         });
     }

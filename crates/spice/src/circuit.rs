@@ -106,7 +106,7 @@ impl Circuit {
     /// entry points (node creation, device removal, arbitrary device
     /// mutation) so a mutated circuit recompiles on its next analysis.
     /// Additive mutations patch the plan instead — see
-    /// [`Circuit::add`] and [`Circuit::set_stimulus`].
+    /// [`Circuit::add`].
     fn invalidate_plan(&mut self) {
         self.plan.0.take();
     }
@@ -575,40 +575,6 @@ impl Circuit {
         ))
     }
 
-    /// Replaces the waveform of a named independent source; used by test
-    /// configurations to attach their stimulus to the macro's input node.
-    ///
-    /// A compiled assembly schedule survives this: only its waveform
-    /// table is patched (the matrix structure is stimulus-independent),
-    /// so parameter sweeps that re-aim the stimulus never recompile the
-    /// plan, its sparse template, or its symbolic analysis.
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::UnknownDevice`] if the device does not exist or is
-    /// not an independent source.
-    pub fn set_stimulus(&mut self, name: &str, wave: Waveform) -> Result<(), SpiceError> {
-        let slot = match self.wave_slot(name) {
-            Some(slot) => slot,
-            None if self.device_index.contains_key(name) => {
-                return Err(SpiceError::InvalidValue {
-                    device: name.to_string(),
-                    reason: "set_stimulus requires an independent source".to_string(),
-                })
-            }
-            None => return Err(SpiceError::UnknownDevice { name: name.to_string() }),
-        };
-        let di = self.device_index[name];
-        match self.devices[di].kind_mut() {
-            DeviceKind::Vsource { wave: w, .. } | DeviceKind::Isource { wave: w, .. } => {
-                *w = wave.clone();
-            }
-            _ => unreachable!("wave_slot only resolves independent sources"),
-        }
-        self.patch_plan(|plan| plan.with_wave(slot, wave));
-        Ok(())
-    }
-
     /// Stimulus-slot index of a named independent source: its position
     /// among the circuit's independent sources in device order, which
     /// is exactly the waveform-table index of the compiled plan.
@@ -803,21 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn set_stimulus_replaces_waveform() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.add_isource("Iin", a, Circuit::GROUND, Waveform::dc(0.0)).unwrap();
-        c.set_stimulus("Iin", Waveform::dc(1e-6)).unwrap();
-        match c.device("Iin").unwrap().kind() {
-            DeviceKind::Isource { wave, .. } => assert_eq!(wave, &Waveform::dc(1e-6)),
-            other => panic!("unexpected kind {other:?}"),
-        }
-        c.add_resistor("R1", a, Circuit::GROUND, 1.0).unwrap();
-        assert!(c.set_stimulus("R1", Waveform::dc(0.0)).is_err());
-        assert!(c.set_stimulus("nope", Waveform::dc(0.0)).is_err());
-    }
-
-    #[test]
     fn unknown_and_branch_counts() {
         let mut c = Circuit::new();
         let a = c.node("a");
@@ -837,28 +788,6 @@ mod tests {
         assert_eq!(c.unknown_name(2).as_deref(), Some("i(V1)"));
         assert_eq!(c.unknown_name(3).as_deref(), Some("i(E1)"));
         assert_eq!(c.unknown_name(4), None);
-    }
-
-    /// `set_stimulus` must keep the compiled plan (patching only its
-    /// waveform table) and still produce correct solves — while
-    /// structural mutations after patching must drop the patched plan.
-    #[test]
-    fn stimulus_patch_keeps_plan_and_solves_correctly() {
-        use crate::DcAnalysis;
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(2.0)).unwrap();
-        c.add_resistor("R1", a, b, 1e3).unwrap();
-        c.add_resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
-        c.compile_plan();
-        let before = c.plan();
-        c.set_stimulus("V1", Waveform::dc(8.0)).unwrap();
-        let after = c.plan();
-        assert!(!std::sync::Arc::ptr_eq(&before, &after), "patched plan is a successor");
-        assert_eq!(before.dim(), after.dim());
-        let sol = DcAnalysis::new(&c).solve().unwrap();
-        assert!((sol.voltage(b) - 4.0).abs() < 1e-6, "patched stimulus must be live, got {}", sol.voltage(b));
     }
 
     /// A device added to a compiled circuit rides the delta-stamp plan
@@ -889,12 +818,11 @@ mod tests {
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");
-        c.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(2.0)).unwrap();
+        c.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(6.0)).unwrap();
         c.add_resistor("R1", a, b, 1e3).unwrap();
         c.add_resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
         c.compile_plan();
-        // Patch path: stimulus swap plus an added bridge.
-        c.set_stimulus("V1", Waveform::dc(6.0)).unwrap();
+        // Patch path: an added bridge.
         c.add_resistor("F_bridge", b, Circuit::GROUND, 1e3).unwrap();
         assert!((DcAnalysis::new(&c).solve().unwrap().voltage(b) - 2.0).abs() < 1e-6);
 

@@ -57,9 +57,8 @@ pub enum SpiceError {
         /// Description of the invalid request.
         reason: String,
     },
-    /// The analysis overran its wall-clock budget
-    /// ([`crate::AnalysisOptions::budget_ms`] or a surrounding
-    /// [`crate::with_solve_budget`] scope) before converging.
+    /// The analysis overran the wall-clock budget of a surrounding
+    /// [`crate::with_solve_budget`] scope before converging.
     ///
     /// Unlike [`SpiceError::NoConvergence`] this verdict depends on the
     /// host's clock, so callers that need bit-identical behavior across

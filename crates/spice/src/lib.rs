@@ -63,14 +63,13 @@
 //!    vanishes mid-path).
 //!
 //! Every Newton iteration on every rung — including transient
-//! timesteps — charges the analysis' iteration/wall-clock budget
-//! ([`AnalysisOptions::max_total_iter`] / `budget_ms`) and the
-//! thread-local campaign overlay ([`with_solve_budget`]), so a solve
-//! can always be bounded; iteration allowances deplete deterministically
-//! at any thread count, wall-clock deadlines are machine-dependent by
-//! nature. Per-thread [`LadderStats`] counters ([`ladder_stats`])
-//! aggregate which rung landed each solve — the fault-campaign engine
-//! sums them into its coverage reports.
+//! timesteps — charges the thread-local iteration/wall-clock budget
+//! ([`with_solve_budget`]), so a solve can always be bounded;
+//! iteration allowances deplete deterministically at any thread
+//! count, wall-clock deadlines are machine-dependent by nature.
+//! Per-thread [`LadderStats`] counters ([`ladder_stats`]) aggregate
+//! which rung landed each solve — the fault-campaign engine sums them
+//! into its coverage reports.
 //!
 //! # Hot-path architecture: stamp plans + LU workspaces
 //!
@@ -116,11 +115,9 @@
 //! the campaign differential harness):
 //!
 //! * **Plan patching.** A compiled plan survives additive mutation:
-//!   [`Circuit::set_stimulus`] swaps a waveform-table entry (keeping
-//!   the sparse template and symbolic analysis — matrix structure and
-//!   values are stimulus-independent) and [`Circuit::add`] appends the
-//!   new device's ops exactly as a recompile would emit them, merging
-//!   its few new sparsity slots into the existing pattern. A device
+//!   [`Circuit::add`] appends the new device's ops exactly as a
+//!   recompile would emit them, merging its few new sparsity slots
+//!   into the existing pattern. A device
 //!   that adds no slot (a bridge across an existing resistor, as every
 //!   adjacent bridge of a mesh is) keeps the pattern's `Arc`, and the
 //!   patched plan takes over the pattern-only state with it: the AMD
@@ -133,7 +130,7 @@
 //!   `override_stimulus(name, wave)`: the override applies at
 //!   source-evaluation time, so test configurations sweep stimulus
 //!   parameters over one shared immutable circuit — no clone, no
-//!   mutation, same bits as mutating a copy.
+//!   mutation, same bits as a circuit built with that waveform.
 //! * **Exact (Shamanskii-style) factorization reuse.** For linear
 //!   plans the Jacobian is a pure function of `(gmin, companions)`;
 //!   Newton loops key their factorization on exactly that and skip

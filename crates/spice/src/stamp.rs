@@ -454,15 +454,14 @@ impl PlanBuilder {
 /// linearization sites. Replaying it is a single flat pass — the hot
 /// loop of every analysis.
 ///
-/// Plans are *patchable*: replacing a stimulus waveform
-/// ([`with_wave`](StampPlan::with_wave)) or appending a device whose
-/// nodes already exist ([`patched_with_device`](StampPlan::patched_with_device),
-/// the delta-stamp path bridge-fault injection rides) derives the
-/// successor plan from the compiled one instead of recompiling from the
-/// netlist. A wave patch even keeps the cached sparse template and
-/// canonical symbolic analysis — the matrix structure and values are
-/// stimulus-independent. A device patch that adds no sparsity slot
-/// keeps the template's pattern and the orderings computed from it.
+/// Plans are *patchable*: appending a device whose nodes already exist
+/// ([`patched_with_device`](StampPlan::patched_with_device), the
+/// delta-stamp path bridge-fault injection rides) derives the successor
+/// plan from the compiled one instead of recompiling from the netlist.
+/// A device patch that adds no sparsity slot keeps the template's
+/// pattern and the orderings computed from it. Stimuli need no patch:
+/// an analysis's stimulus overrides replace waveform slots at
+/// evaluation time and leave the plan untouched.
 #[derive(Debug, Clone)]
 pub(crate) struct StampPlan {
     n: usize,
@@ -727,19 +726,6 @@ impl StampPlan {
             }
         };
         &self.caches[scope as usize]
-    }
-
-    /// Derives the plan with stimulus waveform slot `wave` replaced.
-    ///
-    /// Waveforms only enter through
-    /// [`source_values`](StampPlan::source_values) — the matrix
-    /// structure and values are untouched — so the cached sparse
-    /// template *and* the canonical symbolic analysis carry over. This
-    /// is what makes `Circuit::set_stimulus` free of recompilation.
-    pub(crate) fn with_wave(&self, wave_slot: usize, wave: Waveform) -> Self {
-        let mut patched = self.clone();
-        patched.waves[wave_slot] = wave;
-        patched
     }
 
     /// Derives the plan for the circuit extended by `dev`, whose nodes
@@ -1524,31 +1510,6 @@ mod tests {
         )
         .unwrap();
         c
-    }
-
-    /// A wave patch must replay exactly like a recompile of the
-    /// stimulus-substituted circuit, and keep the cached sparse
-    /// template (pointer-equal pattern).
-    #[test]
-    fn wave_patch_matches_recompile_and_keeps_template() {
-        let c = patch_fixture();
-        let base = StampPlan::build(&c);
-        let base_pattern =
-            std::sync::Arc::clone(base.sparse_template(PatternScope::Full).pattern());
-        let patched = base.with_wave(0, Waveform::dc(3.3));
-
-        let mut direct = c.clone();
-        direct.set_stimulus("VDD", Waveform::dc(3.3)).unwrap();
-        let rebuilt = StampPlan::build(&direct);
-
-        assert_plans_replay_identically(&patched, &rebuilt);
-        assert!(
-            std::sync::Arc::ptr_eq(
-                patched.sparse_template(PatternScope::Full).pattern(),
-                &base_pattern
-            ),
-            "a wave patch must not reset the sparse template"
-        );
     }
 
     /// A device-add patch (the bridge-fault delta-stamp path) must

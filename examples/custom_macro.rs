@@ -134,10 +134,10 @@ mod tests {
 
     #[test]
     fn buffer_follows_input() {
-        let mut c = ota_buffer().unwrap().nominal_circuit();
+        let c = ota_buffer().unwrap().nominal_circuit();
         for vin in [1.8, 2.5, 3.2] {
-            c.set_stimulus("VIN", Waveform::dc(vin)).unwrap();
-            let sol = DcAnalysis::new(&c).solve().unwrap();
+            let sol =
+                DcAnalysis::new(&c).override_stimulus("VIN", Waveform::dc(vin)).solve().unwrap();
             let out = sol.voltage(c.find_node("out").unwrap());
             assert!((out - vin).abs() < 0.1, "vin {vin} → out {out}");
         }

@@ -4,9 +4,9 @@
 //! The contract under test is the solver's robustness promise (PR 8):
 //! over any circuit the frontend lowers, the Newton strategy ladder
 //! either lands, or fails with a typed `Err` — no unwinds anywhere in
-//! the assemble/factor/iterate stack — and the analysis-level budget
-//! ([`AnalysisOptions::max_total_iter`] / `budget_ms`) actually bounds
-//! the work: a solve that ignores its caps shows up here as a
+//! the assemble/factor/iterate stack — and the solve budget
+//! ([`with_solve_budget`]: 2,000 Newton iterations, 250 ms) actually
+//! bounds the work: a solve that ignores its caps shows up here as a
 //! wall-clock overrun, which panics the harness and saves the deck.
 //!
 //! Successful solves must also return finite state: a converged
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use castg_netlist::parse_deck;
-use castg_spice::{AnalysisOptions, DcAnalysis};
+use castg_spice::{with_solve_budget, DcAnalysis};
 
 /// Decks above this MNA size are skipped: the budget caps Newton
 /// iterations, not factorization cost, and the mutation loop should
@@ -36,13 +36,8 @@ fn main() -> ExitCode {
         if circuit.unknown_count() == 0 || circuit.unknown_count() > MAX_UNKNOWNS {
             return;
         }
-        let opts = AnalysisOptions {
-            max_total_iter: Some(2_000),
-            budget_ms: Some(250),
-            ..AnalysisOptions::default()
-        };
         let t0 = Instant::now();
-        match DcAnalysis::with_options(circuit, opts).solve() {
+        match with_solve_budget(Some(2_000), Some(250), || DcAnalysis::new(circuit).solve()) {
             Ok(sol) => {
                 assert!(
                     sol.state().iter().all(|v| v.is_finite()),

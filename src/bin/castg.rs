@@ -24,13 +24,11 @@
 //!     --json PATH          write a machine-readable summary here
 //!
 //! castg check <deck.sp> [--ordering KIND] [--param NAME=VALUE]...
-//!     Parse the deck, print its resolved `.param` values and its
-//!     canonical request digest (the `castg serve` cache key for the
-//!     default campaign options), solve its DC operating point, print
-//!     node voltages and source currents, and report the sparse-factor
-//!     fill and block structure under each ordering — so users can see
-//!     which solver path their macro will take before running a
-//!     campaign.
+//!     Parse the deck, print its resolved `.param` values, solve its DC
+//!     operating point, print node voltages and source currents, and
+//!     report the sparse-factor fill and block structure under each
+//!     ordering — so users can see which solver path their macro will
+//!     take before running a campaign.
 //!
 //! castg serve [--addr HOST:PORT] [--workers N] [--threads N]
 //!     [--result-cache N] [--plan-cache N] [--ceiling-faults N]
@@ -45,7 +43,12 @@
 //! (`castg_core::report::render_pipeline_report`); the JSON summary is
 //! the body `castg serve` answers with
 //! (`castg_core::report::render_json_report`).
+//!
+//! Report text goes to stdout. A reader that closes the pipe early
+//! (`castg check deck.sp | head -1`) is not an error: the rest of the
+//! text is dropped and the exit code is what it would have been.
 
+use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -56,10 +59,8 @@ use castg::core::{
     CompactionOptions, Generator, GeneratorOptions, NominalCache,
 };
 use castg::faults::{BridgeDerivation, FaultDictionary};
-use castg::netlist::{
-    canonical_deck_bytes, parse_deck_with_params, parse_number, NetlistMacro, NetlistMacroOptions,
-};
-use castg::serve::{hex, request_digest, DigestOptions, ServerConfig};
+use castg::netlist::{parse_deck_with_params, parse_number, NetlistMacro, NetlistMacroOptions};
+use castg::serve::ServerConfig;
 use castg::spice::{sparse_fill_stats, DcAnalysis, OrderingKind, SolverKind};
 
 const USAGE: &str = "\
@@ -83,10 +84,7 @@ fn main() -> ExitCode {
         Some("generate") => generate(&args[1..]),
         Some("check") => check(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("-h") | Some("--help") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        Some("-h") | Some("--help") | None => write_stdout(USAGE),
         Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     };
     match result {
@@ -238,6 +236,25 @@ fn parse_ordering(s: &str) -> Result<(SolverKind, OrderingKind), String> {
     }
 }
 
+/// Writes `text` to stdout. Once the reader has gone away (a closed
+/// pipe) the text is dropped and the run goes on, so `--json` is still
+/// written and `--strict` still decides the exit code; any other write
+/// failure is an error.
+fn write_stdout(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| format!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn generate(args: &[String]) -> Result<(), String> {
     let a = parse_generate_args(args)?;
     let mut mac = NetlistMacro::from_files_with_params(&a.deck, &a.configs, a.options, &a.params)
@@ -303,7 +320,7 @@ fn generate(args: &[String]) -> Result<(), String> {
     match &a.out {
         Some(path) => std::fs::write(path, &report)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
-        None => print!("{report}"),
+        None => write_stdout(&report)?,
     }
     eprintln!(
         "castg: {} tests compacted from {}, coverage {}/{}, generate {:.2}s, compact {:.3}s, \
@@ -396,49 +413,36 @@ fn check(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(deck_path).map_err(|e| format!("{deck_path}: {e}"))?;
     let deck = parse_deck_with_params(&text, &params).map_err(|e| format!("{deck_path}: {e}"))?;
     let c = deck.circuit();
-    println!(
+    outln!(
         "deck `{}`: {} nodes, {} devices, {} MNA unknowns{}",
         deck_path,
         c.node_count(),
         c.devices().len(),
         c.unknown_count(),
         deck.title.as_deref().map(|t| format!(", title `{t}`")).unwrap_or_default(),
-    );
+    )?;
     if !deck.params.is_empty() {
-        println!("resolved parameters:");
+        outln!("resolved parameters:")?;
         for (name, value) in &deck.params {
-            println!("  .param {name} = {value:e}");
+            outln!("  .param {name} = {value:e}")?;
         }
     }
 
-    // The `castg serve` cache key this deck resolves to under the
-    // daemon's default campaign options (name = file stem, no configs):
-    // formatting-only edits leave it unchanged, semantic edits move it.
-    let canonical =
-        canonical_deck_bytes(&deck).unwrap_or_else(|_| text.clone().into_bytes());
-    let digest_name = std::path::Path::new(deck_path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("netlist");
-    let digest =
-        request_digest(digest_name, &canonical, &[], &deck.params, &DigestOptions::default());
-    println!("request digest (name `{digest_name}`, default options): {}", hex(&digest));
-
     let sol = DcAnalysis::new(c).solve().map_err(|e| format!("DC operating point: {e}"))?;
-    println!("DC operating point ({} Newton iterations):", sol.newton_iterations());
+    outln!("DC operating point ({} Newton iterations):", sol.newton_iterations())?;
     for node in c.non_ground_nodes() {
-        println!("  v({}) = {:.6e}", c.node_name(node), sol.voltage(node));
+        outln!("  v({}) = {:.6e}", c.node_name(node), sol.voltage(node))?;
     }
     for dev in c.devices() {
         if let Some(i) = sol.source_current(dev.name()) {
-            println!("  i({}) = {:.6e}", dev.name(), i);
+            outln!("  i({}) = {:.6e}", dev.name(), i)?;
         }
     }
 
     // Fill/block summary: the factor cost of every ordering on this
     // deck's static (DC) pattern, plus which path the requested
     // dispatch actually resolves to.
-    println!("sparse factor fill (static pattern):");
+    outln!("sparse factor fill (static pattern):")?;
     for ordering in [OrderingKind::Natural, OrderingKind::Amd, OrderingKind::Btf] {
         match sparse_fill_stats(c, ordering) {
             Some(f) => {
@@ -447,7 +451,7 @@ fn check(args: &[String]) -> Result<(), String> {
                 } else {
                     String::new()
                 };
-                println!(
+                outln!(
                     "  {:8} pattern nnz {:6}, factor nnz {:6}{}{}",
                     format!("{ordering:?}").to_lowercase(),
                     f.pattern_nnz,
@@ -458,18 +462,18 @@ fn check(args: &[String]) -> Result<(), String> {
                     } else {
                         String::new()
                     },
-                );
+                )?;
             }
-            None => println!("  {ordering:?}: canonical matrix is singular"),
+            None => outln!("  {ordering:?}: canonical matrix is singular")?,
         }
     }
     let (solver, ordering) = requested;
     if let Some(f) = sparse_fill_stats(c, ordering) {
-        println!(
+        outln!(
             "requested dispatch {:?}/{:?} resolves to ordering {:?} \
              ({} unknowns, factor nnz {})",
             solver, ordering, f.resolved, f.unknowns, f.lu_nnz
-        );
+        )?;
     }
     Ok(())
 }

@@ -50,8 +50,7 @@
 //!   per-`Circuit` stamp-plan/symbolic sharing to the whole daemon.
 //!   Responses are byte-identical to `castg generate --json` output and
 //!   between cache hits and misses; every request runs under server
-//!   budget ceilings and `catch_unwind` isolation. `castg check`
-//!   prints a deck's request digest so clients can predict cache keys.
+//!   budget ceilings and `catch_unwind` isolation.
 //!
 //! The compute-bound pipeline halves — per-fault generation
 //! ([`core::Generator::generate`]) and test-set coverage

@@ -1,5 +1,6 @@
 //! Regression tests for the `castg` CLI surface: parameter overrides
-//! reaching the lowered circuit, resolved-parameter printing, the named
+//! reaching the lowered circuit, resolved-parameter printing, a quiet
+//! exit when stdout's reader goes away, the named
 //! structural-singularity diagnostic, and the `generate` robustness
 //! flags (`--max-newton-iters`, `--budget-ms`, `--strict`) with their
 //! outcome accounting and exit codes.
@@ -44,8 +45,6 @@ fn check_prints_resolved_params_and_applies_overrides() {
     assert!(stdout.contains("resolved parameters:"), "stdout: {stdout}");
     assert!(stdout.contains(".param rload = 2e3"), "stdout: {stdout}");
     assert!(stdout.contains("v(out) = 3.333333e0"), "stdout: {stdout}");
-    let digest = extract_digest(&stdout);
-    assert!(stdout.contains("request digest (name `pdeck`"), "stdout: {stdout}");
 
     // Override shadows the deck definition: 1k over 4k -> v(out) = 4.
     let out =
@@ -54,21 +53,23 @@ fn check_prints_resolved_params_and_applies_overrides() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains(".param rload = 4e3"), "stdout: {stdout}");
     assert!(stdout.contains("v(out) = 4.000000e0"), "stdout: {stdout}");
-    // A resolved-parameter change is a semantic change: the `castg
-    // serve` cache key the digest line predicts must move with it.
-    assert_ne!(digest, extract_digest(&stdout), "override did not move the request digest");
 }
 
-/// Pulls the 64-hex-char digest out of `check`'s digest line.
-fn extract_digest(stdout: &str) -> String {
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("request digest"))
-        .unwrap_or_else(|| panic!("no digest line in: {stdout}"));
-    let hex = line.rsplit(' ').next().unwrap().trim().to_string();
-    assert_eq!(hex.len(), 64, "not a sha-256 hex digest: {line}");
-    assert!(hex.bytes().all(|b| b.is_ascii_hexdigit()), "not hex: {line}");
-    hex
+/// A reader that goes away early (`castg check deck.sp | head -1`) is
+/// not an error: exit 0, no panic.
+#[test]
+fn check_exits_quietly_when_its_reader_goes_away() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = castg()
+        .arg("check")
+        .arg(fixture("ladder_param.sp"))
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! setup: the circuit's operating point and transimpedance, the
 //! configurations' measurements and boxes, and the fault dictionary.
 //! Each measurement is a single simulation, so the debug-mode test run
-//! stays fast; full generations live in the release-mode bench
-//! binaries.
+//! stays fast; the full generation runs in the release-mode
+//! `regen_all`.
 
 use std::sync::Arc;
 
@@ -20,6 +20,14 @@ use castg_bench::iv_macro;
 
 fn solve(c: &Circuit) -> DcSolution {
     DcAnalysis::new(c).solve().expect("IV-converter operating point must converge")
+}
+
+/// The operating point with a DC input current of `iin` amperes.
+fn solve_at(c: &Circuit, iin: f64) -> DcSolution {
+    DcAnalysis::new(c)
+        .override_stimulus("IIN", Waveform::dc(iin))
+        .solve()
+        .expect("IV-converter operating point must converge")
 }
 
 fn configs() -> Vec<Arc<dyn TestConfiguration>> {
@@ -48,20 +56,18 @@ fn operating_point_is_sane() {
 
 #[test]
 fn transimpedance_gain_matches_rf() {
-    let mut c = circuit();
+    let c = circuit();
     let out = c.find_node("out").unwrap();
     let v0 = solve(&c).voltage(out);
-    c.set_stimulus("IIN", Waveform::dc(10e-6)).unwrap();
-    let v1 = solve(&c).voltage(out);
+    let v1 = solve_at(&c, 10e-6).voltage(out);
     let gain = (v1 - v0) / 10e-6;
     assert!((gain - 39e3).abs() / 39e3 < 0.03, "transimpedance {gain} vs RF 39 kΩ");
 }
 
 #[test]
 fn negative_input_current_swings_down() {
-    let mut c = circuit();
-    c.set_stimulus("IIN", Waveform::dc(-30e-6)).unwrap();
-    let vout = solve(&c).voltage(c.find_node("out").unwrap());
+    let c = circuit();
+    let vout = solve_at(&c, -30e-6).voltage(c.find_node("out").unwrap());
     assert!((vout - (2.5 - 30e-6 * 39e3)).abs() < 0.15, "vout = {vout}");
 }
 
@@ -69,9 +75,8 @@ fn negative_input_current_swings_down() {
 fn output_clips_when_source_limited() {
     // Beyond M7's drive the feedback loop loses control: the output
     // should fall visibly short of the ideal vref + Iin·RF.
-    let mut c = circuit();
-    c.set_stimulus("IIN", Waveform::dc(60e-6)).unwrap();
-    let vout = solve(&c).voltage(c.find_node("out").unwrap());
+    let c = circuit();
+    let vout = solve_at(&c, 60e-6).voltage(c.find_node("out").unwrap());
     let ideal = 2.5 + 60e-6 * 39e3; // 4.84 V
     assert!(vout < ideal - 0.2, "vout = {vout}, ideal = {ideal}");
 }
@@ -141,11 +146,8 @@ fn five_configurations_with_paper_structure() {
 
 #[test]
 fn transimpedance_operating_point() {
-    let mac = iv_macro(false);
-    let mut circuit = mac.nominal_circuit();
-    circuit.set_stimulus("IIN", Waveform::dc(20e-6)).unwrap();
-    let sol = DcAnalysis::new(&circuit).solve().unwrap();
-    let out = sol.voltage(circuit.find_node("out").unwrap());
+    let c = circuit();
+    let out = solve_at(&c, 20e-6).voltage(c.find_node("out").unwrap());
     // V(out) = vref + Iin·RF = 2.5 + 20 µA · 39 kΩ = 3.28 V.
     assert!((out - 3.28).abs() < 0.1, "out = {out}");
 }

@@ -45,10 +45,9 @@ fn derived_dictionary_matches_hand_enumeration() {
 /// The unity-gain follower tracks its input across the DC range.
 #[test]
 fn follower_tracks_its_input() {
-    let mut c = bjt_macro().nominal_circuit();
+    let c = bjt_macro().nominal_circuit();
     for vin in [1.8, 2.5, 3.2] {
-        c.set_stimulus("VIN", Waveform::dc(vin)).unwrap();
-        let sol = DcAnalysis::new(&c).solve().unwrap();
+        let sol = DcAnalysis::new(&c).override_stimulus("VIN", Waveform::dc(vin)).solve().unwrap();
         let out = sol.voltage(c.find_node("out").unwrap());
         assert!((out - vin).abs() < 0.1, "vin {vin} → out {out}");
     }

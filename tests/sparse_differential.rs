@@ -33,38 +33,48 @@ fn opts(solver: SolverKind) -> AnalysisOptions {
     AnalysisOptions { solver, ..AnalysisOptions::default() }
 }
 
-/// Options for the nonlinear (MOS) differential cases: Newton stops at
-/// `reltol`, so with the default 1e-4 the two solver paths can
-/// legitimately halt at iterates ~1e-4 apart. Driving the tolerances
-/// near machine precision pins both to the same fixed point, making the
-/// 1e-9 cross-check meaningful.
-fn tight_opts(solver: SolverKind) -> AnalysisOptions {
+/// Options for the nonlinear (MOS and junction) differential cases:
+/// Newton stops at `reltol`, so with the default 1e-4 two solver paths
+/// can legitimately halt at iterates ~1e-4 apart. Driving the
+/// tolerances near machine precision pins every path to the same fixed
+/// point, making the 1e-9 cross-check meaningful.
+fn tight(solver: SolverKind, ordering: OrderingKind) -> AnalysisOptions {
     AnalysisOptions {
-        solver,
         reltol: 1e-12,
         vntol: 1e-13,
         abstol: 1e-16,
         max_iter: 400,
-        ..AnalysisOptions::default()
+        ..opts3(solver, ordering)
     }
 }
 
 /// Solves the DC operating point through both paths and compares every
 /// MNA unknown.
 fn assert_dc_paths_agree(c: &Circuit, context: &str) {
-    assert_dc_paths_agree_with(c, context, opts, REL_TOL);
+    assert_dc_paths_agree_with(c, context, opts3, None, REL_TOL);
 }
 
-/// As [`assert_dc_paths_agree`], with explicit per-path options and
-/// agreement tolerance.
+/// As [`assert_dc_paths_agree`], with explicit per-path options, an
+/// optional `(source, waveform)` stimulus override and an agreement
+/// tolerance.
 fn assert_dc_paths_agree_with(
     c: &Circuit,
     context: &str,
-    make_opts: fn(SolverKind) -> AnalysisOptions,
+    make_opts: fn(SolverKind, OrderingKind) -> AnalysisOptions,
+    stimulus: Option<(&str, Waveform)>,
     tol: f64,
 ) {
-    let dense = DcAnalysis::with_options(c, make_opts(SolverKind::Dense)).solve().unwrap();
-    let sparse = DcAnalysis::with_options(c, make_opts(SolverKind::Sparse)).solve().unwrap();
+    let solve = |solver| {
+        let dc = DcAnalysis::with_options(c, make_opts(solver, OrderingKind::Auto));
+        match &stimulus {
+            Some((name, wave)) => dc.override_stimulus(*name, wave.clone()),
+            None => dc,
+        }
+        .solve()
+        .unwrap()
+    };
+    let dense = solve(SolverKind::Dense);
+    let sparse = solve(SolverKind::Sparse);
     for (i, (d, s)) in dense.state().iter().zip(sparse.state()).enumerate() {
         let scale = d.abs().max(s.abs()).max(1.0);
         assert!(
@@ -96,13 +106,14 @@ fn ladder_dc_agrees_after_fault_injection() {
 fn ota_chain_dc_dense_vs_sparse_nominal_and_faulted() {
     let mac = OtaChainMacro::with_unknowns(48);
     let c = mac.nominal_circuit();
-    assert_dc_paths_agree_with(&c, "ota chain nominal", tight_opts, REL_TOL);
+    assert_dc_paths_agree_with(&c, "ota chain nominal", tight, None, REL_TOL);
     for fault in mac.fault_dictionary().iter() {
         let faulty = fault.inject(&c).unwrap();
         assert_dc_paths_agree_with(
             &faulty,
             &format!("ota chain fault {}", fault.name()),
-            tight_opts,
+            tight,
+            None,
             REL_TOL,
         );
     }
@@ -114,9 +125,9 @@ fn iv_converter_dc_agrees_with_sparse_forced() {
     // densely, so forcing sparse here cross-checks the nonlinear path
     // on the exact circuit the generation pipeline hammers.
     let mac = castg_bench::iv_macro(false);
-    let mut c = mac.nominal_circuit();
-    c.set_stimulus("IIN", Waveform::dc(20e-6)).unwrap();
-    assert_dc_paths_agree_with(&c, "iv-converter nominal", tight_opts, REL_TOL);
+    let c = mac.nominal_circuit();
+    let iin = || Some(("IIN", Waveform::dc(20e-6)));
+    assert_dc_paths_agree_with(&c, "iv-converter nominal", tight, iin(), REL_TOL);
     // Faulted variants: some bridges (supply into the high-gain bias
     // loop) drive the Jacobian's condition number to ~1e8, where two
     // equally correct factorizations can only agree to κ·ε ≈ 1e-8 in
@@ -127,7 +138,8 @@ fn iv_converter_dc_agrees_with_sparse_forced() {
         assert_dc_paths_agree_with(
             &faulty,
             &format!("iv-converter fault {}", fault.name()),
-            tight_opts,
+            tight,
+            iin(),
             1e-6,
         );
     }
@@ -136,12 +148,12 @@ fn iv_converter_dc_agrees_with_sparse_forced() {
 #[test]
 fn ladder_transient_dense_vs_sparse() {
     let mac = LadderMacro::with_unknowns(96);
-    let mut c = mac.nominal_circuit();
-    c.set_stimulus("V1", Waveform::step(1.0, 2.0, 0.2e-6, 0.05e-6)).unwrap();
+    let c = mac.nominal_circuit();
     let out = c.find_node("out").unwrap();
     let probes = [Probe::NodeVoltage(out)];
     let run = |kind| {
         TranAnalysis::with_options(&c, opts(kind), Default::default())
+            .override_stimulus("V1", Waveform::step(1.0, 2.0, 0.2e-6, 0.05e-6))
             .run(2e-6, 0.05e-6, &probes)
             .unwrap()
     };
@@ -247,13 +259,6 @@ fn ladder_dc_four_way_nominal_and_faulted() {
 /// Newton fixed point.
 #[test]
 fn ota_chain_dc_four_way_nominal_and_faulted() {
-    let tight = |solver, ordering| AnalysisOptions {
-        reltol: 1e-12,
-        vntol: 1e-13,
-        abstol: 1e-16,
-        max_iter: 400,
-        ..opts3(solver, ordering)
-    };
     let mac = OtaChainMacro::with_unknowns(128);
     let c = mac.nominal_circuit();
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
@@ -296,19 +301,12 @@ fn ota_chain_dc_four_way_nominal_and_faulted() {
 #[test]
 fn ota_chain_transient_four_way() {
     let mac = OtaChainMacro::with_unknowns(64);
-    let mut c = mac.nominal_circuit();
-    c.set_stimulus("VIN", Waveform::step(1.5, 3.0, 0.2e-6, 0.05e-6)).unwrap();
+    let c = mac.nominal_circuit();
     let out = c.find_node("out").unwrap();
     let probes = [Probe::NodeVoltage(out)];
-    let tight = |solver, ordering| AnalysisOptions {
-        reltol: 1e-12,
-        vntol: 1e-13,
-        abstol: 1e-16,
-        max_iter: 400,
-        ..opts3(solver, ordering)
-    };
     let run = |solver, ordering| {
         TranAnalysis::with_options(&c, tight(solver, ordering), Default::default())
+            .override_stimulus("VIN", Waveform::step(1.5, 3.0, 0.2e-6, 0.05e-6))
             .run(1e-6, 0.05e-6, &probes)
             .unwrap()
     };
@@ -334,13 +332,6 @@ fn ota_chain_transient_four_way() {
 fn crossbar_dc_four_way_nominal_and_faulted() {
     let mac = CrossbarMacro::with_unknowns(96);
     let c = mac.nominal_circuit();
-    let tight = |solver, ordering| AnalysisOptions {
-        reltol: 1e-12,
-        vntol: 1e-13,
-        abstol: 1e-16,
-        max_iter: 400,
-        ..opts3(solver, ordering)
-    };
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
         .solve()
         .unwrap();
@@ -376,12 +367,12 @@ fn crossbar_dc_four_way_nominal_and_faulted() {
 #[test]
 fn mesh_transient_four_way() {
     let mac = MeshMacro::with_unknowns(144);
-    let mut c = mac.nominal_circuit();
-    c.set_stimulus("V1", Waveform::step(1.0, 2.0, 0.2e-6, 0.05e-6)).unwrap();
+    let c = mac.nominal_circuit();
     let out = c.find_node("out").unwrap();
     let probes = [Probe::NodeVoltage(out)];
     let run = |solver, ordering| {
         TranAnalysis::with_options(&c, opts3(solver, ordering), Default::default())
+            .override_stimulus("V1", Waveform::step(1.0, 2.0, 0.2e-6, 0.05e-6))
             .run(2e-6, 0.05e-6, &probes)
             .unwrap()
     };
@@ -441,13 +432,6 @@ fn rectifier_faults() -> Vec<Fault> {
 /// on the same fixed point everywhere.
 #[test]
 fn rectifier_dc_four_way_nominal_and_faulted() {
-    let tight = |solver, ordering| AnalysisOptions {
-        reltol: 1e-12,
-        vntol: 1e-13,
-        abstol: 1e-16,
-        max_iter: 400,
-        ..opts3(solver, ordering)
-    };
     let c = rectifier();
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
         .solve()
@@ -486,13 +470,20 @@ fn rectifier_dc_four_way_nominal_and_faulted() {
     }
 }
 
-/// Runs a 2 µs transient of `c` at step `dt` through the dense and the
-/// sparse path under [`tight_opts`], checks that `V(node)` agrees to
-/// 1e-8 relative at every step, and returns the dense waveform.
-fn tight_transient_dense_vs_sparse(c: &Circuit, node: &str, dt: f64) -> Vec<f64> {
+/// Runs a 2 µs transient of `c` with `source` driven by `wave` at step
+/// `dt` through the dense and the sparse path under [`tight`],
+/// checks that `V(node)` agrees to 1e-8 relative at every step, and
+/// returns the dense waveform.
+fn tight_transient_dense_vs_sparse(
+    c: &Circuit,
+    (source, wave): (&str, Waveform),
+    node: &str,
+    dt: f64,
+) -> Vec<f64> {
     let probes = [Probe::NodeVoltage(c.find_node(node).unwrap())];
     let run = |kind| {
-        TranAnalysis::with_options(c, tight_opts(kind), Default::default())
+        TranAnalysis::with_options(c, tight(kind, OrderingKind::Auto), Default::default())
+            .override_stimulus(source, wave.clone())
             .run(2e-6, dt, &probes)
             .unwrap()
     };
@@ -514,9 +505,8 @@ fn tight_transient_dense_vs_sparse(c: &Circuit, node: &str, dt: f64) -> Vec<f64>
 /// their conduction threshold mid-run.
 #[test]
 fn rectifier_transient_dense_vs_sparse() {
-    let mut c = rectifier();
-    c.set_stimulus("V1", Waveform::step(0.0, 3.0, 0.2e-6, 0.05e-6)).unwrap();
-    tight_transient_dense_vs_sparse(&c, "p", 0.05e-6);
+    let step = ("V1", Waveform::step(0.0, 3.0, 0.2e-6, 0.05e-6));
+    tight_transient_dense_vs_sparse(&rectifier(), step, "p", 0.05e-6);
 }
 
 /// Transient on the bipolar op-amp: a small input step moves the
@@ -524,9 +514,9 @@ fn rectifier_transient_dense_vs_sparse() {
 /// junction capacitances enter the companion-augmented sparse pattern.
 #[test]
 fn bjt_opamp_transient_dense_vs_sparse() {
-    let mut c = bjt_macro().nominal_circuit();
-    c.set_stimulus("VIN", Waveform::step(2.5, 0.2, 0.2e-6, 0.05e-6)).unwrap();
-    let out = tight_transient_dense_vs_sparse(&c, "out", 20e-9);
+    let c = bjt_macro().nominal_circuit();
+    let step = ("VIN", Waveform::step(2.5, 0.2, 0.2e-6, 0.05e-6));
+    let out = tight_transient_dense_vs_sparse(&c, step, "out", 20e-9);
     let (lo, hi) =
         out.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(*v), hi.max(*v)));
     assert!(hi - lo > 0.1, "bjt transient output barely moves: {lo} .. {hi}");
@@ -539,13 +529,6 @@ fn bjt_opamp_transient_dense_vs_sparse() {
 /// equally correct factorizations ~κ·ε apart.
 #[test]
 fn bjt_opamp_dc_four_way_nominal_and_faulted() {
-    let tight = |solver, ordering| AnalysisOptions {
-        reltol: 1e-12,
-        vntol: 1e-13,
-        abstol: 1e-16,
-        max_iter: 400,
-        ..opts3(solver, ordering)
-    };
     let mac = bjt_macro();
     let c = mac.nominal_circuit();
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
@@ -627,17 +610,20 @@ proptest! {
         fault_choice in 0usize..12,
     ) {
         let mac = LadderMacro::new(sections);
-        let mut c = mac.nominal_circuit();
-        c.set_stimulus("V1", Waveform::dc(lev)).unwrap();
+        let c = mac.nominal_circuit();
         let dict = mac.fault_dictionary();
         let fault: &Fault = &dict.faults()[fault_choice % dict.len()];
         let faulty = fault.inject(&c).unwrap();
 
         for circuit in [&c, &faulty] {
-            let dense =
-                DcAnalysis::with_options(circuit, opts(SolverKind::Dense)).solve().unwrap();
-            let sparse =
-                DcAnalysis::with_options(circuit, opts(SolverKind::Sparse)).solve().unwrap();
+            let solve = |solver| {
+                DcAnalysis::with_options(circuit, opts(solver))
+                    .override_stimulus("V1", Waveform::dc(lev))
+                    .solve()
+                    .unwrap()
+            };
+            let dense = solve(SolverKind::Dense);
+            let sparse = solve(SolverKind::Sparse);
             for (d, s) in dense.state().iter().zip(sparse.state()) {
                 let scale = d.abs().max(s.abs()).max(1.0);
                 prop_assert!(
