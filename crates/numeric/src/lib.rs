@@ -21,10 +21,9 @@
 //!   via [`SparseLu::set_ordering`]) keeps mesh/crossbar-shaped systems
 //!   — whose natural-order fill is O(n·√n) — factoring with near-linear
 //!   fill; ladder/chain systems stay in natural order, bit-identical to
-//!   before orderings existed. [`SparseLu::factor_until_fill`] prices an
-//!   ordering without paying for it in full: it stops (resumably) once
-//!   the fill reaches a limit. See [`sparse`] for the architecture
-//!   notes.
+//!   before orderings existed; [`SparsePattern::symmetric_fill`]
+//!   prices an ordering from the pattern alone. See [`sparse`] for the
+//!   architecture notes.
 //! * [`StampTarget`] — the stamping abstraction both matrix types
 //!   implement, so one circuit-assembly routine drives either solver.
 //! * [`brent_min`] — Brent's derivative-free one-dimensional minimizer
@@ -123,4 +122,4 @@ pub use error::NumericError;
 pub use lu::{LuFactors, LuWorkspace};
 pub use matrix::Matrix;
 pub use powell::{powell_min, PowellOptions, PowellResult};
-pub use sparse::{FillLimited, SparseLu, SparseMatrix, SparsePattern, SparseSymbolic, StampTarget};
+pub use sparse::{SparseLu, SparseMatrix, SparsePattern, SparseSymbolic, StampTarget};

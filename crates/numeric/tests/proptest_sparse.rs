@@ -12,7 +12,9 @@
 //! must still agree with dense LU (the permutation is un-done before
 //! the caller sees a solution), and the AMD construction itself must
 //! emit a valid bijection on arbitrary patterns, including degenerate
-//! ones (empty columns, dense rows, `n = 1`).
+//! ones (empty columns, dense rows, `n = 1`). The pattern-only fill
+//! count an ordering is priced by must match a brute-force symbolic
+//! elimination.
 
 use castg_numeric::{LuFactors, Matrix, SparseLu, SparseMatrix, StampTarget};
 use proptest::prelude::*;
@@ -57,6 +59,40 @@ fn banded_pair(n: usize, band: usize, entries: &[f64]) -> (Matrix, SparseMatrix)
         sparse.add(i, i, row_sum + 1.0);
     }
     (dense, sparse)
+}
+
+/// `(nnz(A + Aᵀ), nnz(L + U))` by brute force: the dense boolean graph
+/// of `A + Aᵀ` with a full diagonal, eliminated vertex by vertex in
+/// `order` (`None` = natural), each eliminated vertex joining its later
+/// neighbours into a clique; `L + U` counts `2·|strict L| + n`.
+fn brute_force_fill(
+    n: usize,
+    entries: &[(usize, usize)],
+    order: Option<&[usize]>,
+) -> (usize, usize) {
+    let order: Vec<usize> = order.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
+    let mut g = vec![vec![false; n]; n];
+    for (i, row) in g.iter_mut().enumerate() {
+        row[i] = true;
+    }
+    for &(r, c) in entries {
+        g[r][c] = true;
+        g[c][r] = true;
+    }
+    let symmetric = g.iter().flatten().filter(|&&e| e).count();
+    let mut eliminated = vec![false; n];
+    let mut strict_lower = 0;
+    for &v in &order {
+        eliminated[v] = true;
+        let later: Vec<usize> = (0..n).filter(|&u| !eliminated[u] && g[v][u]).collect();
+        strict_lower += later.len();
+        for &a in &later {
+            for &b in &later {
+                g[a][b] = true;
+            }
+        }
+    }
+    (symmetric, 2 * strict_lower + n)
 }
 
 proptest! {
@@ -179,6 +215,36 @@ proptest! {
                 prop_assert!(c < n && !seen[c], "not a bijection: {:?}", perm);
                 seen[c] = true;
             }
+        }
+    }
+
+    /// The pattern-only count agrees with brute-force elimination on
+    /// random unsymmetric patterns, under natural order, a random
+    /// permutation and the AMD ordering.
+    #[test]
+    fn symmetric_fill_matches_brute_force_elimination(
+        n in 1usize..30,
+        slot_rows in prop::collection::vec(0usize..30, 120),
+        slot_cols in prop::collection::vec(0usize..30, 120),
+        slot_count in 0usize..120,
+        perm_seed in prop::collection::vec(0usize..1_000_000, 30),
+    ) {
+        let entries: Vec<(usize, usize)> = slot_rows
+            .iter()
+            .zip(&slot_cols)
+            .take(slot_count)
+            .map(|(&r, &c)| (r % n, c % n))
+            .collect();
+        let pattern = SparseMatrix::from_entries(n, &entries).pattern().clone();
+        let mut random_perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            random_perm.swap(i, perm_seed[i] % (i + 1));
+        }
+        for order in [None, Some(random_perm), Some(pattern.amd_ordering())] {
+            prop_assert_eq!(
+                pattern.symmetric_fill(order.as_deref()),
+                brute_force_fill(n, &entries, order.as_deref())
+            );
         }
     }
 
@@ -390,4 +456,27 @@ fn btf_degenerate_cases() {
     assert_eq!(btf.largest_block(), 1);
     assert_eq!(btf.nontrivial_blocks(), 0);
     assert_eq!(btf.block_ptr(), &(0..=n).collect::<Vec<_>>()[..]);
+}
+
+/// Degenerate shapes of the pattern-only count, where the answer is
+/// exactly known: `n <= 1`, diagonal-only (no fill in any order) and
+/// dense (already full in any order).
+#[test]
+fn symmetric_fill_degenerate_cases() {
+    let check = |n: usize, entries: &[(usize, usize)], want: (usize, usize)| {
+        let pattern = SparseMatrix::from_entries(n, entries).pattern().clone();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for order in [None, Some(reversed), Some(pattern.amd_ordering())] {
+            assert_eq!(pattern.symmetric_fill(order.as_deref()), want, "n = {n}");
+            assert_eq!(brute_force_fill(n, entries, order.as_deref()), want, "n = {n}");
+        }
+    };
+    check(0, &[], (0, 0));
+    check(1, &[], (1, 1));
+    check(1, &[(0, 0)], (1, 1));
+    let n = 9;
+    let diagonal: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+    check(n, &diagonal, (n, n));
+    let dense: Vec<(usize, usize)> = (0..n).flat_map(|r| (0..n).map(move |c| (r, c))).collect();
+    check(n, &dense, (n * n, n * n));
 }

@@ -188,8 +188,10 @@ pub fn hex(d: &Digest) -> String {
 }
 
 /// The request options that participate in the digest (everything
-/// beyond deck + configs + params). Defaults mirror the server's
-/// request defaults.
+/// beyond deck + configs + params). The server fills every field from
+/// the request, with the fault cap and the budgets clamped to its
+/// ceilings (`Some(ceiling)` when the request names none), so no served
+/// `X-Castg-Digest` is built from [`Default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigestOptions {
     /// Bridge-derivation mode of the derived dictionary.
@@ -210,6 +212,9 @@ pub struct DigestOptions {
     pub budget_ms: Option<u64>,
 }
 
+/// The derived-dictionary defaults (exhaustive bridges at 10 kΩ,
+/// pinholes at 2 kΩ) with no skip, no cap, no forced dispatch and no
+/// budgets: a baseline for tests that vary one field at a time.
 impl Default for DigestOptions {
     fn default() -> Self {
         DigestOptions {

@@ -121,9 +121,9 @@
 //!   that adds no slot (a bridge across an existing resistor, as every
 //!   adjacent bridge of a mesh is) keeps the pattern's `Arc`, and the
 //!   patched plan takes over the pattern-only state with it: the AMD
-//!   permutation and the BTF orders. What depends on values — the
-//!   canonical factorizations, the `Auto` verdict, the factor cache —
-//!   is recomputed per variant. Bridge-fault injection therefore costs
+//!   permutation, the BTF orders and the `Auto` verdict. What depends
+//!   on values — the canonical factorizations and the factor cache — is
+//!   recomputed per variant. Bridge-fault injection therefore costs
 //!   a plan patch, not a recompilation. Structural mutations (node
 //!   interning, removal, `device_mut`) still drop the plan.
 //! * **Stimulus overrides.** Every analysis accepts
@@ -179,25 +179,28 @@
 //! near-optimal for chain/ladder netlists, but mesh- and crossbar-like
 //! netlists fill as O(n·√n) under it; the AMD ordering
 //! (`castg_numeric::SparsePattern::amd_ordering`) keeps their factors
-//! near-linear. `Auto` (the default) resolves per circuit, once per
-//! plan, from the canonical factorization's fill: unless natural order
-//! is genuinely fill-blown ([`AMD_AUTO_MIN_BLOWUP`] × the pattern's
-//! nnz), the verdict is Natural straight off the natural canonical
-//! symbolic that solvers seed from anyway — a ladder fault campaign
-//! pays nothing for the ordering machinery — and only fill-blown
-//! patterns run the AMD construction and trial factorization, keeping
-//! AMD when it beats natural by [`AMD_AUTO_MARGIN`]. Natural order is
-//! only compared against those two thresholds, so its canonical
-//! factorization stops as soon as it reaches the one that matters
-//! (`castg_numeric::SparseLu::factor_until_fill`).
-//! [`sparse_fill_stats`] exposes the comparison (`castg check`, the
-//! benchmark and `tests/ordering_verdicts.rs` are built on it).
+//! near-linear. `Auto` (the default) resolves once per sparsity
+//! pattern, from structural counts alone
+//! (`castg_numeric::SparsePattern::symmetric_fill`: the `nnz(L+U)` of
+//! the symbolic Cholesky factor of `A + Aᵀ`, computed on the
+//! elimination tree without reading a value). Unless natural order is
+//! genuinely fill-blown ([`AMD_AUTO_MIN_BLOWUP`] × `nnz(A + Aᵀ)`), the
+//! verdict is Natural and costs one count — a ladder fault campaign
+//! pays nothing for the ordering machinery. Fill-blown patterns also
+//! run the AMD construction and its count, and keep AMD when it beats
+//! natural by [`AMD_AUTO_MARGIN`]. Nothing is factored to decide, and
+//! the verdict is pattern-only state: a fault variant whose delta patch
+//! adds no slot inherits it with the AMD permutation, and a rebuild of
+//! the same variant reaches the same verdict by construction.
+//! [`sparse_fill_stats`] reports the factorization each ordering
+//! actually produces (`castg check`, the benchmark and
+//! `tests/ordering_verdicts.rs` are built on it).
 //!
 //! The third ordering is **BTF** (`OrderingKind::Btf`): the KLU-style
 //! block-triangular decomposition (`castg_numeric::btf`) — maximum
 //! transversal, Tarjan SCC condensation, per-block AMD — which factors
 //! only the diagonal blocks and retires off-diagonal coupling during
-//! back-substitution. It pays off on *one-directional* topologies:
+//! back-substitution. It was built for *one-directional* topologies:
 //! cascaded macro chains whose DC pattern has no feedback (a MOS gate
 //! draws no DC current, so each stage only drives the next). The
 //! **static/dynamic pattern split** is what exposes that structure: DC
@@ -213,26 +216,24 @@
 //! the benchmark's `ota_rescue` workload BTF costs about 12 % more per
 //! Newton iteration than Natural or AMD.
 //! Ladders (banded, AMD already fill-free) and meshes (one irreducible
-//! SCC) see no benefit either, so `Auto`'s third gate picks Btf only
-//! when the condensation finds >1 nontrivial block *and* summed block
-//! fill beats the AMD fill by the existing [`AMD_AUTO_MARGIN`]. The gate
-//! reads the block counts off the cheap condensation stage; the
-//! per-block AMD runs only for a BTF order that is actually factored. A
-//! forced `Btf` on an irreducible pattern falls back to the AMD path
-//! (bit-identical to forced `Amd`).
+//! SCC) see no benefit either, so `Auto` never resolves to Btf: it is
+//! forced only, and slated for deletion (ROADMAP.md, item 2). Whether
+//! a forced `Btf` is usable is read off the cheap condensation stage;
+//! the per-block AMD runs only for a BTF order that is actually
+//! factored. A forced `Btf` on an irreducible pattern falls back to the
+//! AMD path (bit-identical to forced `Amd`).
 //!
 //! Ordering composes with every structure-sharing mechanism above
 //! because the permutation lives *inside* the shared symbolic analysis
 //! (`castg_numeric::SparseSymbolic`): the plan's canonical symbolic is
 //! computed per ordering and seeded into every solver instance, seeded
 //! refactorizations and stability fallbacks keep factoring under the
-//! recorded permutation, delta-stamp plan patches re-resolve `Auto` on
-//! the merged pattern and the variant's canonical values (pure
-//! functions of the faulted circuit, so a patched variant and a
-//! from-scratch rebuild always agree bit for bit — the patched one
-//! merely reuses the nominal's AMD permutation when the pattern is
-//! unchanged). The four-way differential harness (Dense /
-//! Sparse-Natural / Sparse-AMD / Sparse-BTF,
+//! recorded permutation, and delta-stamp plan patches resolve `Auto`
+//! on the merged pattern (a pure function of the faulted circuit, so a
+//! patched variant and a from-scratch rebuild always agree bit for bit
+//! — the patched one merely reuses the nominal's AMD permutation and
+//! verdict when the pattern is unchanged). The four-way differential
+//! harness (Dense / Sparse-Natural / Sparse-AMD / Sparse-BTF,
 //! `tests/sparse_differential.rs` + `tests/campaign_differential.rs`)
 //! pins all of this, nominal and after fault injection, at worker
 //! counts 1 and 4.

@@ -32,28 +32,27 @@ pub const SPARSE_MIN_N: usize = 64;
 /// most this; denser systems gain nothing from sparse bookkeeping.
 pub const SPARSE_MAX_DENSITY: f64 = 0.25;
 
-/// `OrderingKind::Auto` switches to the AMD ordering only when the AMD
-/// canonical factorization's `nnz(L+U)` is at most this fraction of
-/// natural order's: a fill-reducing permutation must *earn* the
-/// switch. Meshes and crossbars clear the margin by 2× and more;
-/// small/dense circuits never get this far (see
+/// `OrderingKind::Auto` switches to the AMD ordering only when AMD's
+/// `nnz(L+U)` count
+/// ([`SparsePattern::symmetric_fill`](castg_numeric::SparsePattern::symmetric_fill))
+/// is at most this fraction of natural order's: a fill-reducing
+/// permutation must *earn* the switch. AMD ÷ natural reads 0.34 on the
+/// 4×4 crossbar and 0.48 and 0.41 on the 256- and 578-unknown meshes;
+/// patterns that are not fill-blown never get this far (see
 /// [`AMD_AUTO_MIN_BLOWUP`]).
 pub const AMD_AUTO_MARGIN: f64 = 0.8;
 
-/// `Auto` considers AMD at all only when natural order's canonical
-/// `nnz(L+U)` is at least this multiple of the pattern's own nonzero
-/// count — i.e. when elimination genuinely *blows up* under natural
-/// order. The natural canonical factorization runs only until its fill
-/// reaches this bound: chain/ladder structure fills ~1.3× its pattern,
-/// completes under it, and so pays exactly one factorization per
-/// campaign variant (the natural canonical symbolic its solvers seed
-/// from anyway). A 2-D mesh fills 6× and up and stops at the bound;
-/// the AMD canonical is computed next, and natural order resumes only
-/// until its fill reaches `amd_fill / AMD_AUTO_MARGIN`, enough to
-/// decide [`AMD_AUTO_MARGIN`]'s gate. Both gates read only the pattern
-/// and the canonical values — both reproduced bit-identically by
-/// delta-patched plans — so delta and rebuilt variants always agree.
-pub const AMD_AUTO_MIN_BLOWUP: f64 = 2.0;
+/// `Auto` considers AMD at all only when natural order's `nnz(L+U)`
+/// count is at least this multiple of `nnz(A + Aᵀ)`, the symmetrized
+/// pattern with a full diagonal — i.e. when elimination genuinely
+/// *blows up* under natural order. Both counts come from the pattern
+/// alone, so the verdict factors nothing and a fault variant that keeps
+/// its nominal's pattern inherits it. Natural ÷ `nnz(A + Aᵀ)` reads
+/// 1.40–1.67 on the divider, the IV converter, both ladders and both
+/// OTA chains, 2.12 on the BJT op-amp (all Natural), and 5.21, 6.94
+/// and 10.13 on the 4×4 crossbar and the 256- and 578-unknown meshes
+/// (Amd).
+pub const AMD_AUTO_MIN_BLOWUP: f64 = 3.0;
 
 /// Which column ordering the sparse LU eliminates under.
 ///
@@ -63,13 +62,14 @@ pub const AMD_AUTO_MIN_BLOWUP: f64 = 2.0;
 /// analysis, and inherited by every seeded solver instance — including
 /// refactorizations and stability fallbacks — so a whole fault campaign
 /// pays one AMD run per sparsity pattern: a delta-patched variant that
-/// adds no slot reuses its nominal's permutation.
+/// adds no slot reuses its nominal's permutation and `Auto` verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderingKind {
-    /// Compare the actual `nnz(L+U)` of both orderings on the circuit's
-    /// canonical matrix (one-time, per plan) and keep AMD only when it
-    /// beats natural order by [`AMD_AUTO_MARGIN`]. The right choice
-    /// everywhere except differential testing.
+    /// Resolve per sparsity pattern to one of two outcomes: `Amd` when
+    /// natural order is fill-blown ([`AMD_AUTO_MIN_BLOWUP`]) and AMD
+    /// beats it by [`AMD_AUTO_MARGIN`], `Natural` otherwise. Both gates
+    /// compare structural counts, so the verdict reads no values. The
+    /// right choice everywhere except differential testing.
     #[default]
     Auto,
     /// Natural MNA order (node index, then branch rows) — optimal for
@@ -82,11 +82,13 @@ pub enum OrderingKind {
     /// Block-triangular form
     /// ([`castg_numeric::SparsePattern::btf_order`], KLU-style):
     /// maximum transversal + SCC condensation + per-block AMD. Only the
-    /// diagonal blocks are factored; the choice for cascaded/one-way
-    /// structure (OTA chains, flattened `.subckt` stages). Falls back
-    /// to `Amd` when the condensation is trivial (a single diagonal
-    /// block) or the pattern is structurally singular, so forcing `Btf`
-    /// on an irreducible circuit is bit-identical to forcing `Amd`.
+    /// diagonal blocks are factored. Forced only — `Auto` never picks
+    /// it — and slated for deletion: on the cascaded OTA chain it was
+    /// built for, it costs more per Newton iteration than Natural or
+    /// AMD (ROADMAP.md, item 2). Falls back to `Amd` when the condensation
+    /// is trivial (a single diagonal block) or the pattern is
+    /// structurally singular, so forcing `Btf` on an irreducible
+    /// circuit is bit-identical to forcing `Amd`.
     Btf,
 }
 
@@ -103,7 +105,7 @@ pub struct FillStats {
     /// coupling entries.
     pub lu_nnz: usize,
     /// The ordering the factorization actually used (`Auto` resolved to
-    /// `Natural`, `Amd` or `Btf`; `Btf` resolved to `Amd` when the
+    /// `Natural` or `Amd`; `Btf` resolved to `Amd` when the
     /// condensation is trivial).
     pub resolved: OrderingKind,
     /// Diagonal-block count of the factorization (1 for every non-BTF
@@ -114,10 +116,12 @@ pub struct FillStats {
     pub largest_block: usize,
 }
 
-/// Factors the circuit's canonical MNA matrix under `ordering` and
-/// reports the fill of the resulting factors — the metric the
-/// fill-reducing-ordering machinery is judged by (benches and the CI
-/// smoke gate assert AMD-vs-natural reductions through this).
+/// Factors the circuit's canonical MNA matrix (static scope) under
+/// `ordering` and reports the fill of the resulting factors — the
+/// metric the fill-reducing-ordering machinery is judged by. `castg
+/// check` prints it, the benchmark's self-check asserts the mesh
+/// workload's AMD reduction through it, and
+/// `tests/ordering_verdicts.rs` pins every committed circuit's row.
 ///
 /// Returns `None` when the canonical matrix is singular (a grossly
 /// broken netlist).
@@ -286,9 +290,9 @@ impl MnaSolver {
     /// tests, threads and fault-campaign work items — starts refactoring
     /// numerically instead of re-running the symbolic DFS, and factors
     /// under the same column permutation everywhere. When the canonical
-    /// matrix is singular (no shareable skeleton), an explicitly
-    /// requested AMD ordering is still installed so the instance's own
-    /// analysis eliminates in fill-reducing order.
+    /// matrix is singular (no shareable skeleton), the resolved ordering
+    /// is still installed, so the instance's own analysis eliminates
+    /// under it.
     pub(crate) fn for_plan(
         plan: &StampPlan,
         kind: SolverKind,
@@ -300,18 +304,9 @@ impl MnaSolver {
             let mut lu = SparseLu::new();
             match plan.canonical_symbolic(ordering, scope) {
                 Some(symbolic) => lu.seed_symbolic(symbolic),
-                None => match plan.resolve_ordering(ordering, scope) {
-                    OrderingKind::Amd => lu.set_ordering(plan.amd_permutation(scope).clone()),
-                    OrderingKind::Btf => {
-                        // Resolving to Btf guarantees a usable order.
-                        let order = plan
-                            .btf_ordering(scope)
-                            .cloned()
-                            .expect("Btf resolution implies a usable BTF order");
-                        lu.set_btf_order(order);
-                    }
-                    _ => {}
-                },
+                None => {
+                    plan.install_ordering(&mut lu, plan.resolve_ordering(ordering, scope), scope)
+                }
             }
             MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu }
         } else {

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use castg_numeric::{FillLimited, Matrix, SparseLu, SparseMatrix, SparseSymbolic, StampTarget};
+use castg_numeric::{Matrix, SparseLu, SparseMatrix, SparseSymbolic, StampTarget};
 
 use crate::bjt::{self, BjtParams, BjtPolarity};
 use crate::circuit::Circuit;
@@ -554,26 +554,27 @@ struct ScopeCaches {
     /// column ordering; `None` inside when the canonical matrix is
     /// singular. Every sparse solver instance for this circuit seeds
     /// from the one its analysis ordering resolves to, so a whole fault
-    /// campaign pays one symbolic analysis per circuit variant and
-    /// scope, plus whatever the Auto verdict spends deciding (see
+    /// campaign pays one canonical factorization per circuit variant
+    /// and scope: the Auto verdict factors nothing (see
     /// [`resolve_ordering`](StampPlan::resolve_ordering)). Values
     /// differ between variants, so a device patch never carries these
-    /// over; the orderings they factor under are pattern-only state
-    /// (`amd_perm`, `btf_order`) and do carry over.
+    /// over; the orderings they factor under, and the Auto verdict, are
+    /// pattern-only state (`amd_perm`, `btf_order`, `auto_ordering`)
+    /// and do carry over.
     canonical_natural: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_amd: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_btf: OnceLock<Option<Arc<SparseSymbolic>>>,
     /// Lazily computed BTF condensation of this scope's pattern
     /// (transversal + SCC blocks, no per-block ordering; `None` inside
     /// when the pattern is structurally singular): a few linear passes
-    /// that decide whether BTF is usable and whether Auto considers it.
+    /// that decide whether a forced BTF is usable.
     /// Like `amd_perm`, a pure function of the pattern — delta-patched
     /// and rebuilt variants of one faulted circuit compute identical
     /// orders, and a device patch that keeps the pattern inherits it.
     btf_blocks: OnceLock<Option<castg_numeric::BtfOrder>>,
     /// Lazily refined BTF preordering (the condensation plus per-block
-    /// AMD), built only when a BTF order is factored — forced `Btf`, or
-    /// Auto's third gate — and shared by the canonical BTF
+    /// AMD), built only when a forced `Btf` order is factored, and
+    /// shared by the canonical BTF
     /// factorization and solver instances that must order their own
     /// analysis.
     btf_order: OnceLock<Option<Arc<castg_numeric::BtfOrder>>>,
@@ -585,13 +586,11 @@ struct ScopeCaches {
     /// so a campaign of such variants runs the ordering once, on the
     /// nominal; a variant that adds slots runs it at most once.
     amd_perm: OnceLock<Vec<usize>>,
-    /// Lazily resolved `OrderingKind::Auto` verdict (`Natural`, `Amd`
-    /// or `Btf`); see [`resolve_ordering`](StampPlan::resolve_ordering)
-    /// for the gates. Every input is reproduced
-    /// bit-identically by a delta-patched plan — and the verdict is
-    /// never inherited across device patches — so delta-patched and
-    /// rebuilt variants of one faulted circuit always resolve
-    /// identically.
+    /// Lazily resolved `OrderingKind::Auto` verdict (`Natural` or
+    /// `Amd`); see [`resolve_ordering`](StampPlan::resolve_ordering)
+    /// for the gates. A pure function of the pattern, like `amd_perm`:
+    /// a device patch that keeps the pattern inherits it, and a rebuild
+    /// of the same faulted circuit reaches the same verdict.
     auto_ordering: OnceLock<OrderingKind>,
     /// Lazily resolved value-array index of every add the replay
     /// performs against this scope's template, in replay order (the
@@ -603,11 +602,13 @@ struct ScopeCaches {
 
 impl ScopeCaches {
     /// Takes over `base`'s pattern-only state (`amd_perm`, `btf_blocks`,
-    /// `btf_order`); valid only when this scope's pattern is `base`'s.
+    /// `btf_order`, `auto_ordering`); valid only when this scope's
+    /// pattern is `base`'s.
     fn inherit_pattern_state(&mut self, base: &ScopeCaches) {
         self.amd_perm = base.amd_perm.clone();
         self.btf_blocks = base.btf_blocks.clone();
         self.btf_order = base.btf_order.clone();
+        self.auto_ordering = base.auto_ordering.clone();
     }
 }
 
@@ -615,22 +616,11 @@ impl ScopeCaches {
 thread_local! {
     /// AMD orderings this thread's plans computed (test-only).
     static AMD_ORDERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// The least fill satisfying `pred`, a predicate monotone in the fill
-/// (false below a threshold, true from it on), searched from a
-/// real-valued `estimate` of the threshold — so a fill-limited
-/// factorization stops exactly where the floating-point gate would
-/// first pass.
-fn least_fill(estimate: f64, pred: impl Fn(usize) -> bool) -> usize {
-    let mut fill = estimate.max(0.0).ceil() as usize;
-    while fill > 0 && pred(fill - 1) {
-        fill -= 1;
-    }
-    while !pred(fill) {
-        fill += 1;
-    }
-    fill
+    /// Canonical factorizations this thread's plans ran, per resolved
+    /// ordering: `[Natural, Amd, Btf]` (test-only).
+    static CANONICAL_FACTORS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// Auto verdicts this thread's plans computed (test-only).
+    static AUTO_VERDICTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl StampPlan {
@@ -737,10 +727,10 @@ impl StampPlan {
     ///
     /// Built templates are extended by the device's slots. A scope whose
     /// pattern gains no slot keeps the base's pattern `Arc` and inherits
-    /// its pattern-only caches (AMD permutation, BTF orders). Everything
-    /// that depends on values — the canonical symbolic analyses, the
-    /// `Auto` verdict, the factor cache — starts empty, because the
-    /// device changes the canonical matrix.
+    /// its pattern-only caches (AMD permutation, BTF orders, `Auto`
+    /// verdict). Everything that depends on values — the canonical
+    /// symbolic analyses and the factor cache — starts empty, because
+    /// the device changes the canonical matrix.
     pub(crate) fn patched_with_device(&self, dev: &Device) -> Self {
         let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
         let mut damped = self.damped.clone();
@@ -776,8 +766,9 @@ impl StampPlan {
             // `merged_with` hands back the base `Arc` when the device
             // adds no slot (a bridge across an existing resistor), and
             // the scope then takes over the base's pattern-only state —
-            // the AMD permutation and the BTF orders, pure functions of
-            // the pattern that a rebuild would recompute identically.
+            // the AMD permutation, the BTF orders and the Auto verdict,
+            // pure functions of the pattern that a rebuild would
+            // recompute identically.
             if let Some(base) = self.caches[full_idx].template.get() {
                 let mut new_slots = new_static.clone();
                 new_slots.extend(slots_of(&plan.reactances[self.reactances.len()..]));
@@ -809,15 +800,9 @@ impl StampPlan {
                     .template
                     .set(SparseMatrix::with_pattern(shared.unwrap_or(pattern)));
             }
-            // Value-dependent state — the canonical factorizations, the
-            // Auto verdict and the factor cache — is deliberately *not*
-            // carried over: the device changes the canonical values, and
-            // the Auto verdict must stay a pure function of the pattern
-            // and those values, so a delta-patched variant and a
-            // from-scratch rebuild of the same faulted circuit resolve
-            // identically — the bit-identity contract of the campaign
-            // differential harness. Near the fill margin an inherited
-            // verdict would diverge from the rebuild's.
+            // Value-dependent state — the canonical factorizations and
+            // the factor cache — is deliberately *not* carried over: the
+            // device changes the canonical values.
         }
         plan
     }
@@ -873,17 +858,20 @@ impl StampPlan {
         ordering: OrderingKind,
         scope: PatternScope,
     ) -> Option<Arc<SparseSymbolic>> {
-        match self.resolve_ordering(ordering, scope) {
-            OrderingKind::Amd => self.amd_symbolic(scope, None),
-            OrderingKind::Btf => self.btf_symbolic(scope),
-            _ => self.natural_symbolic(scope),
-        }
+        let ordering = self.resolve_ordering(ordering, scope);
+        let caches = self.scope_caches(scope);
+        let cell = match ordering {
+            OrderingKind::Amd => &caches.canonical_amd,
+            OrderingKind::Btf => &caches.canonical_btf,
+            _ => &caches.canonical_natural,
+        };
+        cell.get_or_init(|| self.factor_canonical(scope, ordering)).clone()
     }
 
     /// The AMD permutation of `scope`'s sparse pattern, constructed
-    /// once and shared by every consumer (Auto fill prediction,
-    /// canonical AMD factorization, instances analyzing on their own).
-    pub(crate) fn amd_permutation(&self, scope: PatternScope) -> &Vec<usize> {
+    /// once and shared by every consumer (the Auto verdict, canonical
+    /// AMD factorization, instances analyzing on their own).
+    fn amd_permutation(&self, scope: PatternScope) -> &Vec<usize> {
         self.scope_caches(scope).amd_perm.get_or_init(|| {
             #[cfg(test)]
             AMD_ORDERINGS.with(|c| c.set(c.get() + 1));
@@ -904,7 +892,7 @@ impl StampPlan {
     /// when structurally singular), constructed once and shared by
     /// every consumer that factors under it — the canonical BTF
     /// factorization and instances analyzing on their own.
-    pub(crate) fn btf_ordering(&self, scope: PatternScope) -> Option<&Arc<castg_numeric::BtfOrder>> {
+    fn btf_ordering(&self, scope: PatternScope) -> Option<&Arc<castg_numeric::BtfOrder>> {
         self.scope_caches(scope)
             .btf_order
             .get_or_init(|| {
@@ -925,41 +913,29 @@ impl StampPlan {
     }
 
     /// Resolves an [`OrderingKind`] against this plan: `Natural` and
-    /// `Amd` pass through; `Auto`'s verdict is computed once from the
-    /// canonical matrix. AMD wins iff natural order's fill is at least
-    /// both [`AMD_AUTO_MIN_BLOWUP`](crate::solver::AMD_AUTO_MIN_BLOWUP)
-    /// × the pattern's nnz and `amd_fill /`
-    /// [`AMD_AUTO_MARGIN`](crate::solver::AMD_AUTO_MARGIN); BTF then
-    /// supersedes AMD iff the condensation has more than one
-    /// nontrivial block and its fill beats AMD's by the same margin.
+    /// `Amd` pass through, and `Btf` falls back to `Amd` when the
+    /// condensation finds a single block. `Auto`'s verdict is computed
+    /// once per pattern from the counts of
+    /// [`SparsePattern::symmetric_fill`](castg_numeric::SparsePattern::symmetric_fill):
+    /// AMD wins iff natural order's `nnz(L+U)` is at least
+    /// [`AMD_AUTO_MIN_BLOWUP`](crate::solver::AMD_AUTO_MIN_BLOWUP) ×
+    /// `nnz(A + Aᵀ)` and AMD's is at most
+    /// [`AMD_AUTO_MARGIN`](crate::solver::AMD_AUTO_MARGIN) × natural's;
+    /// otherwise the verdict is `Natural`. Never returns `Auto`, and
+    /// `Auto` never resolves to `Btf`.
     ///
-    /// The natural-order fill is only ever compared against thresholds,
-    /// so the natural canonical factorization runs fill-limited
-    /// ([`SparseLu::factor_until_fill`]): first up to the blow-up
-    /// threshold — chain/ladder structure fills ~1.3× its pattern and
-    /// completes under it, keeping the natural canonical its solvers
-    /// seed from, one factorization per campaign variant — and, on a
-    /// fill-blown pattern, after the AMD canonical is known, resumed
-    /// only until it reaches `amd_fill / AMD_AUTO_MARGIN`. The BTF gate
-    /// reads block counts off the condensation, so the per-block AMD
-    /// runs only when a BTF order is factored. The canonical matrix is
-    /// assembled once and shared by both factorizations. Measured on 96
-    /// bridge variants of a 578-unknown mesh (one CPU, x86-64 release
-    /// build, mean per variant): natural order stops at 14,574 entries
-    /// after ~1.1 ms over its two stages, and the AMD canonical it keeps
-    /// factors in ~1.1 ms. A variant whose bridge adds slots also runs
-    /// the AMD ordering (~1.4 ms), ~3.4 ms in all; one that keeps the
-    /// nominal's pattern inherits the ordering and resolves in ~2.3 ms.
-    ///
-    /// The verdict equals the unlimited one on every canonical matrix
-    /// that natural order factors without a singular pivot. A matrix
-    /// that would turn singular under natural order only *after* the
-    /// stop point used to resolve `Natural` (no fill to compare) and
-    /// now resolves on the AMD comparison. Every input is a pure
-    /// function of the plan's pattern and canonical values, both of
-    /// which a delta-patched plan reproduces bit-identically to a
-    /// rebuild — so the two always resolve the same way. Never returns
-    /// `Auto`.
+    /// The verdict reads no values and factors nothing, so a plan pays
+    /// one canonical factorization, under the ordering it resolves to,
+    /// and a delta-patched plan and a rebuild of the same faulted
+    /// circuit resolve alike by construction. Only a fill-blown pattern
+    /// goes on to the AMD ordering and its count. Measured on the
+    /// 578-unknown mesh (min of 30 rounds, one CPU, x86-64 release
+    /// build): each count takes 50–70 µs, against ~1.3 ms for the AMD
+    /// ordering and ~0.9 ms for the AMD canonical factorization. A
+    /// bridge across an existing mesh resistor keeps the pattern,
+    /// inherits the ordering and the verdict, and pays only its
+    /// canonical factorization: ~0.9 ms per variant over 96 such
+    /// bridges.
     pub(crate) fn resolve_ordering(
         &self,
         ordering: OrderingKind,
@@ -977,96 +953,59 @@ impl StampPlan {
     /// The `Auto` verdict; see [`resolve_ordering`](StampPlan::resolve_ordering).
     fn auto_verdict(&self, scope: PatternScope) -> OrderingKind {
         use crate::solver::{AMD_AUTO_MARGIN, AMD_AUTO_MIN_BLOWUP};
-        let nnz = self.sparse_template(scope).pattern().nnz() as f64;
-        let blown = |fill: usize| fill as f64 >= AMD_AUTO_MIN_BLOWUP * nnz;
-        let mat = self.canonical_matrix(scope);
-        let mut natural = SparseLu::new();
-        // Advances natural order until its fill reaches `limit` (or it
-        // completes, publishing the canonical natural skeleton): the
-        // fill so far, the final fill once complete, `None` when
-        // singular — no fill to compare, so instances analyze on their
-        // own in natural order.
-        let mut natural_fill = |limit: usize| {
-            if !natural.is_factored() {
-                let done = match natural.factor_until_fill(&mat, limit) {
-                    Ok(FillLimited::Stopped { fill_at_least }) => return Some(fill_at_least),
-                    Ok(FillLimited::Complete) => natural.symbolic(),
-                    Err(_) => None,
-                };
-                let _ = self.scope_caches(scope).canonical_natural.set(done);
-            }
-            natural.symbolic().map(|s| s.fill_nnz())
-        };
-        match natural_fill(least_fill(AMD_AUTO_MIN_BLOWUP * nnz, blown)) {
-            Some(fill) if blown(fill) => {}
-            _ => return OrderingKind::Natural,
-        }
-        let Some(amd_fill) = self.amd_symbolic(scope, Some(&mat)).map(|s| s.fill_nnz()) else {
+        #[cfg(test)]
+        AUTO_VERDICTS.with(|c| c.set(c.get() + 1));
+        let pattern = self.sparse_template(scope).pattern();
+        let (symmetric, natural) = pattern.symmetric_fill(None);
+        if (natural as f64) < AMD_AUTO_MIN_BLOWUP * symmetric as f64 {
             return OrderingKind::Natural;
-        };
-        let amd_wins = |fill: usize| amd_fill as f64 <= AMD_AUTO_MARGIN * fill as f64;
-        match natural_fill(least_fill(amd_fill as f64 / AMD_AUTO_MARGIN, amd_wins)) {
-            Some(fill) if amd_wins(fill) => {}
-            _ => return OrderingKind::Natural,
         }
-        // Third gate: BTF supersedes AMD only when the condensation
-        // found real block structure (>1 nontrivial block) *and* the
-        // total BTF storage beats global AMD by the same margin AMD had
-        // to clear.
-        if self.btf_blocks(scope).is_some_and(|b| b.nontrivial_blocks() > 1) {
-            if let Some(b) = self.btf_symbolic(scope) {
-                if (b.fill_nnz() as f64) <= AMD_AUTO_MARGIN * amd_fill as f64 {
-                    return OrderingKind::Btf;
-                }
-            }
+        let (_, amd) = pattern.symmetric_fill(Some(self.amd_permutation(scope)));
+        if amd as f64 <= AMD_AUTO_MARGIN * natural as f64 {
+            OrderingKind::Amd
+        } else {
+            OrderingKind::Natural
         }
-        OrderingKind::Amd
     }
 
-    /// The natural-order canonical symbolic analysis (cached).
-    fn natural_symbolic(&self, scope: PatternScope) -> Option<Arc<SparseSymbolic>> {
-        self.scope_caches(scope)
-            .canonical_natural
-            .get_or_init(|| self.factor_canonical(scope, None, |_| {}))
-            .clone()
+    /// Sets up `lu` to factor under a resolved `ordering`: the AMD
+    /// permutation, the BTF preordering, or nothing for natural order.
+    pub(crate) fn install_ordering(
+        &self,
+        lu: &mut SparseLu,
+        ordering: OrderingKind,
+        scope: PatternScope,
+    ) {
+        match ordering {
+            OrderingKind::Amd => lu.set_ordering(self.amd_permutation(scope).clone()),
+            OrderingKind::Btf => lu.set_btf_order(Arc::clone(
+                self.btf_ordering(scope).expect("a resolved Btf has a usable order"),
+            )),
+            _ => {}
+        }
     }
 
-    /// The AMD-ordered canonical symbolic analysis (cached), factored
-    /// from `canonical` when the caller has the canonical matrix at hand.
-    fn amd_symbolic(
+    /// Factors the canonical matrix of `scope` — assembled at `x = 0`
+    /// with the default gmin and DC source values — under a resolved
+    /// `ordering`, returning the symbolic skeleton or `None` on
+    /// singularity.
+    fn factor_canonical(
         &self,
         scope: PatternScope,
-        canonical: Option<&SparseMatrix>,
+        ordering: OrderingKind,
     ) -> Option<Arc<SparseSymbolic>> {
-        self.scope_caches(scope)
-            .canonical_amd
-            .get_or_init(|| {
-                let perm = self.amd_permutation(scope).clone();
-                self.factor_canonical(scope, canonical, |lu| lu.set_ordering(perm))
-            })
-            .clone()
-    }
-
-    /// The BTF-ordered canonical symbolic analysis (cached). Falls back
-    /// to the AMD canonical when no usable BTF order exists, mirroring
-    /// [`resolve_ordering`](StampPlan::resolve_ordering).
-    fn btf_symbolic(&self, scope: PatternScope) -> Option<Arc<SparseSymbolic>> {
-        if !self.btf_usable(scope) {
-            return self.amd_symbolic(scope, None);
-        }
-        self.scope_caches(scope)
-            .canonical_btf
-            .get_or_init(|| {
-                let order =
-                    Arc::clone(self.btf_ordering(scope).expect("btf_usable implies order"));
-                self.factor_canonical(scope, None, |lu| lu.set_btf_order(order))
-            })
-            .clone()
-    }
-
-    /// The canonical matrix of `scope`: assembled at `x = 0` with the
-    /// default gmin and DC source values.
-    fn canonical_matrix(&self, scope: PatternScope) -> SparseMatrix {
+        #[cfg(test)]
+        CANONICAL_FACTORS.with(|c| {
+            let mut counts = c.get();
+            counts[match ordering {
+                OrderingKind::Amd => 1,
+                OrderingKind::Btf => 2,
+                _ => 0,
+            }] += 1;
+            c.set(counts);
+        });
+        let mut lu = SparseLu::new();
+        self.install_ordering(&mut lu, ordering, scope);
         let mut mat = self.sparse_template(scope).clone();
         let mut rhs = vec![0.0; self.n];
         let x0 = vec![0.0; self.n];
@@ -1079,30 +1018,7 @@ impl StampPlan {
         // the amortization).
         let gmin = crate::analysis::AnalysisOptions::default().gmin;
         self.assemble_into_sparse(&x0, &mut mat, &mut rhs, gmin, &src_vals);
-        mat
-    }
-
-    /// Factors the canonical matrix — `canonical`, or assembled here when
-    /// `None` — with a workspace prepared by `setup` (ordering / BTF-order
-    /// installation; the empty closure = natural order), returning the
-    /// symbolic skeleton or `None` on singularity.
-    fn factor_canonical(
-        &self,
-        scope: PatternScope,
-        canonical: Option<&SparseMatrix>,
-        setup: impl FnOnce(&mut SparseLu),
-    ) -> Option<Arc<SparseSymbolic>> {
-        let assembled;
-        let mat = match canonical {
-            Some(mat) => mat,
-            None => {
-                assembled = self.canonical_matrix(scope);
-                &assembled
-            }
-        };
-        let mut lu = SparseLu::new();
-        setup(&mut lu);
-        lu.factor(mat).ok().and_then(|()| lu.symbolic())
+        lu.factor(&mat).ok().and_then(|()| lu.symbolic())
     }
 
     /// Whether the plan contains no nonlinear linearization sites, i.e.
@@ -1590,11 +1506,23 @@ mod tests {
         AMD_ORDERINGS.with(std::cell::Cell::get)
     }
 
+    /// Canonical factorizations this thread has run so far, per
+    /// ordering: `[Natural, Amd, Btf]`.
+    fn canonical_factors() -> [usize; 3] {
+        CANONICAL_FACTORS.with(std::cell::Cell::get)
+    }
+
+    /// Auto verdicts this thread has computed so far.
+    fn auto_verdicts() -> usize {
+        AUTO_VERDICTS.with(std::cell::Cell::get)
+    }
+
     /// A bridge across an existing resistor keeps the mesh's pattern, so
-    /// the delta-patched variant resolves `Auto` on the nominal's AMD
-    /// permutation without computing its own — and still reaches the
-    /// rebuild's verdict and fill. A bridge that adds slots orders its
-    /// new pattern exactly once.
+    /// the delta-patched variant inherits the nominal's AMD permutation
+    /// and `Auto` verdict: it computes neither and factors only its AMD
+    /// canonical — and still reaches the rebuild's verdict and fill. A
+    /// bridge that adds slots orders its new pattern and decides its
+    /// verdict exactly once, again with no natural factorization.
     #[test]
     fn pattern_keeping_patch_inherits_the_amd_ordering() {
         use crate::solver::sparse_fill_stats;
@@ -1608,20 +1536,31 @@ mod tests {
             sparse_fill_stats(&rebuilt, OrderingKind::Auto).unwrap()
         };
         let node = |i: usize| nominal.find_node(&format!("n{i}")).unwrap();
+        let counters = || (amd_orderings(), auto_verdicts(), canonical_factors());
 
         let mut parallel = nominal.clone();
         parallel.add_resistor("F_bridge", node(0), node(1), 50e3).unwrap();
-        let before = amd_orderings();
+        let (orderings, verdicts, [natural, amd, btf]) = counters();
         let stats = sparse_fill_stats(&parallel, OrderingKind::Auto).unwrap();
-        assert_eq!(amd_orderings(), before, "a pattern-keeping variant reordered");
+        assert_eq!(
+            counters(),
+            (orderings, verdicts, [natural, amd + 1, btf]),
+            "a pattern-keeping variant must inherit its ordering and verdict \
+             and factor only its AMD canonical"
+        );
         assert_eq!(stats.resolved, OrderingKind::Amd);
         assert_eq!(stats, rebuilt_stats(&parallel));
 
         let mut far = nominal.clone();
         far.add_resistor("F_bridge", node(0), node(k * k - 1), 50e3).unwrap();
-        let before = amd_orderings();
+        let (orderings, verdicts, [natural, amd, btf]) = counters();
         let stats = sparse_fill_stats(&far, OrderingKind::Auto).unwrap();
-        assert_eq!(amd_orderings(), before + 1, "a slot-adding variant orders once");
+        assert_eq!(
+            counters(),
+            (orderings + 1, verdicts + 1, [natural, amd + 1, btf]),
+            "a slot-adding variant must order and decide once \
+             and factor only its AMD canonical"
+        );
         assert_eq!(stats.resolved, OrderingKind::Amd);
         assert_eq!(stats, rebuilt_stats(&far));
     }
