@@ -3,9 +3,9 @@
 //! one [`generation`] run instead of running their own.
 
 use castg_core::{
-    compact, compare_with_baseline, evaluate_test_set, test_instances_from_compaction,
-    tps_graph, tps_profile, AnalogMacro, CompactionOptions, Evaluator, GenerationReport,
-    Generator, NominalCache,
+    compact, compare_with_baseline, evaluate_campaign, test_instances_from_compaction,
+    tps_graph, tps_profile, AnalogMacro, CampaignOptions, CompactionOptions, Evaluator,
+    GenerationReport, Generator, NominalCache,
 };
 use castg_core::report::{fmt_num, fmt_si, TextTable};
 use castg_faults::Fault;
@@ -379,7 +379,9 @@ pub fn table3_config5(report: &GenerationReport) {
 }
 
 /// E12 / §4.2 — compaction sweep over δ: collapsed set size, screen
-/// rejections, and coverage of the compacted set.
+/// rejections, and coverage of the compacted set. It re-compacts the
+/// one 55-fault generation per δ, so it calls the phases itself
+/// instead of `castg_core::run_pipeline`.
 pub fn compaction_sweep(mac: &dyn AnalogMacro, cache: &NominalCache, report: &GenerationReport) {
     println!("== §4.2: test-set collapse vs. δ ==");
     let dict = mac.fault_dictionary();
@@ -395,7 +397,8 @@ pub fn compaction_sweep(mac: &dyn AnalogMacro, cache: &NominalCache, report: &Ge
         let compaction = compact(mac, cache, report, &options).expect("compaction");
         let tests =
             test_instances_from_compaction(mac, &compaction).expect("instances resolve");
-        let coverage = evaluate_test_set(mac, cache, &tests, &dict).expect("coverage");
+        let coverage = evaluate_campaign(mac, cache, &tests, &dict, &CampaignOptions::default())
+            .expect("coverage");
         table.push_row(vec![
             format!("{delta:.2}"),
             compaction.tests.len().to_string(),

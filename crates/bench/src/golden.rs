@@ -12,12 +12,10 @@
 //! other code change. The decks themselves are source files: nothing
 //! here writes them.
 
-use castg_core::report::{render_json_report, render_pipeline_report, PipelineTimings};
+use castg_core::report::{render_json_report, render_pipeline_report};
 use castg_core::synthetic::{DividerMacro, MeshMacro};
 use castg_core::{
-    compact, evaluate_test_set_with_threads, test_instances_from_compaction, AnalogMacro,
-    CompactionOptions, CompactionReport, CoverageReport, GenerationReport, Generator,
-    GeneratorOptions, NominalCache, TestInstance,
+    run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions, PipelineRun, PipelineTimings,
 };
 use castg_faults::FaultDictionary;
 use castg_numeric::{BrentOptions, PowellOptions};
@@ -59,35 +57,18 @@ pub fn golden_options() -> GeneratorOptions {
     }
 }
 
-/// Runs generate → compact → evaluate for one macro over `dict` with
-/// the golden options and returns the generation, the compaction, the
-/// compacted test instances and their coverage.
-fn run_pipeline(
-    mac: &dyn AnalogMacro,
-    dict: &FaultDictionary,
-) -> (GenerationReport, CompactionReport, Vec<TestInstance>, CoverageReport) {
-    let cache = NominalCache::new();
-    let generator = Generator::with_options(mac, &cache, golden_options());
-    let generation = generator.generate(dict);
-    assert!(
-        generation.failures.is_empty(),
-        "golden generation must not fail: {:?}",
-        generation.failures
-    );
-    let compaction =
-        compact(mac, &cache, &generation, &CompactionOptions::default()).expect("compaction");
-    let instances = test_instances_from_compaction(mac, &compaction).expect("instances");
-    let coverage =
-        evaluate_test_set_with_threads(mac, &cache, &instances, dict, 2).expect("coverage");
-    (generation, compaction, instances, coverage)
+/// The golden run of one macro over `dict`: [`golden_options`] and two
+/// campaign threads.
+fn golden_run(mac: &dyn AnalogMacro, dict: &FaultDictionary) -> PipelineRun {
+    let campaign = CampaignOptions { threads: 2, ..CampaignOptions::default() };
+    run_pipeline(mac, dict, &golden_options(), &campaign).expect("golden pipeline runs")
 }
 
 /// Runs the pipeline for one macro over `dict` and renders the golden
 /// report — the text the `castg` CLI writes
 /// ([`castg_core::report::render_pipeline_report`]).
 fn pipeline_report(mac: &dyn AnalogMacro, dict: &FaultDictionary) -> String {
-    let (generation, compaction, _, coverage) = run_pipeline(mac, dict);
-    render_pipeline_report(mac.name(), &generation, &compaction, &coverage)
+    render_pipeline_report(mac.name(), &golden_run(mac, dict))
 }
 
 /// The `DividerMacro` golden report (full dictionary).
@@ -104,18 +85,9 @@ pub fn divider_report() -> String {
 /// (which also pins the `faults_per_s: 0.0` degenerate branch).
 pub fn json_report() -> String {
     let mac = DividerMacro::new();
-    let dict = mac.fault_dictionary();
-    let (_, compaction, instances, coverage) = run_pipeline(&mac, &dict);
-    render_json_report(
-        mac.name(),
-        mac.macro_type(),
-        dict.len(),
-        2,
-        &PipelineTimings::default(),
-        instances.len(),
-        compaction.original_count,
-        &coverage,
-    )
+    let run = golden_run(&mac, &mac.fault_dictionary());
+    let run = PipelineRun { timings: PipelineTimings::default(), ..run };
+    render_json_report(mac.name(), mac.macro_type(), 2, &run)
 }
 
 /// The IV-converter golden report over the first [`IV_GOLDEN_FAULTS`]
@@ -123,10 +95,7 @@ pub fn json_report() -> String {
 /// are Monte-Carlo-based and belong to the release experiments).
 pub fn iv_report() -> String {
     let mac = iv_macro(false);
-    let dict = FaultDictionary::new(
-        mac.fault_dictionary().iter().take(IV_GOLDEN_FAULTS).cloned().collect(),
-    );
-    pipeline_report(&mac, &dict)
+    pipeline_report(&mac, &mac.fault_dictionary().window(0, Some(IV_GOLDEN_FAULTS)))
 }
 
 /// The `MeshMacro` golden report: a 4×4 grid (18 unknowns — the
@@ -135,10 +104,7 @@ pub fn iv_report() -> String {
 /// dictionary faults.
 pub fn mesh_report() -> String {
     let mac = MeshMacro::new(4, 4);
-    let dict = FaultDictionary::new(
-        mac.fault_dictionary().iter().take(MESH_GOLDEN_FAULTS).cloned().collect(),
-    );
-    pipeline_report(&mac, &dict)
+    pipeline_report(&mac, &mac.fault_dictionary().window(0, Some(MESH_GOLDEN_FAULTS)))
 }
 
 /// The bipolar (diode + BJT) golden report over the

@@ -11,7 +11,7 @@
 use castg_faults::FaultDictionary;
 
 use crate::cache::NominalCache;
-use crate::evaluate::{evaluate_test_set, CoverageReport, TestInstance};
+use crate::evaluate::{evaluate_campaign, CampaignOptions, CoverageReport, TestInstance};
 use crate::generate::GenerationReport;
 use crate::{AnalogMacro, CoreError};
 
@@ -70,8 +70,9 @@ pub fn compare_with_baseline(
     generated: &GenerationReport,
     dictionary: &FaultDictionary,
 ) -> Result<BaselineComparison, CoreError> {
+    let campaign = CampaignOptions::default();
     let baseline_set = seed_test_set(macro_def);
-    let baseline = evaluate_test_set(macro_def, cache, &baseline_set, dictionary)?;
+    let baseline = evaluate_campaign(macro_def, cache, &baseline_set, dictionary, &campaign)?;
 
     let configs = macro_def.configurations();
     let optimized_set: Vec<TestInstance> = generated
@@ -84,7 +85,7 @@ pub fn compare_with_baseline(
             })
         })
         .collect();
-    let optimized = evaluate_test_set(macro_def, cache, &optimized_set, dictionary)?;
+    let optimized = evaluate_campaign(macro_def, cache, &optimized_set, dictionary, &campaign)?;
 
     Ok(BaselineComparison { baseline, optimized })
 }
@@ -92,22 +93,9 @@ pub fn compare_with_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{Generator, GeneratorOptions};
+    use crate::generate::tests::quick_options;
+    use crate::generate::Generator;
     use crate::synthetic::DividerMacro;
-    use castg_numeric::{BrentOptions, PowellOptions};
-
-    fn quick_options() -> GeneratorOptions {
-        GeneratorOptions {
-            threads: 2,
-            powell: PowellOptions {
-                ftol: 1e-3,
-                max_iter: 6,
-                line: BrentOptions { tol: 5e-3, max_iter: 10 },
-            },
-            brent: BrentOptions { tol: 1e-3, max_iter: 20 },
-            ..GeneratorOptions::default()
-        }
-    }
 
     #[test]
     fn seed_set_has_one_test_per_config() {

@@ -15,23 +15,10 @@
 //! insensitivity level 1. Members failing the screen keep their own
 //! optimal test.
 
-use castg_faults::Fault;
-
 use crate::cache::NominalCache;
 use crate::generate::{BestTest, GenerationReport};
 use crate::sensitivity::Evaluator;
 use crate::{AnalogMacro, CoreError, TestConfiguration};
-
-/// At which fault impact the compaction screen evaluates sensitivities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ImpactLevel {
-    /// The dictionary impact (scale 1) — the fault as modeled.
-    #[default]
-    Dictionary,
-    /// Each fault's critical impact level (the boundary of detection for
-    /// its optimal test) — the strictest meaningful screen.
-    Critical,
-}
 
 /// Options for [`compact`].
 #[derive(Debug, Clone, PartialEq)]
@@ -42,13 +29,11 @@ pub struct CompactionOptions {
     /// Grouping radius in the normalized (unit-cube) parameter space of
     /// each configuration.
     pub radius: f64,
-    /// Impact level at which the screen evaluates.
-    pub impact: ImpactLevel,
 }
 
 impl Default for CompactionOptions {
     fn default() -> Self {
-        CompactionOptions { delta: 0.25, radius: 0.15, impact: ImpactLevel::default() }
+        CompactionOptions { delta: 0.25, radius: 0.15 }
     }
 }
 
@@ -218,18 +203,14 @@ fn collapse_cluster(
         }
         let centroid = config.space().clamp(&centroid);
 
-        // Screen every member at the requested impact level.
+        // Screen every member at its dictionary impact.
         let mut kept = Vec::with_capacity(survivors.len());
         let mut ejected = Vec::new();
         for &m in &survivors {
             let t = tests[m];
-            let fault = fault_at_level(&t.fault, t, options.impact);
-            let circuit = ev.inject(&fault)?;
+            let circuit = ev.inject(&t.fault.with_impact_scale(1.0))?;
             let s_collapsed = ev.sensitivity_of(&circuit, &centroid)?;
-            let s_opt = match options.impact {
-                ImpactLevel::Dictionary => t.sensitivity_at_dictionary,
-                ImpactLevel::Critical => ev.sensitivity_of(&circuit, &t.params)?,
-            };
+            let s_opt = t.sensitivity_at_dictionary;
             if s_collapsed <= s_opt + options.delta * (1.0 - s_opt) {
                 kept.push(m);
             } else {
@@ -278,32 +259,12 @@ fn singleton(config: &dyn TestConfiguration, t: &BestTest) -> CompactTest {
     }
 }
 
-fn fault_at_level(fault: &Fault, test: &BestTest, level: ImpactLevel) -> Fault {
-    match level {
-        ImpactLevel::Dictionary => fault.with_impact_scale(1.0),
-        ImpactLevel::Critical => fault.with_impact_scale(test.critical_scale),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{Generator, GeneratorOptions};
+    use crate::generate::tests::quick_options;
+    use crate::generate::Generator;
     use crate::synthetic::DividerMacro;
-    use castg_numeric::{BrentOptions, PowellOptions};
-
-    fn quick_options() -> GeneratorOptions {
-        GeneratorOptions {
-            threads: 2,
-            powell: PowellOptions {
-                ftol: 1e-3,
-                max_iter: 6,
-                line: BrentOptions { tol: 5e-3, max_iter: 10 },
-            },
-            brent: BrentOptions { tol: 1e-3, max_iter: 20 },
-            ..GeneratorOptions::default()
-        }
-    }
 
     fn generation() -> (DividerMacro, NominalCache, GenerationReport) {
         let mac = DividerMacro::new();
@@ -374,29 +335,10 @@ mod tests {
     #[test]
     fn large_radius_forces_grouping_screen_still_protects() {
         let (mac, cache, report) = generation();
-        let comp = compact(
-            &mac,
-            &cache,
-            &report,
-            &CompactionOptions { radius: 10.0, delta: 0.3, impact: ImpactLevel::Dictionary },
-        )
-        .unwrap();
+        let comp = compact(&mac, &cache, &report, &CompactionOptions { radius: 10.0, delta: 0.3 })
+            .unwrap();
         // With an all-encompassing radius, groups form per config; the
         // screen may eject members but coverage accounting must hold.
-        let covered: usize = comp.tests.iter().map(|t| t.covered_faults.len()).sum();
-        assert_eq!(covered, report.tests.len());
-    }
-
-    #[test]
-    fn critical_impact_screen_runs() {
-        let (mac, cache, report) = generation();
-        let comp = compact(
-            &mac,
-            &cache,
-            &report,
-            &CompactionOptions { impact: ImpactLevel::Critical, ..CompactionOptions::default() },
-        )
-        .unwrap();
         let covered: usize = comp.tests.iter().map(|t| t.covered_faults.len()).sum();
         assert_eq!(covered, report.tests.len());
     }

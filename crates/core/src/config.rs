@@ -51,10 +51,12 @@ impl Measurement {
 
 /// A test configuration implementation for a macro type.
 ///
-/// Implementations live with the macro definitions (the `castg-macros`
-/// crate implements the paper's five IV-converter configurations); the
-/// generation and compaction algorithms in this crate consume them only
-/// through this trait.
+/// The workspace's one implementation is [`crate::DescribedConfig`],
+/// which interprets a textual configuration description (the paper's
+/// five IV-converter configurations are such `.cfg` files under
+/// `tests/fixtures/iv_configs/`, loaded through `castg-netlist`); the
+/// generation and compaction algorithms in this crate consume
+/// configurations only through this trait.
 ///
 /// # Contract
 ///

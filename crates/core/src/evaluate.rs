@@ -393,46 +393,8 @@ impl VariantSlot {
 }
 
 /// Evaluates a test set's coverage of `dictionary` (faults at their
-/// dictionary impact) with default [`CampaignOptions`] (all cores,
-/// delta injection).
-///
-/// # Errors
-///
-/// Only nominal-simulation failures and contract violations propagate;
-/// faulted-variant breakdowns (panics, non-convergence, singular
-/// systems, budget overruns, injection failures) land as typed
-/// [`FaultOutcome`]s on the per-fault rows instead of erroring.
-pub fn evaluate_test_set(
-    macro_def: &dyn AnalogMacro,
-    cache: &NominalCache,
-    tests: &[TestInstance],
-    dictionary: &FaultDictionary,
-) -> Result<CoverageReport, CoreError> {
-    evaluate_campaign(macro_def, cache, tests, dictionary, &CampaignOptions::default())
-}
-
-/// [`evaluate_test_set`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// As for [`evaluate_test_set`].
-pub fn evaluate_test_set_with_threads(
-    macro_def: &dyn AnalogMacro,
-    cache: &NominalCache,
-    tests: &[TestInstance],
-    dictionary: &FaultDictionary,
-    threads: usize,
-) -> Result<CoverageReport, CoreError> {
-    evaluate_campaign(
-        macro_def,
-        cache,
-        tests,
-        dictionary,
-        &CampaignOptions { threads, ..CampaignOptions::default() },
-    )
-}
-
-/// The campaign engine behind every coverage evaluation.
+/// dictionary impact): the campaign engine behind every coverage
+/// evaluation.
 ///
 /// Fans the full `fault × test` grid out as independent work items
 /// over [`CampaignOptions::threads`] workers. Each dictionary fault is
@@ -448,7 +410,8 @@ pub fn evaluate_test_set_with_threads(
 /// everything — is bit-identical at any worker count and under either
 /// injection mode. `threads = 1` (or a grid too small to be worth
 /// fanning out) degenerates to a serial sweep over the same work
-/// items.
+/// items. The report holds one row per dictionary fault, whatever the
+/// outcome (an empty test set detects nothing and injects nothing).
 ///
 /// # Errors
 ///
@@ -686,34 +649,20 @@ pub fn test_instances_from_compaction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::{compact, CompactionOptions};
-    use crate::generate::{Generator, GeneratorOptions};
+    use crate::generate::tests::quick_options;
+    use crate::run_pipeline;
     use crate::synthetic::DividerMacro;
-    use castg_numeric::{BrentOptions, PowellOptions};
 
-    fn quick_options() -> GeneratorOptions {
-        GeneratorOptions {
-            threads: 2,
-            powell: PowellOptions {
-                ftol: 1e-3,
-                max_iter: 6,
-                line: BrentOptions { tol: 5e-3, max_iter: 10 },
-            },
-            brent: BrentOptions { tol: 1e-3, max_iter: 20 },
-            ..GeneratorOptions::default()
-        }
+    fn with_threads(threads: usize) -> CampaignOptions {
+        CampaignOptions { threads, ..CampaignOptions::default() }
     }
 
     #[test]
     fn full_pipeline_coverage_on_divider() {
         let mac = DividerMacro::new();
-        let cache = NominalCache::new();
-        let gen = Generator::with_options(&mac, &cache, quick_options());
         let dict = mac.fault_dictionary();
-        let report = gen.generate(&dict);
-        let comp = compact(&mac, &cache, &report, &CompactionOptions::default()).unwrap();
-        let tests = test_instances_from_compaction(&mac, &comp).unwrap();
-        let coverage = evaluate_test_set(&mac, &cache, &tests, &dict).unwrap();
+        let coverage =
+            run_pipeline(&mac, &dict, &quick_options(), &with_threads(2)).unwrap().coverage;
         assert_eq!(coverage.total(), dict.len());
         // All three 10 kΩ divider bridges are detectable; the compacted
         // set must keep detecting each of them.
@@ -728,21 +677,15 @@ mod tests {
     #[test]
     fn parallel_coverage_matches_serial() {
         let mac = DividerMacro::new();
-        let cache = NominalCache::new();
-        let gen = Generator::with_options(&mac, &cache, quick_options());
         let dict = mac.fault_dictionary();
-        let report = gen.generate(&dict);
-        let comp = compact(&mac, &cache, &report, &CompactionOptions::default()).unwrap();
-        let tests = test_instances_from_compaction(&mac, &comp).unwrap();
-
-        let serial =
-            evaluate_test_set_with_threads(&mac, &cache, &tests, &dict, 1).unwrap();
+        let serial = run_pipeline(&mac, &dict, &quick_options(), &with_threads(1)).unwrap();
+        let cache = NominalCache::new();
         for threads in [2, 4, 8] {
             let parallel =
-                evaluate_test_set_with_threads(&mac, &cache, &tests, &dict, threads)
+                evaluate_campaign(&mac, &cache, &serial.tests, &dict, &with_threads(threads))
                     .unwrap();
-            assert_eq!(parallel.test_count, serial.test_count);
-            assert_eq!(parallel.per_fault, serial.per_fault, "threads = {threads}");
+            assert_eq!(parallel.test_count, serial.coverage.test_count);
+            assert_eq!(parallel.per_fault, serial.coverage.per_fault, "threads = {threads}");
         }
     }
 
@@ -751,7 +694,7 @@ mod tests {
         let mac = DividerMacro::new();
         let cache = NominalCache::new();
         let dict = mac.fault_dictionary();
-        let coverage = evaluate_test_set(&mac, &cache, &[], &dict).unwrap();
+        let coverage = evaluate_campaign(&mac, &cache, &[], &dict, &with_threads(1)).unwrap();
         assert_eq!(coverage.detected(), 0);
         assert_eq!(coverage.escapes().len(), dict.len());
         assert_eq!(coverage.coverage(), 0.0);
@@ -761,8 +704,8 @@ mod tests {
     fn empty_dictionary_yields_empty_report() {
         let mac = DividerMacro::new();
         let cache = NominalCache::new();
-        let coverage =
-            evaluate_test_set(&mac, &cache, &[], &FaultDictionary::default()).unwrap();
+        let empty = FaultDictionary::default();
+        let coverage = evaluate_campaign(&mac, &cache, &[], &empty, &with_threads(1)).unwrap();
         assert_eq!(coverage.total(), 0);
         assert_eq!(coverage.coverage(), 0.0);
     }

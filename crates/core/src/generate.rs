@@ -18,7 +18,7 @@
 //!    most sensitive test is still identified).
 //! 3. **Critical impact.** The surviving test's *critical impact level* —
 //!    the weakest impact scale it still detects — is located by
-//!    bisection; the compaction screen can evaluate there.
+//!    bisection.
 //!
 //! The three steps revisit points: Powell's second sweep replays the
 //! first sweep's line search when the other axis did not move, step 3
@@ -56,23 +56,25 @@ pub enum SelectionMethod {
     MaxCriticalImpact,
 }
 
+/// Impact-weakening factor applied before parameter optimization so
+/// the model sits in its soft-fault tps region (§3.2).
+const SOFTEN_FACTOR: f64 = 8.0;
+/// Initial multiplicative impact step of the selection loop.
+const RELAX_FACTOR: f64 = 4.0;
+/// Terminate the selection loop, and the critical-scale bisection,
+/// when the step factor drops below this (the impact scale is then
+/// localized to that ratio).
+const SCALE_TOL: f64 = 1.05;
+/// Upper clamp on the impact scale (weakest fault considered).
+const MAX_SCALE: f64 = 1e4;
+/// Lower clamp on the impact scale (strongest fault considered).
+const MIN_SCALE: f64 = 1e-3;
+/// Hard cap on selection-loop rounds.
+const MAX_ROUNDS: usize = 48;
+
 /// Options controlling the generation algorithm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorOptions {
-    /// Impact-weakening factor applied before parameter optimization so
-    /// the model sits in its soft-fault tps region (§3.2).
-    pub soften_factor: f64,
-    /// Initial multiplicative impact step of the selection loop.
-    pub relax_factor: f64,
-    /// Terminate the selection loop when the step factor drops below
-    /// this (the impact scale is then localized to that ratio).
-    pub scale_tol: f64,
-    /// Upper clamp on the impact scale (weakest fault considered).
-    pub max_scale: f64,
-    /// Lower clamp on the impact scale (strongest fault considered).
-    pub min_scale: f64,
-    /// Hard cap on selection-loop rounds.
-    pub max_rounds: usize,
     /// Which selection method to use.
     pub selection: SelectionMethod,
     /// Options for multi-parameter (Powell) optimization.
@@ -86,12 +88,6 @@ pub struct GeneratorOptions {
 impl Default for GeneratorOptions {
     fn default() -> Self {
         GeneratorOptions {
-            soften_factor: 8.0,
-            relax_factor: 4.0,
-            scale_tol: 1.05,
-            max_scale: 1e4,
-            min_scale: 1e-3,
-            max_rounds: 48,
             selection: SelectionMethod::default(),
             // Simulator calls are the cost unit: keep the optimizers
             // frugal — the paper also relies on local optimization.
@@ -126,8 +122,8 @@ pub struct BestTest {
     /// Whether the fault is detected at dictionary impact.
     pub detected_at_dictionary: bool,
     /// The weakest impact scale at which this test still detects the
-    /// fault (≥ [`GeneratorOptions::min_scale`]; clamped to
-    /// [`GeneratorOptions::max_scale`]).
+    /// fault, located by bisection within the generator's impact-scale
+    /// range `[1e-3, 1e4]` (clamped to its ends).
     pub critical_scale: f64,
     /// `true` when no configuration detected the fault at dictionary
     /// impact and the model had to be intensified to find the most
@@ -326,11 +322,11 @@ impl<'a> Generator<'a> {
 
         // Step 1: per-configuration parameter optimization on the
         // softened fault model.
-        let soft = fault.weakened(self.options.soften_factor);
+        let soft = fault.weakened(SOFTEN_FACTOR);
         log(format!(
             "step 1: soften impact ×{} → R = {:.3e} Ω (soft-fault tps region), \
              optimize every configuration",
-            self.options.soften_factor,
+            SOFTEN_FACTOR,
             soft.effective_resistance()
         ));
         let mut candidates = Vec::with_capacity(self.configs.len());
@@ -483,9 +479,8 @@ impl<'a> Generator<'a> {
         fault: &Fault,
         candidates: &[Candidate],
     ) -> Result<(usize, bool, usize), CoreError> {
-        let opts = &self.options;
         let mut scale = 1.0_f64;
-        let mut step = opts.relax_factor;
+        let mut step = RELAX_FACTOR;
         let mut last_dir = 0i8;
         let mut evals = 0usize;
         let mut required_intensify = false;
@@ -493,7 +488,7 @@ impl<'a> Generator<'a> {
         // without a unique survivor.
         let mut fallback: Option<(usize, f64)> = None;
 
-        for _ in 0..opts.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let scaled = fault.with_impact_scale(scale);
             let sens = self.sensitivities_at(memo, &scaled, candidates)?;
             evals += candidates.len();
@@ -516,12 +511,12 @@ impl<'a> Generator<'a> {
             if last_dir != 0 && dir != last_dir {
                 step = step.sqrt();
             }
-            if step < opts.scale_tol {
+            if step < SCALE_TOL {
                 break;
             }
             last_dir = dir;
             let next = if dir > 0 { scale * step } else { scale / step };
-            let clamped = next.clamp(opts.min_scale, opts.max_scale);
+            let clamped = next.clamp(MIN_SCALE, MAX_SCALE);
             if clamped == scale {
                 break; // pinned at a clamp; no progress possible
             }
@@ -573,7 +568,6 @@ impl<'a> Generator<'a> {
         params: &[f64],
         s_dict: f64,
     ) -> Result<(f64, usize), CoreError> {
-        let opts = &self.options;
         let mut evals = 0usize;
         let mut probe = |scale: f64| -> Result<bool, CoreError> {
             evals += 1;
@@ -588,10 +582,10 @@ impl<'a> Generator<'a> {
             hi = 1.0;
             loop {
                 hi *= 4.0;
-                if hi >= opts.max_scale {
-                    hi = opts.max_scale;
+                if hi >= MAX_SCALE {
+                    hi = MAX_SCALE;
                     if probe(hi)? {
-                        return Ok((opts.max_scale, evals)); // detected everywhere
+                        return Ok((MAX_SCALE, evals)); // detected everywhere
                     }
                     break;
                 }
@@ -605,10 +599,10 @@ impl<'a> Generator<'a> {
             lo = 1.0;
             loop {
                 lo /= 4.0;
-                if lo <= opts.min_scale {
-                    lo = opts.min_scale;
+                if lo <= MIN_SCALE {
+                    lo = MIN_SCALE;
                     if !probe(lo)? {
-                        return Ok((opts.min_scale, evals)); // never detected
+                        return Ok((MIN_SCALE, evals)); // never detected
                     }
                     break;
                 }
@@ -620,7 +614,7 @@ impl<'a> Generator<'a> {
         }
 
         // Log-space bisection to the configured tolerance.
-        while hi / lo > opts.scale_tol {
+        while hi / lo > SCALE_TOL {
             let mid = (lo * hi).sqrt();
             if probe(mid)? {
                 lo = mid;
@@ -672,11 +666,13 @@ fn argmin(values: &[f64]) -> (usize, f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::synthetic::DividerMacro;
 
-    fn quick_options() -> GeneratorOptions {
+    /// Frugal optimizer budgets for unit tests: simulator calls are
+    /// the cost unit.
+    pub(crate) fn quick_options() -> GeneratorOptions {
         GeneratorOptions {
             threads: 2,
             powell: PowellOptions {

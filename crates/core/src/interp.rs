@@ -4,10 +4,10 @@
 //!
 //! Every test configuration in the workspace is a description run by
 //! [`DescribedConfig`]: the `.cfg` files a *parsed netlist* (the
-//! `castg-netlist` frontend) loads from disk, the same files the
-//! IV-converter and bipolar macros of `castg-macros` embed, and the
-//! description text the synthetic families of [`crate::synthetic`]
-//! carry. The interpreter covers the template vocabulary of the paper's
+//! `castg-netlist` frontend) loads from disk — the IV-converter and
+//! bipolar op-amp configurations under `tests/fixtures/` among them —
+//! and the description text the synthetic families of
+//! [`crate::synthetic`] carry. The interpreter covers the template vocabulary of the paper's
 //! Table 1:
 //!
 //! * **control** — `dc(lev)`, `step(base, elev, slew_rate=sl)`,

@@ -19,9 +19,15 @@
 //!    the fault impact until exactly one test survives.
 //! 3. [`compact`](fn@compact) collapses the per-fault tests into a compact set
 //!    (§4.1), screening every collapse with the δ-criterion.
-//! 4. [`evaluate_test_set`] / [`compare_with_baseline`] quantify the
-//!    resulting quality against the fault dictionary and against the
-//!    fixed-seed selection baseline the paper argues against.
+//! 4. [`evaluate_campaign`] measures the compacted set's fault coverage
+//!    over the dictionary.
+//!
+//! [`run_pipeline`] runs steps 2–4 in that order over one shared
+//! [`NominalCache`] and returns them as a [`PipelineRun`]. It is the
+//! flow the `castg` CLI, the campaign daemon and the golden fixtures
+//! run; the phases stay public for callers that time or sweep them one
+//! by one. [`compare_with_baseline`] measures the generated tests
+//! against the fixed-seed selection baseline the paper argues against.
 //!
 //! tps-graphs ([`tps_graph`]) visualize the sensitivity landscape the
 //! optimizer works in (the paper's Figs. 2–4), and
@@ -31,8 +37,7 @@
 //! # Fault-campaign engine
 //!
 //! Coverage evaluation runs as a structure-sharing campaign
-//! ([`evaluate_campaign`], the engine under [`evaluate_test_set`] and
-//! [`evaluate_test_set_with_threads`]): the nominal circuit's compiled
+//! ([`evaluate_campaign`]): the nominal circuit's compiled
 //! plan is shared immutably by every worker, each dictionary fault is
 //! injected exactly once — by default through the delta path, where
 //! bridge variants patch the nominal plan instead of recompiling
@@ -77,7 +82,7 @@
 //! singular, deliberately non-converging and degenerate-injection
 //! variants, serial and parallel.
 //!
-//! # Example (synthetic macro; see `castg-macros` for the real one)
+//! # Example (a synthetic macro; the paper's IV converter is a deck under `tests/fixtures/`)
 //!
 //! ```
 //! use castg_core::synthetic::DividerMacro;
@@ -105,6 +110,7 @@ mod evaluate;
 mod generate;
 mod interp;
 mod macro_def;
+mod pipeline;
 pub mod report;
 mod sensitivity;
 pub mod synthetic;
@@ -112,20 +118,20 @@ mod tps;
 
 pub use baseline::{compare_with_baseline, seed_test_set, BaselineComparison};
 pub use cache::NominalCache;
-pub use compact::{compact, CompactTest, CompactionOptions, CompactionReport, ImpactLevel};
+pub use compact::{compact, CompactTest, CompactionOptions, CompactionReport};
 pub use config::{check_params, Measurement, TestConfiguration};
 pub use descr::{ConfigDescription, ParamSpec, PortAction};
 pub use error::CoreError;
 pub use evaluate::{
-    evaluate_campaign, evaluate_test_set, evaluate_test_set_with_threads,
-    test_instances_from_compaction, CampaignOptions, CoverageReport, FaultCoverage, FaultOutcome,
-    InjectionMode, OutcomeTally, TestInstance,
+    evaluate_campaign, test_instances_from_compaction, CampaignOptions, CoverageReport,
+    FaultCoverage, FaultOutcome, InjectionMode, OutcomeTally, TestInstance,
 };
 pub use generate::{
     BestTest, DistributionRow, GenerationReport, Generator, GeneratorOptions, SelectionMethod,
 };
 pub use interp::DescribedConfig;
 pub use macro_def::AnalogMacro;
+pub use pipeline::{run_pipeline, PipelineError, PipelineRun, PipelineTimings};
 pub use sensitivity::{
     is_detected, sensitivity, Evaluator, SensitivityReport, SimFailure,
     SENSITIVITY_SIM_FAILURE,

@@ -1,12 +1,12 @@
 //! Plain-text table rendering and CSV helpers for the experiment
-//! regeneration binaries, plus the canonical byte-stable rendering of a
-//! full generate → compact → evaluate pipeline outcome
-//! ([`render_pipeline_report`]) shared by the golden-fixture harness
-//! and the `castg` CLI.
+//! regeneration binaries, plus the two renderings of a
+//! [`PipelineRun`]: the canonical byte-stable text report
+//! ([`render_pipeline_report`]) and the JSON summary
+//! ([`render_json_report`]).
 
 use std::fmt::Write as _;
 
-use crate::{CompactionReport, CoverageReport, GenerationReport};
+use crate::PipelineRun;
 
 /// Renders a float with full, stable precision (used by the pipeline
 /// report so fixtures are byte-stable across platforms).
@@ -25,12 +25,8 @@ fn params_str(params: &[f64]) -> String {
 /// optimizers, order-stable parallel fan-out), so this rendering is
 /// byte-stable: the golden fixtures under `tests/golden/` pin it, and
 /// the `castg` CLI emits it for parsed-netlist macros.
-pub fn render_pipeline_report(
-    macro_name: &str,
-    generation: &GenerationReport,
-    compaction: &CompactionReport,
-    coverage: &CoverageReport,
-) -> String {
+pub fn render_pipeline_report(macro_name: &str, run: &PipelineRun) -> String {
+    let PipelineRun { generation, compaction, coverage, .. } = run;
     let mut out = String::new();
     let _ = writeln!(out, "golden report: {macro_name}");
     let _ = writeln!(out, "== selected tests ({}) ==", generation.tests.len());
@@ -127,44 +123,29 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Wall-clock seconds of each pipeline phase, reported verbatim in the
-/// JSON summary (machine-dependent by nature; everything else in the
-/// rendering is deterministic).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PipelineTimings {
-    /// Per-fault test generation.
-    pub generate_s: f64,
-    /// Test-set compaction.
-    pub compact_s: f64,
-    /// Coverage evaluation (the fault campaign).
-    pub evaluate_s: f64,
-}
-
 /// Canonical machine-readable rendering of one macro's pipeline
 /// outcome: the JSON summary `castg generate --json` writes and the
 /// body `castg serve` returns for `POST /v1/campaign`. One shape,
 /// shared by both producers and pinned byte-for-byte by the
-/// `tests/golden/json_report.json` fixture (timings excepted — they are
-/// wall-clock inputs, fixed to constants in the golden run).
-#[allow(clippy::too_many_arguments)] // the report's fields, no more
+/// `tests/golden/json_report.json` fixture (the run's timings excepted —
+/// they are wall-clock, reported verbatim, and zeroed in the golden
+/// run). `threads` is the worker count the producer ran with.
 pub fn render_json_report(
     macro_name: &str,
     macro_type: &str,
-    faults: usize,
     threads: usize,
-    timings: &PipelineTimings,
-    tests: usize,
-    original_tests: usize,
-    coverage: &CoverageReport,
+    run: &PipelineRun,
 ) -> String {
+    let PipelineRun { compaction, tests, coverage, timings, .. } = run;
+    let faults = coverage.total();
     let tally = coverage.tally();
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"macro\": \"{}\",", json_escape(macro_name));
     let _ = writeln!(s, "  \"macro_type\": \"{}\",", json_escape(macro_type));
     let _ = writeln!(s, "  \"faults\": {faults},");
     let _ = writeln!(s, "  \"detected\": {},", coverage.detected());
-    let _ = writeln!(s, "  \"tests\": {tests},");
-    let _ = writeln!(s, "  \"original_tests\": {original_tests},");
+    let _ = writeln!(s, "  \"tests\": {},", tests.len());
+    let _ = writeln!(s, "  \"original_tests\": {},", compaction.original_count);
     let _ = writeln!(s, "  \"threads\": {threads},");
     let _ = writeln!(s, "  \"generate_s\": {:.6},", timings.generate_s);
     let _ = writeln!(s, "  \"compact_s\": {:.6},", timings.compact_s);

@@ -1,8 +1,10 @@
 //! Synthetic macros for tests, documentation, quick starts — and
 //! scaling work.
 //!
-//! The real device under test (the paper's CMOS IV-converter) lives in
-//! `castg-macros`; this module provides
+//! The real device under test (the paper's CMOS IV-converter) is the
+//! deck `tests/fixtures/iv_converter.sp` with its `.cfg` files under
+//! `tests/fixtures/iv_configs/`, loaded through `castg-netlist`; this
+//! module provides
 //!
 //! * [`DividerMacro`] — a three-node resistor divider whose simulations
 //!   are near-instant, so the generation and compaction algorithms can
@@ -17,7 +19,7 @@
 //!   *nonlinear* scalable family, driving many-transistor Newton solves
 //!   through the same dispatch;
 //! * [`MeshMacro`] — a 2-D resistive grid with configurable aspect
-//!   ratio and port placement. Its MNA matrix is the 5-point-Laplacian
+//!   ratio. Its MNA matrix is the 5-point-Laplacian
 //!   shape whose natural-order fill grows like O(n·√n) — the workload
 //!   that makes the sparse LU's fill-reducing AMD ordering earn its
 //!   keep (and the subject of the ordering differential harness);
@@ -540,23 +542,12 @@ impl AnalogMacro for OtaChainMacro {
     }
 }
 
-/// Where a [`MeshMacro`] places its drive and observe ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MeshPorts {
-    /// Drive at grid corner `(0, 0)`, observe at `(rows−1, cols−1)` —
-    /// the longest diagonal current path.
-    #[default]
-    OppositeCorners,
-    /// Drive at the middle of the top edge, observe at the middle of
-    /// the bottom edge — a shorter, column-aligned path that leaves the
-    /// corners floating-ish.
-    EdgeMidpoints,
-}
-
 /// A 2-D resistive grid macro: `rows × cols` nodes, 1 kΩ between
 /// lattice neighbors, each node shunted to ground by 1 MΩ ∥ 10 pF,
 /// driven by a voltage source `V1` through a 1 kΩ source resistance
-/// into the drive port (`"in"`); the observe port is `"out"`.
+/// into the drive port (`"in"`, grid corner `(0, 0)`); the observe
+/// port is `"out"`, the opposite corner — the longest diagonal current
+/// path.
 ///
 /// The MNA matrix is the 5-point Laplacian — the canonical structure
 /// whose **natural-order fill blows up** (O(n·√n) for a square grid,
@@ -568,8 +559,7 @@ pub enum MeshPorts {
 /// faults between distant taps are observable at DC.
 ///
 /// Aspect ratio is configurable through the constructor (`rows` vs
-/// `cols`), port placement through [`MeshMacro::with_ports`], and the
-/// solver/ordering used by its configurations through
+/// `cols`), and the solver/ordering used by its configurations through
 /// [`MeshMacro::with_solver`] (the three-way differential harness).
 ///
 /// # Example
@@ -586,7 +576,6 @@ pub enum MeshPorts {
 pub struct MeshMacro {
     rows: usize,
     cols: usize,
-    ports: MeshPorts,
     solver: SolverKind,
     ordering: OrderingKind,
 }
@@ -616,7 +605,6 @@ impl MeshMacro {
         MeshMacro {
             rows,
             cols,
-            ports: MeshPorts::default(),
             solver: SolverKind::Auto,
             ordering: OrderingKind::Auto,
         }
@@ -629,12 +617,6 @@ impl MeshMacro {
             side += 1;
         }
         MeshMacro::new(side, side)
-    }
-
-    /// Selects the drive/observe port placement.
-    pub fn with_ports(mut self, ports: MeshPorts) -> Self {
-        self.ports = ports;
-        self
     }
 
     /// Forces the linear-solver path and sparse-LU ordering every
@@ -656,23 +638,12 @@ impl MeshMacro {
         self.rows * self.cols + 2
     }
 
-    /// `(row, col)` of the drive and observe ports.
-    fn port_coords(&self) -> ((usize, usize), (usize, usize)) {
-        match self.ports {
-            MeshPorts::OppositeCorners => ((0, 0), (self.rows - 1, self.cols - 1)),
-            MeshPorts::EdgeMidpoints => {
-                ((0, self.cols / 2), (self.rows - 1, self.cols / 2))
-            }
-        }
-    }
-
-    /// Name of the grid node at `(r, c)`; the drive port is `"in"`,
-    /// the observe port `"out"`.
+    /// Name of the grid node at `(r, c)`: the drive port `"in"` at
+    /// `(0, 0)`, the observe port `"out"` at `(rows−1, cols−1)`.
     fn node_name(&self, r: usize, c: usize) -> String {
-        let (drive, observe) = self.port_coords();
-        if (r, c) == drive {
+        if (r, c) == (0, 0) {
             "in".to_string()
-        } else if (r, c) == observe {
+        } else if (r, c) == (self.rows - 1, self.cols - 1) {
             "out".to_string()
         } else {
             format!("m{r}_{c}")
@@ -728,19 +699,13 @@ impl AnalogMacro for MeshMacro {
         // The two ports, the grid center, and two far-apart edge taps:
         // sites at genuinely different lattice potentials, so tap-pair
         // bridges have DC signatures.
-        let candidates = [
-            self.node_name(0, 0),
+        let taps = [
             self.node_name(self.rows / 2, self.cols / 2),
             self.node_name(self.rows - 1, 0),
             self.node_name(0, self.cols - 1),
-            self.node_name(self.rows - 1, self.cols - 1),
         ];
-        let (drive, observe) = self.port_coords();
-        let mut sites = vec![
-            self.node_name(drive.0, drive.1),
-            self.node_name(observe.0, observe.1),
-        ];
-        for cand in candidates {
+        let mut sites = vec!["in".to_string(), "out".to_string()];
+        for cand in taps {
             if !sites.contains(&cand) {
                 sites.push(cand);
             }
@@ -1185,17 +1150,14 @@ mod tests {
 
     #[test]
     fn mesh_dc_has_a_gradient_and_ports_work() {
-        for ports in [MeshPorts::OppositeCorners, MeshPorts::EdgeMidpoints] {
-            let m = MeshMacro::new(6, 6).with_ports(ports);
-            let c = m.nominal_circuit();
-            let sol = DcAnalysis::new(&c).solve().unwrap();
-            let v_in = sol.voltage(c.find_node("in").unwrap());
-            let v_out = sol.voltage(c.find_node("out").unwrap());
-            // The shunt load pulls real current through the lattice:
-            // measurable drop from the source, gradient toward `out`.
-            assert!(v_in > 3.0 && v_in < 5.0, "{ports:?}: v_in = {v_in}");
-            assert!(v_out > 0.0 && v_out < v_in, "{ports:?}: v_out = {v_out} v_in = {v_in}");
-        }
+        let c = MeshMacro::new(6, 6).nominal_circuit();
+        let sol = DcAnalysis::new(&c).solve().unwrap();
+        let v_in = sol.voltage(c.find_node("in").unwrap());
+        let v_out = sol.voltage(c.find_node("out").unwrap());
+        // The shunt load pulls real current through the lattice:
+        // measurable drop from the source, gradient toward `out`.
+        assert!(v_in > 3.0 && v_in < 5.0, "v_in = {v_in}");
+        assert!(v_out > 0.0 && v_out < v_in, "v_out = {v_out} v_in = {v_in}");
     }
 
     #[test]

@@ -90,6 +90,13 @@ impl FaultDictionary {
     pub fn by_name(&self, name: &str) -> Option<&Fault> {
         self.faults.iter().find(|f| f.name() == name)
     }
+
+    /// The dictionary without its first `skip` faults, truncated to
+    /// `max` faults when given (the `--skip-faults` / `--max-faults`
+    /// selection of the CLI and the daemon).
+    pub fn window(&self, skip: usize, max: Option<usize>) -> FaultDictionary {
+        self.faults.iter().skip(skip).take(max.unwrap_or(usize::MAX)).cloned().collect()
+    }
 }
 
 impl FromIterator<Fault> for FaultDictionary {
@@ -147,6 +154,10 @@ mod tests {
         assert!(dict.get(4).is_none());
         assert!(!dict.is_empty());
         assert_eq!(dict.iter().count(), 4);
+        let window: Vec<String> = dict.window(1, Some(2)).iter().map(Fault::name).collect();
+        assert_eq!(window, ["bridge(a,c)", "bridge(b,c)"]);
+        assert_eq!(dict.window(3, None).len(), 1);
+        assert!(dict.window(9, Some(1)).is_empty());
     }
 
     #[test]

@@ -75,8 +75,7 @@
 //! # Deck-to-report quickstart
 //!
 //! ```
-//! use castg_core::{compact, evaluate_test_set, test_instances_from_compaction,
-//!                  AnalogMacro, CompactionOptions, Generator, NominalCache};
+//! use castg_core::{run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions};
 //! use castg_netlist::NetlistMacro;
 //!
 //! // Any macro netlist — here a resistor divider with one output.
@@ -107,17 +106,18 @@
 //! let mac = mac.with_configurations(vec![std::sync::Arc::new(cfg)]);
 //!
 //! // The exact pipeline the paper runs on its IV-converter deck:
-//! let cache = NominalCache::new();
-//! let dict = mac.fault_dictionary();
-//! let generation = Generator::new(&mac, &cache).generate(&dict);
-//! let compaction = compact(&mac, &cache, &generation, &CompactionOptions::default())?;
-//! let tests = test_instances_from_compaction(&mac, &compaction)?;
-//! let coverage = evaluate_test_set(&mac, &cache, &tests, &dict)?;
-//! assert!(coverage.detected() > 0);
+//! // generate, compact, evaluate.
+//! let run = run_pipeline(
+//!     &mac,
+//!     &mac.fault_dictionary(),
+//!     &GeneratorOptions::default(),
+//!     &CampaignOptions::default(),
+//! )?;
+//! assert!(run.coverage.detected() > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The `castg` CLI wraps exactly this flow:
+//! The `castg` CLI runs exactly this call:
 //! `castg generate <deck.sp> --configs <dir>`.
 
 #![forbid(unsafe_code)]

@@ -136,33 +136,8 @@ impl NetlistMacro {
         deck: Deck,
         options: NetlistMacroOptions,
     ) -> Result<Self, NetlistError> {
-        let title = deck.title.clone();
-        let params = deck.params.clone();
-        let circuit = deck.into_circuit();
-        if circuit.devices().is_empty() {
-            return Err(NetlistError::netlist(1, "deck holds no devices"));
-        }
-        let fault_sites = fault_site_nets(&circuit);
-        let dictionary = derive_fault_dictionary(
-            &circuit,
-            options.derivation,
-            options.bridge_ohms,
-            options.pinhole_ohms,
-        );
-        // Compile the assembly schedule up front: every clone the
-        // campaign engine takes then shares it (delta-patched fault
-        // injection, one symbolic analysis per variant).
-        circuit.compile_plan();
-        Ok(NetlistMacro {
-            name: name.into(),
-            macro_type: title.clone().unwrap_or_else(|| "netlist".to_string()),
-            title,
-            params,
-            circuit,
-            fault_sites,
-            dictionary,
-            configs: Vec::new(),
-        })
+        let (title, params) = (deck.title.clone(), deck.params.clone());
+        Self::from_parts(name, deck.into_circuit(), title, params, options)
     }
 
     /// Loads a macro from a deck file plus a directory of configuration
@@ -279,8 +254,11 @@ impl NetlistMacro {
             options.bridge_ohms,
             options.pinhole_ohms,
         );
-        // No-op when the handed-in circuit already carries a compiled
-        // plan (the plan cache's whole point); compiles it otherwise.
+        // Compile the assembly schedule up front, so every clone the
+        // campaign engine takes shares it (delta-patched fault
+        // injection, one symbolic analysis per variant). A no-op when
+        // the circuit already carries a compiled plan (the plan
+        // cache's whole point).
         circuit.compile_plan();
         Ok(NetlistMacro {
             name: name.into(),

@@ -707,6 +707,44 @@ fn check_node_tok(t: &Tok<'_>, line_no: usize) -> Result<(), NetlistError> {
     Ok(())
 }
 
+/// The `.model` card that token `i` of the device card `toks` names,
+/// as `pick` reads it. `pick` returns `None` for a card of another
+/// kind; `want` names the kind it accepts in that diagnostic.
+fn model_card<'c, T>(
+    ctx: &'c LowerCtx<'_>,
+    toks: &[Tok<'_>],
+    i: usize,
+    line_no: usize,
+    want: &str,
+    pick: impl FnOnce(&'c ModelCard) -> Option<T>,
+) -> Result<T, NetlistError> {
+    let name_tok = &toks[0];
+    let model_tok = toks.get(i).ok_or_else(|| {
+        NetlistError::parse(
+            line_no,
+            name_tok.col,
+            format!("`{}` is missing its model name", name_tok.text),
+        )
+    })?;
+    let (card, _) = ctx.models.get(&model_tok.text.to_ascii_lowercase()).ok_or_else(|| {
+        NetlistError::netlist(
+            line_no,
+            format!("unknown model `{}` (no matching .model card)", model_tok.text),
+        )
+    })?;
+    pick(card).ok_or_else(|| {
+        NetlistError::netlist(
+            line_no,
+            format!(
+                "model `{}` is a {} model, but `{}` needs {want}",
+                model_tok.text,
+                card.kind_name(),
+                name_tok.text
+            ),
+        )
+    })
+}
+
 /// Lowers one card (device or `.nodeorder` / `X` instantiation) into
 /// the circuit, evaluating `{expr}` value tokens against `scope`.
 fn lower_card(
@@ -817,33 +855,10 @@ fn lower_card(
                 node_tok(3, "source")?,
                 node_tok(4, "bulk")?,
             );
-            let model_tok = toks.get(5).ok_or_else(|| {
-                NetlistError::parse(
-                    line.no,
-                    name_tok.col,
-                    format!("`{}` is missing its model name", name_tok.text),
-                )
+            let model = model_card(ctx, &toks, 5, line.no, "nmos/pmos", |card| match card {
+                ModelCard::Mos(model) => Some(model),
+                _ => None,
             })?;
-            let (card, _) = ctx
-                .models
-                .get(&model_tok.text.to_ascii_lowercase())
-                .ok_or_else(|| {
-                    NetlistError::netlist(
-                        line.no,
-                        format!("unknown model `{}` (no matching .model card)", model_tok.text),
-                    )
-                })?;
-            let ModelCard::Mos(model) = card else {
-                return Err(NetlistError::netlist(
-                    line.no,
-                    format!(
-                        "model `{}` is a {} model, but `{}` needs nmos/pmos",
-                        model_tok.text,
-                        card.kind_name(),
-                        name_tok.text
-                    ),
-                ));
-            };
             let mut overrides: HashMap<String, f64> = HashMap::new();
             for (k, v) in parse_assignments(&toks[6..], line.no, scope)? {
                 let k = k.to_ascii_lowercase();
@@ -912,36 +927,13 @@ fn lower_card(
         }
         'd' => {
             let (ta, tk) = (node_tok(1, "anode")?, node_tok(2, "cathode")?);
-            let model_tok = toks.get(3).ok_or_else(|| {
-                NetlistError::parse(
-                    line.no,
-                    name_tok.col,
-                    format!("`{}` is missing its model name", name_tok.text),
-                )
-            })?;
             no_extra(4)?;
-            let (card, _) = ctx
-                .models
-                .get(&model_tok.text.to_ascii_lowercase())
-                .ok_or_else(|| {
-                    NetlistError::netlist(
-                        line.no,
-                        format!("unknown model `{}` (no matching .model card)", model_tok.text),
-                    )
-                })?;
-            let ModelCard::Diode(params) = card else {
-                return Err(NetlistError::netlist(
-                    line.no,
-                    format!(
-                        "model `{}` is a {} model, but `{}` needs d",
-                        model_tok.text,
-                        card.kind_name(),
-                        name_tok.text
-                    ),
-                ));
-            };
+            let params = model_card(ctx, &toks, 3, line.no, "d", |card| match card {
+                ModelCard::Diode(params) => Some(*params),
+                _ => None,
+            })?;
             let (a, k) = (node(lowerer, ta), node(lowerer, tk));
-            lowerer.circuit.add_diode(&dev_name, a, k, *params).map_err(lowered)?;
+            lowerer.circuit.add_diode(&dev_name, a, k, params).map_err(lowered)?;
         }
         'q' => {
             let (tc, tb, te) = (
@@ -949,37 +941,14 @@ fn lower_card(
                 node_tok(2, "base")?,
                 node_tok(3, "emitter")?,
             );
-            let model_tok = toks.get(4).ok_or_else(|| {
-                NetlistError::parse(
-                    line.no,
-                    name_tok.col,
-                    format!("`{}` is missing its model name", name_tok.text),
-                )
-            })?;
             no_extra(5)?;
-            let (card, _) = ctx
-                .models
-                .get(&model_tok.text.to_ascii_lowercase())
-                .ok_or_else(|| {
-                    NetlistError::netlist(
-                        line.no,
-                        format!("unknown model `{}` (no matching .model card)", model_tok.text),
-                    )
-                })?;
-            let ModelCard::Bjt { pnp, params } = card else {
-                return Err(NetlistError::netlist(
-                    line.no,
-                    format!(
-                        "model `{}` is a {} model, but `{}` needs npn/pnp",
-                        model_tok.text,
-                        card.kind_name(),
-                        name_tok.text
-                    ),
-                ));
-            };
-            let polarity = if *pnp { BjtPolarity::Pnp } else { BjtPolarity::Npn };
+            let (pnp, params) = model_card(ctx, &toks, 4, line.no, "npn/pnp", |card| match card {
+                ModelCard::Bjt { pnp, params } => Some((*pnp, *params)),
+                _ => None,
+            })?;
+            let polarity = if pnp { BjtPolarity::Pnp } else { BjtPolarity::Npn };
             let (c, b, e) = (node(lowerer, tc), node(lowerer, tb), node(lowerer, te));
-            lowerer.circuit.add_bjt(&dev_name, c, b, e, polarity, *params).map_err(lowered)?;
+            lowerer.circuit.add_bjt(&dev_name, c, b, e, polarity, params).map_err(lowered)?;
         }
         'g' => {
             let (tp, tn, tcp, tcn) = (

@@ -1,6 +1,7 @@
 //! The campaign engine: one [`CampaignRequest`] in, one response out,
 //! through the result cache, the plan cache, and the full
-//! generate → compact → evaluate pipeline.
+//! generate → compact → evaluate pipeline
+//! ([`castg_core::run_pipeline`]).
 //!
 //! The engine is the part of the daemon that knows nothing about
 //! sockets — integration tests and the batch endpoint drive it
@@ -11,15 +12,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use castg_core::report::{render_json_report, PipelineTimings};
+use castg_core::report::render_json_report;
 use castg_core::{
-    compact, evaluate_campaign, test_instances_from_compaction, AnalogMacro, CampaignOptions,
-    CompactionOptions, ConfigDescription, DescribedConfig, Generator, GeneratorOptions,
-    NominalCache, TestConfiguration,
+    run_pipeline, AnalogMacro, CampaignOptions, ConfigDescription, DescribedConfig,
+    GeneratorOptions, PipelineError, TestConfiguration,
 };
-use castg_faults::FaultDictionary;
 use castg_netlist::{canonical_deck_bytes, parse_deck_with_params, NetlistMacro, NetlistMacroOptions};
 
 use crate::cache::{PlanCache, PlanEntry, ResultCache, StoredResponse};
@@ -321,13 +319,7 @@ impl Engine {
                 .map_err(|e| CampaignResponse::error(400, "config_error", &e.to_string()))?;
         }
 
-        let mut dict = mac.fault_dictionary();
-        if options.skip_faults > 0 || options.max_faults.is_some() {
-            let take = options.max_faults.unwrap_or(usize::MAX);
-            dict = FaultDictionary::new(
-                dict.iter().skip(options.skip_faults).take(take).cloned().collect(),
-            );
-        }
+        let dict = mac.fault_dictionary().window(options.skip_faults, options.max_faults);
         if dict.is_empty() {
             return Err(CampaignResponse::error(
                 422,
@@ -336,46 +328,30 @@ impl Engine {
             ));
         }
 
-        let cache = NominalCache::new();
-        let gen_options =
-            GeneratorOptions { threads: self.threads, ..GeneratorOptions::default() };
-        let t0 = Instant::now();
-        let generation = Generator::with_options(&mac, &cache, gen_options).generate(&dict);
-        let generate_s = t0.elapsed().as_secs_f64();
-        if !generation.failures.is_empty() {
-            let mut detail = String::new();
-            for (fault, e) in generation.failures.iter().take(5) {
-                detail.push_str(&format!("{fault}: {e}; "));
-            }
-            return Err(CampaignResponse::error(
-                422,
-                "generation_failed",
-                &format!(
-                    "{} of {} faults failed generation: {detail}",
-                    generation.failures.len(),
-                    dict.len()
-                ),
-            ));
-        }
-
-        let t0 = Instant::now();
-        let compaction = compact(&mac, &cache, &generation, &CompactionOptions::default())
-            .map_err(|e| CampaignResponse::error(422, "compaction_failed", &e.to_string()))?;
-        let compact_s = t0.elapsed().as_secs_f64();
-        let tests = test_instances_from_compaction(&mac, &compaction)
-            .map_err(|e| CampaignResponse::error(422, "compaction_failed", &e.to_string()))?;
-
+        let generator = GeneratorOptions { threads: self.threads, ..GeneratorOptions::default() };
         let campaign = CampaignOptions {
             threads: self.threads,
             max_newton_iters: options.max_newton_iters,
             budget_ms: options.budget_ms,
             ..CampaignOptions::default()
         };
-        let t0 = Instant::now();
-        let coverage = evaluate_campaign(&mac, &cache, &tests, &dict, &campaign)
-            .map_err(|e| CampaignResponse::error(422, "evaluation_failed", &e.to_string()))?;
-        let evaluate_s = t0.elapsed().as_secs_f64();
+        let run = run_pipeline(&mac, &dict, &generator, &campaign).map_err(|e| {
+            let (kind, message) = match &e {
+                PipelineError::Generation { failures, .. } => {
+                    let detail: String = failures
+                        .iter()
+                        .take(5)
+                        .map(|(fault, err)| format!("{fault}: {err}; "))
+                        .collect();
+                    ("generation_failed", format!("{e}: {detail}"))
+                }
+                PipelineError::Compaction(_) => ("compaction_failed", e.to_string()),
+                PipelineError::Evaluation(_) => ("evaluation_failed", e.to_string()),
+            };
+            CampaignResponse::error(422, kind, &message)
+        })?;
 
+        let coverage = &run.coverage;
         let tally = coverage.tally();
         let o = &self.outcomes;
         o.detected.fetch_add(tally.detected as u64, Ordering::Relaxed);
@@ -388,17 +364,7 @@ impl Engine {
         o.solves.fetch_add(coverage.ladder.solves() as u64, Ordering::Relaxed);
         o.iterations.fetch_add(coverage.ladder.iterations as u64, Ordering::Relaxed);
 
-        let timings = PipelineTimings { generate_s, compact_s, evaluate_s };
-        Ok(render_json_report(
-            mac.name(),
-            mac.macro_type(),
-            dict.len(),
-            self.threads,
-            &timings,
-            tests.len(),
-            compaction.original_count,
-            &coverage,
-        ))
+        Ok(render_json_report(mac.name(), mac.macro_type(), self.threads, &run))
     }
 }
 
@@ -554,6 +520,26 @@ R3 out 0 2e3
         let r = engine.run_campaign(&req);
         assert_eq!(r.status, 422);
         assert!(String::from_utf8_lossy(&r.body).contains("empty_dictionary"));
+    }
+
+    /// A configuration that observes a node the deck lacks fails every
+    /// fault's generation: a 422 naming the faults, after which the
+    /// engine still serves a valid request.
+    #[test]
+    fn generation_failure_is_a_422_naming_the_faults() {
+        let engine = Engine::new(8, 8, ServerCeilings::default(), 1);
+        let mut req = request();
+        req.configs = vec![CFG.replace("observe out", "observe nowhere")];
+        let r = engine.run_campaign(&req);
+        assert_eq!(r.status, 422);
+        let body = String::from_utf8_lossy(&r.body);
+        assert!(body.contains("\"kind\": \"generation_failed\""), "{body}");
+        assert!(body.contains("3 of 3 faults failed generation"), "{body}");
+        for fault in ["bridge(vin,mid)", "bridge(vin,out)", "bridge(mid,out)"] {
+            assert!(body.contains(fault), "{fault} missing from {body}");
+        }
+        let ok = engine.run_campaign(&request());
+        assert_eq!(ok.status, 200, "{}", String::from_utf8_lossy(&ok.body));
     }
 
     #[test]

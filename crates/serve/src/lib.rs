@@ -2,8 +2,10 @@
 //! pipeline: HTTP/1.1 + JSON over `std::net`, a content-addressed
 //! result cache, and a process-wide plan cache.
 //!
-//! The pipeline crates answer "run this campaign once"; this crate
-//! answers "keep answering campaign requests". A long-running daemon
+//! The pipeline crates answer "run this campaign once"
+//! ([`castg_core::run_pipeline`], which `castg generate` also calls);
+//! this crate answers "keep answering campaign requests", each one
+//! through that same function. A long-running daemon
 //! amortizes what the CLI pays on every invocation — process startup,
 //! deck parsing, stamp-plan compilation, symbolic factorization — and
 //! deduplicates identical work across tenants entirely.
@@ -49,7 +51,7 @@
 //!   solver/ordering, and the **post-clamp** budgets.
 //!
 //! Thread counts are excluded: campaign reports are bit-identical at
-//! any worker count (PR 7's structural guarantee), so requests
+//! any worker count (the campaign engine's structural guarantee), so requests
 //! differing only in parallelism share entries. A cache hit replays
 //! the stored bytes, making hit == miss byte equality structural
 //! rather than probabilistic.
@@ -68,7 +70,9 @@
 //! indefinitely. The pipeline runs under `catch_unwind` — a panicking
 //! campaign is a 500 response for that tenant, never a dead worker —
 //! and per-item panics inside the campaign surface as typed
-//! `panicked` outcomes exactly as in the CLI.
+//! `panicked` outcomes exactly as in the CLI. A phase that fails is a
+//! 422 whose error kind names it: `generation_failed` (listing up to
+//! five failed faults), `compaction_failed` or `evaluation_failed`.
 //!
 //! # In-process use
 //!

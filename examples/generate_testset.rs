@@ -7,23 +7,18 @@
 //! cargo run --release --example generate_testset -- 55    # full dictionary
 //! ```
 
-use castg::core::{
-    compact, evaluate_test_set, test_instances_from_compaction, AnalogMacro,
-    CompactionOptions, Generator, NominalCache,
-};
-use castg::faults::FaultDictionary;
+use castg::core::{run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8);
 
     let mac = castg_bench::iv_macro(false);
     let full = mac.fault_dictionary();
-    let dict: FaultDictionary = full.faults().iter().take(n).cloned().collect();
+    let dict = full.window(0, Some(n));
     println!("generating optimal tests for {} / {} faults...", dict.len(), full.len());
 
-    let cache = NominalCache::new();
-    let generator = Generator::new(&mac, &cache);
-    let report = generator.generate(&dict);
+    let run = run_pipeline(&mac, &dict, &GeneratorOptions::default(), &CampaignOptions::default())?;
+    let report = &run.generation;
     println!(
         "generated {} tests in {:?} ({} simulator evaluations)",
         report.tests.len(),
@@ -42,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // §4: collapse the per-fault tests.
-    let compaction = compact(&mac, &cache, &report, &CompactionOptions::default())?;
+    // §4: the per-fault tests, collapsed.
+    let compaction = &run.compaction;
     println!(
         "\ncompaction: {} → {} tests (ratio {:.1}x, {} screen rejections, δ = {})",
         compaction.original_count,
@@ -56,9 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  T{i}: config #{} {:?} covers {:?}", t.config_id, t.params, t.covered_faults);
     }
 
-    // Verify the compacted set still detects the dictionary.
-    let instances = test_instances_from_compaction(&mac, &compaction)?;
-    let coverage = evaluate_test_set(&mac, &cache, &instances, &dict)?;
+    // The compacted set still detects the dictionary.
+    let coverage = &run.coverage;
     println!(
         "\ncompacted-set coverage: {}/{} faults detected ({:.1} %); escapes: {:?}",
         coverage.detected(),

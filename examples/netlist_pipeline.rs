@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use castg::core::report::render_pipeline_report;
 use castg::core::{
-    compact, evaluate_test_set, test_instances_from_compaction, AnalogMacro, CompactionOptions,
-    ConfigDescription, DescribedConfig, Generator, NominalCache,
+    run_pipeline, AnalogMacro, CampaignOptions, ConfigDescription, DescribedConfig,
+    GeneratorOptions,
 };
 use castg::netlist::{parse_deck, write_deck, NetlistMacro};
 
@@ -68,25 +68,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mac = mac.with_configurations(vec![Arc::new(config)]);
 
     // The paper's pipeline, unchanged.
-    let cache = NominalCache::new();
     let dict = mac.fault_dictionary();
-    let generation = Generator::new(&mac, &cache).generate(&dict);
+    let run = run_pipeline(&mac, &dict, &GeneratorOptions::default(), &CampaignOptions::default())?;
     println!(
-        "generated {} tests ({} failures) in {:.2?}",
-        generation.tests.len(),
-        generation.failures.len(),
-        generation.wall_time
+        "generated {} tests in {:.2?}, compacted to {} tests covering {}/{} faults\n",
+        run.generation.tests.len(),
+        run.generation.wall_time,
+        run.tests.len(),
+        run.coverage.detected(),
+        run.coverage.total()
     );
-    let compaction = compact(&mac, &cache, &generation, &CompactionOptions::default())?;
-    let tests = test_instances_from_compaction(&mac, &compaction)?;
-    let coverage = evaluate_test_set(&mac, &cache, &tests, &dict)?;
-    println!(
-        "compacted to {} tests covering {}/{} faults\n",
-        tests.len(),
-        coverage.detected(),
-        coverage.total()
-    );
-    print!("{}", render_pipeline_report(mac.name(), &generation, &compaction, &coverage));
+    print!("{}", render_pipeline_report(mac.name(), &run));
 
     // Round trip: circuits write back out as decks, exactly (flattened
     // `X…`-prefixed subcircuit internals are the documented exception —

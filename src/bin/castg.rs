@@ -38,11 +38,14 @@
 //!     the HTTP protocol and cache-key definition).
 //! ```
 //!
-//! The text report is the same canonical rendering the golden-fixture
-//! harness and the bench binaries use
+//! `generate` runs the flow through `castg_core::run_pipeline`, the
+//! one entry point the daemon and the golden fixtures share. The text report
+//! is the canonical rendering the golden fixtures pin
 //! (`castg_core::report::render_pipeline_report`); the JSON summary is
 //! the body `castg serve` answers with
-//! (`castg_core::report::render_json_report`).
+//! (`castg_core::report::render_json_report`). When any fault's
+//! generation fails, `generate` prints one line per failed fault,
+//! writes no report, and exits 1.
 //!
 //! Report text goes to stdout. A reader that closes the pipe early
 //! (`castg check deck.sp | head -1`) is not an error: the rest of the
@@ -51,14 +54,10 @@
 use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use castg::core::report::{render_json_report, render_pipeline_report, PipelineTimings};
-use castg::core::{
-    compact, evaluate_campaign, test_instances_from_compaction, AnalogMacro, CampaignOptions,
-    CompactionOptions, Generator, GeneratorOptions, NominalCache,
-};
-use castg::faults::{BridgeDerivation, FaultDictionary};
+use castg::core::report::{render_json_report, render_pipeline_report};
+use castg::core::{run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions, PipelineError};
+use castg::faults::BridgeDerivation;
 use castg::netlist::{parse_deck_with_params, parse_number, NetlistMacro, NetlistMacroOptions};
 use castg::serve::ServerConfig;
 use castg::spice::{sparse_fill_stats, DcAnalysis, OrderingKind, SolverKind};
@@ -265,13 +264,7 @@ fn generate(args: &[String]) -> Result<(), String> {
     if mac.configurations().is_empty() {
         return Err(format!("no configurations loaded from {}", a.configs.display()));
     }
-    let mut dict = mac.fault_dictionary();
-    if a.skip_faults > 0 || a.max_faults.is_some() {
-        let take = a.max_faults.unwrap_or(usize::MAX);
-        dict = FaultDictionary::new(
-            dict.iter().skip(a.skip_faults).take(take).cloned().collect(),
-        );
-    }
+    let dict = mac.fault_dictionary().window(a.skip_faults, a.max_faults);
     if dict.is_empty() {
         return Err("fault selection (--skip-faults/--max-faults) left no faults".to_string());
     }
@@ -285,38 +278,25 @@ fn generate(args: &[String]) -> Result<(), String> {
         mac.configurations().len(),
     );
 
-    let cache = NominalCache::new();
-    let gen_options = GeneratorOptions { threads: a.threads, ..GeneratorOptions::default() };
-
-    let t0 = Instant::now();
-    let generation = Generator::with_options(&mac, &cache, gen_options).generate(&dict);
-    let generate_s = t0.elapsed().as_secs_f64();
-    if !generation.failures.is_empty() {
-        for (fault, e) in &generation.failures {
-            eprintln!("castg: generation failed for {fault}: {e}");
-        }
-        return Err(format!("{} of {} faults failed generation", generation.failures.len(), dict.len()));
-    }
-
-    let t0 = Instant::now();
-    let compaction = compact(&mac, &cache, &generation, &CompactionOptions::default())
-        .map_err(|e| e.to_string())?;
-    let compact_s = t0.elapsed().as_secs_f64();
-    let tests = test_instances_from_compaction(&mac, &compaction).map_err(|e| e.to_string())?;
-
+    let generator = GeneratorOptions { threads: a.threads, ..GeneratorOptions::default() };
     let campaign = CampaignOptions {
         threads: a.threads,
         max_newton_iters: a.max_newton_iters,
         budget_ms: a.budget_ms,
         ..CampaignOptions::default()
     };
-    let t0 = Instant::now();
-    let coverage = evaluate_campaign(&mac, &cache, &tests, &dict, &campaign)
-        .map_err(|e| e.to_string())?;
-    let evaluate_s = t0.elapsed().as_secs_f64();
+    let run = run_pipeline(&mac, &dict, &generator, &campaign).map_err(|e| {
+        if let PipelineError::Generation { failures, .. } = &e {
+            for (fault, err) in failures {
+                eprintln!("castg: generation failed for {fault}: {err}");
+            }
+        }
+        e.to_string()
+    })?;
+    let (coverage, timings) = (&run.coverage, &run.timings);
     let tally = coverage.tally();
 
-    let report = render_pipeline_report(mac.name(), &generation, &compaction, &coverage);
+    let report = render_pipeline_report(mac.name(), &run);
     match &a.out {
         Some(path) => std::fs::write(path, &report)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
@@ -325,14 +305,14 @@ fn generate(args: &[String]) -> Result<(), String> {
     eprintln!(
         "castg: {} tests compacted from {}, coverage {}/{}, generate {:.2}s, compact {:.3}s, \
          evaluate {:.4}s ({:.1} faults/s)",
-        compaction.tests.len(),
-        compaction.original_count,
+        run.tests.len(),
+        run.compaction.original_count,
         coverage.detected(),
         coverage.total(),
-        generate_s,
-        compact_s,
-        evaluate_s,
-        dict.len() as f64 / evaluate_s,
+        timings.generate_s,
+        timings.compact_s,
+        timings.evaluate_s,
+        coverage.total() as f64 / timings.evaluate_s,
     );
     eprintln!(
         "castg: outcomes: detected {} undetected {} unconverged {} singular {} timed_out {} \
@@ -358,17 +338,7 @@ fn generate(args: &[String]) -> Result<(), String> {
     if let Some(path) = &a.json {
         // The exact rendering `castg serve` returns for POST
         // /v1/campaign — one JSON shape, pinned by the golden fixture.
-        let timings = PipelineTimings { generate_s, compact_s, evaluate_s };
-        let s = render_json_report(
-            mac.name(),
-            mac.macro_type(),
-            dict.len(),
-            a.threads,
-            &timings,
-            tests.len(),
-            compaction.original_count,
-            &coverage,
-        );
+        let s = render_json_report(mac.name(), mac.macro_type(), a.threads, &run);
         std::fs::write(path, s).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     if a.strict && tally.suspect() > 0 {

@@ -52,9 +52,10 @@
 //!   between cache hits and misses; every request runs under server
 //!   budget ceilings and `catch_unwind` isolation.
 //!
-//! The compute-bound pipeline halves — per-fault generation
+//! [`core::run_pipeline`] runs the whole generate → compact → evaluate
+//! flow. Its compute-bound halves — per-fault generation
 //! ([`core::Generator::generate`]) and test-set coverage
-//! ([`core::evaluate_test_set`]) — both fan their independent faults
+//! ([`core::evaluate_campaign`]) — both fan their independent faults
 //! out over crossbeam worker queues and share one nominal-measurement
 //! cache across threads.
 //!

@@ -176,6 +176,35 @@ fn generate_strict_fails_on_exhausted_iteration_budget() {
     assert!(stderr.contains("robustness-suspect"), "stderr: {stderr}");
 }
 
+/// A configuration that observes a node the deck lacks fails every
+/// fault's generation: exit 1, one stderr line per failed fault, and
+/// no `--json` summary.
+#[test]
+fn generate_fails_when_every_fault_fails_generation() {
+    let dir = temp_dir("genfail");
+    let configs = dir.join("configs");
+    std::fs::create_dir_all(&configs).unwrap();
+    let cfg = std::fs::read_to_string(fixture("divider_configs/1_dc_out.cfg")).unwrap();
+    write_deck(&configs, "dc_output.cfg", &cfg.replace("observe out", "observe nowhere"));
+    let json = dir.join("cov.json");
+    let _ = std::fs::remove_file(&json);
+    let out = castg()
+        .arg("generate")
+        .arg(fixture("divider.sp"))
+        .arg("--configs")
+        .arg(&configs)
+        .arg("--json")
+        .arg(&json)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.matches("generation failed for").count(), 3, "stderr: {stderr}");
+    assert!(stderr.contains("3 of 3 faults failed generation"), "stderr: {stderr}");
+    assert!(!json.exists(), "a failed run must not write its --json summary");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn generate_rejects_malformed_budget_flags() {
     let bad_flags: [&[&str]; 9] = [

@@ -12,8 +12,7 @@ use std::path::PathBuf;
 
 use castg::core::synthetic::LadderMacro;
 use castg::core::{
-    compact, evaluate_test_set, report::render_pipeline_report, test_instances_from_compaction,
-    AnalogMacro, CompactionOptions, Generator, NominalCache,
+    report::render_pipeline_report, run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions,
 };
 use castg::netlist::{parse_deck, parse_deck_with_params, NetlistMacro};
 
@@ -115,14 +114,8 @@ fn ladder_param_coverage_report_is_identical() {
     let dict = reference.fault_dictionary();
 
     let report = |mac: &dyn AnalogMacro| -> String {
-        let cache = NominalCache::new();
-        let generation = Generator::new(mac, &cache).generate(&dict);
-        assert!(generation.failures.is_empty(), "generation failed: {:?}", generation.failures);
-        let compaction =
-            compact(mac, &cache, &generation, &CompactionOptions::default()).unwrap();
-        let tests = test_instances_from_compaction(mac, &compaction).unwrap();
-        let coverage = evaluate_test_set(mac, &cache, &tests, &dict).unwrap();
-        render_pipeline_report("ladder", &generation, &compaction, &coverage)
+        let (generator, campaign) = (GeneratorOptions::default(), CampaignOptions::default());
+        render_pipeline_report("ladder", &run_pipeline(mac, &dict, &generator, &campaign).unwrap())
     };
 
     let from_deck = report(&netlist_mac);

@@ -9,7 +9,7 @@
 //!
 //! [`DividerMacro`]: castg::core::synthetic::DividerMacro
 
-use castg::core::{AnalogMacro, Generator, NominalCache};
+use castg::core::{run_pipeline, AnalogMacro, CampaignOptions, Generator, NominalCache};
 use castg::faults::{Fault, Junction};
 use castg::netlist::{parse_deck, NetlistMacro};
 use castg::spice::{DcAnalysis, Waveform};
@@ -77,22 +77,10 @@ fn bjt_netlist_macro_full_pipeline_is_robust() {
     let dict = mac.fault_dictionary();
     assert_eq!(dict.len(), 45 + 10, "derived dictionary: C(10,2) bridges + 10 junction pinholes");
 
-    let cache = NominalCache::new();
-    let generator = Generator::with_options(&mac, &cache, castg_bench::golden::golden_options());
-    let generation = generator.generate(&dict);
-    assert!(generation.failures.is_empty(), "generation failed: {:?}", generation.failures);
-    let compaction = castg::core::compact(
-        &mac,
-        &cache,
-        &generation,
-        &castg::core::CompactionOptions::default(),
-    )
-    .expect("compaction");
-    let instances = castg::core::test_instances_from_compaction(&mac, &compaction).expect("instances");
-    let coverage =
-        castg::core::evaluate_test_set_with_threads(&mac, &cache, &instances, &dict, 2)
-            .expect("coverage");
-    let tally = coverage.tally();
+    let campaign = CampaignOptions { threads: 2, ..CampaignOptions::default() };
+    let run = run_pipeline(&mac, &dict, &castg_bench::golden::golden_options(), &campaign)
+        .expect("the bipolar pipeline runs");
+    let tally = run.coverage.tally();
     assert_eq!(
         (tally.unconverged, tally.panicked, tally.timed_out, tally.injection_failed),
         (0, 0, 0, 0),

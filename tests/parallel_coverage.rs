@@ -1,5 +1,5 @@
 //! Parallel-equivalence coverage tests on the scalable macro family:
-//! `evaluate_test_set_with_threads` must produce the identical report —
+//! `evaluate_campaign` must produce the identical report —
 //! fault order, best-test indices, sensitivities bit for bit — at any
 //! worker count. The in-crate test pins this on the toy divider; these
 //! extend it to a `LadderMacro` large enough (n ≥ 256) that the sparse
@@ -10,11 +10,14 @@ use std::sync::Arc;
 
 use castg::core::synthetic::{LadderMacro, OtaChainMacro};
 use castg::core::{
-    compact, evaluate_test_set_with_threads, test_instances_from_compaction, AnalogMacro,
-    CompactionOptions, Generator, GeneratorOptions, NominalCache, TestInstance,
+    evaluate_campaign, run_pipeline, AnalogMacro, CampaignOptions, NominalCache, TestInstance,
 };
 use castg::faults::FaultDictionary;
-use castg::numeric::{BrentOptions, PowellOptions};
+use castg_bench::golden::golden_options;
+
+fn with_threads(threads: usize) -> CampaignOptions {
+    CampaignOptions { threads, ..CampaignOptions::default() }
+}
 
 /// DC-config test instances at a few stimulus levels (cheap to
 /// evaluate, no generation run needed).
@@ -38,7 +41,7 @@ fn ladder_256_parallel_reports_are_identical() {
     let dict = mac.fault_dictionary();
     let tests = dc_instances(&mac, &[2.0, 5.0, 7.5]);
 
-    let serial = evaluate_test_set_with_threads(&mac, &cache, &tests, &dict, 1).unwrap();
+    let serial = evaluate_campaign(&mac, &cache, &tests, &dict, &with_threads(1)).unwrap();
     assert_eq!(serial.total(), dict.len());
     // The ladder family is built so its faults stay detectable at
     // scale; an all-escape report would make the equivalence vacuous.
@@ -46,7 +49,7 @@ fn ladder_256_parallel_reports_are_identical() {
 
     for threads in [2, 4, 8] {
         let parallel =
-            evaluate_test_set_with_threads(&mac, &cache, &tests, &dict, threads).unwrap();
+            evaluate_campaign(&mac, &cache, &tests, &dict, &with_threads(threads)).unwrap();
         assert_eq!(parallel.test_count, serial.test_count, "threads = {threads}");
         assert_eq!(parallel.per_fault, serial.per_fault, "threads = {threads}");
     }
@@ -60,40 +63,19 @@ fn ladder_256_parallel_reports_are_identical() {
 #[test]
 fn ladder_generation_compaction_pipeline() {
     let mac = LadderMacro::with_unknowns(64);
-    let cache = NominalCache::new();
     // A sub-dictionary of ground bridges (strongly detectable at any
     // ladder size) keeps the optimizer work debug-friendly; the full
     // dictionary is exercised by the release-mode coverage tests.
-    let dict = FaultDictionary::new(
-        mac.fault_dictionary()
-            .iter()
-            .filter(|f| f.name().ends_with(",0)"))
-            .cloned()
-            .collect(),
-    );
+    let dict: FaultDictionary =
+        mac.fault_dictionary().iter().filter(|f| f.name().ends_with(",0)")).cloned().collect();
     assert!(dict.len() >= 4, "expected ground bridges, got {}", dict.len());
 
-    let options = GeneratorOptions {
-        threads: 2,
-        powell: PowellOptions {
-            ftol: 1e-3,
-            max_iter: 6,
-            line: BrentOptions { tol: 5e-3, max_iter: 10 },
-        },
-        brent: BrentOptions { tol: 1e-3, max_iter: 20 },
-        ..GeneratorOptions::default()
-    };
-    let generator = Generator::with_options(&mac, &cache, options);
-    let report = generator.generate(&dict);
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
-    assert_eq!(report.tests.len(), dict.len());
+    let run = run_pipeline(&mac, &dict, &golden_options(), &with_threads(4)).unwrap();
+    assert_eq!(run.generation.tests.len(), dict.len());
+    assert!(!run.compaction.tests.is_empty());
+    assert!(run.compaction.tests.len() <= run.generation.tests.len());
 
-    let compaction = compact(&mac, &cache, &report, &CompactionOptions::default()).unwrap();
-    assert!(!compaction.tests.is_empty());
-    assert!(compaction.tests.len() <= report.tests.len());
-
-    let instances = test_instances_from_compaction(&mac, &compaction).unwrap();
-    let coverage = evaluate_test_set_with_threads(&mac, &cache, &instances, &dict, 4).unwrap();
+    let coverage = &run.coverage;
     assert_eq!(
         coverage.detected(),
         dict.len(),
@@ -109,10 +91,10 @@ fn ota_chain_parallel_reports_are_identical() {
     let dict = mac.fault_dictionary();
     let tests = dc_instances(&mac, &[1.0, 2.5, 4.0]);
 
-    let serial = evaluate_test_set_with_threads(&mac, &cache, &tests, &dict, 1).unwrap();
+    let serial = evaluate_campaign(&mac, &cache, &tests, &dict, &with_threads(1)).unwrap();
     for threads in [2, 8] {
         let parallel =
-            evaluate_test_set_with_threads(&mac, &cache, &tests, &dict, threads).unwrap();
+            evaluate_campaign(&mac, &cache, &tests, &dict, &with_threads(threads)).unwrap();
         assert_eq!(parallel.per_fault, serial.per_fault, "threads = {threads}");
     }
 }

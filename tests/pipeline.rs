@@ -4,34 +4,20 @@
 
 use castg::core::synthetic::DividerMacro;
 use castg::core::{
-    compact, compare_with_baseline, evaluate_test_set, seed_test_set,
-    test_instances_from_compaction, AnalogMacro, CompactionOptions, Generator,
+    compare_with_baseline, run_pipeline, seed_test_set, AnalogMacro, CampaignOptions, Generator,
     GeneratorOptions, NominalCache, SelectionMethod,
 };
-
-fn quick_options() -> GeneratorOptions {
-    GeneratorOptions {
-        threads: 2,
-        powell: castg::numeric::PowellOptions {
-            ftol: 1e-3,
-            max_iter: 6,
-            line: castg::numeric::BrentOptions { tol: 5e-3, max_iter: 10 },
-        },
-        brent: castg::numeric::BrentOptions { tol: 1e-3, max_iter: 20 },
-        ..GeneratorOptions::default()
-    }
-}
+use castg_bench::golden::golden_options;
 
 #[test]
 fn full_pipeline_on_synthetic_macro() {
     let mac = DividerMacro::new();
     let dict = mac.fault_dictionary();
-    let cache = NominalCache::new();
+    let run = run_pipeline(&mac, &dict, &golden_options(), &CampaignOptions::default()).unwrap();
 
-    // §3: one optimal test per fault.
-    let generator = Generator::with_options(&mac, &cache, quick_options());
-    let report = generator.generate(&dict);
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    // §3: one optimal test per fault (a failed fault would have
+    // stopped the run).
+    let report = &run.generation;
     assert_eq!(report.tests.len(), dict.len());
     assert!(report.total_evaluations() > 0);
 
@@ -40,18 +26,17 @@ fn full_pipeline_on_synthetic_macro() {
     assert_eq!(total, dict.len());
 
     // §4: compaction covers every fault exactly once and never grows.
-    let compaction = compact(&mac, &cache, &report, &CompactionOptions::default()).unwrap();
+    let compaction = &run.compaction;
     assert!(compaction.tests.len() <= report.tests.len());
     let covered: usize = compaction.tests.iter().map(|t| t.covered_faults.len()).sum();
     assert_eq!(covered, report.tests.len());
 
     // The compacted set detects what the per-fault set detected.
-    let instances = test_instances_from_compaction(&mac, &compaction).unwrap();
-    let coverage = evaluate_test_set(&mac, &cache, &instances, &dict).unwrap();
+    let coverage = &run.coverage;
     assert_eq!(coverage.detected(), dict.len(), "escapes: {:?}", coverage.escapes());
 
     // §2.2: optimization is at least as good as the fixed-seed baseline.
-    let cmp = compare_with_baseline(&mac, &cache, &report, &dict).unwrap();
+    let cmp = compare_with_baseline(&mac, &NominalCache::new(), report, &dict).unwrap();
     assert!(cmp.optimized.detected() >= cmp.baseline.detected());
     assert!(cmp.optimized.mean_best_sensitivity() <= cmp.baseline.mean_best_sensitivity() + 1e-9);
 }
@@ -62,7 +47,7 @@ fn generation_is_deterministic() {
     let dict = mac.fault_dictionary();
     let run = || {
         let cache = NominalCache::new();
-        let generator = Generator::with_options(&mac, &cache, quick_options());
+        let generator = Generator::with_options(&mac, &cache, golden_options());
         let report = generator.generate(&dict);
         report
             .tests
@@ -79,7 +64,7 @@ fn selection_methods_agree_across_dictionary() {
     let dict = mac.fault_dictionary();
     let run = |method: SelectionMethod| {
         let cache = NominalCache::new();
-        let opts = GeneratorOptions { selection: method, ..quick_options() };
+        let opts = GeneratorOptions { selection: method, ..golden_options() };
         let generator = Generator::with_options(&mac, &cache, opts);
         generator
             .generate(&dict)
