@@ -6,8 +6,8 @@
 //! overlapping parameter regions this roughly halves simulator work.
 //!
 //! The map is split into a fixed array of lock-sharded segments keyed
-//! by the key's hash: thousand-fault campaigns fan `(fault, test)` work
-//! items across every core, and all of them consult the nominal cache —
+//! by the key's hash: thousand-fault campaigns fan their faults out
+//! across every core, and every cell consults the nominal cache —
 //! a single `RwLock<HashMap>` serializes exactly the hottest moment
 //! (the warm-cache read storm right after the first tests complete).
 //! Sixteen shards make those reads effectively contention-free while

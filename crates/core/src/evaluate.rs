@@ -3,26 +3,26 @@
 //! campaign**.
 //!
 //! Coverage evaluation is the second compute-bound half of the
-//! generate→evaluate pipeline: every fault × test pair costs one full
+//! generate→evaluate pipeline: every fault × test cell costs one full
 //! faulty-circuit simulation. The campaign engine keeps it cheap by
 //! amortizing every piece of per-circuit compilation across the run:
 //!
 //! * the nominal circuit's assembly plan is compiled **once** and
 //!   shared (immutably) by every nominal measurement on every worker;
-//! * every fault is injected **once per campaign**, by default through
+//! * workers pull whole faults through [`fan_out`]:
+//!   each fault is injected **once per campaign**, by default through
 //!   the delta path ([`Fault::inject`](castg_faults::Fault::inject)
 //!   patching the nominal plan — bridges are pure delta-stamps; see
-//!   [`InjectionMode`]), and the
-//!   variant — circuit, plan, sparse template, symbolic analysis — is
-//!   shared read-only by all its tests;
-//! * workers pull `(fault, test)` **work items** from one queue, so a
-//!   campaign with few faults but many tests (or vice versa) still
-//!   saturates every core.
+//!   [`InjectionMode`]), every test is scored against the variant in
+//!   test order, and the variant — circuit, plan, sparse template,
+//!   symbolic analysis — is dropped before the worker takes its next
+//!   fault.
 //!
-//! Per-cell results land in per-pair slots and are reduced in
-//! dictionary order, so the report is identical — test indices,
-//! sensitivities, everything, bit for bit — at any worker count and
-//! under either injection mode.
+//! Per-fault rows are reduced in dictionary order, so the report is
+//! identical — test indices, sensitivities, everything, bit for bit —
+//! at any worker count and under either injection mode. Parallelism is
+//! bounded by the dictionary size: a campaign over fewer faults than
+//! workers leaves the extra workers idle.
 //!
 //! # Robustness: campaigns never die on a broken variant
 //!
@@ -30,9 +30,9 @@
 //! variant whose MNA system is singular, one that no Newton strategy
 //! converges on, one that burns unbounded wall-clock, or (in the worst
 //! case) one that trips a panic somewhere in the solver stack. None of
-//! these may kill the campaign — each work item is wrapped in
-//! [`std::panic::catch_unwind`] plus an optional per-item solve budget
-//! ([`CampaignOptions::max_newton_iters`] /
+//! these may kill the campaign — each fault's injection and each of its
+//! cells are wrapped in [`std::panic::catch_unwind`], each cell under
+//! an optional solve budget ([`CampaignOptions::max_newton_iters`] /
 //! [`CampaignOptions::budget_ms`]), and every breakdown degrades to a
 //! typed per-fault [`FaultOutcome`] in the report. Only *nominal*
 //! failures and contract violations stay hard errors: the nominal
@@ -42,17 +42,16 @@
 //! [`CampaignOptions::budget_ms`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use castg_faults::FaultDictionary;
+use castg_faults::{Fault, FaultDictionary};
 use castg_spice::{ladder_stats, with_solve_budget, Circuit, LadderStats};
-use parking_lot::Mutex;
 
 use crate::cache::NominalCache;
 use crate::compact::CompactionReport;
 use crate::sensitivity::{is_detected, Evaluator, SimFailure};
-use crate::{AnalogMacro, CoreError, TestConfiguration};
+use crate::{default_threads, fan_out, AnalogMacro, CoreError, TestConfiguration};
 
 /// How the campaign engine materializes its faulted circuit variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,20 +74,22 @@ pub enum InjectionMode {
 /// Options of a coverage-evaluation campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Worker threads pulling `(fault, test)` work items.
+    /// Worker threads. Each pulls whole faults (inject, score every
+    /// test, drop the variant), so no more than the dictionary's fault
+    /// count ever run.
     pub threads: usize,
     /// Variant materialization path.
     pub injection: InjectionMode,
-    /// Newton-iteration allowance per `(fault, test)` work item,
-    /// spanning every analysis the test performs on its faulted
-    /// variant. Exhaustion degrades the item to
-    /// [`FaultOutcome::Unconverged`]. Deterministic: the same item
-    /// exhausts at the same iteration on any machine at any thread
-    /// count. `None` (the default) leaves only the solver's own limits.
+    /// Newton-iteration allowance per `(fault, test)` cell, spanning
+    /// every analysis the test performs on its faulted variant.
+    /// Exhaustion degrades the cell to [`FaultOutcome::Unconverged`].
+    /// Deterministic: the same cell exhausts at the same iteration on
+    /// any machine at any thread count. `None` (the default) leaves
+    /// only the solver's own limits.
     pub max_newton_iters: Option<usize>,
-    /// Wall-clock budget per `(fault, test)` work item, in
-    /// milliseconds; overrun degrades the item to
-    /// [`FaultOutcome::TimedOut`]. Inherently machine- and
+    /// Wall-clock budget per `(fault, test)` cell, in milliseconds;
+    /// overrun degrades the cell to [`FaultOutcome::TimedOut`].
+    /// Inherently machine- and
     /// scheduling-dependent — campaigns that must be bit-identical
     /// across thread counts should use
     /// [`CampaignOptions::max_newton_iters`] instead. `None` (the
@@ -99,7 +100,7 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            threads: default_threads(),
             injection: InjectionMode::default(),
             max_newton_iters: None,
             budget_ms: None,
@@ -289,139 +290,31 @@ impl CoverageReport {
     }
 }
 
-/// One `(fault, test)` work item: scores one test against one shared
-/// injected variant, returning the sensitivity plus the breakdown
-/// classification when the faulted simulation broke down.
-fn evaluate_cell(
-    nominal: &Circuit,
-    cache: &NominalCache,
-    variant: &Circuit,
-    test: &TestInstance,
-) -> Result<(f64, Option<SimFailure>), CoreError> {
-    Evaluator::new(test.config.as_ref(), nominal, cache).sensitivity_outcome(variant, &test.params)
-}
-
-/// What one campaign cell produced (hard errors are stored separately,
-/// as `Err`, and abort the queue).
-#[derive(Debug)]
-enum CellOutcome {
-    /// The cell scored: sensitivity plus, when the faulted simulation
-    /// broke down, the classification.
-    Scored(f64, Option<SimFailure>),
-    /// The cell panicked; the worker caught it at the item boundary.
-    Panicked,
-}
-
-/// Shared per-fault variant slot: injected lazily by the first work
-/// item that needs it, shared by `Arc` while cells are in flight, and
-/// retired (the circuit dropped) by the last cell — the heavy per-
-/// variant state is resident only for the faults currently being
-/// worked, not the whole dictionary, and injection itself happens
-/// inside the worker pool.
-struct VariantSlot {
-    state: Mutex<VariantState>,
-    /// Injection failure, rendered, parked for the reduce pass (which
-    /// types it as [`FaultOutcome::InjectionFailed`] — a degenerate
-    /// fault site is a property of the dictionary, not an error).
-    error: Mutex<Option<String>>,
-    /// Cells of this fault not yet finished.
-    remaining: AtomicUsize,
-}
-
-enum VariantState {
-    /// Not yet injected.
-    Pending,
-    /// Injected and live; cells clone the `Arc`.
-    Ready(Arc<Circuit>),
-    /// Injection failed (reason parked in `VariantSlot::error`).
-    Failed,
-    /// Every cell finished; the circuit has been dropped.
-    Retired,
-}
-
-impl VariantSlot {
-    fn new(cells: usize) -> Self {
-        VariantSlot {
-            state: Mutex::new(VariantState::Pending),
-            error: Mutex::new(None),
-            remaining: AtomicUsize::new(cells),
-        }
-    }
-
-    /// The shared injected variant, injecting on first use; `None`
-    /// after an injection failure.
-    fn acquire(
-        &self,
-        fault: &castg_faults::Fault,
-        nominal: &Circuit,
-        mode: InjectionMode,
-    ) -> Option<Arc<Circuit>> {
-        let mut state = self.state.lock();
-        match &*state {
-            VariantState::Pending => {
-                let injected = match mode {
-                    InjectionMode::Delta => fault.inject(nominal),
-                    InjectionMode::Rebuild => fault.inject_rebuilt(nominal),
-                };
-                match injected {
-                    Ok(circuit) => {
-                        let circuit = Arc::new(circuit);
-                        *state = VariantState::Ready(Arc::clone(&circuit));
-                        Some(circuit)
-                    }
-                    Err(e) => {
-                        *self.error.lock() = Some(e.to_string());
-                        *state = VariantState::Failed;
-                        None
-                    }
-                }
-            }
-            VariantState::Ready(circuit) => Some(Arc::clone(circuit)),
-            VariantState::Failed => None,
-            VariantState::Retired => {
-                unreachable!("every cell is claimed exactly once; none arrive after retirement")
-            }
-        }
-    }
-
-    /// Marks one cell finished; the last one drops the circuit.
-    fn release(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self.state.lock() = VariantState::Retired;
-        }
-    }
-}
-
 /// Evaluates a test set's coverage of `dictionary` (faults at their
 /// dictionary impact): the campaign engine behind every coverage
 /// evaluation.
 ///
-/// Fans the full `fault × test` grid out as independent work items
-/// over [`CampaignOptions::threads`] workers. Each dictionary fault is
-/// injected exactly once per campaign (per
-/// [`CampaignOptions::injection`]), lazily, by whichever work item
-/// touches it first; the variant is shared read-only by its cells and
-/// dropped by the last one, so the heavy objects — circuits, plans,
-/// templates, symbolic analyses — are resident only for faults in
-/// flight (the per-cell scalar slots still span the whole grid until
-/// the reduce). Per-cell sensitivities land
-/// in per-pair slots and are reduced to per-fault outcomes in
-/// dictionary order, so the report — test indices, sensitivities,
-/// everything — is bit-identical at any worker count and under either
-/// injection mode. `threads = 1` (or a grid too small to be worth
-/// fanning out) degenerates to a serial sweep over the same work
-/// items. The report holds one row per dictionary fault, whatever the
-/// outcome (an empty test set detects nothing and injects nothing).
+/// Fans the dictionary out one fault per item over
+/// [`CampaignOptions::threads`] workers ([`fan_out`]). Each item
+/// injects its fault once (per [`CampaignOptions::injection`]), scores
+/// every test against the variant in test order, and drops the variant,
+/// so the heavy objects — circuits, plans, templates, symbolic
+/// analyses — are resident only for faults in flight. Rows and ladder
+/// statistics are reduced in dictionary order, so the report — test
+/// indices, sensitivities, everything — is bit-identical at any worker
+/// count and under either injection mode. The report holds one row per
+/// dictionary fault, whatever the outcome (an empty test set detects
+/// nothing and injects nothing).
 ///
 /// # Errors
 ///
-/// Nominal-simulation failures and contract violations propagate; a
-/// hard-failing work item aborts the remaining queue (fail-fast), and
-/// the earliest failure in `(fault, test)` dictionary order among the
-/// evaluated items is returned. *Faulted-variant* breakdowns — panics,
-/// non-convergence, singular systems, budget overruns, and injection
-/// failures on degenerate fault sites — never error: they degrade to
-/// typed [`FaultOutcome`]s.
+/// Nominal-simulation failures and contract violations propagate. A
+/// hard-failing cell ends its fault's item and no further fault is
+/// started (fail-fast); the earliest failure in dictionary order among
+/// the faults that ran is returned. *Faulted-variant* breakdowns — panics, non-convergence,
+/// singular systems, budget overruns, and injection failures on
+/// degenerate fault sites — never error: they degrade to typed
+/// [`FaultOutcome`]s.
 pub fn evaluate_campaign(
     macro_def: &dyn AnalogMacro,
     cache: &NominalCache,
@@ -430,11 +323,9 @@ pub fn evaluate_campaign(
     options: &CampaignOptions,
 ) -> Result<CoverageReport, CoreError> {
     let nominal = macro_def.nominal_circuit();
-    let n = dictionary.len();
-    let t = tests.len();
-    let mut report = CoverageReport { test_count: t, ..Default::default() };
+    let mut report = CoverageReport { test_count: tests.len(), ..Default::default() };
 
-    if t == 0 {
+    if tests.is_empty() {
         // Nothing can detect anything; do not even inject.
         for fault in dictionary.iter() {
             report.per_fault.push(FaultCoverage {
@@ -455,128 +346,83 @@ pub fn evaluate_campaign(
 
     // Pre-warm every test's nominal measurement before the fan-out.
     // Three birds: nominal failures surface as hard errors here, with
-    // no campaign machinery in the way; the per-item solve budgets
+    // no campaign machinery in the way; the per-cell solve budgets
     // below can never be charged for (or exhausted by) a nominal
-    // solve; and the workers' ladder statistics count faulted solves
+    // solve; and the items' ladder statistics count faulted solves
     // only, so `CoverageReport::ladder` is a pure function of the
     // (fault, test) grid.
     for test in tests {
         Evaluator::new(test.config.as_ref(), &nominal, cache).nominal(&test.params)?;
     }
 
-    // One injection per fault per campaign, performed lazily inside the
-    // worker pool by whichever work item touches the fault first; the
-    // variant is shared read-only by its cells and dropped by the last.
-    let variants: Vec<VariantSlot> = (0..n).map(|_| VariantSlot::new(t)).collect();
-
-    let total = n * t;
-    let workers = options.threads.clamp(1, total.max(1));
-    let cells: Vec<Mutex<Option<Result<CellOutcome, CoreError>>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-    let counter = AtomicUsize::new(0);
     // Only a hard-failing cell (nominal failure, contract violation)
-    // aborts the queue; faulted breakdowns are typed outcomes and the
-    // campaign keeps going. In-flight cells still finish.
+    // stops the campaign; faulted breakdowns are typed outcomes and it
+    // keeps going. Faults already in flight still finish.
     let failed = AtomicBool::new(false);
-    let ladder_total: Mutex<LadderStats> = Mutex::new(LadderStats::default());
-    let work = || {
-        let stats_before = ladder_stats();
-        loop {
-            let i = counter.fetch_add(1, Ordering::Relaxed);
-            if i >= total || failed.load(Ordering::Relaxed) {
-                break;
-            }
-            let slot = &variants[i / t];
-            // The whole work item — injection included — runs inside
-            // `catch_unwind`: a panicking variant poisons nothing (the
-            // circuit is shared read-only, parking_lot locks release on
-            // unwind without poisoning, and a panic mid-compute in the
-            // nominal cache inserts nothing) and degrades to a typed
-            // per-cell outcome instead of tearing the campaign down.
-            let item = catch_unwind(AssertUnwindSafe(|| {
-                match slot.acquire(&dictionary.faults()[i / t], &nominal, options.injection) {
-                    Some(variant) => {
-                        with_solve_budget(options.max_newton_iters, options.budget_ms, || {
-                            evaluate_cell(&nominal, cache, &variant, &tests[i % t]).map(Some)
-                        })
-                    }
-                    // Injection failed; the reason is parked in the
-                    // slot and the fault's cells all stay empty.
-                    None => Ok(None),
-                }
-            }));
-            match item {
-                Ok(Ok(Some((s, failure)))) => {
-                    *cells[i].lock() = Some(Ok(CellOutcome::Scored(s, failure)));
-                }
-                Ok(Ok(None)) => {}
-                Ok(Err(e)) => {
-                    failed.store(true, Ordering::Relaxed);
-                    *cells[i].lock() = Some(Err(e));
-                }
-                Err(_panic) => {
-                    *cells[i].lock() = Some(Ok(CellOutcome::Panicked));
-                }
-            }
-            slot.release();
+    let rows = fan_out(dictionary.len(), options.threads, |i| {
+        if failed.load(Ordering::Relaxed) {
+            return None;
         }
-        let delta = ladder_stats().since(&stats_before);
-        let mut sum = ladder_total.lock();
-        *sum = *sum + delta;
-    };
-    // Fanning out costs a few thread spawns; below a handful of
-    // simulations the serial sweep wins outright.
-    if workers <= 1 || total < 8 {
-        work();
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| work());
-            }
-        })
-        .expect("campaign workers are panic-isolated per work item");
+        let row = evaluate_fault(&dictionary.faults()[i], &nominal, cache, tests, options);
+        if row.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        Some(row)
+    });
+    // Skipped faults are `None`, and only a hard failure skips any.
+    for row in rows.into_iter().flatten() {
+        let (row, ladder) = row?;
+        report.per_fault.push(row);
+        report.ladder = report.ladder + ladder;
     }
-    report.ladder = ladder_total.into_inner();
+    Ok(report)
+}
 
-    let mut outcomes = cells.into_iter().map(|m| m.into_inner());
-    if failed.load(Ordering::Relaxed) {
-        // Return the earliest hard failure in (fault, test) order
-        // (cells never evaluated because of the abort are skipped).
-        for outcome in outcomes {
-            if let Some(Err(e)) = outcome {
-                return Err(e);
+/// One campaign item: injects `fault` once, scores every test against
+/// the variant in test order, and classifies the fault. Returns its row
+/// with the ladder statistics of its faulted solves.
+fn evaluate_fault(
+    fault: &Fault,
+    nominal: &Circuit,
+    cache: &NominalCache,
+    tests: &[TestInstance],
+    options: &CampaignOptions,
+) -> Result<(FaultCoverage, LadderStats), CoreError> {
+    let before = ladder_stats();
+    // Injection and every cell run inside `catch_unwind`: a panicking
+    // variant poisons nothing (parking_lot locks release on unwind
+    // without poisoning, and a panic mid-compute in the nominal cache
+    // inserts nothing) and degrades to a typed outcome instead of
+    // tearing the campaign down.
+    let injected = catch_unwind(AssertUnwindSafe(|| match options.injection {
+        InjectionMode::Delta => fault.inject(nominal),
+        InjectionMode::Rebuild => fault.inject_rebuilt(nominal),
+    }));
+    let (best, outcome) = 'scored: {
+        let variant = match injected {
+            Ok(Ok(variant)) => variant,
+            // A degenerate fault site is a property of the dictionary,
+            // not an error.
+            Ok(Err(e)) => {
+                let reason = e.to_string();
+                break 'scored ((0, f64::INFINITY), FaultOutcome::InjectionFailed { reason });
             }
-        }
-        unreachable!("an aborted campaign always stores at least one error");
-    }
-    for (fault, slot) in dictionary.iter().zip(variants) {
-        if let Some(reason) = slot.error.into_inner() {
-            // No cell of this fault ever ran; skip their (empty) slots.
-            for _ in 0..t {
-                outcomes.next();
-            }
-            report.per_fault.push(FaultCoverage {
-                fault: fault.name(),
-                best_sensitivity: f64::INFINITY,
-                best_test: 0,
-                detected: false,
-                outcome: FaultOutcome::InjectionFailed { reason },
-            });
-            continue;
-        }
+            Err(_panic) => break 'scored ((0, f64::INFINITY), FaultOutcome::Panicked),
+        };
         let mut best = (0usize, f64::INFINITY);
         let mut panicked = false;
         let mut timed_out = false;
         let mut singular: Option<String> = None;
         let mut unconverged = false;
-        for ti in 0..t {
-            let cell = outcomes.next().flatten().unwrap_or_else(|| {
-                Err(CoreError::InvalidOptions {
-                    reason: format!("campaign never ran fault {} test {ti}", fault.name()),
+        for (ti, test) in tests.iter().enumerate() {
+            let cell = catch_unwind(AssertUnwindSafe(|| {
+                with_solve_budget(options.max_newton_iters, options.budget_ms, || {
+                    Evaluator::new(test.config.as_ref(), nominal, cache)
+                        .sensitivity_outcome(&variant, &test.params)
                 })
-            })?;
+            }));
             match cell {
-                CellOutcome::Scored(s, failure) => {
+                Ok(Ok((s, failure))) => {
                     if s < best.1 {
                         best = (ti, s);
                     }
@@ -589,7 +435,8 @@ pub fn evaluate_campaign(
                         None => {}
                     }
                 }
-                CellOutcome::Panicked => panicked = true,
+                Ok(Err(e)) => return Err(e),
+                Err(_panic) => panicked = true,
             }
         }
         // Severity order: the least trustworthy cell classifies the
@@ -607,15 +454,16 @@ pub fn evaluate_campaign(
         } else {
             FaultOutcome::Undetected
         };
-        report.per_fault.push(FaultCoverage {
-            fault: fault.name(),
-            best_sensitivity: best.1,
-            best_test: best.0,
-            detected: is_detected(best.1),
-            outcome,
-        });
-    }
-    Ok(report)
+        (best, outcome)
+    };
+    let row = FaultCoverage {
+        fault: fault.name(),
+        best_sensitivity: best.1,
+        best_test: best.0,
+        detected: is_detected(best.1),
+        outcome,
+    };
+    Ok((row, ladder_stats().since(&before)))
 }
 
 /// Materializes the tests of a [`CompactionReport`] as [`TestInstance`]s

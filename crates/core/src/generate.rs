@@ -37,11 +37,10 @@ use std::time::{Duration, Instant};
 use castg_faults::{Fault, FaultDictionary, FaultKind};
 use castg_numeric::{brent_min, powell_min, BrentOptions, PowellOptions};
 use castg_spice::Circuit;
-use parking_lot::Mutex;
 
 use crate::cache::NominalCache;
 use crate::sensitivity::{is_detected, Evaluator};
-use crate::{AnalogMacro, CoreError, TestConfiguration};
+use crate::{default_threads, fan_out, AnalogMacro, CoreError, TestConfiguration};
 
 /// How the best test is selected among the per-configuration optima.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,10 +99,6 @@ impl Default for GeneratorOptions {
             threads: default_threads(),
         }
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
 /// The generated best test for one fault.
@@ -278,16 +273,6 @@ impl<'a> Generator<'a> {
         }
     }
 
-    /// The configuration set the generator selects from.
-    pub fn configurations(&self) -> &[std::sync::Arc<dyn TestConfiguration>] {
-        &self.configs
-    }
-
-    /// The generator's options.
-    pub fn options(&self) -> &GeneratorOptions {
-        &self.options
-    }
-
     /// Runs the full Fig.-6 flow for one fault.
     ///
     /// # Errors
@@ -386,41 +371,19 @@ impl<'a> Generator<'a> {
         })
     }
 
-    /// Generates best tests for the whole dictionary, fanned out over
-    /// [`GeneratorOptions::threads`] workers. Individual fault failures
-    /// are collected, not fatal.
+    /// Generates best tests for the whole dictionary, one fault per
+    /// item over [`GeneratorOptions::threads`] workers ([`fan_out`]).
+    /// Individual fault failures are collected, not fatal.
     pub fn generate(&self, dictionary: &FaultDictionary) -> GenerationReport {
         let start = Instant::now();
-        let n = dictionary.len();
-        let results: Vec<Mutex<Option<Result<BestTest, CoreError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let counter = AtomicUsize::new(0);
-        let workers = self.options.threads.clamp(1, n.max(1));
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let fault = &dictionary.faults()[i];
-                    let outcome = self.generate_for_fault(fault);
-                    *results[i].lock() = Some(outcome);
-                });
-            }
-        })
-        .expect("generation workers must not panic");
-
+        let outcomes = fan_out(dictionary.len(), self.options.threads, |i| {
+            self.generate_for_fault(&dictionary.faults()[i])
+        });
         let mut report = GenerationReport { wall_time: start.elapsed(), ..Default::default() };
-        for (i, slot) in results.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some(Ok(test)) => report.tests.push(test),
-                Some(Err(e)) => report.failures.push((dictionary.faults()[i].name(), e)),
-                None => report.failures.push((
-                    dictionary.faults()[i].name(),
-                    CoreError::InvalidOptions { reason: "worker never ran this fault".into() },
-                )),
+        for (fault, outcome) in dictionary.iter().zip(outcomes) {
+            match outcome {
+                Ok(test) => report.tests.push(test),
+                Err(e) => report.failures.push((fault.name(), e)),
             }
         }
         report
@@ -667,6 +630,8 @@ fn argmin(values: &[f64]) -> (usize, f64) {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use parking_lot::Mutex;
+
     use super::*;
     use crate::synthetic::DividerMacro;
 

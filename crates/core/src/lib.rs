@@ -38,14 +38,16 @@
 //!
 //! Coverage evaluation runs as a structure-sharing campaign
 //! ([`evaluate_campaign`]): the nominal circuit's compiled
-//! plan is shared immutably by every worker, each dictionary fault is
-//! injected exactly once — by default through the delta path, where
-//! bridge variants patch the nominal plan instead of recompiling
-//! (see [`InjectionMode`]) — and workers pull `(fault, test)` work
-//! items from one queue over a sharded [`NominalCache`]. Reports are
-//! bit-identical at any worker count and under either injection mode;
-//! `tests/campaign_differential.rs` pins that for the IV-converter and
-//! ladder-n=256 dictionaries on both solver paths.
+//! plan is shared immutably by every worker, and workers pull whole
+//! faults through [`fan_out`], the one worker pool generation and the
+//! daemon's batches run on too. Each fault is injected exactly once —
+//! by default through the delta path, where bridge variants patch the
+//! nominal plan instead of recompiling (see [`InjectionMode`]) — then
+//! every test is scored against it, in test order, over a sharded
+//! [`NominalCache`]. Reports are bit-identical at any worker count and
+//! under either injection mode; `tests/campaign_differential.rs` pins
+//! that for the IV-converter and ladder-n=256 dictionaries on both
+//! solver paths.
 //!
 //! # Convergence resilience: campaigns that never die
 //!
@@ -53,13 +55,14 @@
 //! collapse the faulted matrix, near-shorts that destroy its
 //! conditioning — and one such variant must not abort thousands of
 //! healthy work items. The campaign engine therefore treats every
-//! faulted `(fault, test)` item as fallible in a typed way:
+//! faulted `(fault, test)` cell as fallible in a typed way:
 //!
-//! * Each work item runs inside `catch_unwind` plus a per-item solve
-//!   budget ([`CampaignOptions::max_newton_iters`] / `budget_ms`,
-//!   installed through `castg_spice::with_solve_budget`), so panics,
-//!   runaway solves and singular factorizations are contained to the
-//!   item that caused them.
+//! * Each fault's injection and each of its cells run inside
+//!   `catch_unwind`, and each cell under its own solve budget
+//!   ([`CampaignOptions::max_newton_iters`] / `budget_ms`, installed
+//!   through `castg_spice::with_solve_budget`), so panics, runaway
+//!   solves and singular factorizations are contained to the cell that
+//!   caused them.
 //! * Every fault's row in the [`CoverageReport`] carries a
 //!   [`FaultOutcome`]: `Detected` / `Undetected` for healthy variants,
 //!   `Unconverged`, `Singular` (naming the offending MNA unknown),
@@ -111,6 +114,7 @@ mod generate;
 mod interp;
 mod macro_def;
 mod pipeline;
+mod pool;
 pub mod report;
 mod sensitivity;
 pub mod synthetic;
@@ -132,6 +136,7 @@ pub use generate::{
 pub use interp::DescribedConfig;
 pub use macro_def::AnalogMacro;
 pub use pipeline::{run_pipeline, PipelineError, PipelineRun, PipelineTimings};
+pub use pool::{default_threads, fan_out};
 pub use sensitivity::{
     is_detected, sensitivity, Evaluator, SensitivityReport, SimFailure,
     SENSITIVITY_SIM_FAILURE,

@@ -7,7 +7,7 @@
 //! sockets — integration tests and the batch endpoint drive it
 //! directly. Every run is wrapped in `catch_unwind`, so a panicking
 //! campaign produces a 500 response and a poisoned-free server, never
-//! a dead worker.
+//! a dead connection thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

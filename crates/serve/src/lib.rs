@@ -24,7 +24,7 @@
 //! | Route | Meaning |
 //! |---|---|
 //! | `POST /v1/campaign` | One campaign: deck text + config descriptions + options in, the full pipeline report out (the same JSON shape `castg generate --json` writes, rendered by `castg_core::report::render_json_report`). |
-//! | `POST /v1/batch` | `{"jobs": [<campaign>, ...]}`: N jobs in, N reports out in order, fanned over one shared worker pool. |
+//! | `POST /v1/batch` | `{"jobs": [<campaign>, ...]}`: N jobs in, N reports out in order; the jobs run concurrently, each under one of the daemon's `workers` campaign permits. |
 //! | `GET /v1/health` | Liveness + uptime. |
 //! | `GET /v1/stats` | Cache hit rates, campaigns served, accumulated fault-outcome tallies, convergence-ladder totals. |
 //! | `POST /v1/shutdown` | Graceful shutdown (also SIGINT/SIGTERM). |
@@ -63,16 +63,17 @@
 //!
 //! # Budget ceilings and failure isolation
 //!
-//! Every request runs under [`request::ServerCeilings`]: per-item
+//! Every request runs under [`request::ServerCeilings`]: per-cell
 //! Newton-iteration and wall-clock budgets are `min(requested,
 //! ceiling)` (the ceiling applies when the request is silent), fault
-//! counts and batch sizes are capped, so no tenant can pin a worker
-//! indefinitely. The pipeline runs under `catch_unwind` — a panicking
-//! campaign is a 500 response for that tenant, never a dead worker —
-//! and per-item panics inside the campaign surface as typed
-//! `panicked` outcomes exactly as in the CLI. A phase that fails is a
-//! 422 whose error kind names it: `generation_failed` (listing up to
-//! five failed faults), `compaction_failed` or `evaluation_failed`.
+//! counts and batch sizes are capped, so no tenant can hold a campaign
+//! permit indefinitely. The pipeline runs under `catch_unwind` — a
+//! panicking campaign is a 500 response for that tenant, never a dead
+//! thread or a lost permit — and per-cell panics inside the campaign
+//! surface as typed `panicked` outcomes exactly as in the CLI. A phase
+//! that fails is a 422 whose error kind names it: `generation_failed`
+//! (listing up to five failed faults), `compaction_failed` or
+//! `evaluation_failed`.
 //!
 //! # In-process use
 //!

@@ -69,9 +69,9 @@ pub struct ServerCeilings {
     pub max_faults: usize,
     /// Hard cap on configs per campaign.
     pub max_configs: usize,
-    /// Newton-iteration ceiling per coverage work item.
+    /// Newton-iteration ceiling per `(fault, test)` coverage cell.
     pub max_newton_iters: usize,
-    /// Wall-clock ceiling per coverage work item (ms).
+    /// Wall-clock ceiling per `(fault, test)` coverage cell (ms).
     pub budget_ms: u64,
     /// Hard cap on jobs in one `POST /v1/batch`.
     pub max_batch_jobs: usize,

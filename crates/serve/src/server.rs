@@ -1,32 +1,36 @@
-//! The daemon: a `std::net::TcpListener` accept loop, a shared worker
-//! pool sized to cores, the HTTP routes, and graceful shutdown.
+//! The daemon: a `std::net::TcpListener` accept loop, a thread per
+//! connection, a campaign permit count, the HTTP routes, and graceful
+//! shutdown.
 //!
 //! Design notes:
 //!
-//! * **Thread per connection, pool per campaign.** Connection threads
-//!   only parse and serialize; every campaign (single or batch member)
-//!   is submitted to one process-wide `Executor`, so total pipeline
-//!   concurrency is bounded by the worker count no matter how many
-//!   clients connect.
+//! * **Thread per connection, permit per campaign.** A connection
+//!   thread parses, runs its campaign itself and serializes. Every
+//!   campaign (single or batch member) first takes one of
+//!   [`ServerConfig::workers`] permits, so total pipeline concurrency is
+//!   bounded by the worker count no matter how many clients connect.
+//!   `/v1/batch` fans its jobs out with [`castg_core::fan_out`], each
+//!   job under its own permit.
 //! * **Graceful shutdown.** The accept loop polls a shutdown flag
 //!   (set by `POST /v1/shutdown`, SIGINT/SIGTERM, or
 //!   [`ServerHandle::shutdown`]) every ~2 ms using a nonblocking
 //!   listener — polling sidesteps `EINTR`/`SA_RESTART` unreliability
 //!   around blocking `accept`. Once set, no new connections are
-//!   accepted, in-flight connections drain, and the worker pool joins.
+//!   accepted, and the accept loop joins every connection thread: each
+//!   finishes the request it is serving and closes.
 //! * **Failure isolation.** Campaigns run under `catch_unwind` inside
 //!   the engine; a panicking request yields a 500 for that tenant and
 //!   nothing else.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use castg_core::report::json_escape;
+use castg_core::{default_threads, fan_out};
 
 use crate::campaign::{CampaignResponse, Engine};
 use crate::http::{read_request_abortable, write_response, Method, Request};
@@ -38,7 +42,8 @@ use crate::request::{CampaignRequest, ServerCeilings};
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker-pool size: campaigns in flight at once (0 = cores).
+    /// Campaigns in flight at once, batch jobs included (0 = cores):
+    /// each campaign runs under one of this many permits.
     pub workers: usize,
     /// Threads each campaign's fan-out uses (thread counts never change
     /// report bytes, only latency).
@@ -64,51 +69,33 @@ impl Default for ServerConfig {
     }
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed pool of workers pulling jobs off one channel.
-struct Executor {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+/// A counting semaphore: campaigns in flight at once. The count is
+/// whole after every update, so a poisoned lock is taken over as is.
+struct Permits {
+    free: Mutex<usize>,
+    freed: Condvar,
 }
 
-impl Executor {
-    fn new(count: usize) -> Self {
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..count.max(1))
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("castg-serve-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let guard = receiver.lock().expect("executor receiver poisoned");
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break, // sender dropped: shutdown
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        Executor { sender: Some(sender), workers }
-    }
-
-    fn submit(&self, job: Job) -> Result<(), Job> {
-        match &self.sender {
-            Some(sender) => sender.send(job).map_err(|e| e.0),
-            None => Err(job),
+impl Permits {
+    /// Blocks until a permit is free and takes it; dropping the
+    /// returned guard gives it back.
+    fn acquire(&self) -> Permit<'_> {
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        while *free == 0 {
+            free = self.freed.wait(free).unwrap_or_else(PoisonError::into_inner);
         }
+        *free -= 1;
+        Permit(self)
     }
+}
 
-    fn join(mut self) {
-        self.sender = None; // closes the channel; workers drain and exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+/// One held permit, released on drop (unwinding included).
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.freed.notify_one();
     }
 }
 
@@ -118,15 +105,17 @@ pub struct ServeState {
     pub engine: Engine,
     /// Requests served, any route or status.
     pub requests: AtomicU64,
-    /// Connections currently open.
-    pub in_flight: AtomicUsize,
     /// Set to stop accepting and drain.
     pub shutdown: AtomicBool,
+    /// The resolved [`ServerConfig::workers`].
+    workers: usize,
+    permits: Permits,
     started: Instant,
 }
 
 impl ServeState {
     fn new(config: &ServerConfig) -> Self {
+        let workers = if config.workers == 0 { default_threads() } else { config.workers };
         ServeState {
             engine: Engine::new(
                 config.result_capacity,
@@ -135,10 +124,18 @@ impl ServeState {
                 config.threads_per_campaign,
             ),
             requests: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            workers,
+            permits: Permits { free: Mutex::new(workers), freed: Condvar::new() },
             started: Instant::now(),
         }
+    }
+
+    /// Runs one campaign on the calling thread under a permit, waiting
+    /// for one to come free.
+    fn run_campaign(&self, request: &CampaignRequest) -> CampaignResponse {
+        let _permit = self.permits.acquire();
+        self.engine.run_campaign(request)
     }
 
     fn stats_json(&self) -> String {
@@ -195,7 +192,7 @@ pub struct ServerHandle {
     /// The bound address (the ephemeral port, for `127.0.0.1:0`).
     pub addr: SocketAddr,
     state: Arc<ServeState>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept_thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -209,14 +206,13 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Waits for the accept loop to drain and the pool to join.
-    /// Returns `true` when every in-flight connection drained cleanly
-    /// before the internal timeout.
-    pub fn join(mut self) -> bool {
-        match self.accept_thread.take() {
-            Some(t) => t.join().is_ok(),
-            None => true,
-        }
+    /// Waits for the daemon to stop: after [`ServerHandle::shutdown`]
+    /// (or `POST /v1/shutdown`, or a signal) the accept loop stops
+    /// accepting and joins every connection thread, each of which
+    /// finishes the request it is serving. Returns `false` only when the
+    /// accept loop itself panicked.
+    pub fn join(self) -> bool {
+        self.accept_thread.join().is_ok()
     }
 }
 
@@ -229,65 +225,41 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let workers = if config.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        config.workers
-    };
     let state = Arc::new(ServeState::new(&config));
     let accept_state = Arc::clone(&state);
     let accept_thread = std::thread::Builder::new()
         .name("castg-serve-accept".to_string())
-        .spawn(move || accept_loop(listener, accept_state, workers))?;
-    Ok(ServerHandle { addr, state, accept_thread: Some(accept_thread) })
+        .spawn(move || accept_loop(listener, accept_state))?;
+    Ok(ServerHandle { addr, state, accept_thread })
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServeState>, workers: usize) {
-    let executor = Arc::new(Executor::new(workers));
+fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
     let mut connection_threads: Vec<JoinHandle<()>> = Vec::new();
     while !state.shutdown.load(Ordering::SeqCst) && !signal::requested() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let conn_state = Arc::clone(&state);
-                let executor = Arc::clone(&executor);
-                state.in_flight.fetch_add(1, Ordering::SeqCst);
                 let t = std::thread::Builder::new()
                     .name("castg-serve-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_state, &executor);
-                        conn_state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    });
-                match t {
-                    Ok(t) => connection_threads.push(t),
-                    Err(_) => {
-                        state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
+                    .spawn(move || handle_connection(stream, &conn_state));
+                if let Ok(t) = t {
+                    connection_threads.push(t);
                 }
                 // Prune finished connection threads opportunistically.
                 connection_threads.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
     state.shutdown.store(true, Ordering::SeqCst);
-    // Drain: wait for in-flight connections (bounded), then join the
-    // pool so queued campaigns finish before the process exits.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while state.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // Drain: every connection finishes the request it is serving (an
+    // idle keep-alive one notices the flag within its read timeout).
     for t in connection_threads {
         let _ = t.join();
     }
-    if let Ok(executor) = Arc::try_unwrap(executor) {
-        executor.join();
-    }
 }
 
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>, executor: &Arc<Executor>) {
+fn handle_connection(mut stream: TcpStream, state: &ServeState) {
     // Short read timeout so the abort hook gets polled: an idle
     // keep-alive connection notices a drain within ~100 ms.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -305,7 +277,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>, executor: &
         state.requests.fetch_add(1, Ordering::Relaxed);
         // Finish this request but drop keep-alive once draining.
         let keep_alive = request.head.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-        let ok = route(&mut stream, state, executor, &request, keep_alive);
+        let ok = route(&mut stream, state, &request, keep_alive);
         if !ok || !keep_alive {
             return;
         }
@@ -320,47 +292,9 @@ fn error_body(kind: &str, message: &str) -> String {
     )
 }
 
-/// Runs one campaign on the worker pool, blocking this connection
-/// thread until a worker picks it up and finishes.
-fn run_pooled(
-    state: &Arc<ServeState>,
-    executor: &Executor,
-    request: CampaignRequest,
-) -> CampaignResponse {
-    let (tx, rx): (Sender<CampaignResponse>, Receiver<CampaignResponse>) = channel();
-    let job_state = Arc::clone(state);
-    let job: Job = Box::new(move || {
-        let response = job_state.engine.run_campaign(&request);
-        let _ = tx.send(response);
-    });
-    match executor.submit(job) {
-        Ok(()) => rx.recv().unwrap_or_else(|_| {
-            // The worker died without replying (its engine call never
-            // panics, so this is a shutdown race): report 503.
-            CampaignResponse {
-                status: 503,
-                body: Arc::new(error_body("shutting_down", "worker pool unavailable").into_bytes()),
-                digest_hex: None,
-                cache: crate::campaign::CacheStatus::None,
-            }
-        }),
-        Err(job) => {
-            // Pool already gone (drain race): run inline.
-            job();
-            rx.recv().expect("inline job always replies")
-        }
-    }
-}
-
 /// Dispatches one request; returns `false` when the connection should
 /// close because the response could not be written.
-fn route(
-    stream: &mut TcpStream,
-    state: &Arc<ServeState>,
-    executor: &Executor,
-    request: &Request,
-    keep_alive: bool,
-) -> bool {
+fn route(stream: &mut TcpStream, state: &ServeState, request: &Request, keep_alive: bool) -> bool {
     let head = &request.head;
     let write = |stream: &mut TcpStream,
                  status: u16,
@@ -399,7 +333,7 @@ fn route(
                     return write(stream, 400, &[], body.as_bytes());
                 }
             };
-            let response = run_pooled(state, executor, campaign_request);
+            let response = state.run_campaign(&campaign_request);
             let mut extra: Vec<(&str, &str)> = vec![("X-Castg-Cache", response.cache.as_str())];
             if let Some(digest) = &response.digest_hex {
                 extra.push(("X-Castg-Digest", digest.as_str()));
@@ -443,40 +377,22 @@ fn route(
                     }
                 }
             }
-            // Fan every job out over the shared pool, collect in order.
-            type Indexed = (usize, CampaignResponse);
-            let (tx, rx): (Sender<Indexed>, Receiver<Indexed>) = channel();
-            let n = decoded.len();
-            for (i, campaign_request) in decoded.into_iter().enumerate() {
-                let tx = tx.clone();
-                let job_state = Arc::clone(state);
-                let job: Job = Box::new(move || {
-                    let response = job_state.engine.run_campaign(&campaign_request);
-                    let _ = tx.send((i, response));
-                });
-                if let Err(job) = executor.submit(job) {
-                    job(); // drain race: run inline
-                }
-            }
-            drop(tx);
-            let mut responses: Vec<Option<CampaignResponse>> = (0..n).map(|_| None).collect();
-            for (i, response) in rx {
-                responses[i] = Some(response);
-            }
-            let mut body = String::from("{\"results\": [\n");
-            for (i, response) in responses.iter().enumerate() {
-                let r = response.as_ref().expect("every batch job replies");
-                let report = String::from_utf8_lossy(&r.body);
-                body.push_str(&format!(
-                    "{{\"status\": {}, \"cache\": \"{}\", \"digest\": \"{}\", \"report\": {}}}",
-                    r.status,
-                    r.cache.as_str(),
-                    r.digest_hex.as_deref().unwrap_or(""),
-                    report.trim_end(),
-                ));
-                body.push_str(if i + 1 < n { ",\n" } else { "\n" });
-            }
-            body.push_str("]}\n");
+            // Each job takes its own permit; results come back in order.
+            let responses =
+                fan_out(decoded.len(), state.workers, |i| state.run_campaign(&decoded[i]));
+            let results: Vec<String> = responses
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{{\"status\": {}, \"cache\": \"{}\", \"digest\": \"{}\", \"report\": {}}}",
+                        r.status,
+                        r.cache.as_str(),
+                        r.digest_hex.as_deref().unwrap_or(""),
+                        String::from_utf8_lossy(&r.body).trim_end(),
+                    )
+                })
+                .collect();
+            let body = format!("{{\"results\": [\n{}\n]}}\n", results.join(",\n"));
             write(stream, 200, &[], body.as_bytes())
         }
         (_, target) => {
@@ -552,11 +468,4 @@ pub fn serve_forever(config: ServerConfig) -> io::Result<()> {
     handle.join();
     eprintln!("castg-serve: drained, bye");
     Ok(())
-}
-
-impl ServeState {
-    /// Uptime of this server.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
-    }
 }

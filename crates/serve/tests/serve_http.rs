@@ -6,6 +6,8 @@
 //! requests land on the same cache entry.
 
 use std::path::Path;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use castg_serve::client::Client;
 use castg_serve::json::{parse_json, Json};
@@ -256,6 +258,56 @@ fn error_statuses_do_not_poison_the_daemon() {
 
     let health = client.request("GET", "/v1/health", b"").expect("health");
     assert_eq!(health.status, 200);
+
+    handle.shutdown();
+    assert!(handle.join());
+}
+
+/// With one campaign permit, campaigns that fail inside the engine — a
+/// 400 deck error, a 422 empty fault window — give the permit back: a
+/// valid campaign and a two-job batch after them still answer. A leaked
+/// permit would block the next campaign forever, so the exchange runs
+/// on its own thread under a deadline.
+#[test]
+fn one_permit_is_returned_by_failing_campaigns() {
+    let handle = spawn(ServerConfig { workers: 1, ..ServerConfig::default() })
+        .expect("daemon starts on an ephemeral port");
+    let addr = handle.addr;
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::new(addr);
+        let mut post = |route: &str, body: Vec<u8>| {
+            let r = client.request("POST", route, &body).expect("request answers");
+            (r.status, String::from_utf8_lossy(&r.body).to_string())
+        };
+        let bad_deck = campaign_body("R1 a\n", &[CFG_A]);
+        let mut empty_window = campaign_body(DECK, &[CFG_A]);
+        empty_window.truncate(empty_window.len() - 1);
+        empty_window.extend_from_slice(b", \"skip_faults\": 10000}");
+        let batch = format!(
+            "{{\"jobs\": [{}, {}]}}",
+            String::from_utf8(campaign_body(DECK, &[CFG_A])).unwrap(),
+            String::from_utf8(campaign_body(&DECK.replace("2k", "4k"), &[CFG_A])).unwrap(),
+        );
+        let answers = [
+            post("/v1/campaign", bad_deck),
+            post("/v1/campaign", empty_window),
+            post("/v1/campaign", campaign_body(DECK, &[CFG_B])),
+            post("/v1/batch", batch.into_bytes()),
+        ];
+        let _ = tx.send(answers);
+    });
+    let [bad_deck, empty_window, campaign, batch] = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("every request answers within 60 s (a leaked permit blocks the daemon)");
+
+    assert_eq!(bad_deck.0, 400, "{}", bad_deck.1);
+    assert!(bad_deck.1.contains("deck_error"), "{}", bad_deck.1);
+    assert_eq!(empty_window.0, 422, "{}", empty_window.1);
+    assert!(empty_window.1.contains("empty_dictionary"), "{}", empty_window.1);
+    assert_eq!(campaign.0, 200, "{}", campaign.1);
+    assert_eq!(batch.0, 200, "{}", batch.1);
+    assert_eq!(batch.1.matches("\"status\": 200").count(), 2, "{}", batch.1);
 
     handle.shutdown();
     assert!(handle.join());

@@ -3,7 +3,7 @@
 //!
 //! [`with_solve_budget`] installs a **thread-local overlay** spanning
 //! everything the closure runs — one fuzzed DC solve, or one
-//! `(fault, test)` campaign work item, which may perform several
+//! `(fault, test)` campaign cell, which may perform several
 //! analyses. The fault campaign engine uses it to bound each faulted
 //! measurement without threading budget parameters through the
 //! `TestConfiguration` trait.
@@ -11,7 +11,7 @@
 //! Every Newton iteration anywhere (DC ladder rungs, transient
 //! timesteps, gmin stages, sub-step retries) charges the overlay
 //! through [`IterBudget::charge`]. Iteration allowances are exact and
-//! deterministic: the same work item exhausts its allowance at the same
+//! deterministic: the same cell exhausts its allowance at the same
 //! iteration on any machine at any thread count. Wall-clock deadlines
 //! are checked per iteration and are inherently *non*-deterministic —
 //! campaigns that need bit-identical reports must budget by iterations
@@ -56,13 +56,23 @@ pub fn with_solve_budget<R>(
         c.set(effective);
         prev
     });
-    // No unwinding guard: a panic inside `f` is only ever observed by
-    // `catch_unwind` at a campaign work-item boundary, which abandons
-    // the scope wholesale and never resumes solves under it.
-    let out = f();
-    ITER_ALLOWANCE.with(|c| c.set(prev_allow));
-    DEADLINE.with(|c| c.set(prev_deadline));
-    out
+    // Restored on unwind too: a campaign catches a panicking cell and
+    // runs its next cell, and later unbudgeted solves, on this thread.
+    let _restore = Restore { allow: prev_allow, deadline: prev_deadline };
+    f()
+}
+
+/// Puts back the overlay a [`with_solve_budget`] scope replaced.
+struct Restore {
+    allow: Option<usize>,
+    deadline: Option<(Instant, u64)>,
+}
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        ITER_ALLOWANCE.with(|c| c.set(self.allow));
+        DEADLINE.with(|c| c.set(self.deadline));
+    }
 }
 
 /// One analysis run's handle on the thread's [`with_solve_budget`]
@@ -201,6 +211,16 @@ mod tests {
             }
             assert!(b.charge().is_err());
         });
+    }
+
+    #[test]
+    fn a_panicking_scope_restores_the_overlay() {
+        let caught = std::panic::catch_unwind(|| {
+            with_solve_budget(Some(1), Some(0), || panic!("cell panics"));
+        });
+        assert!(caught.is_err());
+        assert_eq!(ITER_ALLOWANCE.with(|c| c.get()), None);
+        assert_eq!(DEADLINE.with(|c| c.get()), None);
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl MnaSolver {
     /// The sparse arm seeds its LU workspace with the plan's canonical
     /// symbolic analysis under `ordering` (computed once per plan,
     /// shared by `Arc`), so every analysis of the same circuit — across
-    /// tests, threads and fault-campaign work items — starts refactoring
+    /// tests, threads and fault-campaign cells — starts refactoring
     /// numerically instead of re-running the symbolic DFS, and factors
     /// under the same column permutation everywhere. When the canonical
     /// matrix is singular (no shareable skeleton), the resolved ordering

@@ -14,8 +14,8 @@
 //!     --param NAME=VALUE   set/override a deck `.param` (repeatable)
 //!     --threads N          worker threads                 [all cores]
 //!     --max-newton-iters N Newton-iteration allowance per (fault, test)
-//!                          coverage work item (deterministic budget)
-//!     --budget-ms MS       wall-clock budget per coverage work item
+//!                          coverage cell (deterministic budget)
+//!     --budget-ms MS       wall-clock budget per coverage cell
 //!                          (machine-dependent; see --max-newton-iters)
 //!     --strict             exit 1 when any fault's outcome is
 //!                          unconverged, timed out or panicked (default:
@@ -56,7 +56,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use castg::core::report::{render_json_report, render_pipeline_report};
-use castg::core::{run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions, PipelineError};
+use castg::core::{
+    default_threads, run_pipeline, AnalogMacro, CampaignOptions, GeneratorOptions, PipelineError,
+};
 use castg::faults::BridgeDerivation;
 use castg::netlist::{parse_deck_with_params, parse_number, NetlistMacro, NetlistMacroOptions};
 use castg::serve::ServerConfig;
@@ -119,7 +121,7 @@ fn parse_generate_args(args: &[String]) -> Result<GenerateArgs, String> {
     let mut params = Vec::new();
     let mut skip_faults = 0usize;
     let mut max_faults = None;
-    let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let mut threads = default_threads();
     let mut max_newton_iters = None;
     let mut budget_ms = None;
     let mut strict = false;

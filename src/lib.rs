@@ -56,7 +56,7 @@
 //! flow. Its compute-bound halves — per-fault generation
 //! ([`core::Generator::generate`]) and test-set coverage
 //! ([`core::evaluate_campaign`]) — both fan their independent faults
-//! out over crossbeam worker queues and share one nominal-measurement
+//! out through [`core::fan_out`] and share one nominal-measurement
 //! cache across threads.
 //!
 //! # Quickstart

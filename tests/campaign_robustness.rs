@@ -9,13 +9,13 @@ use std::sync::Arc;
 
 use castg::core::{
     check_params, evaluate_campaign, AnalogMacro, CampaignOptions, ConfigDescription,
-    CoreError, FaultOutcome, Measurement, NominalCache, ParamSpec, PortAction,
+    CoreError, CoverageReport, FaultOutcome, Measurement, NominalCache, ParamSpec, PortAction,
     TestConfiguration, TestInstance,
 };
 use castg::core::synthetic::{LadderMacro, MeshMacro, OtaChainMacro};
 use castg::faults::{Fault, FaultDictionary};
 use castg::numeric::{Bounds, ParamSpace};
-use castg::spice::{Circuit, DcAnalysis, MosParams, MosPolarity, Waveform};
+use castg::spice::{Circuit, DcAnalysis, DeviceKind, MosParams, MosPolarity, Waveform};
 use proptest::prelude::*;
 
 /// A two-transistor macro built to host pathological fault variants.
@@ -228,6 +228,151 @@ fn pathological_tallies_are_bit_identical_across_thread_counts() {
         let parallel = run(threads);
         assert_eq!(parallel.per_fault, serial.per_fault, "threads = {threads}");
         assert_eq!(parallel.tally(), serial.tally(), "threads = {threads}");
+    }
+}
+
+/// What [`SabotagedConfig`] does on its target variant.
+#[derive(Debug, Clone, Copy)]
+enum Sabotage {
+    /// `measure` panics.
+    Panic,
+    /// `measure` returns a configuration error: a contract violation,
+    /// not a simulation breakdown.
+    ConfigError,
+}
+
+/// [`PathologicalDcConfig`], except that `measure` sabotages any
+/// variant whose `F_bridge` joins the two `target` nodes; every other
+/// circuit, the nominal included, measures as usual.
+#[derive(Debug)]
+struct SabotagedConfig {
+    target: [&'static str; 2],
+    sabotage: Sabotage,
+}
+
+impl SabotagedConfig {
+    fn is_target(&self, circuit: &Circuit) -> bool {
+        let Some(bridge) = circuit.device("F_bridge") else { return false };
+        let DeviceKind::Resistor { a, b, .. } = *bridge.kind() else { return false };
+        let mut nodes = [circuit.node_name(a), circuit.node_name(b)];
+        nodes.sort_unstable();
+        let mut target = self.target;
+        target.sort_unstable();
+        nodes == target
+    }
+}
+
+impl TestConfiguration for SabotagedConfig {
+    fn id(&self) -> usize {
+        PathologicalDcConfig.id()
+    }
+
+    fn name(&self) -> &str {
+        "dc_out"
+    }
+
+    fn param_names(&self) -> Vec<String> {
+        PathologicalDcConfig.param_names()
+    }
+
+    fn space(&self) -> ParamSpace {
+        PathologicalDcConfig.space()
+    }
+
+    fn seed(&self) -> Vec<f64> {
+        PathologicalDcConfig.seed()
+    }
+
+    fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
+        if self.is_target(circuit) {
+            match self.sabotage {
+                Sabotage::Panic => panic!("deliberate panic on the target variant"),
+                Sabotage::ConfigError => return Err(sabotage_error()),
+            }
+        }
+        PathologicalDcConfig.measure(circuit, params)
+    }
+
+    fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {
+        PathologicalDcConfig.return_values(measured, nominal)
+    }
+
+    fn tolerance_box(&self, params: &[f64], nominal: &[f64]) -> Vec<f64> {
+        PathologicalDcConfig.tolerance_box(params, nominal)
+    }
+
+    fn description(&self) -> ConfigDescription {
+        PathologicalDcConfig.description()
+    }
+}
+
+fn sabotage_error() -> CoreError {
+    CoreError::Configuration {
+        config: "dc_out".into(),
+        reason: "deliberate error on the target variant".into(),
+    }
+}
+
+/// Two DC levels of `config`: with the five pathological faults that is
+/// ten cells, enough for every worker count below to run in parallel.
+fn two_level_tests(config: Arc<dyn TestConfiguration>) -> Vec<TestInstance> {
+    [4.5, 5.5]
+        .into_iter()
+        .map(|lev| TestInstance { config: Arc::clone(&config), params: vec![lev] })
+        .collect()
+}
+
+fn pathological_campaign(
+    tests: &[TestInstance],
+    threads: usize,
+) -> Result<CoverageReport, CoreError> {
+    let mac = PathologicalMacro;
+    let cache = NominalCache::new();
+    let options = CampaignOptions { threads, ..CampaignOptions::default() };
+    evaluate_campaign(&mac, &cache, tests, &mac.fault_dictionary(), &options)
+}
+
+/// A cell that panics is caught where it ran: its fault's row is
+/// `Panicked`, every other row is what the campaign reports without the
+/// panic, and the report is the same at any worker count.
+#[test]
+fn a_panicking_variant_is_isolated_to_its_fault() {
+    let clean = pathological_campaign(&two_level_tests(Arc::new(PathologicalDcConfig)), 1)
+        .expect("the unsabotaged campaign completes");
+    let sabotaged = two_level_tests(Arc::new(SabotagedConfig {
+        target: ["g1", "neg"],
+        sabotage: Sabotage::Panic,
+    }));
+    let serial = pathological_campaign(&sabotaged, 1).expect("a panic never aborts the campaign");
+
+    assert_eq!(serial.per_fault.len(), clean.per_fault.len());
+    assert_eq!(serial.per_fault[0].fault, "bridge(g1,neg)");
+    assert_eq!(serial.per_fault[0].outcome, FaultOutcome::Panicked);
+    assert!(!serial.per_fault[0].detected, "a fault whose every cell panicked is not detected");
+    assert_eq!(serial.per_fault[1..], clean.per_fault[1..]);
+    assert_eq!(serial.tally().panicked, 1);
+    assert_eq!(serial.tally().suspect(), clean.tally().suspect() + 1);
+
+    for threads in [2, 4, 8] {
+        let parallel = pathological_campaign(&sabotaged, threads).expect("campaign completes");
+        assert_eq!(parallel.per_fault, serial.per_fault, "threads = {threads}");
+        assert_eq!(parallel.tally(), serial.tally(), "threads = {threads}");
+        assert_eq!(parallel.ladder, serial.ladder, "threads = {threads}");
+    }
+}
+
+/// A contract violation on a faulted variant is a hard error, not an
+/// outcome: the campaign returns it at any worker count.
+#[test]
+fn a_hard_error_on_one_variant_fails_the_campaign() {
+    let tests = two_level_tests(Arc::new(SabotagedConfig {
+        target: ["out", "g1"],
+        sabotage: Sabotage::ConfigError,
+    }));
+    for threads in [1, 2, 4] {
+        let err = pathological_campaign(&tests, threads)
+            .expect_err("a configuration error is not a typed outcome");
+        assert_eq!(err, sabotage_error(), "threads = {threads}");
     }
 }
 

@@ -19,10 +19,27 @@ fn write_deck(dir: &std::path::Path, name: &str, text: &str) -> std::path::PathB
     path
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+/// A per-test scratch directory, removed with its contents on drop.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("castg-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 #[test]
@@ -202,7 +219,6 @@ fn generate_fails_when_every_fault_fails_generation() {
     assert_eq!(stderr.matches("generation failed for").count(), 3, "stderr: {stderr}");
     assert!(stderr.contains("3 of 3 faults failed generation"), "stderr: {stderr}");
     assert!(!json.exists(), "a failed run must not write its --json summary");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
