@@ -123,10 +123,10 @@ pub fn fig5_tolerance_box() {
 
     // Faulty response → R(T)₂ (only a faulty macro can produce it).
     let fault = Fault::bridge("na", "out", 10e3);
-    let rep1 = ev1.evaluate(&fault, &level).expect("fault evaluation");
-    let rep2 = ev2.evaluate(&fault, &level).expect("fault evaluation");
-    let f1 = rep1.faulty_returns[0] - rep1.nominal_returns[0];
-    let f2 = rep2.faulty_returns[0] - rep2.nominal_returns[0];
+    let fm1 = c1.measure(&ev1.inject(&fault).expect("injection"), &level).expect("faulty run");
+    let fm2 = c2.measure(&ev2.inject(&fault).expect("injection"), &level).expect("faulty run");
+    let f1 = c1.return_values(&fm1, &nom1)[0] - c1.return_values(&nom1, &nom1)[0];
+    let f2 = c2.return_values(&fm2, &nom2)[0] - c2.return_values(&nom2, &nom2)[0];
     rows.push_row(vec![
         "R(T)_2: faulty macro, bridge(na,out)".into(),
         format!("{f1:.4e}"),

@@ -129,6 +129,7 @@ pub fn bjt_macro(fixtures: &std::path::Path) -> castg_netlist::NetlistMacro {
         &fixtures.join("bjt_opamp.sp"),
         &fixtures.join("bjt_configs"),
         castg_netlist::NetlistMacroOptions::default(),
+        &[],
     )
     .expect("bjt op-amp deck fixtures parse")
 }
@@ -142,6 +143,7 @@ pub fn netlist_macro(fixtures: &std::path::Path) -> castg_netlist::NetlistMacro 
         &fixtures.join("divider.sp"),
         &fixtures.join("divider_configs"),
         castg_netlist::NetlistMacroOptions::default(),
+        &[],
     )
     .expect("divider deck fixtures parse")
 }

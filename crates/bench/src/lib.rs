@@ -76,6 +76,7 @@ pub fn iv_macro(calibrated: bool) -> NetlistMacro {
         &fixtures.join("iv_converter.sp"),
         &fixtures.join("iv_configs"),
         NetlistMacroOptions::default(),
+        &[],
     )
     .expect("IV-converter deck fixtures parse");
     if !calibrated {

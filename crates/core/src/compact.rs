@@ -209,9 +209,17 @@ fn collapse_cluster(
         for &m in &survivors {
             let t = tests[m];
             let circuit = ev.inject(&t.fault.with_impact_scale(1.0))?;
-            let s_collapsed = ev.sensitivity_of(&circuit, &centroid)?;
+            let (s_collapsed, _) = ev.sensitivity_outcome(&circuit, &centroid)?;
             let s_opt = t.sensitivity_at_dictionary;
-            if s_collapsed <= s_opt + options.delta * (1.0 - s_opt) {
+            // With δ < 1 the bound tends to `s_opt` itself as `s_opt`
+            // goes infinite (a zero box scores −∞); written out it
+            // would be NaN and reject every member.
+            let bound = if s_opt.is_infinite() {
+                s_opt
+            } else {
+                s_opt + options.delta * (1.0 - s_opt)
+            };
+            if s_collapsed <= bound {
                 kept.push(m);
             } else {
                 ejected.push(m);
@@ -330,6 +338,45 @@ mod tests {
             &CompactionOptions { radius: 0.0, ..CompactionOptions::default() }
         )
         .is_err());
+    }
+
+    /// The divider under a DC configuration with no `box_*` variables:
+    /// a zero tolerance box, so every deviation scores `S_f = −∞`.
+    struct ZeroBoxDivider(DividerMacro);
+
+    impl AnalogMacro for ZeroBoxDivider {
+        fn name(&self) -> &str {
+            "zero_box_divider"
+        }
+        fn macro_type(&self) -> &str {
+            self.0.macro_type()
+        }
+        fn nominal_circuit(&self) -> castg_spice::Circuit {
+            self.0.nominal_circuit()
+        }
+        fn fault_dictionary(&self) -> castg_faults::FaultDictionary {
+            self.0.fault_dictionary()
+        }
+        fn configurations(&self) -> Vec<std::sync::Arc<dyn TestConfiguration>> {
+            let text = "macro type: R-divider\ntest configuration: DC output\n\
+                        control V1: dc(lev)\nobserve out: dc()\nreturn: dV(out)\n\
+                        parameter lev: 1 .. 8\nseed lev: 5\n";
+            let descr = crate::ConfigDescription::parse(text).unwrap();
+            vec![std::sync::Arc::new(crate::DescribedConfig::new(1, descr).unwrap())]
+        }
+    }
+
+    #[test]
+    fn zero_box_members_pass_the_screen() {
+        let mac = ZeroBoxDivider(DividerMacro::new());
+        let cache = NominalCache::new();
+        let report =
+            Generator::with_options(&mac, &cache, quick_options()).generate(&mac.fault_dictionary());
+        assert_eq!(report.tests.len(), 3);
+        assert!(report.tests.iter().all(|t| t.sensitivity_at_dictionary == f64::NEG_INFINITY));
+        let comp = compact(&mac, &cache, &report, &CompactionOptions::default()).unwrap();
+        assert_eq!(comp.screen_rejections, 0);
+        assert!(comp.tests.len() < 3, "{} tests from 3", comp.tests.len());
     }
 
     #[test]

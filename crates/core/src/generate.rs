@@ -407,8 +407,10 @@ impl<'a> Generator<'a> {
             evals.fetch_add(1, Ordering::Relaxed);
             // Injection cannot fail here (already injected); nominal
             // failure means this parameter region is unusable.
-            memo.get_or_measure(config_idx, soft, params, || ev.sensitivity_of(&faulty, params))
-                .unwrap_or(f64::INFINITY)
+            memo.get_or_measure(config_idx, soft, params, || {
+                ev.sensitivity_outcome(&faulty, params).map(|(s, _)| s)
+            })
+            .unwrap_or(f64::INFINITY)
         };
 
         let seed = space.clamp(&config.seed());
@@ -613,7 +615,7 @@ impl<'a> Generator<'a> {
     ) -> Result<f64, CoreError> {
         memo.get_or_measure(config_idx, fault, params, || {
             let ev = Evaluator::new(self.configs[config_idx].as_ref(), &self.nominal, self.cache);
-            ev.sensitivity_of(&ev.inject(fault)?, params)
+            ev.sensitivity_outcome(&ev.inject(fault)?, params).map(|(s, _)| s)
         })
     }
 }
@@ -832,9 +834,6 @@ pub(crate) mod tests {
             }
             fn nominal_circuit(&self) -> Circuit {
                 Circuit::new()
-            }
-            fn fault_site_nodes(&self) -> Vec<String> {
-                vec![]
             }
             fn fault_dictionary(&self) -> FaultDictionary {
                 FaultDictionary::default()

@@ -137,8 +137,5 @@ pub use interp::DescribedConfig;
 pub use macro_def::AnalogMacro;
 pub use pipeline::{run_pipeline, PipelineError, PipelineRun, PipelineTimings};
 pub use pool::{default_threads, fan_out};
-pub use sensitivity::{
-    is_detected, sensitivity, Evaluator, SensitivityReport, SimFailure,
-    SENSITIVITY_SIM_FAILURE,
-};
+pub use sensitivity::{is_detected, sensitivity, Evaluator, SimFailure, SENSITIVITY_SIM_FAILURE};
 pub use tps::{tps_graph, tps_profile, TpsGraph};

@@ -26,9 +26,6 @@ pub trait AnalogMacro: Send + Sync {
     /// The fault-free netlist.
     fn nominal_circuit(&self) -> Circuit;
 
-    /// Names of the nodes considered as bridging-fault sites.
-    fn fault_site_nodes(&self) -> Vec<String>;
-
     /// The modeled-fault dictionary for this macro (the paper's
     /// exhaustive 45-bridge + 10-pinhole list for the IV-converter).
     fn fault_dictionary(&self) -> FaultDictionary;
@@ -49,7 +46,7 @@ mod tests {
         assert!(!m.macro_type().is_empty());
         let c = m.nominal_circuit();
         assert!(c.node_count() > 1);
-        assert!(!m.fault_site_nodes().is_empty());
+        assert!(!castg_faults::fault_site_nets(&c).is_empty());
         assert!(!m.fault_dictionary().is_empty());
         assert!(!m.configurations().is_empty());
         // Every fault in the dictionary must inject cleanly.

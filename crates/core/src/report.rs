@@ -123,6 +123,15 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// A JSON number in `{:e}` notation, or `null` when `v` is not finite.
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:e}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Canonical machine-readable rendering of one macro's pipeline
 /// outcome: the JSON summary `castg generate --json` writes and the
 /// body `castg serve` returns for `POST /v1/campaign`. One shape,
@@ -130,6 +139,11 @@ pub fn json_escape(s: &str) -> String {
 /// `tests/golden/json_report.json` fixture (the run's timings excepted —
 /// they are wall-clock, reported verbatim, and zeroed in the golden
 /// run). `threads` is the worker count the producer ran with.
+///
+/// Non-finite numbers are written as `null`, since JSON has no
+/// spelling for them: a `best_sensitivity` of −∞ (a deviation under a
+/// zero tolerance box, which is infinitely tight) reads `null`, and the
+/// fault's `detected` and `outcome` fields still carry the verdict.
 pub fn render_json_report(
     macro_name: &str,
     macro_type: &str,
@@ -189,11 +203,11 @@ pub fn render_json_report(
         let _ = writeln!(
             s,
             "    {{\"fault\": \"{}\", \"detected\": {}, \"best_test\": {}, \
-             \"best_sensitivity\": {:e}, \"outcome\": \"{}\"}}{comma}",
+             \"best_sensitivity\": {}, \"outcome\": \"{}\"}}{comma}",
             json_escape(&f.fault),
             f.detected,
             f.best_test,
-            f.best_sensitivity,
+            json_num(f.best_sensitivity),
             json_escape(&f.outcome.to_string()),
         );
     }

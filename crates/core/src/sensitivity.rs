@@ -1,5 +1,7 @@
-//! The sensitivity cost function `S_f(T_tc)` (§3.1) and its evaluation
-//! against nominal/faulty circuit pairs.
+//! The sensitivity cost function `S_f(T_tc)` (§3.1) and the one place
+//! a faulted variant is scored against its nominal:
+//! [`Evaluator::sensitivity_outcome`]. Generation, compaction, the
+//! tps-graph sweeps and the fault campaign all score through it.
 
 use std::sync::Arc;
 
@@ -77,30 +79,27 @@ fn classify_sim_failure(e: SpiceError) -> Result<SimFailure, SpiceError> {
 /// * `S < 0` — detection: the deviation exceeds the box.
 ///
 /// Non-positive or non-finite boxes for a deviating return count as
-/// immediate detection (an infinitely tight box); an empty input yields
-/// `1.0` (nothing measured — nothing detected).
+/// immediate detection (an infinitely tight box, `S = −∞`); an empty
+/// input yields `1.0` (nothing measured — nothing detected).
 pub fn sensitivity(deviations: &[f64], boxes: &[f64]) -> f64 {
     debug_assert_eq!(deviations.len(), boxes.len());
-    let mut s_min = 1.0_f64;
-    for (dev, b) in deviations.iter().zip(boxes) {
-        s_min = s_min.min(per_return_sensitivity(*dev, *b));
-    }
-    s_min
+    min_sensitivity(deviations.iter().copied().zip(boxes.iter().copied()))
 }
 
-/// The per-return-value sensitivity term of `S_f(T)` — the single
-/// source of truth shared by [`sensitivity`] and the fold in
-/// [`Evaluator::sensitivity_of`], so the report path and the lean
-/// scalar path cannot drift apart.
-#[inline]
-fn per_return_sensitivity(dev: f64, b: f64) -> f64 {
-    if b > 0.0 && b.is_finite() {
-        1.0 - dev.abs() / b
-    } else if dev.abs() > 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        1.0
-    }
+/// The per-return term of `S_f(T)` and its min fold over
+/// `(deviation, box)` pairs, written once for [`sensitivity`] and
+/// [`Evaluator::sensitivity_outcome`].
+fn min_sensitivity(terms: impl Iterator<Item = (f64, f64)>) -> f64 {
+    terms.fold(1.0_f64, |s_min, (dev, b)| {
+        let term = if b > 0.0 && b.is_finite() {
+            1.0 - dev.abs() / b
+        } else if dev.abs() > 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            1.0
+        };
+        s_min.min(term)
+    })
 }
 
 /// Whether a sensitivity value means the fault is detected.
@@ -108,30 +107,15 @@ pub fn is_detected(s: f64) -> bool {
     s < 0.0
 }
 
-/// One full sensitivity evaluation: parameters, nominal/faulty return
-/// values, boxes and the resulting `S_f`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensitivityReport {
-    /// Parameter vector the test was applied with.
-    pub params: Vec<f64>,
-    /// Nominal return values `R_nom(T)`.
-    pub nominal_returns: Vec<f64>,
-    /// Faulty return values `R_f(T)`.
-    pub faulty_returns: Vec<f64>,
-    /// Tolerance-box half-widths.
-    pub boxes: Vec<f64>,
-    /// The sensitivity `S_f(T)`.
-    pub sensitivity: f64,
-    /// Whether the faulty simulation failed (counted as detection).
-    pub sim_failure: bool,
-}
-
-/// Evaluates sensitivities of one configuration for one macro, caching
-/// nominal measurements (which are fault-independent) across calls.
+/// Scores faulted variants under one configuration for one macro,
+/// caching nominal measurements (which are fault-independent) across
+/// calls.
 ///
 /// This is the inner loop of everything in this crate: tps-graph sweeps,
-/// the per-fault optimizations, the impact searches and the compaction
-/// screen all evaluate `S_f(T)` through an `Evaluator`.
+/// the per-fault optimizations, the impact searches, the compaction
+/// screen and the campaign all compute `S_f(T)` through
+/// [`sensitivity_outcome`](Evaluator::sensitivity_outcome), the one
+/// place a faulted variant is scored.
 pub struct Evaluator<'a> {
     config: &'a dyn TestConfiguration,
     nominal_circuit: &'a Circuit,
@@ -154,8 +138,8 @@ impl<'a> Evaluator<'a> {
         self.config
     }
 
-    /// Injects a fault into the evaluator's nominal circuit (convenience
-    /// for callers that sweep parameters over one injected circuit).
+    /// Injects a fault into the evaluator's nominal circuit (callers
+    /// that sweep parameters score one injected circuit many times).
     ///
     /// # Errors
     ///
@@ -176,113 +160,20 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Full sensitivity evaluation of `fault` (at its current impact) at
-    /// `params`, simulating the injected faulty circuit.
+    /// `S_f(T)` of an injected faulty circuit at `params` (see
+    /// [`sensitivity`] for the formula) and, when the faulted
+    /// simulation broke down, *why* (`None` means it simulated cleanly).
     ///
-    /// A faulty-circuit convergence failure is not an error: it returns a
-    /// report with [`SENSITIVITY_SIM_FAILURE`] and `sim_failure = true`.
-    ///
-    /// # Errors
-    ///
-    /// Fault-injection errors and *nominal* simulation failures propagate.
-    pub fn evaluate(&self, fault: &Fault, params: &[f64]) -> Result<SensitivityReport, CoreError> {
-        let faulty_circuit = fault.inject(self.nominal_circuit)?;
-        self.evaluate_injected(&faulty_circuit, params)
-    }
-
-    /// Measures the faulty circuit, mapping a simulation breakdown
-    /// (non-convergence, singular system, numerical failure, budget
-    /// overrun — a grossly broken device) to `Ok(Err(classification))`.
-    /// The single home of the sim-failure error set, shared by the
-    /// report and the lean scalar paths.
-    fn measure_faulty(
-        &self,
-        faulty_circuit: &Circuit,
-        params: &[f64],
-    ) -> Result<Result<Measurement, SimFailure>, CoreError> {
-        match self.config.measure(faulty_circuit, params) {
-            Ok(m) => Ok(Ok(m)),
-            Err(CoreError::Simulation(e)) => match classify_sim_failure(e) {
-                Ok(failure) => Ok(Err(failure)),
-                Err(hard) => Err(CoreError::Simulation(hard)),
-            },
-            Err(other) => Err(other),
-        }
-    }
-
-    /// Like [`Evaluator::evaluate`] but takes an already injected faulty
-    /// circuit (callers that sweep parameters reuse one injection).
+    /// A breakdown — non-convergence, a singular system, a numerical
+    /// failure or a budget overrun, the marks of a grossly broken
+    /// device — is not an error: it scores [`SENSITIVITY_SIM_FAILURE`]
+    /// with its [`SimFailure`] classification.
     ///
     /// # Errors
     ///
-    /// As for [`Evaluator::evaluate`].
-    pub fn evaluate_injected(
-        &self,
-        faulty_circuit: &Circuit,
-        params: &[f64],
-    ) -> Result<SensitivityReport, CoreError> {
-        let nominal_m = self.nominal(params)?;
-        let nominal_returns = self.config.return_values(&nominal_m, &nominal_m);
-        let boxes = self.config.tolerance_box(params, &nominal_returns);
-
-        match self.measure_faulty(faulty_circuit, params)? {
-            Ok(faulty_m) => {
-                let faulty_returns = self.config.return_values(&faulty_m, &nominal_m);
-                let deviations: Vec<f64> = faulty_returns
-                    .iter()
-                    .zip(&nominal_returns)
-                    .map(|(f, n)| f - n)
-                    .collect();
-                let s = sensitivity(&deviations, &boxes);
-                Ok(SensitivityReport {
-                    params: params.to_vec(),
-                    nominal_returns,
-                    faulty_returns,
-                    boxes,
-                    sensitivity: s,
-                    sim_failure: false,
-                })
-            }
-            Err(_) => Ok(SensitivityReport {
-                params: params.to_vec(),
-                faulty_returns: vec![f64::NAN; nominal_returns.len()],
-                nominal_returns,
-                boxes,
-                sensitivity: SENSITIVITY_SIM_FAILURE,
-                sim_failure: true,
-            }),
-        }
-    }
-
-    /// Just the sensitivity value (the optimizer objective and the
-    /// campaign engine's work-item kernel).
-    ///
-    /// Identical — bit for bit — to
-    /// [`evaluate_injected`](Evaluator::evaluate_injected)`.sensitivity`,
-    /// but skips materializing the [`SensitivityReport`] (parameter
-    /// copies, deviation vectors): campaigns call this millions of
-    /// times and keep only the scalar.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Evaluator::evaluate`].
-    pub fn sensitivity_of(
-        &self,
-        faulty_circuit: &Circuit,
-        params: &[f64],
-    ) -> Result<f64, CoreError> {
-        self.sensitivity_outcome(faulty_circuit, params).map(|(s, _)| s)
-    }
-
-    /// [`sensitivity_of`](Evaluator::sensitivity_of) plus the breakdown
-    /// classification: the scalar sensitivity and, when the faulted
-    /// simulation broke down, *why* (`None` means it simulated
-    /// cleanly). The campaign engine's work-item kernel — the
-    /// sensitivity is bit-identical to the other two paths.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Evaluator::evaluate`].
+    /// *Nominal* simulation failures and faulted-simulation errors
+    /// outside the breakdown set (unknown devices, invalid analyses)
+    /// propagate.
     pub fn sensitivity_outcome(
         &self,
         faulty_circuit: &Circuit,
@@ -291,21 +182,17 @@ impl<'a> Evaluator<'a> {
         let nominal_m = self.nominal(params)?;
         let nominal_returns = self.config.return_values(&nominal_m, &nominal_m);
         let boxes = self.config.tolerance_box(params, &nominal_returns);
-        match self.measure_faulty(faulty_circuit, params)? {
-            Ok(faulty_m) => {
-                let faulty_returns = self.config.return_values(&faulty_m, &nominal_m);
-                // Fold `sensitivity` over on-the-fly deviations: the
-                // same `f − n` pairs through the same per-return term,
-                // in the same order as the report path, so the fold
-                // rounds identically.
-                let mut s_min = 1.0_f64;
-                for ((f, n), b) in faulty_returns.iter().zip(&nominal_returns).zip(&boxes) {
-                    s_min = s_min.min(per_return_sensitivity(f - n, *b));
-                }
-                Ok((s_min, None))
+        let faulty_m = match self.config.measure(faulty_circuit, params) {
+            Ok(m) => m,
+            Err(CoreError::Simulation(e)) => {
+                let failure = classify_sim_failure(e).map_err(CoreError::Simulation)?;
+                return Ok((SENSITIVITY_SIM_FAILURE, Some(failure)));
             }
-            Err(failure) => Ok((SENSITIVITY_SIM_FAILURE, Some(failure))),
-        }
+            Err(other) => return Err(other),
+        };
+        let faulty_returns = self.config.return_values(&faulty_m, &nominal_m);
+        let deviations = faulty_returns.iter().zip(&nominal_returns).map(|(f, n)| f - n);
+        Ok((min_sensitivity(deviations.zip(boxes.iter().copied())), None))
     }
 }
 
@@ -353,11 +240,10 @@ mod tests {
         let ev = Evaluator::new(config, &circuit, &cache);
 
         // Strong bridge across the lower divider resistor.
-        let fault = castg_faults::Fault::bridge("out", "0", 100.0);
-        let report = ev.evaluate(&fault, &config.seed()).unwrap();
-        assert!(report.sensitivity < 0.0, "S = {}", report.sensitivity);
-        assert!(!report.sim_failure);
-        assert_eq!(report.boxes.len(), report.nominal_returns.len());
+        let faulty = ev.inject(&castg_faults::Fault::bridge("out", "0", 100.0)).unwrap();
+        let (s, failure) = ev.sensitivity_outcome(&faulty, &config.seed()).unwrap();
+        assert!(s < 0.0, "S = {s}");
+        assert_eq!(failure, None);
     }
 
     #[test]
@@ -370,29 +256,10 @@ mod tests {
         let ev = Evaluator::new(config, &circuit, &cache);
 
         // A 100 MΩ bridge barely moves a 1 kΩ divider.
-        let fault = castg_faults::Fault::bridge("out", "0", 100e6);
-        let report = ev.evaluate(&fault, &config.seed()).unwrap();
-        assert!(report.sensitivity > 0.0, "S = {}", report.sensitivity);
-    }
-
-    /// The lean scalar path must agree bit for bit with the full
-    /// report path, detection and non-detection alike.
-    #[test]
-    fn sensitivity_of_matches_report_path_bitwise() {
-        let mac = DividerMacro::new();
-        let circuit = mac.nominal_circuit();
-        let cache = NominalCache::new();
-        let configs = mac.configurations();
-        for config in &configs {
-            let ev = Evaluator::new(config.as_ref(), &circuit, &cache);
-            for ohms in [100.0, 100e6] {
-                let fault = castg_faults::Fault::bridge("out", "0", ohms);
-                let faulty = ev.inject(&fault).unwrap();
-                let report = ev.evaluate_injected(&faulty, &config.seed()).unwrap();
-                let lean = ev.sensitivity_of(&faulty, &config.seed()).unwrap();
-                assert_eq!(report.sensitivity.to_bits(), lean.to_bits());
-            }
-        }
+        let faulty = ev.inject(&castg_faults::Fault::bridge("out", "0", 100e6)).unwrap();
+        let (s, failure) = ev.sensitivity_outcome(&faulty, &config.seed()).unwrap();
+        assert!(s > 0.0, "S = {s}");
+        assert_eq!(failure, None);
     }
 
     #[test]

@@ -167,14 +167,8 @@ impl AnalogMacro for DividerMacro {
         c
     }
 
-    fn fault_site_nodes(&self) -> Vec<String> {
-        vec!["vin".into(), "mid".into(), "out".into()]
-    }
-
     fn fault_dictionary(&self) -> FaultDictionary {
-        let nodes = self.fault_site_nodes();
-        let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
-        FaultDictionary::new(exhaustive_bridge_faults(&refs, 10e3))
+        FaultDictionary::new(exhaustive_bridge_faults(&["vin", "mid", "out"], 10e3))
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
@@ -318,7 +312,7 @@ impl AnalogMacro for LadderMacro {
         c
     }
 
-    fn fault_site_nodes(&self) -> Vec<String> {
+    fn fault_dictionary(&self) -> FaultDictionary {
         // `in` plus FAULT_TAPS evenly spaced taps (the last is `out`).
         // Round up: taps are numbered from 1, so flooring would name a
         // nonexistent `n0` on ladders shorter than FAULT_TAPS sections.
@@ -327,14 +321,9 @@ impl AnalogMacro for LadderMacro {
             sites.push(self.tap_name((k * self.sections).div_ceil(Self::FAULT_TAPS)));
         }
         sites.dedup();
-        sites
-    }
-
-    fn fault_dictionary(&self) -> FaultDictionary {
-        let nodes = self.fault_site_nodes();
-        let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
+        let refs: Vec<&str> = sites.iter().map(String::as_str).collect();
         let mut faults = exhaustive_bridge_faults(&refs, Self::BRIDGE_R0);
-        faults.extend(nodes.iter().map(|n| Fault::bridge(n.clone(), "0", Self::BRIDGE_R0)));
+        faults.extend(sites.iter().map(|n| Fault::bridge(n.clone(), "0", Self::BRIDGE_R0)));
         FaultDictionary::new(faults)
     }
 
@@ -519,13 +508,9 @@ impl AnalogMacro for OtaChainMacro {
         c
     }
 
-    fn fault_site_nodes(&self) -> Vec<String> {
-        self.fault_stages().iter().map(|&i| self.drain_name(i)).collect()
-    }
-
     fn fault_dictionary(&self) -> FaultDictionary {
-        let nodes = self.fault_site_nodes();
-        let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
+        let sites: Vec<String> = self.fault_stages().iter().map(|&i| self.drain_name(i)).collect();
+        let refs: Vec<&str> = sites.iter().map(String::as_str).collect();
         let mut faults = exhaustive_bridge_faults(&refs, Self::BRIDGE_R0);
         faults.extend(
             self.fault_stages().iter().map(|&i| Fault::pinhole(format!("M{i}"), Self::PINHOLE_R0)),
@@ -695,7 +680,7 @@ impl AnalogMacro for MeshMacro {
         c
     }
 
-    fn fault_site_nodes(&self) -> Vec<String> {
+    fn fault_dictionary(&self) -> FaultDictionary {
         // The two ports, the grid center, and two far-apart edge taps:
         // sites at genuinely different lattice potentials, so tap-pair
         // bridges have DC signatures.
@@ -710,14 +695,9 @@ impl AnalogMacro for MeshMacro {
                 sites.push(cand);
             }
         }
-        sites
-    }
-
-    fn fault_dictionary(&self) -> FaultDictionary {
-        let nodes = self.fault_site_nodes();
-        let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
+        let refs: Vec<&str> = sites.iter().map(String::as_str).collect();
         let mut faults = exhaustive_bridge_faults(&refs, Self::BRIDGE_R0);
-        faults.extend(nodes.iter().map(|n| Fault::bridge(n.clone(), "0", Self::BRIDGE_R0)));
+        faults.extend(sites.iter().map(|n| Fault::bridge(n.clone(), "0", Self::BRIDGE_R0)));
         FaultDictionary::new(faults)
     }
 
@@ -934,7 +914,7 @@ impl AnalogMacro for CrossbarMacro {
         c
     }
 
-    fn fault_site_nodes(&self) -> Vec<String> {
+    fn fault_dictionary(&self) -> FaultDictionary {
         let mut sites = vec![
             "in".to_string(),
             self.row_node(0, self.cols - 1),
@@ -946,12 +926,7 @@ impl AnalogMacro for CrossbarMacro {
             sites.push(gate);
         }
         sites.push("out".to_string());
-        sites
-    }
-
-    fn fault_dictionary(&self) -> FaultDictionary {
-        let nodes = self.fault_site_nodes();
-        let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
+        let refs: Vec<&str> = sites.iter().map(String::as_str).collect();
         let mut faults = exhaustive_bridge_faults(&refs, Self::BRIDGE_R0);
         faults.extend(
             (1..=self.readout_cols().len())

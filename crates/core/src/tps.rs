@@ -55,7 +55,7 @@ pub fn tps_graph(
     let mut values = Vec::with_capacity(nx * ny);
     for y in &ys {
         for x in &xs {
-            let s = evaluator.sensitivity_of(&faulty, &[*x, *y])?;
+            let (s, _) = evaluator.sensitivity_outcome(&faulty, &[*x, *y])?;
             values.push(s);
         }
     }
@@ -93,7 +93,7 @@ pub fn tps_profile(
     let faulty = evaluator.inject(fault)?;
     let mut out = Vec::with_capacity(n);
     for x in xs {
-        out.push((x, evaluator.sensitivity_of(&faulty, &[x])?));
+        out.push((x, evaluator.sensitivity_outcome(&faulty, &[x])?.0));
     }
     Ok(out)
 }

@@ -88,8 +88,9 @@
 //! ";
 //! let mac = NetlistMacro::from_deck_text("divider", deck)?;
 //!
-//! // Configurations normally come from description files
-//! // (`NetlistMacro::from_files(deck, configs_dir, options)`); build
+//! // Configurations normally come from description files, loaded
+//! // with the deck (`NetlistMacro::from_files(deck, configs_dir,
+//! // options, overrides)`, overrides being `--param` pairs); build
 //! // one inline here.
 //! let cfg = castg_core::DescribedConfig::new(1, castg_core::ConfigDescription::parse(
 //!     "macro type: R-divider\n\

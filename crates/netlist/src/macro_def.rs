@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use castg_core::{AnalogMacro, DescribedConfig, TestConfiguration};
 use castg_spice::{OrderingKind, SolverKind};
-use castg_faults::{derive_fault_dictionary, fault_site_nets, BridgeDerivation, FaultDictionary};
+use castg_faults::{derive_fault_dictionary, BridgeDerivation, FaultDictionary};
 use castg_spice::Circuit;
 
-use crate::parser::{parse_deck, Deck};
+use crate::parser::{parse_deck, parse_deck_with_params};
 use crate::NetlistError;
 
 /// Fault-derivation knobs for a parsed-deck macro.
@@ -63,7 +63,7 @@ impl Default for NetlistMacroOptions {
 /// R3 out 0 2k
 /// ";
 /// let mac = NetlistMacro::from_deck_text("divider", deck)?;
-/// assert_eq!(mac.fault_site_nodes(), vec!["vin", "mid", "out"]);
+/// assert_eq!(castg_faults::fault_site_nets(mac.circuit()), vec!["vin", "mid", "out"]);
 /// assert_eq!(mac.fault_dictionary().len(), 3); // C(3,2) bridges
 /// # Ok::<(), castg_netlist::NetlistError>(())
 /// ```
@@ -73,7 +73,6 @@ pub struct NetlistMacro {
     title: Option<String>,
     params: Vec<(String, f64)>,
     circuit: Circuit,
-    fault_sites: Vec<String>,
     dictionary: FaultDictionary,
     configs: Vec<Arc<dyn TestConfiguration>>,
 }
@@ -104,45 +103,17 @@ impl NetlistMacro {
         deck: &str,
         options: NetlistMacroOptions,
     ) -> Result<Self, NetlistError> {
-        let parsed = parse_deck(deck)?;
-        Self::from_deck_with(name, parsed, options)
-    }
-
-    /// [`from_deck_text_with`](NetlistMacro::from_deck_text_with) with
-    /// external parameter overrides (the `castg --param NAME=VALUE`
-    /// flag): each pair shadows a deck `.param` of the same name or
-    /// defines a new one before any card is lowered.
-    ///
-    /// # Errors
-    ///
-    /// As for [`from_deck_text`](NetlistMacro::from_deck_text).
-    pub fn from_deck_text_with_params(
-        name: impl Into<String>,
-        deck: &str,
-        options: NetlistMacroOptions,
-        overrides: &[(String, f64)],
-    ) -> Result<Self, NetlistError> {
-        let parsed = crate::parser::parse_deck_with_params(deck, overrides)?;
-        Self::from_deck_with(name, parsed, options)
-    }
-
-    /// Builds a macro from an already-parsed [`Deck`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::Netlist`] when the deck holds no devices.
-    pub fn from_deck_with(
-        name: impl Into<String>,
-        deck: Deck,
-        options: NetlistMacroOptions,
-    ) -> Result<Self, NetlistError> {
+        let deck = parse_deck(deck)?;
         let (title, params) = (deck.title.clone(), deck.params.clone());
         Self::from_parts(name, deck.into_circuit(), title, params, options)
     }
 
     /// Loads a macro from a deck file plus a directory of configuration
     /// description files (`*.cfg` / `*.txt`, ids assigned in file-name
-    /// order). The macro name is the deck file's stem.
+    /// order). The macro name is the deck file's stem. `overrides` are
+    /// the `castg --param NAME=VALUE` pairs: each shadows a deck
+    /// `.param` of the same name or defines a new one before any card
+    /// is lowered (`&[]` for none).
     ///
     /// # Errors
     ///
@@ -150,20 +121,6 @@ impl NetlistMacro {
     /// deck, [`NetlistError::Config`] for missing or uninterpretable
     /// descriptions.
     pub fn from_files(
-        deck_path: &Path,
-        configs_dir: &Path,
-        options: NetlistMacroOptions,
-    ) -> Result<Self, NetlistError> {
-        Self::from_files_with_params(deck_path, configs_dir, options, &[])
-    }
-
-    /// [`from_files`](NetlistMacro::from_files) with external parameter
-    /// overrides (the `castg --param NAME=VALUE` flag).
-    ///
-    /// # Errors
-    ///
-    /// As for [`from_files`](NetlistMacro::from_files).
-    pub fn from_files_with_params(
         deck_path: &Path,
         configs_dir: &Path,
         options: NetlistMacroOptions,
@@ -178,7 +135,9 @@ impl NetlistMacro {
             .and_then(|s| s.to_str())
             .unwrap_or("netlist")
             .to_string();
-        let mac = Self::from_deck_text_with_params(name, &text, options, overrides)?;
+        let deck = parse_deck_with_params(&text, overrides)?;
+        let (title, params) = (deck.title.clone(), deck.params.clone());
+        let mac = Self::from_parts(name, deck.into_circuit(), title, params, options)?;
         let configs = DescribedConfig::load_dir(configs_dir)
             .map_err(|e| NetlistError::Config { reason: e.to_string() })?;
         Ok(mac.with_configurations(configs))
@@ -231,8 +190,8 @@ impl NetlistMacro {
     /// has seen a deck's canonical bytes before hands the cached
     /// circuit back in here, and because [`Circuit`] clones share the
     /// compiled stamp plan and its symbolic analyses, the new macro
-    /// skips compile + symbolic analysis entirely — only fault-site
-    /// derivation and dictionary construction run again.
+    /// skips compile + symbolic analysis entirely — only the fault
+    /// dictionary is derived again.
     ///
     /// # Errors
     ///
@@ -247,7 +206,6 @@ impl NetlistMacro {
         if circuit.devices().is_empty() {
             return Err(NetlistError::netlist(1, "deck holds no devices"));
         }
-        let fault_sites = fault_site_nets(&circuit);
         let dictionary = derive_fault_dictionary(
             &circuit,
             options.derivation,
@@ -266,7 +224,6 @@ impl NetlistMacro {
             title,
             params,
             circuit,
-            fault_sites,
             dictionary,
             configs: Vec::new(),
         })
@@ -327,10 +284,6 @@ impl AnalogMacro for NetlistMacro {
     fn nominal_circuit(&self) -> Circuit {
         // Clones share node/device name `Arc`s and the compiled plan.
         self.circuit.clone()
-    }
-
-    fn fault_site_nodes(&self) -> Vec<String> {
-        self.fault_sites.clone()
     }
 
     fn fault_dictionary(&self) -> FaultDictionary {
@@ -429,19 +382,22 @@ seed lev: 5
 
     #[test]
     fn param_overrides_reach_the_lowered_circuit() {
-        let deck = "\
-.param rload=2k
-V1 vin 0 DC 5
-R1 vin out 1k
-R2 out 0 {rload}
-";
-        let overridden = NetlistMacro::from_deck_text_with_params(
-            "div",
-            deck,
+        let dir = std::env::temp_dir().join(format!("castg-netlist-params-{}", std::process::id()));
+        let configs = dir.join("configs");
+        std::fs::create_dir_all(&configs).unwrap();
+        let deck = ".param rload=2k\nV1 vin 0 DC 5\nR1 vin out 1k\nR2 out 0 {rload}\n";
+        std::fs::write(dir.join("div.sp"), deck).unwrap();
+        std::fs::write(configs.join("1_dc.cfg"), DC_CFG).unwrap();
+        let loaded = NetlistMacro::from_files(
+            &dir.join("div.sp"),
+            &configs,
             NetlistMacroOptions::default(),
             &[("rload".to_string(), 4e3)],
-        )
-        .unwrap();
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        let overridden = loaded.unwrap();
+        assert_eq!(overridden.name(), "div");
+        assert_eq!(overridden.configurations().len(), 1);
         assert_eq!(overridden.params(), &[("rload".to_string(), 4e3)]);
         let c = overridden.nominal_circuit();
         let r2 = c.device("R2").unwrap();

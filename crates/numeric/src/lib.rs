@@ -4,11 +4,12 @@
 //! This crate provides the numerical substrate used by the rest of the
 //! workspace:
 //!
-//! * [`Matrix`] — a small dense row-major matrix with an in-place LU
-//!   factorization ([`LuFactors`]) used by the MNA circuit simulator.
-//! * [`LuWorkspace`] — reusable dense factor/solve buffers for hot
-//!   loops (Newton iterations re-factor the same-sized system hundreds
-//!   of times; the workspace makes each cycle allocation-free).
+//! * [`Matrix`] — a small dense row-major matrix, the MNA circuit
+//!   simulator's stamping target for macro-sized systems.
+//! * [`LuWorkspace`] — the dense LU factorization (partial pivoting)
+//!   with reusable factor/solve buffers: Newton iterations re-factor
+//!   the same-sized system hundreds of times, and the workspace makes
+//!   each cycle allocation-free.
 //! * [`SparseMatrix`] / [`SparseLu`] — the sparse (CSC) counterpart for
 //!   large systems: a pattern-fixed stamping target plus a left-looking
 //!   LU with threshold partial pivoting and KLU-style numeric
@@ -119,7 +120,7 @@ pub use bounds::{Bounds, ParamSpace};
 pub use btf::BtfOrder;
 pub use brent::{brent_min, golden_section_min, BrentOptions, Minimum};
 pub use error::NumericError;
-pub use lu::{LuFactors, LuWorkspace};
+pub use lu::LuWorkspace;
 pub use matrix::Matrix;
 pub use powell::{powell_min, PowellOptions, PowellResult};
 pub use sparse::{SparseLu, SparseMatrix, SparsePattern, SparseSymbolic, StampTarget};

@@ -3,23 +3,18 @@ use crate::{Matrix, NumericError};
 /// Pivots with absolute value below this threshold are treated as zero.
 const PIVOT_EPS: f64 = 1e-300;
 
-/// The shared elimination kernel behind [`LuFactors`] and
-/// [`LuWorkspace`]: factors `a` in place (packed `L`/`U`, unit lower
-/// diagonal implicit), filling `perm` with the row permutation and
-/// returning its sign. `pivot_buf` is caller-provided scratch so
-/// repeated factorizations allocate nothing.
+/// The elimination kernel behind [`LuWorkspace::factor_in_place`]:
+/// factors the square `a` in place (packed `L`/`U`, unit lower diagonal
+/// implicit), filling `perm` with the row permutation. `pivot_buf` is
+/// caller-provided scratch so repeated factorizations allocate nothing.
 fn factor_core(
     a: &mut Matrix,
     perm: &mut Vec<usize>,
     pivot_buf: &mut Vec<f64>,
-) -> Result<f64, NumericError> {
+) -> Result<(), NumericError> {
     let n = a.rows();
-    if a.cols() != n {
-        return Err(NumericError::DimensionMismatch { expected: n, actual: a.cols() });
-    }
     perm.clear();
     perm.extend(0..n);
-    let mut perm_sign = 1.0;
 
     // The kernel strides the raw row-major storage: MNA systems are
     // small (tens of unknowns), so per-element bounds checks and index
@@ -46,7 +41,6 @@ fn factor_core(
             let (head, tail) = d.split_at_mut(pivot_row * n);
             head[k * n..k * n + n].swap_with_slice(&mut tail[..n]);
             perm.swap(k, pivot_row);
-            perm_sign = -perm_sign;
         }
 
         let pivot_off = k * n + k;
@@ -68,11 +62,12 @@ fn factor_core(
             }
         }
     }
-    Ok(perm_sign)
+    Ok(())
 }
 
-/// Substitution kernel shared by the solve paths: given packed factors
-/// and the permutation, writes the solution of `A·x = b` into `x`.
+/// The substitution kernel behind [`LuWorkspace::solve_into`]: given
+/// packed factors and the permutation, writes the solution of `A·x = b`
+/// into `x`.
 fn solve_core(lu: &Matrix, perm: &[usize], b: &[f64], x: &mut [f64]) {
     let n = lu.rows();
     if n == 0 {
@@ -96,106 +91,16 @@ fn solve_core(lu: &Matrix, perm: &[usize], b: &[f64], x: &mut [f64]) {
     }
 }
 
-/// LU factorization with partial (row) pivoting: `P·A = L·U`.
-///
-/// This is the linear solver behind every Newton–Raphson iteration of the
-/// circuit simulator. The factors are stored packed in a single matrix
-/// (unit lower triangle implicit), alongside the row permutation.
-///
-/// `LuFactors` consumes its input and allocates a fresh solution vector
-/// per [`solve`](LuFactors::solve); hot loops that re-factor every
-/// iteration should use [`LuWorkspace`], which reuses one matrix, pivot
-/// and solution buffer for an entire analysis. Both paths share the same
-/// elimination kernel and produce bit-identical results.
-///
-/// # Example
-///
-/// ```
-/// use castg_numeric::{LuFactors, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
-/// let lu = LuFactors::factor(a)?;
-/// let x = lu.solve(&[10.0, 12.0])?;
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 2.0).abs() < 1e-12);
-/// # Ok::<(), castg_numeric::NumericError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    lu: Matrix,
-    perm: Vec<usize>,
-    /// Sign of the permutation; kept so a determinant can be recovered.
-    perm_sign: f64,
-}
-
-impl LuFactors {
-    /// Factors a square matrix, consuming it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] for a non-square input
-    /// and [`NumericError::SingularMatrix`] when no usable pivot exists in
-    /// some column.
-    pub fn factor(mut a: Matrix) -> Result<Self, NumericError> {
-        let mut perm = Vec::with_capacity(a.rows());
-        let mut pivot_buf = Vec::with_capacity(a.rows());
-        let perm_sign = factor_core(&mut a, &mut perm, &mut pivot_buf)?;
-        Ok(LuFactors { lu: a, perm, perm_sign })
-    }
-
-    /// Solves `A·x = b` using the stored factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `b` has the wrong
-    /// length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericError> {
-        let mut x = vec![0.0; self.lu.rows()];
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `A·x = b` into a caller-provided buffer, allocating
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `b` or `x` has the
-    /// wrong length.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), NumericError> {
-        let n = self.lu.rows();
-        if b.len() != n {
-            return Err(NumericError::DimensionMismatch { expected: n, actual: b.len() });
-        }
-        if x.len() != n {
-            return Err(NumericError::DimensionMismatch { expected: n, actual: x.len() });
-        }
-        solve_core(&self.lu, &self.perm, b, x);
-        Ok(())
-    }
-
-    /// Determinant of the original matrix, computed from the factors.
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-}
-
-/// Reusable LU factor/solve state for hot loops.
+/// Dense LU factorization with partial (row) pivoting, `P·A = L·U`,
+/// held in reusable buffers: the linear solver behind every
+/// Newton–Raphson iteration of the circuit simulator's dense path.
 ///
 /// A Newton iteration re-assembles and re-factors the same-sized system
 /// hundreds of times per analysis. `LuWorkspace` keeps the factor
-/// matrix, the permutation, the elimination scratch row and nothing
-/// else, so after the first factorization the entire
-/// factor-then-solve cycle performs **zero heap allocations**:
+/// matrix (packed, unit lower triangle implicit), the row permutation,
+/// the elimination scratch row and nothing else, so after the first
+/// factorization the entire factor-then-solve cycle performs **zero
+/// heap allocations**:
 ///
 /// 1. [`factor_in_place`](LuWorkspace::factor_in_place) *swaps* the
 ///    caller's assembled matrix with the workspace buffer (O(1), no
@@ -205,8 +110,7 @@ impl LuFactors {
 ///    caller-provided solution buffer.
 ///
 /// The workspace regrows transparently when the system dimension
-/// changes between calls. Results are bit-identical to the allocating
-/// [`LuFactors`] path — both share one elimination kernel.
+/// changes between calls.
 ///
 /// # Example
 ///
@@ -228,7 +132,6 @@ impl LuFactors {
 pub struct LuWorkspace {
     lu: Matrix,
     perm: Vec<usize>,
-    perm_sign: f64,
     pivot_buf: Vec<f64>,
     factored: bool,
 }
@@ -239,7 +142,6 @@ impl LuWorkspace {
         LuWorkspace {
             lu: Matrix::zeros(n, n),
             perm: Vec::with_capacity(n),
-            perm_sign: 1.0,
             pivot_buf: Vec::with_capacity(n),
             factored: false,
         }
@@ -268,7 +170,7 @@ impl LuWorkspace {
             *a = Matrix::zeros(n, n);
         }
         self.factored = false;
-        self.perm_sign = factor_core(&mut self.lu, &mut self.perm, &mut self.pivot_buf)?;
+        factor_core(&mut self.lu, &mut self.perm, &mut self.pivot_buf)?;
         self.factored = true;
         Ok(())
     }
@@ -297,22 +199,6 @@ impl LuWorkspace {
         Ok(())
     }
 
-    /// Determinant of the last factored matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::NotFactored`] if no factorization is stored.
-    pub fn det(&self) -> Result<f64, NumericError> {
-        if !self.factored {
-            return Err(NumericError::NotFactored);
-        }
-        let mut d = self.perm_sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        Ok(d)
-    }
-
     /// Dimension the workspace is currently sized for.
     pub fn dim(&self) -> usize {
         self.lu.rows()
@@ -328,8 +214,16 @@ impl LuWorkspace {
 mod tests {
     use super::*;
 
+    fn factored(mut a: Matrix) -> Result<LuWorkspace, NumericError> {
+        let mut ws = LuWorkspace::new(a.rows());
+        ws.factor_in_place(&mut a)?;
+        Ok(ws)
+    }
+
     fn solve_once(rows: &[&[f64]], b: &[f64]) -> Vec<f64> {
-        LuFactors::factor(Matrix::from_rows(rows)).unwrap().solve(b).unwrap()
+        let mut x = vec![0.0; b.len()];
+        factored(Matrix::from_rows(rows)).unwrap().solve_into(b, &mut x).unwrap();
+        x
     }
 
     #[test]
@@ -361,43 +255,35 @@ mod tests {
     #[test]
     fn rejects_singular_matrix() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        let err = LuFactors::factor(a).unwrap_err();
+        let err = factored(a).unwrap_err();
         assert!(matches!(err, NumericError::SingularMatrix { .. }));
     }
 
     #[test]
     fn rejects_non_square() {
-        let a = Matrix::zeros(2, 3);
-        let err = LuFactors::factor(a).unwrap_err();
+        let a = Matrix::zeros(3, 2);
+        let err = factored(a).unwrap_err();
         assert!(matches!(err, NumericError::DimensionMismatch { .. }));
     }
 
     #[test]
     fn rejects_wrong_rhs_length() {
-        let lu = LuFactors::factor(Matrix::identity(3)).unwrap();
-        assert!(lu.solve(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn solve_into_rejects_wrong_out_length() {
-        let lu = LuFactors::factor(Matrix::identity(3)).unwrap();
-        let mut x = vec![0.0; 2];
+        let lu = factored(Matrix::identity(3)).unwrap();
+        let mut x = vec![0.0; 3];
         assert!(matches!(
-            lu.solve_into(&[1.0, 2.0, 3.0], &mut x),
+            lu.solve_into(&[1.0], &mut x),
             Err(NumericError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
-    fn determinant_of_known_matrix() {
-        let lu = LuFactors::factor(Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]])).unwrap();
-        assert!((lu.det() - (-6.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_survives_pivoting() {
-        let lu = LuFactors::factor(Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]])).unwrap();
-        assert!((lu.det() - (-1.0)).abs() < 1e-12);
+    fn solve_into_rejects_wrong_out_length() {
+        let lu = factored(Matrix::identity(3)).unwrap();
+        let mut x = vec![0.0; 2];
+        assert!(matches!(
+            lu.solve_into(&[1.0, 2.0, 3.0], &mut x),
+            Err(NumericError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
@@ -420,37 +306,11 @@ mod tests {
         }
         let b: Vec<f64> = (0..n).map(|_| next()).collect();
         let a_copy = a.clone();
-        let x = LuFactors::factor(a).unwrap().solve(&b).unwrap();
+        let mut x = vec![0.0; n];
+        factored(a).unwrap().solve_into(&b, &mut x).unwrap();
         let r = a_copy.mul_vec(&x).unwrap();
         let resid = r.iter().zip(&b).map(|(ri, bi)| (ri - bi).abs()).fold(0.0_f64, f64::max);
         assert!(resid < 1e-10, "residual too large: {resid}");
-    }
-
-    #[test]
-    fn workspace_matches_factors_bitwise() {
-        let a = Matrix::from_rows(&[
-            &[2.0, 1.0, -1.0],
-            &[-3.0, -1.0, 2.0],
-            &[-2.0, 1.0, 2.0],
-        ]);
-        let b = [8.0, -11.0, -3.0];
-        let reference = LuFactors::factor(a.clone()).unwrap().solve(&b).unwrap();
-
-        let mut ws = LuWorkspace::new(3);
-        let mut scratch = a;
-        let mut x = vec![0.0; 3];
-        ws.factor_in_place(&mut scratch).unwrap();
-        ws.solve_into(&b, &mut x).unwrap();
-        for (got, want) in x.iter().zip(&reference) {
-            assert_eq!(got.to_bits(), want.to_bits(), "not bit-identical");
-        }
-        assert!((ws.det().unwrap() - LuFactors::factor(
-            Matrix::from_rows(&[
-                &[2.0, 1.0, -1.0],
-                &[-3.0, -1.0, 2.0],
-                &[-2.0, 1.0, 2.0],
-            ])
-        ).unwrap().det()).abs() < 1e-15);
     }
 
     #[test]
@@ -501,7 +361,6 @@ mod tests {
         let ws = LuWorkspace::new(2);
         let mut x = vec![0.0; 2];
         assert!(matches!(ws.solve_into(&[1.0, 2.0], &mut x), Err(NumericError::NotFactored)));
-        assert!(matches!(ws.det(), Err(NumericError::NotFactored)));
         assert!(!ws.is_factored());
     }
 

@@ -1436,7 +1436,11 @@ mod tests {
     }
 
     fn dense_solve(m: &Matrix, b: &[f64]) -> Vec<f64> {
-        crate::LuFactors::factor(m.clone()).unwrap().solve(b).unwrap()
+        let mut lu = crate::LuWorkspace::new(m.rows());
+        lu.factor_in_place(&mut m.clone()).unwrap();
+        let mut x = vec![0.0; b.len()];
+        lu.solve_into(b, &mut x).unwrap();
+        x
     }
 
     /// Random banded well-conditioned matrix as a SparseMatrix.

@@ -1,8 +1,8 @@
 //! Property-based tests for the numeric substrate.
 
 use castg_numeric::{
-    brent_min, golden_section_min, powell_min, BrentOptions, Bounds, LuFactors, LuWorkspace,
-    Matrix, ParamSpace, PowellOptions,
+    brent_min, golden_section_min, powell_min, BrentOptions, Bounds, LuWorkspace, Matrix,
+    ParamSpace, PowellOptions,
 };
 use proptest::prelude::*;
 
@@ -19,6 +19,15 @@ fn dominant_matrix(entries: &[f64], n: usize) -> Matrix {
     a
 }
 
+/// Solves `a·x = b` on a fresh workspace.
+fn solve(mut a: Matrix, b: &[f64]) -> Vec<f64> {
+    let mut lu = LuWorkspace::new(a.rows());
+    lu.factor_in_place(&mut a).unwrap();
+    let mut x = vec![0.0; b.len()];
+    lu.solve_into(b, &mut x).unwrap();
+    x
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -32,45 +41,17 @@ proptest! {
     ) {
         let a = dominant_matrix(&seed_entries[..n * n], n);
         let b = rhs_entries[..n].to_vec();
-        let x = LuFactors::factor(a.clone()).unwrap().solve(&b).unwrap();
+        let x = solve(a.clone(), &b);
         let r = a.mul_vec(&x).unwrap();
         for (ri, bi) in r.iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-9, "residual {}", (ri - bi).abs());
         }
     }
 
-    /// The zero-allocation workspace path (`factor_in_place` +
-    /// `solve_into`) is bit-identical to the allocating `LuFactors`
-    /// path on random well-conditioned systems — both run the same
-    /// elimination kernel, so not even the last ulp may differ.
-    #[test]
-    fn workspace_solve_is_bit_identical_to_factors(
-        n in 2usize..12,
-        seed_entries in prop::collection::vec(-1.0f64..1.0, 144),
-        rhs_entries in prop::collection::vec(-10.0f64..10.0, 12),
-    ) {
-        let a = dominant_matrix(&seed_entries[..n * n], n);
-        let b = rhs_entries[..n].to_vec();
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let reference = lu.solve(&b).unwrap();
-
-        let mut ws = LuWorkspace::new(n);
-        let mut scratch = a;
-        let mut x = vec![0.0; n];
-        ws.factor_in_place(&mut scratch).unwrap();
-        ws.solve_into(&b, &mut x).unwrap();
-
-        for (i, (got, want)) in x.iter().zip(&reference).enumerate() {
-            prop_assert_eq!(got.to_bits(), want.to_bits(),
-                "solution differs at {} ({} vs {})", i, got, want);
-        }
-        prop_assert_eq!(ws.det().unwrap().to_bits(), lu.det().to_bits());
-    }
-
     /// A single workspace reused across randomly varying dimensions
     /// (regrowing and shrinking between factorizations) keeps producing
-    /// the exact `LuFactors` results — stale state from a previous size
-    /// must never leak into a solve.
+    /// exactly what a fresh workspace produces — stale state from a
+    /// previous size must never leak into a solve.
     #[test]
     fn workspace_reuse_across_dimension_changes_is_exact(
         sizes in prop::collection::vec(2usize..10, 1..6),
@@ -82,7 +63,7 @@ proptest! {
         for (round, &n) in sizes.iter().enumerate() {
             let a = dominant_matrix(&seed_entries[..n * n], n);
             let b = &rhs_entries[..n];
-            let reference = LuFactors::factor(a.clone()).unwrap().solve(b).unwrap();
+            let reference = solve(a.clone(), b);
 
             let mut scratch = a;
             ws.factor_in_place(&mut scratch).unwrap();
@@ -98,14 +79,20 @@ proptest! {
         }
     }
 
-    /// Determinant of a product-friendly 2×2 matches the closed form.
+    /// A 2×2 solve matches Cramer's rule, a closed form that shares no
+    /// code with the elimination.
     #[test]
-    fn det_2x2_closed_form(a in -5.0f64..5.0, b in -5.0f64..5.0,
-                           c in -5.0f64..5.0, d in -5.0f64..5.0) {
-        prop_assume!((a * d - b * c).abs() > 1e-6);
-        let m = Matrix::from_rows(&[&[a, b], &[c, d]]);
-        let lu = LuFactors::factor(m).unwrap();
-        prop_assert!((lu.det() - (a * d - b * c)).abs() < 1e-9);
+    fn solve_2x2_closed_form(a in -5.0f64..5.0, b in -5.0f64..5.0,
+                             c in -5.0f64..5.0, d in -5.0f64..5.0,
+                             e in -5.0f64..5.0, f in -5.0f64..5.0) {
+        let det = a * d - b * c;
+        prop_assume!(det.abs() > 1e-3);
+        let x = solve(Matrix::from_rows(&[&[a, b], &[c, d]]), &[e, f]);
+        let cramer = [(e * d - b * f) / det, (a * f - e * c) / det];
+        let scale = cramer[0].abs().max(cramer[1].abs()).max(1.0);
+        for (got, want) in x.iter().zip(&cramer) {
+            prop_assert!((got - want).abs() <= 1e-8 * scale, "{} vs {}", got, want);
+        }
     }
 
     /// Brent localizes the minimum of a shifted quadratic anywhere in

@@ -221,21 +221,15 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Reads one full request from a stream.
+/// Reads one full request from a stream, with an abort hook:
+/// `should_abort` is polled on every read timeout (set a short
+/// `read_timeout` on the stream), so a draining server can close idle
+/// keep-alive connections promptly instead of waiting out a long socket
+/// timeout.
 ///
 /// Returns `Ok(None)` on clean EOF before any bytes (the peer closed a
-/// keep-alive connection between requests).
-pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError> {
-    read_request_abortable(stream, &mut || false)
-}
-
-/// [`read_request`] with an abort hook: `should_abort` is polled on
-/// every read timeout (set a short `read_timeout` on the stream), so a
-/// draining server can close idle keep-alive connections promptly
-/// instead of waiting out a long socket timeout.
-///
-/// Aborting between requests returns `Ok(None)` like a clean EOF;
-/// aborting mid-request is an [`HttpError::Io`].
+/// keep-alive connection between requests) and when aborted between
+/// requests; aborting mid-request is an [`HttpError::Io`].
 pub fn read_request_abortable(
     stream: &mut TcpStream,
     should_abort: &mut dyn FnMut() -> bool,

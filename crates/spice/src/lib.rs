@@ -101,11 +101,10 @@
 //!   substituted into a reused buffer. The caller gets the previous
 //!   buffer back as scratch for the next assembly, so the matrix storage
 //!   ping-pongs between assembly and factorization for the whole
-//!   analysis.
+//!   analysis. `LuWorkspace` is the only dense LU in the workspace.
 //!
-//! Both layers are bit-identical to their naive counterparts (direct
-//! device walk, allocating `LuFactors`), which the test suites assert
-//! exactly.
+//! Plan replay is bit-identical to a direct device walk, which the test
+//! suites assert exactly.
 //!
 //! # Structure sharing: patched plans, overrides, exact reuse
 //!

@@ -34,16 +34,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let configs = mac.configurations();
     let dc = configs.iter().find(|c| c.id() == 1).expect("config #1 exists");
     let ev = Evaluator::new(dc.as_ref(), &circuit, &cache);
+    let faulty = ev.inject(&fault)?;
     println!("\nconfig #1 (dc_transfer): sensitivity S_f(lev)");
     for lev in [-40e-6, -20e-6, 0.0, 20e-6, 40e-6] {
-        let report = ev.evaluate(&fault, &[lev])?;
+        // The return values and the box the score is computed from.
+        let nominal = ev.nominal(&[lev])?;
+        let nominal_returns = dc.return_values(&nominal, &nominal);
+        let faulty_returns = dc.return_values(&dc.measure(&faulty, &[lev])?, &nominal);
+        let box_width = dc.tolerance_box(&[lev], &nominal_returns)[0];
+        let (s, _) = ev.sensitivity_outcome(&faulty, &[lev])?;
         println!(
             "  lev = {:>8.1} µA   ΔV(out) = {:>12.5e} V   box = {:>10.3e} V   S = {:>8.3}  {}",
             lev * 1e6,
-            report.faulty_returns[0] - report.nominal_returns[0],
-            report.boxes[0],
-            report.sensitivity,
-            if report.sensitivity < 0.0 { "DETECTED" } else { "undetected" }
+            faulty_returns[0] - nominal_returns[0],
+            box_width,
+            s,
+            if s < 0.0 { "DETECTED" } else { "undetected" }
         );
     }
     println!("\n(negative sensitivity = the deviation leaves the tolerance box)");

@@ -258,7 +258,7 @@ macro_rules! outln {
 
 fn generate(args: &[String]) -> Result<(), String> {
     let a = parse_generate_args(args)?;
-    let mut mac = NetlistMacro::from_files_with_params(&a.deck, &a.configs, a.options, &a.params)
+    let mut mac = NetlistMacro::from_files(&a.deck, &a.configs, a.options, &a.params)
         .map_err(|e| e.to_string())?;
     if let Some((solver, ordering)) = a.dispatch {
         mac = mac.with_solver(solver, ordering).map_err(|e| e.to_string())?;

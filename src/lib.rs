@@ -33,8 +33,8 @@
 //!   replayed per iteration (see the crate docs).
 //! * [`dsp`] (`castg-dsp`) — waveform post-processing (Goertzel, THD,
 //!   deviation metrics).
-//! * [`numeric`] (`castg-numeric`) — dense LU (including the reusable
-//!   in-place `LuWorkspace` behind the simulator hot path), the sparse
+//! * [`numeric`] (`castg-numeric`) — dense LU (the reusable in-place
+//!   `LuWorkspace` behind the simulator hot path), the sparse
 //!   CSC LU with symbolic-factor reuse behind large-netlist analyses,
 //!   Brent and bounded Powell minimization, parameter spaces, sweep
 //!   grids. The simulator picks dense or sparse per circuit

@@ -62,10 +62,6 @@ impl AnalogMacro for PathologicalMacro {
         c
     }
 
-    fn fault_site_nodes(&self) -> Vec<String> {
-        vec!["out".into(), "g1".into(), "g2".into(), "x".into(), "neg".into()]
-    }
-
     fn fault_dictionary(&self) -> FaultDictionary {
         FaultDictionary::new(pathological_faults())
     }

@@ -3,10 +3,13 @@
 //! exit when stdout's reader goes away, the named
 //! structural-singularity diagnostic, and the `generate` robustness
 //! flags (`--max-newton-iters`, `--budget-ms`, `--strict`) with their
-//! outcome accounting and exit codes.
+//! outcome accounting and exit codes, and a `--json` summary that stays
+//! JSON under a zero tolerance box.
 
 use std::io::Write;
 use std::process::Command;
+
+use castg::serve::json::{parse_json, Json};
 
 fn castg() -> Command {
     Command::new(env!("CARGO_BIN_EXE_castg"))
@@ -219,6 +222,44 @@ fn generate_fails_when_every_fault_fails_generation() {
     assert_eq!(stderr.matches("generation failed for").count(), 3, "stderr: {stderr}");
     assert!(stderr.contains("3 of 3 faults failed generation"), "stderr: {stderr}");
     assert!(!json.exists(), "a failed run must not write its --json summary");
+}
+
+/// A configuration with no `box_*` variables has a zero tolerance box,
+/// so every deviation scores `S_f = −∞`. The `--json` summary must
+/// still parse (non-finite numbers written as `null`), and the three
+/// tests, all at the same parameters, must compact.
+#[test]
+fn generate_json_parses_under_a_zero_tolerance_box() {
+    let dir = temp_dir("zerobox");
+    let configs = dir.join("configs");
+    std::fs::create_dir_all(&configs).unwrap();
+    let cfg = std::fs::read_to_string(fixture("divider_configs/1_dc_out.cfg")).unwrap();
+    let no_box: String =
+        cfg.lines().filter(|l| !l.starts_with("variable box_")).map(|l| format!("{l}\n")).collect();
+    write_deck(&configs, "dc_output.cfg", &no_box);
+    let json = dir.join("cov.json");
+    let out = castg()
+        .arg("generate")
+        .arg(fixture("divider.sp"))
+        .arg("--configs")
+        .arg(&configs)
+        .arg("--json")
+        .arg(&json)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read(&json).unwrap();
+    let report = parse_json(&text)
+        .unwrap_or_else(|e| panic!("not JSON ({e}): {}", String::from_utf8_lossy(&text)));
+    let per_fault = report.get("per_fault").and_then(Json::as_array).unwrap();
+    assert_eq!(per_fault.len(), 3);
+    for f in per_fault {
+        assert_eq!(f.get("best_sensitivity"), Some(&Json::Null));
+        assert_eq!(f.get("detected").and_then(Json::as_bool), Some(true));
+        assert_eq!(f.get("outcome").and_then(Json::as_str), Some("detected"));
+    }
+    let tests = report.get("tests").and_then(Json::as_usize).unwrap();
+    assert!(tests < 3, "{tests} tests from 3");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! [`DividerMacro`]: castg::core::synthetic::DividerMacro
 
 use castg::core::{run_pipeline, AnalogMacro, CampaignOptions, Generator, NominalCache};
-use castg::faults::{Fault, Junction};
+use castg::faults::{fault_site_nets, Fault, Junction};
 use castg::netlist::{parse_deck, NetlistMacro};
 use castg::spice::{DcAnalysis, Waveform};
 
@@ -36,7 +36,7 @@ fn derived_dictionary_matches_hand_enumeration() {
     assert_eq!(expected.len(), 55);
 
     let mac = castg_bench::iv_macro(false);
-    assert_eq!(mac.fault_site_nodes(), nets);
+    assert_eq!(fault_site_nets(mac.circuit()), nets);
     let derived: Vec<(String, f64)> =
         mac.fault_dictionary().iter().map(|f| (f.name(), f.base_resistance())).collect();
     assert_eq!(derived, expected);
