@@ -5,13 +5,9 @@
 //! the whole (multi-threaded) generation run. With 55 faults probing
 //! overlapping parameter regions this roughly halves simulator work.
 //!
-//! The map is split into a fixed array of lock-sharded segments keyed
-//! by the key's hash: thousand-fault campaigns fan their faults out
-//! across every core, and every cell consults the nominal cache —
-//! a single `RwLock<HashMap>` serializes exactly the hottest moment
-//! (the warm-cache read storm right after the first tests complete).
-//! Sixteen shards make those reads effectively contention-free while
-//! keeping the type a drop-in replacement.
+//! One `RwLock<HashMap>` holds every entry: hits share the read lock,
+//! and a miss computes outside any lock and takes the write lock only
+//! to store its result.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,10 +16,6 @@ use parking_lot::RwLock;
 
 use crate::config::Measurement;
 use crate::CoreError;
-
-/// Number of lock shards. A power of two so the shard pick is a mask;
-/// comfortably above any realistic worker count's collision rate.
-const SHARDS: usize = 16;
 
 /// Cache key: configuration id plus the exact bit patterns of the
 /// parameter vector (optimizers re-probe identical points across faults;
@@ -38,33 +30,13 @@ impl Key {
     fn new(config_id: usize, params: &[f64]) -> Self {
         Key { config_id, param_bits: params.iter().map(|p| p.to_bits()).collect() }
     }
-
-    /// Shard index of this key: a cheap FNV-style fold of the exact
-    /// parameter bits. Shard *selection* only needs to spread load, so
-    /// it must not pay a second full `SipHash` pass on top of the one
-    /// the shard's `HashMap` performs anyway.
-    fn shard(&self) -> usize {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = (self.config_id as u64) ^ 0xcbf2_9ce4_8422_2325;
-        for bits in &self.param_bits {
-            h = (h ^ bits).wrapping_mul(FNV_PRIME);
-        }
-        // Top bits have the best mixing after the final multiply.
-        ((h >> 56) as usize) & (SHARDS - 1)
-    }
 }
 
-/// Thread-safe, lock-sharded map from `(configuration, parameters)` to
-/// the nominal [`Measurement`].
-#[derive(Debug)]
+/// Thread-safe map from `(configuration, parameters)` to the nominal
+/// [`Measurement`].
+#[derive(Debug, Default)]
 pub struct NominalCache {
-    shards: [RwLock<HashMap<Key, Arc<Measurement>>>; SHARDS],
-}
-
-impl Default for NominalCache {
-    fn default() -> Self {
-        NominalCache { shards: std::array::from_fn(|_| RwLock::new(HashMap::new())) }
-    }
+    entries: RwLock<HashMap<Key, Arc<Measurement>>>,
 }
 
 impl NominalCache {
@@ -93,31 +65,28 @@ impl NominalCache {
         F: FnOnce() -> Result<Measurement, CoreError>,
     {
         let key = Key::new(config_id, params);
-        let shard = &self.shards[key.shard()];
-        if let Some(hit) = shard.read().get(&key) {
+        if let Some(hit) = self.entries.read().get(&key) {
             return Ok(Arc::clone(hit));
         }
         let value = Arc::new(compute()?);
-        let mut guard = shard.write();
+        let mut guard = self.entries.write();
         let entry = guard.entry(key).or_insert_with(|| Arc::clone(&value));
         Ok(Arc::clone(entry))
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.entries.read().len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.entries.read().is_empty()
     }
 
     /// Drops all entries.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
+        self.entries.write().clear();
     }
 }
 

@@ -15,8 +15,8 @@
 //!   patching the nominal plan — bridges are pure delta-stamps; see
 //!   [`InjectionMode`]), every test is scored against the variant in
 //!   test order, and the variant — circuit, plan, sparse template,
-//!   symbolic analysis — is dropped before the worker takes its next
-//!   fault.
+//!   cached factorizations — is dropped before the worker takes its
+//!   next fault.
 //!
 //! Per-fault rows are reduced in dictionary order, so the report is
 //! identical — test indices, sensitivities, everything, bit for bit —
@@ -65,8 +65,8 @@ pub enum InjectionMode {
     Delta,
     /// Reference path
     /// ([`Fault::inject_rebuilt`](castg_faults::Fault::inject_rebuilt)):
-    /// every variant recompiles plan, sparse template and symbolic
-    /// analysis from its netlist. Exists so differential harnesses can pin the delta
+    /// every variant recompiles plan, sparse template and orderings from
+    /// its netlist. Exists so differential harnesses can pin the delta
     /// path's bit-identity; never faster.
     Rebuild,
 }
@@ -298,11 +298,11 @@ impl CoverageReport {
 /// [`CampaignOptions::threads`] workers ([`fan_out`]). Each item
 /// injects its fault once (per [`CampaignOptions::injection`]), scores
 /// every test against the variant in test order, and drops the variant,
-/// so the heavy objects — circuits, plans, templates, symbolic
-/// analyses — are resident only for faults in flight. Rows and ladder
-/// statistics are reduced in dictionary order, so the report — test
-/// indices, sensitivities, everything — is bit-identical at any worker
-/// count and under either injection mode. The report holds one row per
+/// so the heavy objects — circuits, plans, templates, factorizations —
+/// are resident only for faults in flight. Rows and ladder statistics
+/// are reduced in dictionary order, so the report — test indices,
+/// sensitivities, everything — is bit-identical at any worker count
+/// and under either injection mode. The report holds one row per
 /// dictionary fault, whatever the outcome (an empty test set detects
 /// nothing and injects nothing).
 ///

@@ -43,7 +43,7 @@
 //! daemon's batches run on too. Each fault is injected exactly once —
 //! by default through the delta path, where bridge variants patch the
 //! nominal plan instead of recompiling (see [`InjectionMode`]) — then
-//! every test is scored against it, in test order, over a sharded
+//! every test is scored against it, in test order, over a shared
 //! [`NominalCache`]. Reports are bit-identical at any worker count and
 //! under either injection mode; `tests/campaign_differential.rs` pins
 //! that for the IV-converter and ladder-n=256 dictionaries on both

@@ -214,8 +214,8 @@ impl NetlistMacro {
         );
         // Compile the assembly schedule up front, so every clone the
         // campaign engine takes shares it (delta-patched fault
-        // injection, one symbolic analysis per variant). A no-op when
-        // the circuit already carries a compiled plan (the plan
+        // injection, which inherits the nominal's orderings). A no-op
+        // when the circuit already carries a compiled plan (the plan
         // cache's whole point).
         circuit.compile_plan();
         Ok(NetlistMacro {
@@ -227,32 +227,6 @@ impl NetlistMacro {
             dictionary,
             configs: Vec::new(),
         })
-    }
-
-    /// The canonical deck bytes of this macro: its circuit serialized
-    /// back through the exact round-trip writer
-    /// ([`crate::write_deck_with_title`]), which normalizes away
-    /// whitespace, comments, `.param` indirection and number
-    /// formatting while preserving node interning order, device order,
-    /// bit-exact values and identifier spellings (net-name case is
-    /// semantic — fault names in reports carry the deck's first
-    /// spelling of each net). Two decks differing only in formatting
-    /// produce identical canonical bytes; any semantic change (a
-    /// value, a node, a device, an identifier spelling) changes them.
-    ///
-    /// This is the cache-key normalization `castg serve` uses: the
-    /// content-addressed result cache and the process-wide plan cache
-    /// both key on these bytes (hashed).
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::Unrepresentable`] when the circuit cannot be
-    /// written as a deck (e.g. flattened `.subckt` internals whose
-    /// `<instance>.<name>` device names break the card-letter rule);
-    /// callers fall back to keying on the raw deck text.
-    pub fn canonical_bytes(&self) -> Result<Vec<u8>, NetlistError> {
-        crate::writer::write_deck_with_title(&self.circuit, self.title.as_deref())
-            .map(String::into_bytes)
     }
 
     /// The parsed circuit.

@@ -5,8 +5,7 @@
 //! printed with Rust's shortest round-trip formatting).
 //!
 //! Its output is the canonical deck form behind
-//! [`NetlistMacro::canonical_bytes`](crate::NetlistMacro::canonical_bytes),
-//! the key of the serve caches.
+//! [`canonical_deck_bytes`], the key of the serve caches.
 
 use std::fmt::Write as _;
 

@@ -13,13 +13,14 @@
 //! * [`SparseMatrix`] / [`SparseLu`] — the sparse (CSC) counterpart for
 //!   large systems: a pattern-fixed stamping target plus a left-looking
 //!   LU with threshold partial pivoting and KLU-style numeric
-//!   refactorization. The symbolic skeleton ([`SparseSymbolic`]: fill
-//!   structure, pivot order and column ordering) lives behind an `Arc`
-//!   and is shareable across workspaces ([`SparseLu::seed_symbolic`]),
-//!   so fault campaigns pay one symbolic analysis per circuit variant
-//!   instead of one per solve. A fill-reducing **approximate minimum
-//!   degree** column ordering ([`SparsePattern::amd_ordering`], applied
-//!   via [`SparseLu::set_ordering`]) keeps mesh/crossbar-shaped systems
+//!   refactorization. A workspace's first factorization picks its own
+//!   pivots and records the symbolic skeleton ([`SparseSymbolic`]: fill
+//!   structure, pivot order and column ordering) behind an `Arc`; its
+//!   later factorizations replay it, and clones share it, so a
+//!   workspace pays one symbolic analysis for all its solves. A
+//!   fill-reducing **approximate minimum degree** column ordering
+//!   ([`SparsePattern::amd_ordering`], applied via
+//!   [`SparseLu::set_ordering`]) keeps mesh/crossbar-shaped systems
 //!   — whose natural-order fill is O(n·√n) — factoring with near-linear
 //!   fill; ladder/chain systems stay in natural order, bit-identical to
 //!   before orderings existed; [`SparsePattern::symmetric_fill`]
@@ -87,10 +88,10 @@
 //!   caller should fall back to AMD — `castg-spice`'s `OrderingKind`
 //!   dispatch does exactly that.
 //!
-//! The block structure travels inside the shared [`SparseSymbolic`]
-//! ([`SparseSymbolic::blocks`], [`SparseSymbolic::block_fill`]), so
-//! campaign variants inherit the decomposition with the symbolic
-//! skeleton.
+//! The block structure is recorded in [`SparseSymbolic`]
+//! ([`SparseSymbolic::blocks`], [`SparseSymbolic::block_fill`]), and
+//! the BTF request persists on the workspace, so refactorizations and
+//! stability fallbacks keep the decomposition.
 //!
 //! # Example
 //!

@@ -39,12 +39,11 @@
 //! diagonal preference, column pre-ordering `Q`), and
 //! [`solve_into`](SparseLu::solve_into) scatters solutions back to
 //! original coordinates, so callers never observe the permutation. The
-//! ordering travels inside [`SparseSymbolic`] ([`SparseSymbolic::ordering`]),
-//! which means seeded workspaces, refactorizations and stability
-//! fallbacks all keep factoring under the ordering they were analyzed
-//! with — one AMD run per pattern, shared everywhere the skeleton is.
-//! With the identity ordering every code path (and every bit of every
-//! result) is unchanged from before orderings existed.
+//! ordering is recorded in [`SparseSymbolic`] ([`SparseSymbolic::ordering`]),
+//! and the request persists on the workspace, so refactorizations and
+//! stability fallbacks keep factoring under it. With the identity
+//! ordering every code path (and every bit of every result) is
+//! unchanged from before orderings existed.
 //!
 //! # Example
 //!
@@ -579,11 +578,10 @@ const EMPTY: usize = usize::MAX;
 /// analyzed pattern, the fill structure of L and U, and the pivot
 /// order.
 ///
-/// One full (pivoting) factorization computes this; any number of
-/// [`SparseLu`] workspaces can then share it by `Arc` (see
-/// [`SparseLu::seed_symbolic`]) and run pure numeric refactorizations
-/// against it — the mechanism fault-campaign engines use to pay one
-/// symbolic analysis per circuit variant instead of one per solve.
+/// One full (pivoting) factorization computes this; the workspace's
+/// later factorizations of the same pattern replay it numerically, and
+/// clones of the workspace share it by `Arc`, so a workspace pays one
+/// symbolic analysis for all its solves.
 #[derive(Debug)]
 pub struct SparseSymbolic {
     /// Pattern this skeleton was computed for.
@@ -618,9 +616,9 @@ pub struct SparseSymbolic {
     /// in `SparseLu::ox`.
     op: Vec<usize>,
     oi: Vec<usize>,
-    /// The BTF preordering this skeleton factors under, if any —
-    /// carried so stability fallbacks and reseeded workspaces keep the
-    /// same block structure.
+    /// The BTF preordering this skeleton factors under, if any — what
+    /// [`SparseLu::set_ordering`] and [`SparseLu::set_btf_order`]
+    /// compare a request against to keep or drop the skeleton.
     btf: Option<Arc<BtfOrder>>,
 }
 
@@ -633,16 +631,6 @@ impl SparseSymbolic {
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.rowperm.len()
-    }
-
-    /// Structural nonzeros in the L factor (unit diagonal excluded).
-    pub fn l_nnz(&self) -> usize {
-        self.li.len()
-    }
-
-    /// Structural nonzeros in the U factor (diagonal excluded).
-    pub fn u_nnz(&self) -> usize {
-        self.ui.len()
     }
 
     /// Structural nonzeros the factorization stores: `L + U` with the
@@ -707,14 +695,14 @@ impl SparseSymbolic {
 /// See the [module docs](self) for the algorithm; the API mirrors
 /// [`LuWorkspace`](crate::LuWorkspace) (factor, then solve into a
 /// caller-provided buffer, allocating nothing on the steady-state
-/// path). The symbolic skeleton lives behind an `Arc`
-/// ([`SparseSymbolic`]): cloning a workspace — or seeding a fresh one
-/// with [`seed_symbolic`](SparseLu::seed_symbolic) — shares the
-/// analysis, so only the numeric refactorization is paid per instance.
+/// path). The first factorization picks its own pivots under the
+/// requested ordering; the symbolic skeleton it records lives behind an
+/// `Arc` ([`SparseSymbolic`]), so cloning a factored workspace shares
+/// the analysis and the clone pays only numeric refactorizations.
 #[derive(Debug, Clone, Default)]
 pub struct SparseLu {
     /// Shared fill structure + pivot order; `None` until the first
-    /// factorization (or until seeded).
+    /// factorization.
     symbolic: Option<Arc<SparseSymbolic>>,
     /// Numeric payload of L (aligned with the symbolic `li`).
     lx: Vec<f64>,
@@ -766,7 +754,7 @@ impl SparseLu {
     }
 
     /// The shared symbolic skeleton, if one has been computed (by this
-    /// workspace or whichever workspace it was seeded from).
+    /// workspace, or by the workspace it was cloned from).
     pub fn symbolic(&self) -> Option<Arc<SparseSymbolic>> {
         self.symbolic.clone()
     }
@@ -823,44 +811,6 @@ impl SparseLu {
         }
         self.ordering = None;
         self.btf = Some(order);
-    }
-
-    /// Adopts a shared symbolic skeleton computed elsewhere: the next
-    /// [`factor`](SparseLu::factor) of a matrix with the skeleton's
-    /// pattern runs as a pure numeric refactorization (falling back to
-    /// a fresh pivoting factorization if a recycled pivot has become
-    /// numerically unacceptable). Clears any stored factorization.
-    ///
-    /// The seeded analysis supersedes a pending
-    /// [`set_ordering`](SparseLu::set_ordering) request whose
-    /// permutation differs from the skeleton's: whoever computed the
-    /// skeleton fixed its ordering, and subsequent factorizations
-    /// (including stability fallbacks) eliminate under it — a stale
-    /// explicit request must not make the fallback path diverge from
-    /// the refactorization path.
-    pub fn seed_symbolic(&mut self, symbolic: Arc<SparseSymbolic>) {
-        if self.ordering.as_ref().is_some_and(|p| p[..] != symbolic.colperm[..]) {
-            self.ordering = None;
-        }
-        // Likewise the skeleton's block structure (or lack of one) wins
-        // over a pending BTF request, so stability fallbacks re-factor
-        // under the blocks the skeleton was analyzed with.
-        self.btf = symbolic.btf.clone();
-        let n = symbolic.dim();
-        self.lx.clear();
-        self.lx.resize(symbolic.l_nnz(), 0.0);
-        self.ux.clear();
-        self.ux.resize(symbolic.u_nnz(), 0.0);
-        self.ox.clear();
-        self.ox.resize(symbolic.off_nnz(), 0.0);
-        self.udiag.clear();
-        self.udiag.resize(n, 0.0);
-        self.work.clear();
-        self.work.resize(n, 0.0);
-        self.solve_buf.clear();
-        self.solve_buf.resize(n, 0.0);
-        self.symbolic = Some(symbolic);
-        self.factored = false;
     }
 
     /// Factors `a`. If `a` shares the pattern of the stored symbolic
@@ -982,24 +932,12 @@ impl SparseLu {
     fn full_factor(&mut self, a: &SparseMatrix) -> Result<(), NumericError> {
         let n = a.dim();
         let pat = a.pattern();
-        // Block-triangular preordering: an explicitly set BTF order of
-        // matching dimension wins; otherwise a stability fallback from
-        // a seeded skeleton of the same pattern keeps that skeleton's
-        // blocks (unless an explicit plain ordering overrides them).
-        let btf: Option<Arc<BtfOrder>> = match &self.btf {
-            Some(b) if b.dim() == n => Some(Arc::clone(b)),
-            _ => match (&self.ordering, &self.symbolic) {
-                (Some(perm), _) if perm.len() == n => None,
-                (_, Some(sym)) if Arc::ptr_eq(sym.pattern(), pat) => sym.btf.clone(),
-                _ => None,
-            },
-        };
+        // Block-triangular preordering: a requested BTF order of
+        // matching dimension.
+        let btf: Option<Arc<BtfOrder>> = self.btf.as_ref().filter(|b| b.dim() == n).cloned();
         // Column pre-ordering: the BTF order's composed permutation;
-        // else an explicitly set ordering of matching dimension;
-        // otherwise a stability fallback from a seeded skeleton of the
-        // same pattern keeps that skeleton's ordering (the ordering is
-        // a property of the pattern, not the values); otherwise natural
-        // order.
+        // else a requested ordering of matching dimension; otherwise
+        // natural order.
         let colperm: Vec<usize> = match (&btf, &self.ordering) {
             (Some(b), _) => b.colperm.clone(),
             (None, Some(perm)) if perm.len() == n => {
@@ -1012,10 +950,7 @@ impl SparseLu {
                 }
                 perm.clone()
             }
-            _ => match &self.symbolic {
-                Some(sym) if Arc::ptr_eq(sym.pattern(), pat) => sym.colperm.clone(),
-                _ => (0..n).collect(),
-            },
+            _ => (0..n).collect(),
         };
         let block_ptr: Vec<usize> = match &btf {
             Some(b) => {
@@ -1637,71 +1572,17 @@ mod tests {
         }
     }
 
-    /// A workspace seeded with another workspace's symbolic skeleton
-    /// must refactor (sharing the `Arc`, computing no new skeleton) and
-    /// produce the bit-identical solution the originating workspace
-    /// produces.
+    /// Cloning a factored workspace shares its symbolic skeleton by
+    /// `Arc`: the solver clones the plan's factor cache hands out
+    /// compute no skeleton of their own.
     #[test]
-    fn seeded_symbolic_is_shared_and_bit_identical() {
-        let n = 80;
-        let a = banded(n, 2, 1234);
+    fn cloned_workspace_shares_the_skeleton() {
+        let a = banded(80, 2, 1234);
         let mut original = SparseLu::new();
         original.factor(&a).unwrap();
         let sym = original.symbolic().expect("factored workspace has a skeleton");
-
-        let mut seeded = SparseLu::new();
-        seeded.seed_symbolic(Arc::clone(&sym));
-        assert!(!seeded.is_factored(), "seeding must not claim a factorization");
-        seeded.factor(&a).unwrap();
-        // Still the same skeleton: the seeded factor was a pure
-        // numeric refactorization.
-        assert!(Arc::ptr_eq(&seeded.symbolic().unwrap(), &sym));
-
-        let mut next = rng(99);
-        let b: Vec<f64> = (0..n).map(|_| next()).collect();
-        let (mut x0, mut x1) = (vec![0.0; n], vec![0.0; n]);
-        original.solve_into(&b, &mut x0).unwrap();
-        seeded.solve_into(&b, &mut x1).unwrap();
-        for (u, v) in x0.iter().zip(&x1) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-
-        // Cloning a factored workspace shares the skeleton too.
         let clone = original.clone();
         assert!(Arc::ptr_eq(&clone.symbolic().unwrap(), &sym));
-    }
-
-    /// A seeded skeleton whose pivot order is numerically unacceptable
-    /// for the new values must fall back to a fresh pivoting
-    /// factorization and still solve correctly.
-    #[test]
-    fn seeded_symbolic_falls_back_on_pivot_decay() {
-        let entries = [(0, 0), (0, 1), (1, 0), (1, 1)];
-        let mut a = SparseMatrix::from_entries(2, &entries);
-        a.add(0, 0, 4.0);
-        a.add(1, 1, 4.0);
-        a.add(0, 1, 1.0);
-        a.add(1, 0, 1.0);
-        let mut donor = SparseLu::new();
-        donor.factor(&a).unwrap();
-        let sym = donor.symbolic().unwrap();
-
-        StampTarget::clear(&mut a);
-        a.add(0, 0, 1e-14);
-        a.add(0, 1, 2.0);
-        a.add(1, 0, 3.0);
-        a.add(1, 1, 1e-14);
-        let mut seeded = SparseLu::new();
-        seeded.seed_symbolic(Arc::clone(&sym));
-        seeded.factor(&a).unwrap();
-        assert!(
-            !Arc::ptr_eq(&seeded.symbolic().unwrap(), &sym),
-            "decayed pivots must force a fresh skeleton"
-        );
-        let mut x = vec![0.0; 2];
-        seeded.solve_into(&[4.0, 6.0], &mut x).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-9, "{x:?}");
-        assert!((x[1] - 2.0).abs() < 1e-9, "{x:?}");
     }
 
     /// `merged_with` must produce content-identical patterns to a
@@ -1827,10 +1708,9 @@ mod tests {
     }
 
     /// An ordered factorization must refactor (same skeleton, same
-    /// ordering) on new values with the same pattern, and a seeded
-    /// workspace must solve bit-identically to the donor.
+    /// ordering) on new values with the same pattern.
     #[test]
-    fn ordered_refactor_and_seeding_keep_the_ordering() {
+    fn ordered_refactor_keeps_the_ordering() {
         let mut a = grid(8, 8, 31);
         let n = a.dim();
         let mut lu = SparseLu::new();
@@ -1858,18 +1738,6 @@ mod tests {
         lu.solve_into(&b, &mut x).unwrap();
         for (g, w) in x.iter().zip(&want) {
             assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
-        }
-
-        // A seeded workspace (no ordering set of its own) inherits the
-        // permuted skeleton and solves bit-identically.
-        let mut seeded = SparseLu::new();
-        seeded.seed_symbolic(Arc::clone(&sym));
-        seeded.factor(&a).unwrap();
-        assert!(Arc::ptr_eq(&seeded.symbolic().unwrap(), &sym));
-        let mut y = vec![0.0; n];
-        seeded.solve_into(&b, &mut y).unwrap();
-        for (u, v) in x.iter().zip(&y) {
-            assert_eq!(u.to_bits(), v.to_bits());
         }
     }
 

@@ -28,10 +28,10 @@ pub struct AnalysisOptions {
     /// (the differential tests cross-check the two).
     pub solver: SolverKind,
     /// Column ordering for the sparse LU's elimination. `Auto` (the
-    /// default) keeps natural MNA order unless a fill comparison on the
-    /// circuit's canonical matrix shows AMD (or, past a second margin,
-    /// BTF) reducing the stored `nnz(L+U)` past the margin;
-    /// `Natural`/`Amd`/`Btf` force an ordering (the four-way
+    /// default) keeps natural MNA order unless the sparsity pattern's
+    /// structural counts show natural order fill-blown and AMD beating
+    /// it by a margin (see [`OrderingKind::Auto`]); it never resolves to
+    /// BTF. `Natural`/`Amd`/`Btf` force an ordering (the four-way
     /// differential tests cross-check them). Ignored on the dense path.
     pub ordering: OrderingKind,
 }

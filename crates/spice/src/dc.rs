@@ -136,8 +136,8 @@ impl NewtonScratch {
     ) -> Self {
         let plan = circuit.plan();
         let n = plan.dim();
-        let solver = MnaSolver::for_plan(&plan, kind, ordering, scope);
         let dispatch = Dispatch::resolve(&plan, kind, ordering, scope);
+        let solver = MnaSolver::for_plan(&plan, dispatch);
         NewtonScratch {
             plan,
             solver,

@@ -121,10 +121,10 @@
 //!   adjacent bridge of a mesh is) keeps the pattern's `Arc`, and the
 //!   patched plan takes over the pattern-only state with it: the AMD
 //!   permutation, the BTF orders and the `Auto` verdict. What depends
-//!   on values — the canonical factorizations and the factor cache — is
-//!   recomputed per variant. Bridge-fault injection therefore costs
-//!   a plan patch, not a recompilation. Structural mutations (node
-//!   interning, removal, `device_mut`) still drop the plan.
+//!   on values — the factor cache — starts empty per variant.
+//!   Bridge-fault injection therefore costs a plan patch, not a
+//!   recompilation. Structural mutations (node interning, removal,
+//!   `device_mut`) still drop the plan.
 //! * **Stimulus overrides.** Every analysis accepts
 //!   `override_stimulus(name, wave)`: the override applies at
 //!   source-evaluation time, so test configurations sweep stimulus
@@ -141,11 +141,9 @@
 //!   filled by whichever thread factors first), so later analyses of
 //!   the same circuit — the next DC level of a campaign variant, the
 //!   next run at the same step — start already factored, with the same
-//!   iterations and bits. Each circuit's plan
-//!   additionally caches one canonical symbolic analysis
-//!   (`castg_numeric::SparseSymbolic`, `Arc`-shared) that seeds every
-//!   sparse solver instance, so a whole campaign performs one symbolic
-//!   DFS per variant.
+//!   iterations and bits. A cached entry shares its symbolic skeleton
+//!   (`castg_numeric::SparseSymbolic`) by `Arc` with every analysis
+//!   that adopts it.
 //!
 //! # Solver dispatch: dense vs sparse
 //!
@@ -170,7 +168,7 @@
 //! through both must agree to 1e-9 relative, nominal and after fault
 //! injection.
 //!
-//! # Ordering selection: natural, AMD, BTF — and symbolic sharing
+//! # Ordering selection: natural, AMD, BTF
 //!
 //! The sparse path has a second dispatch axis,
 //! [`AnalysisOptions::ordering`] ([`OrderingKind`]): which column
@@ -223,19 +221,21 @@
 //! AMD path (bit-identical to forced `Amd`).
 //!
 //! Ordering composes with every structure-sharing mechanism above
-//! because the permutation lives *inside* the shared symbolic analysis
-//! (`castg_numeric::SparseSymbolic`): the plan's canonical symbolic is
-//! computed per ordering and seeded into every solver instance, seeded
-//! refactorizations and stability fallbacks keep factoring under the
-//! recorded permutation, and delta-stamp plan patches resolve `Auto`
-//! on the merged pattern (a pure function of the faulted circuit, so a
-//! patched variant and a from-scratch rebuild always agree bit for bit
-//! — the patched one merely reuses the nominal's AMD permutation and
-//! verdict when the pattern is unchanged). The four-way differential
-//! harness (Dense / Sparse-Natural / Sparse-AMD / Sparse-BTF,
-//! `tests/sparse_differential.rs` + `tests/campaign_differential.rs`)
-//! pins all of this, nominal and after fault injection, at worker
-//! counts 1 and 4.
+//! because it is pattern-only state. The plan computes the AMD
+//! permutation or the BTF order once per pattern and installs it in
+//! every sparse solver instance, whose first factorization picks its
+//! own pivots under it; the instance's refactorizations and stability
+//! fallbacks keep factoring under the same ordering. Delta-stamp plan
+//! patches resolve `Auto` on the merged pattern (a pure function of
+//! the faulted circuit, so a patched variant and a from-scratch rebuild
+//! always agree bit for bit — the patched one merely reuses the
+//! nominal's AMD permutation and verdict when the pattern is
+//! unchanged). Only [`sparse_fill_stats`] factors the canonical matrix
+//! (assembled at `x = 0` with the default gmin), and it keeps nothing.
+//! The four-way differential harness (Dense / Sparse-Natural /
+//! Sparse-AMD / Sparse-BTF, `tests/sparse_differential.rs` +
+//! `tests/campaign_differential.rs`) pins all of this, nominal and
+//! after fault injection, at worker counts 1 and 4.
 //!
 //! # Example: resistor divider
 //!

@@ -58,11 +58,12 @@ pub const AMD_AUTO_MIN_BLOWUP: f64 = 3.0;
 ///
 /// Orthogonal to [`SolverKind`]: the ordering only matters on the
 /// sparse path (dense LU ignores it). The permutation is computed once
-/// per circuit pattern, recorded in the plan's canonical symbolic
-/// analysis, and inherited by every seeded solver instance — including
-/// refactorizations and stability fallbacks — so a whole fault campaign
-/// pays one AMD run per sparsity pattern: a delta-patched variant that
-/// adds no slot reuses its nominal's permutation and `Auto` verdict.
+/// per sparsity pattern and cached on the circuit's plan. Every sparse
+/// solver instance factors under it: its first pivoting factorization,
+/// its refactorizations and their stability fallbacks. A whole fault
+/// campaign therefore pays one AMD run per sparsity pattern: a
+/// delta-patched variant that adds no slot reuses its nominal's
+/// permutation and `Auto` verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderingKind {
     /// Resolve per sparsity pattern to one of two outcomes: `Amd` when
@@ -123,17 +124,33 @@ pub struct FillStats {
 /// workload's AMD reduction through it, and
 /// `tests/ordering_verdicts.rs` pins every committed circuit's row.
 ///
+/// The canonical matrix is the one a DC solve from `x = 0` under the
+/// default options factors first: assembled at `x = 0` with the default
+/// gmin and the DC source values. It is factored afresh on every call,
+/// exactly as a sparse solver instance's first factorization would,
+/// and nothing is kept.
+///
 /// Returns `None` when the canonical matrix is singular (a grossly
 /// broken netlist).
 pub fn sparse_fill_stats(circuit: &crate::Circuit, ordering: OrderingKind) -> Option<FillStats> {
     let plan = circuit.plan();
     let scope = PatternScope::Static;
-    let symbolic = plan.canonical_symbolic(ordering, scope)?;
+    let n = plan.dim();
+    let resolved = plan.resolve_ordering(ordering, scope);
+    let mut lu = SparseLu::new();
+    plan.install_ordering(&mut lu, resolved, scope);
+    let mut mat = plan.sparse_template(scope).clone();
+    let mut src_vals = Vec::new();
+    plan.source_values(&mut src_vals, |w| w.dc_value());
+    let gmin = crate::analysis::AnalysisOptions::default().gmin;
+    plan.assemble_into_sparse(&vec![0.0; n], &mut mat, &mut vec![0.0; n], gmin, &src_vals);
+    lu.factor(&mat).ok()?;
+    let symbolic = lu.symbolic()?;
     Some(FillStats {
-        unknowns: plan.dim(),
-        pattern_nnz: plan.sparse_template(scope).pattern().nnz(),
+        unknowns: n,
+        pattern_nnz: mat.pattern().nnz(),
         lu_nnz: symbolic.fill_nnz(),
-        resolved: plan.resolve_ordering(ordering, scope),
+        resolved,
         blocks: symbolic.block_count(),
         largest_block: symbolic
             .blocks()
@@ -181,7 +198,7 @@ impl SolverKind {
 
 /// Everything a fresh [`MnaSolver::for_plan`] state depends on besides
 /// the plan: pattern scope and path (and, on the sparse path, the
-/// resolved ordering the instance is seeded under).
+/// resolved ordering to install in the instance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Dispatch {
     scope: PatternScope,
@@ -190,7 +207,7 @@ pub(crate) struct Dispatch {
 }
 
 impl Dispatch {
-    /// The dispatch [`MnaSolver::for_plan`] performs for these options.
+    /// Resolves the solver options against `plan`.
     pub(crate) fn resolve(
         plan: &StampPlan,
         kind: SolverKind,
@@ -269,8 +286,8 @@ thread_local! {
 /// companions), factor, substitute. The dense arm swaps the matrix into
 /// the LU workspace exactly as before this dispatch existed, so small
 /// circuits keep their bit-identical allocation-free hot path; the
-/// sparse arm clears O(nnz) values and refactors against the cached
-/// symbolic skeleton.
+/// sparse arm clears O(nnz) values and refactors against the symbolic
+/// skeleton its first factorization recorded.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // one solver per analysis, not per element
 pub(crate) enum MnaSolver {
@@ -282,42 +299,26 @@ pub(crate) enum MnaSolver {
 }
 
 impl MnaSolver {
-    /// Creates the solver state `kind` resolves to for `plan`.
+    /// Creates the fresh solver state `dispatch` selects for `plan`.
     ///
-    /// The sparse arm seeds its LU workspace with the plan's canonical
-    /// symbolic analysis under `ordering` (computed once per plan,
-    /// shared by `Arc`), so every analysis of the same circuit — across
-    /// tests, threads and fault-campaign cells — starts refactoring
-    /// numerically instead of re-running the symbolic DFS, and factors
-    /// under the same column permutation everywhere. When the canonical
-    /// matrix is singular (no shareable skeleton), the resolved ordering
-    /// is still installed, so the instance's own analysis eliminates
-    /// under it.
-    pub(crate) fn for_plan(
-        plan: &StampPlan,
-        kind: SolverKind,
-        ordering: OrderingKind,
-        scope: PatternScope,
-    ) -> Self {
-        let n = plan.dim();
-        if kind.use_sparse(plan) {
-            let mut lu = SparseLu::new();
-            match plan.canonical_symbolic(ordering, scope) {
-                Some(symbolic) => lu.seed_symbolic(symbolic),
-                None => {
-                    plan.install_ordering(&mut lu, plan.resolve_ordering(ordering, scope), scope)
-                }
+    /// The sparse arm installs the plan's cached ordering for the scope
+    /// (the AMD permutation, the BTF order, or nothing for natural
+    /// order) in a fresh LU workspace. The instance's first
+    /// factorization then picks its own pivots under that ordering, and
+    /// its later ones refactor the skeleton it recorded.
+    pub(crate) fn for_plan(plan: &StampPlan, dispatch: Dispatch) -> Self {
+        let Dispatch { scope, ordering } = dispatch;
+        match ordering {
+            Some(ordering) => {
+                let mut lu = SparseLu::new();
+                plan.install_ordering(&mut lu, ordering, scope);
+                MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu }
             }
-            MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu }
-        } else {
-            MnaSolver::Dense { mat: Matrix::zeros(n, n), lu: LuWorkspace::new(n) }
+            None => {
+                let n = plan.dim();
+                MnaSolver::Dense { mat: Matrix::zeros(n, n), lu: LuWorkspace::new(n) }
+            }
         }
-    }
-
-    /// Whether this solver runs the sparse path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self, MnaSolver::Sparse { .. })
     }
 
     /// One assembly + factorization: replays `plan` into the matrix,
@@ -407,7 +408,7 @@ mod tests {
         let plan = c.plan();
         let (kind, ordering, scope) = (SolverKind::Auto, OrderingKind::Auto, PatternScope::Static);
         let dispatch = Dispatch::resolve(&plan, kind, ordering, scope);
-        let solver = MnaSolver::for_plan(&plan, kind, ordering, scope);
+        let solver = MnaSolver::for_plan(&plan, dispatch);
         let cache = FactorCache::default();
         for k in 0..2 * FACTOR_CACHE_CAP as u64 {
             cache.insert((k, 0, 0), dispatch, &solver);
@@ -431,9 +432,9 @@ mod tests {
 
         let mut solutions = Vec::new();
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let mut solver =
-                MnaSolver::for_plan(&plan, kind, OrderingKind::Auto, PatternScope::Full);
-            assert_eq!(solver.is_sparse(), kind == SolverKind::Sparse);
+            let dispatch = Dispatch::resolve(&plan, kind, OrderingKind::Auto, PatternScope::Full);
+            let mut solver = MnaSolver::for_plan(&plan, dispatch);
+            assert_eq!(matches!(solver, MnaSolver::Sparse { .. }), kind == SolverKind::Sparse);
             let mut rhs = vec![0.0; n];
             let mut x = vec![0.0; n];
             solver

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use castg_numeric::{Matrix, SparseLu, SparseMatrix, SparseSymbolic, StampTarget};
+use castg_numeric::{Matrix, SparseLu, SparseMatrix, StampTarget};
 
 use crate::bjt::{self, BjtParams, BjtPolarity};
 use crate::circuit::Circuit;
@@ -503,10 +503,10 @@ pub(crate) struct StampPlan {
     /// dynamic sparsity slots and the transient companions both derive
     /// from it.
     reactances: Vec<Reactance>,
-    /// Per-[`PatternScope`] lazy caches: the sparse template, canonical
-    /// symbolic analyses, orderings and stamp indices all come in a
-    /// `Static` (DC) and a `Full` (transient) flavor, because the
-    /// two scopes factor different sparsity patterns. When the static
+    /// Per-[`PatternScope`] lazy caches: the sparse template, orderings,
+    /// `Auto` verdict and stamp indices all come in a `Static` (DC) and
+    /// a `Full` (transient) flavor, because the two scopes factor
+    /// different sparsity patterns. When the static
     /// and full slot sets produce the same pattern (no off-diagonal
     /// capacitive coupling — ladders, meshes), the static template
     /// shares the full pattern's `Arc` and every `Static` lookup is
@@ -542,6 +542,13 @@ pub(crate) enum PatternScope {
 /// The per-scope half of a [`StampPlan`]'s lazy state; see the `caches`
 /// field for the redirection rule that keeps single-pattern plans on
 /// one copy.
+///
+/// Everything here is a pure function of the scope's pattern (and of
+/// the plan's slot list), never of values: a device patch that keeps
+/// the pattern inherits the orderings and the `Auto` verdict, and a
+/// rebuild of the same circuit computes identical ones. Pivot
+/// sequences are not cached here; each sparse solver instance picks
+/// its own in its first factorization.
 #[derive(Debug, Clone, Default)]
 struct ScopeCaches {
     /// Lazily built all-zero sparse matrix over this scope's slot set;
@@ -549,21 +556,6 @@ struct ScopeCaches {
     /// solver instance for this circuit, so the pattern construction is
     /// paid once per plan.
     template: OnceLock<SparseMatrix>,
-    /// Lazily computed shared symbolic analyses of the canonical MNA
-    /// matrix (assembled at `x = 0` with the default gmin), one per
-    /// column ordering; `None` inside when the canonical matrix is
-    /// singular. Every sparse solver instance for this circuit seeds
-    /// from the one its analysis ordering resolves to, so a whole fault
-    /// campaign pays one canonical factorization per circuit variant
-    /// and scope: the Auto verdict factors nothing (see
-    /// [`resolve_ordering`](StampPlan::resolve_ordering)). Values
-    /// differ between variants, so a device patch never carries these
-    /// over; the orderings they factor under, and the Auto verdict, are
-    /// pattern-only state (`amd_perm`, `btf_order`, `auto_ordering`)
-    /// and do carry over.
-    canonical_natural: OnceLock<Option<Arc<SparseSymbolic>>>,
-    canonical_amd: OnceLock<Option<Arc<SparseSymbolic>>>,
-    canonical_btf: OnceLock<Option<Arc<SparseSymbolic>>>,
     /// Lazily computed BTF condensation of this scope's pattern
     /// (transversal + SCC blocks, no per-block ordering; `None` inside
     /// when the pattern is structurally singular): a few linear passes
@@ -574,17 +566,14 @@ struct ScopeCaches {
     btf_blocks: OnceLock<Option<castg_numeric::BtfOrder>>,
     /// Lazily refined BTF preordering (the condensation plus per-block
     /// AMD), built only when a forced `Btf` order is factored, and
-    /// shared by the canonical BTF
-    /// factorization and solver instances that must order their own
-    /// analysis.
+    /// shared by every solver instance that factors under it.
     btf_order: OnceLock<Option<Arc<castg_numeric::BtfOrder>>>,
     /// Lazily computed AMD permutation of this scope's pattern: one
     /// ordering construction per pattern, shared by the Auto
-    /// comparison, the canonical AMD factorization, and solver
-    /// instances that must order their own analysis (singular
-    /// canonical). A device patch that keeps the pattern inherits it,
-    /// so a campaign of such variants runs the ordering once, on the
-    /// nominal; a variant that adds slots runs it at most once.
+    /// comparison and every solver instance that factors under AMD. A
+    /// device patch that keeps the pattern inherits it, so a campaign
+    /// of such variants runs the ordering once, on the nominal; a
+    /// variant that adds slots runs it at most once.
     amd_perm: OnceLock<Vec<usize>>,
     /// Lazily resolved `OrderingKind::Auto` verdict (`Natural` or
     /// `Amd`); see [`resolve_ordering`](StampPlan::resolve_ordering)
@@ -616,9 +605,6 @@ impl ScopeCaches {
 thread_local! {
     /// AMD orderings this thread's plans computed (test-only).
     static AMD_ORDERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Canonical factorizations this thread's plans ran, per resolved
-    /// ordering: `[Natural, Amd, Btf]` (test-only).
-    static CANONICAL_FACTORS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
     /// Auto verdicts this thread's plans computed (test-only).
     static AUTO_VERDICTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
@@ -728,9 +714,8 @@ impl StampPlan {
     /// Built templates are extended by the device's slots. A scope whose
     /// pattern gains no slot keeps the base's pattern `Arc` and inherits
     /// its pattern-only caches (AMD permutation, BTF orders, `Auto`
-    /// verdict). Everything that depends on values — the canonical
-    /// symbolic analyses and the factor cache — starts empty, because
-    /// the device changes the canonical matrix.
+    /// verdict). The factor cache, which holds values, starts empty,
+    /// because the device changes the matrices.
     pub(crate) fn patched_with_device(&self, dev: &Device) -> Self {
         let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
         let mut damped = self.damped.clone();
@@ -800,9 +785,8 @@ impl StampPlan {
                     .template
                     .set(SparseMatrix::with_pattern(shared.unwrap_or(pattern)));
             }
-            // Value-dependent state — the canonical factorizations and
-            // the factor cache — is deliberately *not* carried over: the
-            // device changes the canonical values.
+            // The factor cache holds values and is deliberately *not*
+            // carried over: the device changes the matrices.
         }
         plan
     }
@@ -842,35 +826,9 @@ impl StampPlan {
         }
     }
 
-    /// Shared symbolic analysis of the canonical MNA matrix — the
-    /// system assembled at `x = 0` with the default gmin and DC source
-    /// values — under the column ordering `ordering` resolves to.
-    /// Computed once per plan *per ordering* (deterministically —
-    /// independent of which analysis or thread asks first) and seeded
-    /// into every sparse solver instance, which then refactors
-    /// numerically under the recorded permutation; a solve whose values
-    /// make the canonical pivot order unacceptable falls back to its
-    /// own pivoting factorization (keeping the ordering). `None` when
-    /// the canonical matrix is singular (a grossly broken faulted
-    /// variant) — instances then analyze on their own.
-    pub(crate) fn canonical_symbolic(
-        &self,
-        ordering: OrderingKind,
-        scope: PatternScope,
-    ) -> Option<Arc<SparseSymbolic>> {
-        let ordering = self.resolve_ordering(ordering, scope);
-        let caches = self.scope_caches(scope);
-        let cell = match ordering {
-            OrderingKind::Amd => &caches.canonical_amd,
-            OrderingKind::Btf => &caches.canonical_btf,
-            _ => &caches.canonical_natural,
-        };
-        cell.get_or_init(|| self.factor_canonical(scope, ordering)).clone()
-    }
-
     /// The AMD permutation of `scope`'s sparse pattern, constructed
-    /// once and shared by every consumer (the Auto verdict, canonical
-    /// AMD factorization, instances analyzing on their own).
+    /// once and shared by every consumer (the Auto verdict and every
+    /// solver instance that factors under AMD).
     fn amd_permutation(&self, scope: PatternScope) -> &Vec<usize> {
         self.scope_caches(scope).amd_perm.get_or_init(|| {
             #[cfg(test)]
@@ -890,8 +848,7 @@ impl StampPlan {
 
     /// The refined BTF preordering of `scope`'s sparse pattern (`None`
     /// when structurally singular), constructed once and shared by
-    /// every consumer that factors under it — the canonical BTF
-    /// factorization and instances analyzing on their own.
+    /// every solver instance that factors under it.
     fn btf_ordering(&self, scope: PatternScope) -> Option<&Arc<castg_numeric::BtfOrder>> {
         self.scope_caches(scope)
             .btf_order
@@ -924,18 +881,15 @@ impl StampPlan {
     /// otherwise the verdict is `Natural`. Never returns `Auto`, and
     /// `Auto` never resolves to `Btf`.
     ///
-    /// The verdict reads no values and factors nothing, so a plan pays
-    /// one canonical factorization, under the ordering it resolves to,
-    /// and a delta-patched plan and a rebuild of the same faulted
-    /// circuit resolve alike by construction. Only a fill-blown pattern
-    /// goes on to the AMD ordering and its count. Measured on the
-    /// 578-unknown mesh (min of 30 rounds, one CPU, x86-64 release
-    /// build): each count takes 50–70 µs, against ~1.3 ms for the AMD
-    /// ordering and ~0.9 ms for the AMD canonical factorization. A
-    /// bridge across an existing mesh resistor keeps the pattern,
-    /// inherits the ordering and the verdict, and pays only its
-    /// canonical factorization: ~0.9 ms per variant over 96 such
-    /// bridges.
+    /// The verdict reads no values and factors nothing, so a
+    /// delta-patched plan and a rebuild of the same faulted circuit
+    /// resolve alike by construction. Only a fill-blown pattern goes on
+    /// to the AMD ordering and its count. Measured on the 578-unknown
+    /// mesh (min of 30 rounds, one CPU, x86-64 release build): each
+    /// count takes 50–70 µs, against ~1.3 ms for the AMD ordering. A
+    /// bridge across an existing mesh resistor keeps the pattern and
+    /// inherits the ordering and the verdict, so its solver instances
+    /// pay only their own first factorizations.
     pub(crate) fn resolve_ordering(
         &self,
         ordering: OrderingKind,
@@ -983,42 +937,6 @@ impl StampPlan {
             )),
             _ => {}
         }
-    }
-
-    /// Factors the canonical matrix of `scope` — assembled at `x = 0`
-    /// with the default gmin and DC source values — under a resolved
-    /// `ordering`, returning the symbolic skeleton or `None` on
-    /// singularity.
-    fn factor_canonical(
-        &self,
-        scope: PatternScope,
-        ordering: OrderingKind,
-    ) -> Option<Arc<SparseSymbolic>> {
-        #[cfg(test)]
-        CANONICAL_FACTORS.with(|c| {
-            let mut counts = c.get();
-            counts[match ordering {
-                OrderingKind::Amd => 1,
-                OrderingKind::Btf => 2,
-                _ => 0,
-            }] += 1;
-            c.set(counts);
-        });
-        let mut lu = SparseLu::new();
-        self.install_ordering(&mut lu, ordering, scope);
-        let mut mat = self.sparse_template(scope).clone();
-        let mut rhs = vec![0.0; self.n];
-        let x0 = vec![0.0; self.n];
-        let mut src_vals = Vec::new();
-        self.source_values(&mut src_vals, |w| w.dc_value());
-        // The default-options gmin: what virtually every solve of this
-        // plan will stamp, so the canonical pivot order matches the
-        // real matrices (a custom-gmin solve still works — the
-        // refactorization stability fallback covers it, just without
-        // the amortization).
-        let gmin = crate::analysis::AnalysisOptions::default().gmin;
-        self.assemble_into_sparse(&x0, &mut mat, &mut rhs, gmin, &src_vals);
-        lu.factor(&mat).ok().and_then(|()| lu.symbolic())
     }
 
     /// Whether the plan contains no nonlinear linearization sites, i.e.
@@ -1506,12 +1424,6 @@ mod tests {
         AMD_ORDERINGS.with(std::cell::Cell::get)
     }
 
-    /// Canonical factorizations this thread has run so far, per
-    /// ordering: `[Natural, Amd, Btf]`.
-    fn canonical_factors() -> [usize; 3] {
-        CANONICAL_FACTORS.with(std::cell::Cell::get)
-    }
-
     /// Auto verdicts this thread has computed so far.
     fn auto_verdicts() -> usize {
         AUTO_VERDICTS.with(std::cell::Cell::get)
@@ -1519,13 +1431,14 @@ mod tests {
 
     /// A bridge across an existing resistor keeps the mesh's pattern, so
     /// the delta-patched variant inherits the nominal's AMD permutation
-    /// and `Auto` verdict: it computes neither and factors only its AMD
-    /// canonical — and still reaches the rebuild's verdict and fill. A
-    /// bridge that adds slots orders its new pattern and decides its
-    /// verdict exactly once, again with no natural factorization.
+    /// and `Auto` verdict: its first DC solve computes neither and runs
+    /// one factorization, its own solver's — and the variant still
+    /// reaches the rebuild's verdict and fill. A bridge that adds slots
+    /// orders its new pattern and decides its verdict exactly once,
+    /// again with one factorization.
     #[test]
     fn pattern_keeping_patch_inherits_the_amd_ordering() {
-        use crate::solver::sparse_fill_stats;
+        use crate::solver::{sparse_fill_stats, FACTORIZATIONS};
         let k = 10;
         let nominal = mesh(k);
         let stats = sparse_fill_stats(&nominal, OrderingKind::Auto).unwrap();
@@ -1536,31 +1449,34 @@ mod tests {
             sparse_fill_stats(&rebuilt, OrderingKind::Auto).unwrap()
         };
         let node = |i: usize| nominal.find_node(&format!("n{i}")).unwrap();
-        let counters = || (amd_orderings(), auto_verdicts(), canonical_factors());
+        let counters =
+            || (amd_orderings(), auto_verdicts(), FACTORIZATIONS.with(std::cell::Cell::get));
 
         let mut parallel = nominal.clone();
         parallel.add_resistor("F_bridge", node(0), node(1), 50e3).unwrap();
-        let (orderings, verdicts, [natural, amd, btf]) = counters();
-        let stats = sparse_fill_stats(&parallel, OrderingKind::Auto).unwrap();
+        let (orderings, verdicts, factorizations) = counters();
+        crate::DcAnalysis::new(&parallel).solve().unwrap();
         assert_eq!(
             counters(),
-            (orderings, verdicts, [natural, amd + 1, btf]),
+            (orderings, verdicts, factorizations + 1),
             "a pattern-keeping variant must inherit its ordering and verdict \
-             and factor only its AMD canonical"
+             and factor once in its DC solve"
         );
+        let stats = sparse_fill_stats(&parallel, OrderingKind::Auto).unwrap();
         assert_eq!(stats.resolved, OrderingKind::Amd);
         assert_eq!(stats, rebuilt_stats(&parallel));
 
         let mut far = nominal.clone();
         far.add_resistor("F_bridge", node(0), node(k * k - 1), 50e3).unwrap();
-        let (orderings, verdicts, [natural, amd, btf]) = counters();
-        let stats = sparse_fill_stats(&far, OrderingKind::Auto).unwrap();
+        let (orderings, verdicts, factorizations) = counters();
+        crate::DcAnalysis::new(&far).solve().unwrap();
         assert_eq!(
             counters(),
-            (orderings + 1, verdicts + 1, [natural, amd + 1, btf]),
+            (orderings + 1, verdicts + 1, factorizations + 1),
             "a slot-adding variant must order and decide once \
-             and factor only its AMD canonical"
+             and factor once in its DC solve"
         );
+        let stats = sparse_fill_stats(&far, OrderingKind::Auto).unwrap();
         assert_eq!(stats.resolved, OrderingKind::Amd);
         assert_eq!(stats, rebuilt_stats(&far));
     }

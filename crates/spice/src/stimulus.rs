@@ -147,26 +147,6 @@ impl Waveform {
     pub fn dc_value(&self) -> f64 {
         self.eval(0.0)
     }
-
-    /// Time points at which the waveform is non-smooth. Transient analysis
-    /// aligns steps to these so ramps are never stepped over.
-    pub fn breakpoints(&self) -> Vec<f64> {
-        match self {
-            Waveform::Dc(_) => Vec::new(),
-            Waveform::Sine { delay, .. } => {
-                if *delay > 0.0 {
-                    vec![*delay]
-                } else {
-                    Vec::new()
-                }
-            }
-            Waveform::Step { t_step, t_rise, .. } => vec![*t_step, t_step + t_rise.max(0.0)],
-            Waveform::Pulse { delay, rise, fall, width, .. } => {
-                vec![*delay, delay + rise, delay + rise + width, delay + rise + width + fall]
-            }
-            Waveform::Pwl(points) => points.iter().map(|(t, _)| *t).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,13 +225,6 @@ mod tests {
     #[test]
     fn pwl_empty_is_zero() {
         assert_eq!(Waveform::Pwl(vec![]).eval(1.0), 0.0);
-    }
-
-    #[test]
-    fn breakpoints_cover_discontinuities() {
-        let w = Waveform::step(0.0, 1.0, 2e-6, 10e-9);
-        assert_eq!(w.breakpoints(), vec![2e-6, 2.01e-6]);
-        assert!(Waveform::dc(1.0).breakpoints().is_empty());
     }
 
     #[test]

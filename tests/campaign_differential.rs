@@ -128,9 +128,9 @@ fn iv_converter_delta_campaign_is_bit_identical() {
 }
 
 /// Ladder at n = 256 unknowns (sparse solver path, linear): the full
-/// bridge dictionary against DC and step-response tests, exercising the
-/// shared symbolic analysis and the factor-once Jacobian reuse on both
-/// injection paths.
+/// bridge dictionary against DC and step-response tests, exercising
+/// each sparse solver's own first factorization and the factor-once
+/// Jacobian reuse on both injection paths.
 #[test]
 fn ladder_256_delta_campaign_is_bit_identical() {
     let mac = LadderMacro::with_unknowns(256);

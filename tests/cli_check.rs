@@ -1,10 +1,10 @@
 //! Regression tests for the `castg` CLI surface: parameter overrides
 //! reaching the lowered circuit, resolved-parameter printing, a quiet
 //! exit when stdout's reader goes away, the named
-//! structural-singularity diagnostic, and the `generate` robustness
-//! flags (`--max-newton-iters`, `--budget-ms`, `--strict`) with their
-//! outcome accounting and exit codes, and a `--json` summary that stays
-//! JSON under a zero tolerance box.
+//! structural-singularity diagnostic, `check`'s sparse fill table, the
+//! `generate` robustness flags (`--max-newton-iters`, `--budget-ms`,
+//! `--strict`) with their outcome accounting and exit codes, and a
+//! `--json` summary that stays JSON under a zero tolerance box.
 
 use std::io::Write;
 use std::process::Command;
@@ -130,6 +130,25 @@ fn check_names_the_singular_unknown() {
 
 fn fixture(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+}
+
+/// `check`'s fill table on the 259-unknown ladder deck: one row per
+/// ordering, with the fills `tests/ordering_verdicts.rs` pins for that
+/// deck, and the ordering the default dispatch resolves to.
+#[test]
+fn check_prints_the_fill_table() {
+    let out = castg().arg("check").arg(fixture("ladder_param.sp")).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for line in [
+        "  natural  pattern nnz    774, factor nnz   1030",
+        "  amd      pattern nnz    774, factor nnz    774",
+        "  btf      pattern nnz    774, factor nnz    774, 3 blocks (largest 257)",
+        "requested dispatch Auto/Auto resolves to ordering Natural \
+         (259 unknowns, factor nnz 1030)",
+    ] {
+        assert!(stdout.lines().any(|l| l == line), "no line {line:?} in:\n{stdout}");
+    }
 }
 
 #[test]
