@@ -216,8 +216,8 @@ pub fn render_json_report(
     s
 }
 
-/// A simple column-aligned text table with an optional markdown
-/// rendering; used by the benchmark harness to print the paper's tables.
+/// A simple column-aligned text table with a CSV rendering; used by the
+/// benchmark harness to print the paper's tables.
 ///
 /// # Example
 ///
@@ -291,21 +291,6 @@ impl TextTable {
         out.push('\n');
         for row in &self.rows {
             line(row, &mut out);
-        }
-        out
-    }
-
-    /// Renders as a GitHub-flavored markdown table.
-    pub fn markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
         }
         out
     }
@@ -391,13 +376,6 @@ mod tests {
         assert!(lines[0].starts_with("a  "));
         assert!(lines[1].chars().all(|c| c == '-'));
         assert!(lines[3].starts_with("333"));
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let md = sample().markdown();
-        assert!(md.contains("| a | bb |"));
-        assert!(md.contains("|---|---|"));
     }
 
     #[test]

@@ -121,12 +121,6 @@ impl Matrix {
         Ok(y)
     }
 
-    /// Returns the maximum absolute entry (the max-norm), or zero for an
-    /// empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
     /// Returns a view of row `i` as a slice.
     ///
     /// # Panics
@@ -257,16 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_finds_largest_magnitude() {
-        let m = Matrix::from_rows(&[&[1.0, -9.0], &[3.0, 4.0]]);
-        assert_eq!(m.max_abs(), 9.0);
-    }
-
-    #[test]
     fn clear_zeroes_everything() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         m.clear();
-        assert_eq!(m.max_abs(), 0.0);
+        assert_eq!(m, Matrix::zeros(2, 2));
     }
 
     #[test]

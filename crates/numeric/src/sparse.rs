@@ -669,11 +669,6 @@ impl SparseSymbolic {
         self.oi.len()
     }
 
-    /// The BTF preordering this skeleton factors under, if any.
-    pub fn btf(&self) -> Option<&Arc<BtfOrder>> {
-        self.btf.as_ref()
-    }
-
     /// The column pre-ordering this skeleton factors under:
     /// `ordering()[k]` is the original column eliminated at step `k`
     /// (the identity for natural order).

@@ -60,17 +60,22 @@ pub struct CampaignResponse {
     pub cache: CacheStatus,
 }
 
+/// The JSON body of every error response:
+/// `{"error": {"kind": …, "message": …}}` on one line.
+pub(crate) fn error_body(kind: &str, message: &str) -> String {
+    use castg_core::report::json_escape;
+    format!(
+        "{{\"error\": {{\"kind\": \"{}\", \"message\": \"{}\"}}}}\n",
+        json_escape(kind),
+        json_escape(message),
+    )
+}
+
 impl CampaignResponse {
     fn error(status: u16, kind: &str, message: &str) -> Self {
-        use castg_core::report::json_escape;
-        let body = format!(
-            "{{\"error\": {{\"kind\": \"{}\", \"message\": \"{}\"}}}}\n",
-            json_escape(kind),
-            json_escape(message),
-        );
         CampaignResponse {
             status,
-            body: Arc::new(body.into_bytes()),
+            body: Arc::new(error_body(kind, message).into_bytes()),
             digest_hex: None,
             cache: CacheStatus::None,
         }

@@ -29,10 +29,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use castg_core::report::json_escape;
 use castg_core::{default_threads, fan_out};
 
-use crate::campaign::{CampaignResponse, Engine};
+use crate::campaign::{error_body, CampaignResponse, Engine};
 use crate::http::{read_request_abortable, write_response, Method, Request};
 use crate::json::parse_json;
 use crate::request::{CampaignRequest, ServerCeilings};
@@ -282,14 +281,6 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) {
             return;
         }
     }
-}
-
-fn error_body(kind: &str, message: &str) -> String {
-    format!(
-        "{{\"error\": {{\"kind\": \"{}\", \"message\": \"{}\"}}}}\n",
-        json_escape(kind),
-        json_escape(message),
-    )
 }
 
 /// Dispatches one request; returns `false` when the connection should

@@ -185,8 +185,8 @@ impl Circuit {
         }
     }
 
-    /// Adds a fully-formed device, validating its nodes and name
-    /// uniqueness.
+    /// Adds a fully-formed device, validating its values, its nodes and
+    /// name uniqueness.
     ///
     /// If the circuit's assembly schedule is already compiled, the new
     /// device is *patched into it* (its ops appended, exactly as a
@@ -197,10 +197,18 @@ impl Circuit {
     ///
     /// # Errors
     ///
+    /// [`SpiceError::InvalidValue`] on a value out of range (a
+    /// non-positive or non-finite resistance, capacitance or inductance,
+    /// non-positive MOS geometry, a diode or BJT parameter out of range,
+    /// a non-finite controlled-source gain) or on a current-controlled
+    /// source whose controller is missing or carries no branch current,
     /// [`SpiceError::DuplicateDevice`] if the name exists,
     /// [`SpiceError::UnknownNode`] if a terminal references a node that
     /// was never interned.
     pub fn add(&mut self, device: Device) -> Result<(), SpiceError> {
+        if let Some(reason) = device.invalid_value() {
+            return Err(SpiceError::InvalidValue { device: device.name().to_string(), reason });
+        }
         if self.device_index.contains_key(device.name()) {
             return Err(SpiceError::DuplicateDevice { name: device.name().to_string() });
         }
@@ -289,12 +297,6 @@ impl Circuit {
         b: NodeId,
         ohms: f64,
     ) -> Result<(), SpiceError> {
-        if !(ohms.is_finite() && ohms > 0.0) {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("resistance must be positive and finite, got {ohms}"),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Resistor { a, b, ohms }))
     }
 
@@ -311,12 +313,6 @@ impl Circuit {
         b: NodeId,
         farads: f64,
     ) -> Result<(), SpiceError> {
-        if !(farads.is_finite() && farads > 0.0) {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("capacitance must be positive and finite, got {farads}"),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Capacitor { a, b, farads }))
     }
 
@@ -336,12 +332,6 @@ impl Circuit {
         b: NodeId,
         henries: f64,
     ) -> Result<(), SpiceError> {
-        if !(henries.is_finite() && henries > 0.0) {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("inductance must be positive and finite, got {henries}"),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Inductor { a, b, henries }))
     }
 
@@ -393,20 +383,15 @@ impl Circuit {
         polarity: MosPolarity,
         params: MosParams,
     ) -> Result<(), SpiceError> {
-        if !(params.w > 0.0 && params.l > 0.0) {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("W and L must be positive, got W={} L={}", params.w, params.l),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Mosfet { d, g, s, b, polarity, params }))
     }
 
-    /// Adds a voltage-controlled voltage source.
+    /// Adds a voltage-controlled voltage source (`gain` finite).
     ///
     /// # Errors
     ///
-    /// See [`Circuit::add`].
+    /// [`SpiceError::InvalidValue`] on a non-finite gain, plus the
+    /// errors of [`Circuit::add`].
     #[allow(clippy::too_many_arguments)]
     pub fn add_vcvs(
         &mut self,
@@ -434,23 +419,6 @@ impl Circuit {
         k: NodeId,
         params: DiodeParams,
     ) -> Result<(), SpiceError> {
-        if !(params.is_sat.is_finite()
-            && params.is_sat > 0.0
-            && params.n.is_finite()
-            && params.n > 0.0
-            && params.rs.is_finite()
-            && params.rs >= 0.0
-            && params.cj0.is_finite()
-            && params.cj0 >= 0.0)
-        {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!(
-                    "diode needs is>0, n>0, rs>=0, cj0>=0 (finite), got is={} n={} rs={} cj0={}",
-                    params.is_sat, params.n, params.rs, params.cj0
-                ),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Diode { a, k, params }))
     }
 
@@ -471,26 +439,6 @@ impl Circuit {
         polarity: BjtPolarity,
         params: BjtParams,
     ) -> Result<(), SpiceError> {
-        if !(params.is_sat.is_finite()
-            && params.is_sat > 0.0
-            && params.bf.is_finite()
-            && params.bf > 0.0
-            && params.br.is_finite()
-            && params.br > 0.0
-            && params.cje.is_finite()
-            && params.cje >= 0.0
-            && params.cjc.is_finite()
-            && params.cjc >= 0.0)
-        {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!(
-                    "bjt needs is>0, bf>0, br>0, cje>=0, cjc>=0 (finite), \
-                     got is={} bf={} br={} cje={} cjc={}",
-                    params.is_sat, params.bf, params.br, params.cje, params.cjc
-                ),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Bjt { c, b, e, polarity, params }))
     }
 
@@ -510,12 +458,6 @@ impl Circuit {
         cn: NodeId,
         gm: f64,
     ) -> Result<(), SpiceError> {
-        if !gm.is_finite() {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("transconductance must be finite, got {gm}"),
-            });
-        }
         self.add(Device::new(name, DeviceKind::Vccs { pos, neg, cp, cn, gm }))
     }
 
@@ -535,12 +477,6 @@ impl Circuit {
         ctrl: &str,
         gain: f64,
     ) -> Result<(), SpiceError> {
-        if !gain.is_finite() {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("current gain must be finite, got {gain}"),
-            });
-        }
         self.add(Device::new(
             name,
             DeviceKind::Cccs { pos, neg, ctrl: std::sync::Arc::from(ctrl), gain },
@@ -563,12 +499,6 @@ impl Circuit {
         ctrl: &str,
         ohms: f64,
     ) -> Result<(), SpiceError> {
-        if !ohms.is_finite() {
-            return Err(SpiceError::InvalidValue {
-                device: name.to_string(),
-                reason: format!("transresistance must be finite, got {ohms}"),
-            });
-        }
         self.add(Device::new(
             name,
             DeviceKind::Ccvs { pos, neg, ctrl: std::sync::Arc::from(ctrl), ohms },
@@ -748,6 +678,28 @@ mod tests {
         assert!(c
             .add_mosfet("M1", a, a, Circuit::GROUND, Circuit::GROUND, MosPolarity::Nmos, bad)
             .is_err());
+    }
+
+    /// `Circuit::add` checks the values of every device, so a device
+    /// built with `Device::new` gets the typed constructors' checks, and
+    /// a VCVS gain is checked too.
+    #[test]
+    fn add_validates_values_of_any_device() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        for ohms in [0.0, -5.0] {
+            let r = Device::new("R1", DeviceKind::Resistor { a, b: Circuit::GROUND, ohms });
+            match c.add(r) {
+                Err(SpiceError::InvalidValue { reason, .. }) => assert_eq!(
+                    reason,
+                    format!("resistance must be positive and finite, got {ohms}")
+                ),
+                other => panic!("a {ohms} Ω resistor was not rejected: {other:?}"),
+            }
+        }
+        let err = c.add_vcvs("E1", a, Circuit::GROUND, a, Circuit::GROUND, f64::NAN).unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidValue { .. }), "{err}");
+        assert!(c.devices().is_empty());
     }
 
     #[test]

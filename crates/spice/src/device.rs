@@ -167,8 +167,8 @@ pub struct Device {
 }
 
 impl Device {
-    /// Creates a device from a name and kind. Prefer the typed
-    /// constructors on [`Circuit`](crate::Circuit), which validate values.
+    /// Creates a device from a name and kind. Its values are checked
+    /// when it is added to a circuit ([`Circuit::add`](crate::Circuit::add)).
     pub fn new(name: impl AsRef<str>, kind: DeviceKind) -> Self {
         Device { name: std::sync::Arc::from(name.as_ref()), kind }
     }
@@ -188,8 +188,10 @@ impl Device {
         &self.kind
     }
 
-    /// Mutable access to the element (used by fault injection to retune
-    /// model resistances in place).
+    /// Mutable access to the element, for in-place edits through
+    /// [`Circuit::device_mut`](crate::Circuit::device_mut) (process
+    /// variation retunes model parameters this way). Values changed here
+    /// are not validated.
     pub fn kind_mut(&mut self) -> &mut DeviceKind {
         &mut self.kind
     }
@@ -230,6 +232,65 @@ impl Device {
     pub fn controlling_device(&self) -> Option<&str> {
         match &self.kind {
             DeviceKind::Cccs { ctrl, .. } | DeviceKind::Ccvs { ctrl, .. } => Some(ctrl),
+            _ => None,
+        }
+    }
+
+    /// Why the device's values are unusable, if they are: the value
+    /// check [`Circuit::add`](crate::Circuit::add) applies to every
+    /// device. Source waveforms are not checked.
+    pub(crate) fn invalid_value(&self) -> Option<String> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        match &self.kind {
+            DeviceKind::Resistor { ohms, .. } if !positive(*ohms) => {
+                Some(format!("resistance must be positive and finite, got {ohms}"))
+            }
+            DeviceKind::Capacitor { farads, .. } if !positive(*farads) => {
+                Some(format!("capacitance must be positive and finite, got {farads}"))
+            }
+            DeviceKind::Inductor { henries, .. } if !positive(*henries) => {
+                Some(format!("inductance must be positive and finite, got {henries}"))
+            }
+            DeviceKind::Mosfet { params, .. } if !(params.w > 0.0 && params.l > 0.0) => {
+                Some(format!("W and L must be positive, got W={} L={}", params.w, params.l))
+            }
+            DeviceKind::Diode { params: p, .. }
+                if !(positive(p.is_sat)
+                    && positive(p.n)
+                    && non_negative(p.rs)
+                    && non_negative(p.cj0)) =>
+            {
+                Some(format!(
+                    "diode needs is>0, n>0, rs>=0, cj0>=0 (finite), got is={} n={} rs={} cj0={}",
+                    p.is_sat, p.n, p.rs, p.cj0
+                ))
+            }
+            DeviceKind::Bjt { params: p, .. }
+                if !(positive(p.is_sat)
+                    && positive(p.bf)
+                    && positive(p.br)
+                    && non_negative(p.cje)
+                    && non_negative(p.cjc)) =>
+            {
+                Some(format!(
+                    "bjt needs is>0, bf>0, br>0, cje>=0, cjc>=0 (finite), \
+                     got is={} bf={} br={} cje={} cjc={}",
+                    p.is_sat, p.bf, p.br, p.cje, p.cjc
+                ))
+            }
+            DeviceKind::Vcvs { gain, .. } if !gain.is_finite() => {
+                Some(format!("voltage gain must be finite, got {gain}"))
+            }
+            DeviceKind::Vccs { gm, .. } if !gm.is_finite() => {
+                Some(format!("transconductance must be finite, got {gm}"))
+            }
+            DeviceKind::Cccs { gain, .. } if !gain.is_finite() => {
+                Some(format!("current gain must be finite, got {gain}"))
+            }
+            DeviceKind::Ccvs { ohms, .. } if !ohms.is_finite() => {
+                Some(format!("transresistance must be finite, got {ohms}"))
+            }
             _ => None,
         }
     }

@@ -161,7 +161,11 @@
 //!   the factorization reuses its symbolic skeleton across all Newton
 //!   iterations, stepping ladders and timesteps of an analysis.
 //! * **Auto** (default) picks sparse iff `n ≥` [`SPARSE_MIN_N`] and the
-//!   structural density is at most [`SPARSE_MAX_DENSITY`].
+//!   structural density of the pattern being analysed — the static one
+//!   for DC, the full one for transient — is at most
+//!   [`SPARSE_MAX_DENSITY`]. Each pattern scope keeps its own template,
+//!   orderings and verdict, so a DC-only run never builds the full
+//!   pattern.
 //!
 //! The two paths are pinned against each other by a differential test
 //! harness (`tests/sparse_differential.rs`): identical circuits solved

@@ -98,11 +98,6 @@ impl Trace {
         &self.columns[i]
     }
 
-    /// Samples of the channel with the given label (e.g. `"v(out)"`).
-    pub fn column_by_label(&self, label: &str) -> Option<&[f64]> {
-        self.labels.iter().position(|l| l == label).map(|i| self.columns[i].as_slice())
-    }
-
     /// The (uniform) sample interval; `None` with fewer than two samples.
     pub fn dt(&self) -> Option<f64> {
         if self.times.len() < 2 {
@@ -133,8 +128,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_eq!(t.column(0), &[1.0, 3.0]);
-        assert_eq!(t.column_by_label("b"), Some(&[2.0, 4.0][..]));
-        assert_eq!(t.column_by_label("missing"), None);
         assert_eq!(t.dt(), Some(1e-9));
     }
 

@@ -28,8 +28,9 @@ use crate::stamp::{PatternScope, StampPlan};
 /// dense LU on a macro-sized system beats any index-chasing.
 pub const SPARSE_MIN_N: usize = 64;
 
-/// `Auto` uses sparse only when the structural fill `nnz / n²` is at
-/// most this; denser systems gain nothing from sparse bookkeeping.
+/// `Auto` uses sparse only when the structural fill `nnz / n²` of the
+/// pattern the analysis factors is at most this; denser systems gain
+/// nothing from sparse bookkeeping.
 pub const SPARSE_MAX_DENSITY: f64 = 0.25;
 
 /// `OrderingKind::Auto` switches to the AMD ordering only when AMD's
@@ -143,7 +144,7 @@ pub fn sparse_fill_stats(circuit: &crate::Circuit, ordering: OrderingKind) -> Op
     let mut src_vals = Vec::new();
     plan.source_values(&mut src_vals, |w| w.dc_value());
     let gmin = crate::analysis::AnalysisOptions::default().gmin;
-    plan.assemble_into_sparse(&vec![0.0; n], &mut mat, &mut vec![0.0; n], gmin, &src_vals);
+    plan.assemble_into_sparse(scope, &vec![0.0; n], &mut mat, &mut vec![0.0; n], gmin, &src_vals);
     lu.factor(&mat).ok()?;
     let symbolic = lu.symbolic()?;
     Some(FillStats {
@@ -164,9 +165,10 @@ pub fn sparse_fill_stats(circuit: &crate::Circuit, ordering: OrderingKind) -> Op
 /// Which linear-solver path an analysis uses for its MNA systems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverKind {
-    /// Select per circuit: sparse iff `n ≥ 64` and structural density
-    /// `≤ 0.25`, dense otherwise. The right choice everywhere except
-    /// differential testing.
+    /// Select per circuit and analysis: sparse iff `n ≥ 64` and the
+    /// structural density of the pattern the analysis factors (static
+    /// for DC, full for transient) is `≤ 0.25`, dense otherwise. The
+    /// right choice everywhere except differential testing.
     #[default]
     Auto,
     /// Always dense LU ([`castg_numeric::LuWorkspace`]).
@@ -177,20 +179,16 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Resolves `self` against a circuit's compiled plan: `true` means
-    /// the sparse path.
-    pub(crate) fn use_sparse(self, plan: &StampPlan) -> bool {
+    /// Resolves `self` against a circuit's compiled plan for an analysis
+    /// that factors `scope`'s pattern: `true` means the sparse path.
+    /// `Auto`'s density gate reads that pattern only.
+    pub(crate) fn use_sparse(self, plan: &StampPlan, scope: PatternScope) -> bool {
         match self {
             SolverKind::Dense => false,
             SolverKind::Sparse => true,
             SolverKind::Auto => {
-                let n = plan.dim();
-                n >= SPARSE_MIN_N
-                    && plan
-                        .sparse_template(PatternScope::Full)
-                        .pattern()
-                        .density()
-                        <= SPARSE_MAX_DENSITY
+                plan.dim() >= SPARSE_MIN_N
+                    && plan.sparse_template(scope).pattern().density() <= SPARSE_MAX_DENSITY
             }
         }
     }
@@ -214,7 +212,7 @@ impl Dispatch {
         ordering: OrderingKind,
         scope: PatternScope,
     ) -> Self {
-        let ordering = kind.use_sparse(plan).then(|| plan.resolve_ordering(ordering, scope));
+        let ordering = kind.use_sparse(plan, scope).then(|| plan.resolve_ordering(ordering, scope));
         Dispatch { scope, ordering }
     }
 }
@@ -238,15 +236,10 @@ const FACTOR_CACHE_CAP: usize = 8;
 /// a cached key adopts a copy instead of factoring, which is exactly
 /// the state it would have reached itself. Bounded by
 /// [`FACTOR_CACHE_CAP`] (entries past it are simply not kept) and
-/// filled by whichever thread factors first.
+/// filled by whichever thread factors first. A device-patched plan
+/// starts with an empty cache.
 #[derive(Debug, Default)]
 pub(crate) struct FactorCache(Mutex<Vec<(JacobianKey, Dispatch, MnaSolver)>>);
-
-impl Clone for FactorCache {
-    fn clone(&self) -> Self {
-        FactorCache(Mutex::new(self.entries().clone()))
-    }
-}
 
 impl FactorCache {
     fn entries(&self) -> MutexGuard<'_, Vec<(JacobianKey, Dispatch, MnaSolver)>> {
@@ -287,15 +280,17 @@ thread_local! {
 /// the LU workspace exactly as before this dispatch existed, so small
 /// circuits keep their bit-identical allocation-free hot path; the
 /// sparse arm clears O(nnz) values and refactors against the symbolic
-/// skeleton its first factorization recorded.
+/// skeleton its first factorization recorded. The sparse arm carries
+/// the [`PatternScope`] its matrix was cloned from, and its replay adds
+/// through that scope's slot index.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // one solver per analysis, not per element
 pub(crate) enum MnaSolver {
     /// Dense path: assembled matrix + in-place LU workspace.
     Dense { mat: Matrix, lu: LuWorkspace },
-    /// Sparse path: pattern-fixed CSC matrix + sparse LU with symbolic
-    /// reuse.
-    Sparse { mat: SparseMatrix, lu: SparseLu },
+    /// Sparse path: pattern-fixed CSC matrix cloned from the `scope`
+    /// template + sparse LU with symbolic reuse.
+    Sparse { mat: SparseMatrix, lu: SparseLu, scope: PatternScope },
 }
 
 impl MnaSolver {
@@ -312,7 +307,7 @@ impl MnaSolver {
             Some(ordering) => {
                 let mut lu = SparseLu::new();
                 plan.install_ordering(&mut lu, ordering, scope);
-                MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu }
+                MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu, scope }
             }
             None => {
                 let n = plan.dim();
@@ -350,10 +345,10 @@ impl MnaSolver {
                 extra(mat);
                 lu.factor_in_place(mat)
             }
-            MnaSolver::Sparse { mat, lu } => {
+            MnaSolver::Sparse { mat, lu, scope } => {
                 // Specialized replay: precomputed slot indices instead
                 // of a binary search per add (bit-identical result).
-                plan.assemble_into_sparse(x, mat, rhs, gmin, src_vals);
+                plan.assemble_into_sparse(*scope, x, mat, rhs, gmin, src_vals);
                 extra(mat);
                 lu.factor(mat)
             }
@@ -394,12 +389,13 @@ mod tests {
 
     #[test]
     fn auto_is_dense_for_small_and_sparse_for_large() {
-        let small = ladder(4);
-        assert!(!SolverKind::Auto.use_sparse(&small.plan()));
-        let large = ladder(200);
-        assert!(SolverKind::Auto.use_sparse(&large.plan()));
-        assert!(SolverKind::Sparse.use_sparse(&small.plan()));
-        assert!(!SolverKind::Dense.use_sparse(&large.plan()));
+        let (small, large) = (ladder(4), ladder(200));
+        for scope in [PatternScope::Static, PatternScope::Full] {
+            assert!(!SolverKind::Auto.use_sparse(&small.plan(), scope));
+            assert!(SolverKind::Auto.use_sparse(&large.plan(), scope));
+            assert!(SolverKind::Sparse.use_sparse(&small.plan(), scope));
+            assert!(!SolverKind::Dense.use_sparse(&large.plan(), scope));
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use castg_numeric::{Matrix, SparseLu, SparseMatrix, StampTarget};
+use castg_numeric::{SparseLu, SparseMatrix, StampTarget};
 
 use crate::bjt::{self, BjtParams, BjtPolarity};
 use crate::circuit::Circuit;
@@ -462,7 +462,7 @@ impl PlanBuilder {
 /// pattern and the orderings computed from it. Stimuli need no patch:
 /// an analysis's stimulus overrides replace waveform slots at
 /// evaluation time and leave the plan untouched.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StampPlan {
     n: usize,
     n_nodes: usize,
@@ -503,20 +503,14 @@ pub(crate) struct StampPlan {
     /// dynamic sparsity slots and the transient companions both derive
     /// from it.
     reactances: Vec<Reactance>,
-    /// Per-[`PatternScope`] lazy caches: the sparse template, orderings,
-    /// `Auto` verdict and stamp indices all come in a `Static` (DC) and
-    /// a `Full` (transient) flavor, because the two scopes factor
-    /// different sparsity patterns. When the static
-    /// and full slot sets produce the same pattern (no off-diagonal
-    /// capacitive coupling — ladders, meshes), the static template
-    /// shares the full pattern's `Arc` and every `Static` lookup is
-    /// transparently redirected to the `Full` caches, so such plans pay
-    /// for one scope exactly as before the split.
+    /// Lazy caches, one per [`PatternScope`], indexed by
+    /// `scope as usize`: each scope builds its own sparse template,
+    /// orderings, `Auto` verdict and stamp index from its own slot set,
+    /// and an analysis touches only the scope it factors.
     caches: [ScopeCaches; 2],
     /// First factorizations of a linear plan's Jacobians, adopted by
     /// later analyses (see [`FactorCache`](crate::solver::FactorCache)).
-    /// Carried over by a wave patch — the matrices are
-    /// stimulus-independent — and reset by a device patch.
+    /// A device patch starts with an empty one.
     factors: crate::solver::FactorCache,
 }
 
@@ -530,7 +524,10 @@ pub(crate) struct StampPlan {
 /// the static pattern but is one giant strongly connected component
 /// under the full one (the gate-drain capacitance couples every stage
 /// symmetrically). Transient solves stamp companion conductances into
-/// the dynamic slots and need the **full** union.
+/// the dynamic slots and need the **full** union. Each scope keeps its
+/// own caches, also when the two patterns coincide (no off-diagonal
+/// capacitance, as in ladders and meshes), so a DC-only run never
+/// builds the full pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PatternScope {
     /// Static (DC/Jacobian) slots only.
@@ -539,22 +536,20 @@ pub(crate) enum PatternScope {
     Full = 1,
 }
 
-/// The per-scope half of a [`StampPlan`]'s lazy state; see the `caches`
-/// field for the redirection rule that keeps single-pattern plans on
-/// one copy.
+/// One [`PatternScope`]'s share of a [`StampPlan`]'s lazy state.
 ///
 /// Everything here is a pure function of the scope's pattern (and of
 /// the plan's slot list), never of values: a device patch that keeps
-/// the pattern inherits the orderings and the `Auto` verdict, and a
+/// the scope's pattern inherits its orderings and `Auto` verdict, and a
 /// rebuild of the same circuit computes identical ones. Pivot
 /// sequences are not cached here; each sparse solver instance picks
 /// its own in its first factorization.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ScopeCaches {
     /// Lazily built all-zero sparse matrix over this scope's slot set;
     /// cloned (pattern shared, one value vector each) by every sparse
-    /// solver instance for this circuit, so the pattern construction is
-    /// paid once per plan.
+    /// solver instance of this scope, so the pattern construction is
+    /// paid once per scope and plan.
     template: OnceLock<SparseMatrix>,
     /// Lazily computed BTF condensation of this scope's pattern
     /// (transversal + SCC blocks, no per-block ordering; `None` inside
@@ -683,25 +678,21 @@ impl StampPlan {
         &self.factors
     }
 
-    /// The cache set `scope` resolves to, applying the redirection rule:
-    /// when the static slot set produces the same pattern as the full
-    /// one, `Static` lookups land on the `Full` caches so the plan pays
-    /// for one scope only.
-    fn scope_caches(&self, scope: PatternScope) -> &ScopeCaches {
-        let scope = match scope {
-            PatternScope::Full => PatternScope::Full,
-            PatternScope::Static => {
-                if Arc::ptr_eq(
-                    self.sparse_template(PatternScope::Static).pattern(),
-                    self.sparse_template(PatternScope::Full).pattern(),
-                ) {
-                    PatternScope::Full
-                } else {
-                    PatternScope::Static
-                }
-            }
-        };
-        &self.caches[scope as usize]
+    /// `scope`'s slots from static slot `statics` and reactance
+    /// `reactances` on: the static slots, then (`Full` only) the
+    /// reactance slots. `(0, 0)` gives the whole pattern; a device patch
+    /// passes its base plan's list lengths to get the new device's slots.
+    fn scope_slots(
+        &self,
+        scope: PatternScope,
+        statics: usize,
+        reactances: usize,
+    ) -> Vec<(usize, usize)> {
+        let mut slots = self.static_slots[statics..].to_vec();
+        if scope == PatternScope::Full {
+            slots.extend(slots_of(&self.reactances[reactances..]));
+        }
+        slots
     }
 
     /// Derives the plan for the circuit extended by `dev`, whose nodes
@@ -711,11 +702,12 @@ impl StampPlan {
     /// equivalent to `StampPlan::build` of the extended circuit — but
     /// no netlist walk, node interning or waveform re-clone happens.
     ///
-    /// Built templates are extended by the device's slots. A scope whose
-    /// pattern gains no slot keeps the base's pattern `Arc` and inherits
-    /// its pattern-only caches (AMD permutation, BTF orders, `Auto`
-    /// verdict). The factor cache, which holds values, starts empty,
-    /// because the device changes the matrices.
+    /// Each scope's built template is extended by the device's slots in
+    /// that scope. A scope whose pattern gains no slot keeps the base's
+    /// pattern `Arc` and inherits that scope's pattern-only caches (AMD
+    /// permutation, BTF orders, `Auto` verdict). The factor cache, which
+    /// holds values, starts empty, because the device changes the
+    /// matrices.
     pub(crate) fn patched_with_device(&self, dev: &Device) -> Self {
         let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
         let mut damped = self.damped.clone();
@@ -736,57 +728,33 @@ impl StampPlan {
         };
         builder.emit(dev);
         let mut plan = StampPlan::finalize(builder, n, self.n_nodes);
-        // Template fast path: when the base template is built and the
-        // dimension is unchanged (no new branch row), the successor's
-        // pattern is the base pattern merged with the new device's few
-        // slots — identical content to a from-scratch rebuild, without
-        // re-sorting thousands of slots. Slot lists follow op and device
-        // order (static: diagonal, then ops), so the new device's slots
-        // are exactly the tails beyond the base plan's lists.
+        // Template fast path: when a scope's base template is built and
+        // the dimension is unchanged (no new branch row), the
+        // successor's pattern is the base pattern merged with the new
+        // device's few slots — identical content to a from-scratch
+        // rebuild, without re-sorting thousands of slots. Slot lists
+        // follow op and device order (static: diagonal, then ops), so
+        // the new device's slots are exactly the tails beyond the base
+        // plan's lists.
         if n == self.n {
-            let new_static: Vec<(usize, usize)> =
-                plan.static_slots[self.static_slots.len()..].to_vec();
-            let full_idx = PatternScope::Full as usize;
-            let static_idx = PatternScope::Static as usize;
-            // `merged_with` hands back the base `Arc` when the device
-            // adds no slot (a bridge across an existing resistor), and
-            // the scope then takes over the base's pattern-only state —
-            // the AMD permutation, the BTF orders and the Auto verdict,
-            // pure functions of the pattern that a rebuild would
-            // recompute identically.
-            if let Some(base) = self.caches[full_idx].template.get() {
-                let mut new_slots = new_static.clone();
-                new_slots.extend(slots_of(&plan.reactances[self.reactances.len()..]));
-                let pattern = base.pattern().merged_with(&new_slots);
-                if Arc::ptr_eq(&pattern, base.pattern()) {
-                    plan.caches[full_idx].inherit_pattern_state(&self.caches[full_idx]);
+            for scope in [PatternScope::Static, PatternScope::Full] {
+                let base = &self.caches[scope as usize];
+                let Some(template) = base.template.get() else { continue };
+                let new_slots =
+                    plan.scope_slots(scope, self.static_slots.len(), self.reactances.len());
+                // `merged_with` hands back the base `Arc` when the device
+                // adds no slot (a bridge across an existing resistor), and
+                // the scope then takes over the base's pattern-only state —
+                // the AMD permutation, the BTF orders and the Auto verdict,
+                // pure functions of the pattern that a rebuild would
+                // recompute identically.
+                let pattern = template.pattern().merged_with(&new_slots);
+                let caches = &mut plan.caches[scope as usize];
+                if Arc::ptr_eq(&pattern, template.pattern()) {
+                    caches.inherit_pattern_state(base);
                 }
-                let _ = plan.caches[full_idx].template.set(SparseMatrix::with_pattern(pattern));
+                let _ = caches.template.set(SparseMatrix::with_pattern(pattern));
             }
-            if let Some(base) = self.caches[static_idx].template.get() {
-                // Same merge for the static scope; re-establish the
-                // Arc-sharing redirection when the merged static
-                // pattern still matches the (pre-seeded) full one, so a
-                // patched variant collapses its scopes exactly like a
-                // rebuild would. A redirected scope reads the `Full`
-                // caches; an unredirected one inherits from whichever
-                // caches served the base's static pattern.
-                let pattern = base.pattern().merged_with(&new_static);
-                let shared = plan.caches[full_idx]
-                    .template
-                    .get()
-                    .filter(|full| full.pattern().as_ref() == pattern.as_ref())
-                    .map(|full| Arc::clone(full.pattern()));
-                if shared.is_none() && Arc::ptr_eq(&pattern, base.pattern()) {
-                    plan.caches[static_idx]
-                        .inherit_pattern_state(self.scope_caches(PatternScope::Static));
-                }
-                let _ = plan.caches[static_idx]
-                    .template
-                    .set(SparseMatrix::with_pattern(shared.unwrap_or(pattern)));
-            }
-            // The factor cache holds values and is deliberately *not*
-            // carried over: the device changes the matrices.
         }
         plan
     }
@@ -799,38 +767,20 @@ impl StampPlan {
     /// The all-zero sparse assembly matrix over `scope`'s slot set —
     /// `Full` is every slot any analysis of this circuit can stamp
     /// (static + dynamic), `Static` the DC/Jacobian subset. Built on
-    /// first use and cached; callers clone it (the pattern is shared by
-    /// `Arc`, so a clone allocates only the value vector) and stamp
-    /// into the clone. A static pattern identical to the full one
-    /// shares the full pattern's `Arc` (see [`PatternScope`]).
+    /// first use and cached, building no other scope; callers clone it
+    /// (the pattern is shared by `Arc`, so a clone allocates only the
+    /// value vector) and stamp into the clone.
     pub(crate) fn sparse_template(&self, scope: PatternScope) -> &SparseMatrix {
-        match scope {
-            PatternScope::Full => {
-                self.caches[PatternScope::Full as usize].template.get_or_init(|| {
-                    let mut slots = self.static_slots.clone();
-                    slots.extend(slots_of(&self.reactances));
-                    SparseMatrix::from_entries(self.n, &slots)
-                })
-            }
-            PatternScope::Static => {
-                self.caches[PatternScope::Static as usize].template.get_or_init(|| {
-                    let full = self.sparse_template(PatternScope::Full);
-                    let mat = SparseMatrix::from_entries(self.n, &self.static_slots);
-                    if mat.pattern().as_ref() == full.pattern().as_ref() {
-                        SparseMatrix::with_pattern(Arc::clone(full.pattern()))
-                    } else {
-                        mat
-                    }
-                })
-            }
-        }
+        self.caches[scope as usize]
+            .template
+            .get_or_init(|| SparseMatrix::from_entries(self.n, &self.scope_slots(scope, 0, 0)))
     }
 
     /// The AMD permutation of `scope`'s sparse pattern, constructed
     /// once and shared by every consumer (the Auto verdict and every
     /// solver instance that factors under AMD).
     fn amd_permutation(&self, scope: PatternScope) -> &Vec<usize> {
-        self.scope_caches(scope).amd_perm.get_or_init(|| {
+        self.caches[scope as usize].amd_perm.get_or_init(|| {
             #[cfg(test)]
             AMD_ORDERINGS.with(|c| c.set(c.get() + 1));
             self.sparse_template(scope).pattern().amd_ordering()
@@ -840,7 +790,7 @@ impl StampPlan {
     /// The BTF condensation of `scope`'s sparse pattern (`None` when
     /// structurally singular): block boundaries only, computed once.
     fn btf_blocks(&self, scope: PatternScope) -> Option<&castg_numeric::BtfOrder> {
-        self.scope_caches(scope)
+        self.caches[scope as usize]
             .btf_blocks
             .get_or_init(|| self.sparse_template(scope).pattern().btf_condensation())
             .as_ref()
@@ -850,7 +800,7 @@ impl StampPlan {
     /// when structurally singular), constructed once and shared by
     /// every solver instance that factors under it.
     fn btf_ordering(&self, scope: PatternScope) -> Option<&Arc<castg_numeric::BtfOrder>> {
-        self.scope_caches(scope)
+        self.caches[scope as usize]
             .btf_order
             .get_or_init(|| {
                 let blocks = self.btf_blocks(scope)?.clone();
@@ -897,7 +847,7 @@ impl StampPlan {
     ) -> OrderingKind {
         match ordering {
             OrderingKind::Auto => {
-                *self.scope_caches(scope).auto_ordering.get_or_init(|| self.auto_verdict(scope))
+                *self.caches[scope as usize].auto_ordering.get_or_init(|| self.auto_verdict(scope))
             }
             OrderingKind::Btf if !self.btf_usable(scope) => OrderingKind::Amd,
             other => other,
@@ -952,7 +902,7 @@ impl StampPlan {
     /// every slot is present in either scope (both patterns contain the
     /// static slots).
     fn sparse_index(&self, scope: PatternScope) -> &[u32] {
-        self.scope_caches(scope).sparse_index.get_or_init(|| {
+        self.caches[scope as usize].sparse_index.get_or_init(|| {
             let pattern = self.sparse_template(scope).pattern();
             self.static_slots
                 .iter()
@@ -964,28 +914,23 @@ impl StampPlan {
     }
 
     /// [`assemble_into`](StampPlan::assemble_into), specialized for a
-    /// sparse matrix cloned from this plan's template: the same replay
-    /// adds through the precomputed slot index instead of a binary
-    /// search per add — the identical adds in the identical order, so
-    /// the result is bit-for-bit the generic path's. Falls back to the
-    /// generic path for any other pattern.
+    /// sparse matrix cloned from this plan's `scope` template: the same
+    /// replay adds through the scope's precomputed slot index instead
+    /// of a binary search per add — the identical adds in the identical
+    /// order, so the result is bit-for-bit the generic path's.
     pub(crate) fn assemble_into_sparse(
         &self,
+        scope: PatternScope,
         x: &[f64],
         mat: &mut SparseMatrix,
         rhs: &mut [f64],
         gmin: f64,
         source_vals: &[f64],
     ) {
-        let scope = if Arc::ptr_eq(mat.pattern(), self.sparse_template(PatternScope::Full).pattern())
-        {
-            PatternScope::Full
-        } else if Arc::ptr_eq(mat.pattern(), self.sparse_template(PatternScope::Static).pattern()) {
-            PatternScope::Static
-        } else {
-            self.assemble_into(x, mat, rhs, gmin, source_vals);
-            return;
-        };
+        debug_assert!(
+            Arc::ptr_eq(mat.pattern(), self.sparse_template(scope).pattern()),
+            "matrix not cloned from the {scope:?} template"
+        );
         let mut indexed =
             IndexedValues { values: mat.values_mut(), index: self.sparse_index(scope).iter() };
         self.assemble_into(x, &mut indexed, rhs, gmin, source_vals);
@@ -1182,33 +1127,12 @@ impl StampPlan {
     }
 }
 
-/// Assembles the static (non-capacitive) part of the MNA system,
-/// linearizing nonlinear devices around the candidate solution `x`.
-///
-/// One-shot convenience over [`StampPlan`]: builds the plan and replays
-/// it once. Repeated assemblies of the same circuit (every Newton loop)
-/// should build the plan once and call
-/// [`StampPlan::assemble_into`] directly.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn assemble_static<F: Fn(&Waveform) -> f64>(
-    circuit: &Circuit,
-    x: &[f64],
-    mat: &mut Matrix,
-    rhs: &mut [f64],
-    gmin: f64,
-    source_value: F,
-) {
-    let plan = StampPlan::build(circuit);
-    let mut vals = Vec::new();
-    plan.source_values(&mut vals, source_value);
-    plan.assemble_into(x, mat, rhs, gmin, &vals);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mos::{MosParams, MosPolarity};
     use crate::Circuit;
+    use castg_numeric::Matrix;
 
     #[test]
     fn idx_maps_ground_to_none() {
@@ -1250,10 +1174,7 @@ mod tests {
         c.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(10.0)).unwrap();
         c.add_resistor("R1", a, b, 1000.0).unwrap();
         c.add_resistor("R2", b, Circuit::GROUND, 1000.0).unwrap();
-        let n = c.unknown_count();
-        let mut mat = Matrix::zeros(n, n);
-        let mut rhs = vec![0.0; n];
-        assemble_static(&c, &vec![0.0; n], &mut mat, &mut rhs, 0.0, |w| w.dc_value());
+        let (mat, rhs) = replay(&StampPlan::build(&c), &vec![0.0; c.unknown_count()], 0.0);
         // Node a row: g(R1) + vsource branch column.
         assert!((mat[(0, 0)] - 1e-3).abs() < 1e-15);
         assert!((mat[(0, 1)] + 1e-3).abs() < 1e-15);
@@ -1481,6 +1402,29 @@ mod tests {
         assert_eq!(stats, rebuilt_stats(&far));
     }
 
+    /// An Auto DC solve builds only the static scope, also where the two
+    /// patterns coincide (a capacitor-free mesh); the full template
+    /// waits for the first transient, and the scopes share no pattern.
+    #[test]
+    fn dc_touches_only_the_static_scope() {
+        let c = mesh(12);
+        let plan = c.plan();
+        assert_eq!(plan.dim(), 145, "large enough for Auto to pick the sparse path");
+        let built = |scope: PatternScope| plan.caches[scope as usize].template.get().is_some();
+
+        crate::DcAnalysis::new(&c).solve().unwrap();
+        assert!(built(PatternScope::Static), "the DC solve must run sparse");
+        assert!(!built(PatternScope::Full), "a DC solve must not build the full template");
+
+        let out = c.find_node("n143").unwrap();
+        crate::TranAnalysis::new(&c).run(1e-9, 1e-10, &[crate::Probe::NodeVoltage(out)]).unwrap();
+        assert!(built(PatternScope::Full), "the transient factors the full pattern");
+        let (stat, full) =
+            (plan.sparse_template(PatternScope::Static), plan.sparse_template(PatternScope::Full));
+        assert_eq!(stat.pattern(), full.pattern());
+        assert!(!Arc::ptr_eq(stat.pattern(), full.pattern()));
+    }
+
     /// Regression (device-zoo PR): the damped mask used to be populated
     /// from MOSFET terminal slots only, so a diode- or BJT-only circuit
     /// ran every ladder rung unclamped. Each nonlinear site now
@@ -1527,19 +1471,27 @@ mod tests {
         let mut vals = Vec::new();
         plan.source_values(&mut vals, |w| w.dc_value());
 
-        let mut generic = plan.sparse_template(PatternScope::Full).clone();
-        let mut rhs_g = vec![0.0; n];
-        plan.assemble_into(&x, &mut generic, &mut rhs_g, 1e-12, &vals);
+        // The gate-drain capacitance gives the two scopes different
+        // patterns, so each scope's own slot index is exercised.
+        assert_ne!(
+            plan.sparse_template(PatternScope::Static).pattern(),
+            plan.sparse_template(PatternScope::Full).pattern()
+        );
+        for scope in [PatternScope::Static, PatternScope::Full] {
+            let mut generic = plan.sparse_template(scope).clone();
+            let mut rhs_g = vec![0.0; n];
+            plan.assemble_into(&x, &mut generic, &mut rhs_g, 1e-12, &vals);
 
-        let mut fast = plan.sparse_template(PatternScope::Full).clone();
-        let mut rhs_f = vec![f64::NAN; n];
-        plan.assemble_into_sparse(&x, &mut fast, &mut rhs_f, 1e-12, &vals);
+            let mut fast = plan.sparse_template(scope).clone();
+            let mut rhs_f = vec![f64::NAN; n];
+            plan.assemble_into_sparse(scope, &x, &mut fast, &mut rhs_f, 1e-12, &vals);
 
-        for ((r, cc, vg), (_, _, vf)) in generic.entries().zip(fast.entries()) {
-            assert_eq!(vg.to_bits(), vf.to_bits(), "slot ({r},{cc})");
-        }
-        for (a, b) in rhs_g.iter().zip(&rhs_f) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            for ((r, cc, vg), (_, _, vf)) in generic.entries().zip(fast.entries()) {
+                assert_eq!(vg.to_bits(), vf.to_bits(), "{scope:?} slot ({r},{cc})");
+            }
+            for (a, b) in rhs_g.iter().zip(&rhs_f) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
