@@ -10,19 +10,19 @@
 //! * the nominal circuit's assembly plan is compiled **once** and
 //!   shared (immutably) by every nominal measurement on every worker;
 //! * workers pull whole faults through [`fan_out`]:
-//!   each fault is injected **once per campaign**, by default through
-//!   the delta path ([`Fault::inject`](castg_faults::Fault::inject)
-//!   patching the nominal plan — bridges are pure delta-stamps; see
-//!   [`InjectionMode`]), every test is scored against the variant in
-//!   test order, and the variant — circuit, plan, sparse template,
+//!   each fault is injected **once per campaign**
+//!   ([`Fault::inject`](castg_faults::Fault::inject): a bridge or a
+//!   junction pinhole is one resistor patched into the nominal plan, a
+//!   MOS pinhole recompiles), every test is scored against the variant
+//!   in test order, and the variant — circuit, plan, sparse template,
 //!   cached factorizations — is dropped before the worker takes its
 //!   next fault.
 //!
 //! Per-fault rows are reduced in dictionary order, so the report is
 //! identical — test indices, sensitivities, everything, bit for bit —
-//! at any worker count and under either injection mode. Parallelism is
-//! bounded by the dictionary size: a campaign over fewer faults than
-//! workers leaves the extra workers idle.
+//! at any worker count. Parallelism is bounded by the dictionary size:
+//! a campaign over fewer faults than workers leaves the extra workers
+//! idle.
 //!
 //! # Robustness: campaigns never die on a broken variant
 //!
@@ -53,24 +53,6 @@ use crate::compact::CompactionReport;
 use crate::sensitivity::{is_detected, Evaluator, SimFailure};
 use crate::{default_threads, fan_out, AnalogMacro, CoreError, TestConfiguration};
 
-/// How the campaign engine materializes its faulted circuit variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InjectionMode {
-    /// Delta injection ([`Fault::inject`](castg_faults::Fault::inject)
-    /// on a plan-compiled nominal): bridge variants patch the nominal
-    /// circuit's compiled plan (delta-stamps) instead of recompiling;
-    /// structural faults (pinholes) recompile once per campaign. The
-    /// default.
-    #[default]
-    Delta,
-    /// Reference path
-    /// ([`Fault::inject_rebuilt`](castg_faults::Fault::inject_rebuilt)):
-    /// every variant recompiles plan, sparse template and orderings from
-    /// its netlist. Exists so differential harnesses can pin the delta
-    /// path's bit-identity; never faster.
-    Rebuild,
-}
-
 /// Options of a coverage-evaluation campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
@@ -78,8 +60,6 @@ pub struct CampaignOptions {
     /// test, drop the variant), so no more than the dictionary's fault
     /// count ever run.
     pub threads: usize,
-    /// Variant materialization path.
-    pub injection: InjectionMode,
     /// Newton-iteration allowance per `(fault, test)` cell, spanning
     /// every analysis the test performs on its faulted variant.
     /// Exhaustion degrades the cell to [`FaultOutcome::Unconverged`].
@@ -101,7 +81,6 @@ impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
             threads: default_threads(),
-            injection: InjectionMode::default(),
             max_newton_iters: None,
             budget_ms: None,
         }
@@ -296,13 +275,12 @@ impl CoverageReport {
 ///
 /// Fans the dictionary out one fault per item over
 /// [`CampaignOptions::threads`] workers ([`fan_out`]). Each item
-/// injects its fault once (per [`CampaignOptions::injection`]), scores
-/// every test against the variant in test order, and drops the variant,
-/// so the heavy objects — circuits, plans, templates, factorizations —
-/// are resident only for faults in flight. Rows and ladder statistics
-/// are reduced in dictionary order, so the report — test indices,
-/// sensitivities, everything — is bit-identical at any worker count
-/// and under either injection mode. The report holds one row per
+/// injects its fault once, scores every test against the variant in
+/// test order, and drops the variant, so the heavy objects — circuits,
+/// plans, templates, factorizations — are resident only for faults in
+/// flight. Rows and ladder statistics are reduced in dictionary order,
+/// so the report — test indices, sensitivities, everything — is
+/// bit-identical at any worker count. The report holds one row per
 /// dictionary fault, whatever the outcome (an empty test set detects
 /// nothing and injects nothing).
 ///
@@ -394,10 +372,7 @@ fn evaluate_fault(
     // without poisoning, and a panic mid-compute in the nominal cache
     // inserts nothing) and degrades to a typed outcome instead of
     // tearing the campaign down.
-    let injected = catch_unwind(AssertUnwindSafe(|| match options.injection {
-        InjectionMode::Delta => fault.inject(nominal),
-        InjectionMode::Rebuild => fault.inject_rebuilt(nominal),
-    }));
+    let injected = catch_unwind(AssertUnwindSafe(|| fault.inject(nominal)));
     let (best, outcome) = 'scored: {
         let variant = match injected {
             Ok(Ok(variant)) => variant,

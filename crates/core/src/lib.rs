@@ -41,13 +41,14 @@
 //! plan is shared immutably by every worker, and workers pull whole
 //! faults through [`fan_out`], the one worker pool generation and the
 //! daemon's batches run on too. Each fault is injected exactly once —
-//! by default through the delta path, where bridge variants patch the
-//! nominal plan instead of recompiling (see [`InjectionMode`]) — then
-//! every test is scored against it, in test order, over a shared
-//! [`NominalCache`]. Reports are bit-identical at any worker count and
-//! under either injection mode; `tests/campaign_differential.rs` pins
-//! that for the IV-converter and ladder-n=256 dictionaries on both
-//! solver paths.
+//! a bridge or junction-pinhole variant patches its resistor into the
+//! nominal plan instead of recompiling — then every test is scored
+//! against it, in test order, over a shared [`NominalCache`]. Reports
+//! are bit-identical at any worker count, and every patched variant
+//! measures bit for bit like its recompiled twin;
+//! `tests/campaign_differential.rs` pins both for the IV-converter,
+//! BJT op-amp, ladder, mesh and OTA-chain dictionaries on both solver
+//! paths.
 //!
 //! # Convergence resilience: campaigns that never die
 //!
@@ -128,7 +129,7 @@ pub use descr::{ConfigDescription, ParamSpec, PortAction};
 pub use error::CoreError;
 pub use evaluate::{
     evaluate_campaign, test_instances_from_compaction, CampaignOptions, CoverageReport,
-    FaultCoverage, FaultOutcome, InjectionMode, OutcomeTally, TestInstance,
+    FaultCoverage, FaultOutcome, OutcomeTally, TestInstance,
 };
 pub use generate::{
     BestTest, DistributionRow, GenerationReport, Generator, GeneratorOptions, SelectionMethod,

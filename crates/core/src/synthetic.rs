@@ -30,17 +30,12 @@
 //!
 //! Every family's test configurations are Fig.-1 description text
 //! (`DC out`, `Step dev`) interpreted by [`DescribedConfig`], the same
-//! interpreter that runs the `.cfg` files of a parsed deck. The
-//! scalable macros accept a solver/ordering override (`with_solver`,
-//! forwarded to [`DescribedConfig::with_solver`]) so the four-way
-//! differential tests can force Dense, Sparse-Natural, Sparse-AMD and
-//! Sparse-BTF evaluation of one workload; the default is `Auto`/`Auto`,
-//! identical to every other analysis.
+//! interpreter that runs the `.cfg` files of a parsed deck.
 
 use std::sync::Arc;
 
 use castg_faults::{exhaustive_bridge_faults, Fault, FaultDictionary};
-use castg_spice::{Circuit, MosParams, MosPolarity, OrderingKind, SolverKind, Waveform};
+use castg_spice::{Circuit, MosParams, MosPolarity, Waveform};
 
 use crate::descr::ConfigDescription;
 use crate::{AnalogMacro, DescribedConfig, TestConfiguration};
@@ -95,21 +90,15 @@ fn step_dev(macro_type: &str, t0: f64, rise: f64, rate: f64, time: f64) -> Strin
     )
 }
 
-/// Interprets a macro's description texts (ids 1… in order), every
-/// measurement dispatching through `solver`/`ordering`.
-fn described(
-    texts: &[String],
-    solver: SolverKind,
-    ordering: OrderingKind,
-) -> Vec<Arc<dyn TestConfiguration>> {
+/// Interprets a macro's description texts (ids 1… in order).
+fn described(texts: &[String]) -> Vec<Arc<dyn TestConfiguration>> {
     texts
         .iter()
         .enumerate()
         .map(|(i, text)| {
             let descr = ConfigDescription::parse(text).expect("built-in descriptions parse");
-            let config = DescribedConfig::new(i + 1, descr)
-                .expect("built-in descriptions interpret")
-                .with_solver(solver, ordering);
+            let config =
+                DescribedConfig::new(i + 1, descr).expect("built-in descriptions interpret");
             Arc::new(config) as Arc<dyn TestConfiguration>
         })
         .collect()
@@ -172,14 +161,10 @@ impl AnalogMacro for DividerMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        described(
-            &[
-                dc_out("R-divider", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
-                step_dev("R-divider", 1e-6, 0.1e-6, 5e6, 10e-6),
-            ],
-            SolverKind::Auto,
-            OrderingKind::Auto,
-        )
+        described(&[
+            dc_out("R-divider", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
+            step_dev("R-divider", 1e-6, 0.1e-6, 5e6, 10e-6),
+        ])
     }
 }
 
@@ -215,8 +200,6 @@ impl AnalogMacro for DividerMacro {
 #[derive(Debug, Clone)]
 pub struct LadderMacro {
     sections: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
 }
 
 impl LadderMacro {
@@ -240,27 +223,12 @@ impl LadderMacro {
     /// Panics if `sections < 2`.
     pub fn new(sections: usize) -> Self {
         assert!(sections >= 2, "a ladder needs at least 2 sections");
-        LadderMacro {
-            sections,
-            solver: SolverKind::Auto,
-            ordering: OrderingKind::Auto,
-        }
+        LadderMacro { sections }
     }
 
     /// Creates the smallest ladder with at least `n` MNA unknowns.
     pub fn with_unknowns(n: usize) -> Self {
         LadderMacro::new(n.saturating_sub(3).max(2))
-    }
-
-    /// Forces the linear-solver path and sparse-LU ordering every
-    /// configuration of this macro solves with (default `Auto`/`Auto`).
-    /// The three-way differential harness evaluates one dictionary
-    /// through Dense, Sparse-Natural and Sparse-AMD variants built
-    /// with this.
-    pub fn with_solver(mut self, solver: SolverKind, ordering: OrderingKind) -> Self {
-        self.solver = solver;
-        self.ordering = ordering;
-        self
     }
 
     /// Number of sections.
@@ -328,14 +296,10 @@ impl AnalogMacro for LadderMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        described(
-            &[
-                dc_out("RC-ladder", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
-                step_dev("RC-ladder", 0.2e-6, 0.05e-6, 20e6, 2e-6),
-            ],
-            self.solver,
-            self.ordering,
-        )
+        described(&[
+            dc_out("RC-ladder", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
+            step_dev("RC-ladder", 0.2e-6, 0.05e-6, 20e6, 2e-6),
+        ])
     }
 }
 
@@ -379,8 +343,6 @@ impl AnalogMacro for LadderMacro {
 #[derive(Debug, Clone)]
 pub struct OtaChainMacro {
     stages: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
 }
 
 impl OtaChainMacro {
@@ -406,22 +368,7 @@ impl OtaChainMacro {
     /// Panics if `stages < 2`.
     pub fn new(stages: usize) -> Self {
         assert!(stages >= 2, "a chain needs at least 2 stages");
-        OtaChainMacro {
-            stages,
-            solver: SolverKind::Auto,
-            ordering: OrderingKind::Auto,
-        }
-    }
-
-    /// Forces the linear-solver path and sparse-LU ordering every
-    /// configuration of this macro solves with (default `Auto`/`Auto`).
-    /// The four-way differential harness evaluates one dictionary
-    /// through Dense, Sparse-Natural, Sparse-AMD and Sparse-BTF
-    /// variants built with this.
-    pub fn with_solver(mut self, solver: SolverKind, ordering: OrderingKind) -> Self {
-        self.solver = solver;
-        self.ordering = ordering;
-        self
+        OtaChainMacro { stages }
     }
 
     /// Creates the smallest chain with at least `n` MNA unknowns.
@@ -519,11 +466,7 @@ impl AnalogMacro for OtaChainMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        described(
-            &[dc_out("OTA-chain", "VIN", 0.0, 5.0, 2.0, FLAT_BOX)],
-            self.solver,
-            self.ordering,
-        )
+        described(&[dc_out("OTA-chain", "VIN", 0.0, 5.0, 2.0, FLAT_BOX)])
     }
 }
 
@@ -544,8 +487,7 @@ impl AnalogMacro for OtaChainMacro {
 /// faults between distant taps are observable at DC.
 ///
 /// Aspect ratio is configurable through the constructor (`rows` vs
-/// `cols`), and the solver/ordering used by its configurations through
-/// [`MeshMacro::with_solver`] (the three-way differential harness).
+/// `cols`).
 ///
 /// # Example
 ///
@@ -561,8 +503,6 @@ impl AnalogMacro for OtaChainMacro {
 pub struct MeshMacro {
     rows: usize,
     cols: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
 }
 
 impl MeshMacro {
@@ -580,19 +520,14 @@ impl MeshMacro {
     pub const BRIDGE_R0: f64 = 10e3;
 
     /// Creates a mesh with the given aspect (both dimensions at
-    /// least 2), corner ports, `Auto` solver and ordering.
+    /// least 2) and corner ports.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is below 2.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 2 && cols >= 2, "a mesh needs at least 2×2 nodes");
-        MeshMacro {
-            rows,
-            cols,
-            solver: SolverKind::Auto,
-            ordering: OrderingKind::Auto,
-        }
+        MeshMacro { rows, cols }
     }
 
     /// Creates the smallest square mesh with at least `n` MNA unknowns.
@@ -602,14 +537,6 @@ impl MeshMacro {
             side += 1;
         }
         MeshMacro::new(side, side)
-    }
-
-    /// Forces the linear-solver path and sparse-LU ordering every
-    /// configuration of this macro solves with (default `Auto`/`Auto`).
-    pub fn with_solver(mut self, solver: SolverKind, ordering: OrderingKind) -> Self {
-        self.solver = solver;
-        self.ordering = ordering;
-        self
     }
 
     /// Grid dimensions `(rows, cols)`.
@@ -702,14 +629,10 @@ impl AnalogMacro for MeshMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        described(
-            &[
-                dc_out("R-mesh", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
-                step_dev("R-mesh", 0.2e-6, 0.05e-6, 20e6, 2e-6),
-            ],
-            self.solver,
-            self.ordering,
-        )
+        described(&[
+            dc_out("R-mesh", "V1", 1.0, 8.0, 5.0, HALF_DRIVE_BOX),
+            step_dev("R-mesh", 0.2e-6, 0.05e-6, 20e6, 2e-6),
+        ])
     }
 }
 
@@ -742,8 +665,6 @@ impl AnalogMacro for MeshMacro {
 pub struct CrossbarMacro {
     rows: usize,
     cols: usize,
-    solver: SolverKind,
-    ordering: OrderingKind,
 }
 
 impl CrossbarMacro {
@@ -768,20 +689,14 @@ impl CrossbarMacro {
     /// Number of readout stages (and pinhole fault sites).
     const READOUTS: usize = 3;
 
-    /// Creates a crossbar with the given bar counts (both at least 2),
-    /// `Auto` solver and ordering.
+    /// Creates a crossbar with the given bar counts (both at least 2).
     ///
     /// # Panics
     ///
     /// Panics if either dimension is below 2.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 2 && cols >= 2, "a crossbar needs at least 2×2 bars");
-        CrossbarMacro {
-            rows,
-            cols,
-            solver: SolverKind::Auto,
-            ordering: OrderingKind::Auto,
-        }
+        CrossbarMacro { rows, cols }
     }
 
     /// Creates the smallest square crossbar with at least `n` MNA
@@ -792,14 +707,6 @@ impl CrossbarMacro {
             side += 1;
         }
         CrossbarMacro::new(side, side)
-    }
-
-    /// Forces the linear-solver path and sparse-LU ordering every
-    /// configuration of this macro solves with (default `Auto`/`Auto`).
-    pub fn with_solver(mut self, solver: SolverKind, ordering: OrderingKind) -> Self {
-        self.solver = solver;
-        self.ordering = ordering;
-        self
     }
 
     /// MNA unknown count: two bar nodes per crosspoint, the `src`,
@@ -936,11 +843,7 @@ impl AnalogMacro for CrossbarMacro {
     }
 
     fn configurations(&self) -> Vec<Arc<dyn TestConfiguration>> {
-        described(
-            &[dc_out("RX-crossbar", "V1", 0.5, 8.0, 5.0, FLAT_BOX)],
-            self.solver,
-            self.ordering,
-        )
+        described(&[dc_out("RX-crossbar", "V1", 0.5, 8.0, 5.0, FLAT_BOX)])
     }
 }
 
@@ -1205,28 +1108,6 @@ mod tests {
             m.unknowns()
         );
         assert!(btf.lu_nnz <= amd.lu_nnz, "btf {} vs amd {}", btf.lu_nnz, amd.lu_nnz);
-    }
-
-    #[test]
-    fn mesh_solver_override_agrees_across_paths() {
-        use castg_spice::{OrderingKind, SolverKind};
-        let variants = [
-            MeshMacro::new(5, 5).with_solver(SolverKind::Dense, OrderingKind::Natural),
-            MeshMacro::new(5, 5).with_solver(SolverKind::Sparse, OrderingKind::Natural),
-            MeshMacro::new(5, 5).with_solver(SolverKind::Sparse, OrderingKind::Amd),
-        ];
-        let reference: Vec<f64> = {
-            let m = &variants[0];
-            let cfg = &m.configurations()[0];
-            let meas = cfg.measure(&m.nominal_circuit(), &[5.0]).unwrap();
-            meas.as_scalars().unwrap().to_vec()
-        };
-        for m in &variants[1..] {
-            let cfg = &m.configurations()[0];
-            let meas = cfg.measure(&m.nominal_circuit(), &[5.0]).unwrap();
-            let got = meas.as_scalars().unwrap();
-            assert!((got[0] - reference[0]).abs() <= 1e-9 * reference[0].abs().max(1.0));
-        }
     }
 
     #[test]

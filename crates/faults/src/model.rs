@@ -214,16 +214,17 @@ impl Fault {
     /// # Delta injection
     ///
     /// When `circuit` carries a compiled assembly schedule (see
-    /// [`Circuit::compile_plan`]), the variant *shares and patches* it
-    /// instead of recompiling: a **bridge** is a pure delta-stamp —
-    /// four conductance ops appended to the nominal plan, no netlist
-    /// walk, no sparse-pattern re-analysis beyond the template rebuild
-    /// its new slots force. A **pinhole** is structural (it interns the
-    /// mid-channel node, shifting every branch row), so its variant
-    /// recompiles once — amortized across all tests of a campaign. The
-    /// patched and recompiled variants are bit-identical; the campaign
-    /// differential harness pins this against
-    /// [`inject_rebuilt`](Fault::inject_rebuilt).
+    /// [`Circuit::compile_plan`]), a variant that adds one resistor
+    /// *shares and patches* it instead of recompiling: a **bridge** or
+    /// a **junction pinhole** is a pure delta-stamp — up to four
+    /// conductance ops appended to the nominal plan, no netlist walk,
+    /// and a sparse pattern merged with at most two new slots. A MOS
+    /// **pinhole** is structural (it removes the transistor and interns
+    /// the mid-channel node), so its variant recompiles once, amortized
+    /// across all tests of a campaign. A patched variant is
+    /// bit-identical to the same variant after
+    /// [`Circuit::drop_compiled_plan`]; the campaign differential
+    /// harness pins this.
     ///
     /// # Errors
     ///
@@ -286,24 +287,6 @@ impl Fault {
                 faulty.add_resistor("F_pinhole", g, mid, self.effective_resistance())?;
             }
         }
-        Ok(faulty)
-    }
-
-    /// [`inject`](Fault::inject) through the recompile-from-netlist
-    /// path: the faulted copy drops any (patched) compiled plan, so its
-    /// first analysis rebuilds plan, sparse template and symbolic
-    /// analysis from the mutated netlist.
-    ///
-    /// This is the reference arm of the campaign differential harness —
-    /// the delta-injection fast path must match it bit for bit. There
-    /// is no other reason to prefer it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`inject`](Fault::inject).
-    pub fn inject_rebuilt(&self, circuit: &Circuit) -> Result<Circuit, FaultError> {
-        let mut faulty = self.inject(circuit)?;
-        faulty.drop_compiled_plan();
         Ok(faulty)
     }
 }
@@ -538,7 +521,8 @@ mod tests {
 
         for fault in [Fault::bridge("d", "g", 1e3), Fault::pinhole("M1", 2e3)] {
             let patched = fault.inject(&c).unwrap();
-            let rebuilt = fault.inject_rebuilt(&c).unwrap();
+            let mut rebuilt = fault.inject(&c).unwrap();
+            rebuilt.drop_compiled_plan();
             assert_eq!(patched, rebuilt, "{}: netlists must agree", fault.name());
             let sp = DcAnalysis::new(&patched).solve().unwrap();
             let sr = DcAnalysis::new(&rebuilt).solve().unwrap();

@@ -189,9 +189,9 @@ impl NetlistMacro {
     /// is the plan-cache entry point for `castg-serve`: a daemon that
     /// has seen a deck's canonical bytes before hands the cached
     /// circuit back in here, and because [`Circuit`] clones share the
-    /// compiled stamp plan and its symbolic analyses, the new macro
-    /// skips compile + symbolic analysis entirely — only the fault
-    /// dictionary is derived again.
+    /// compiled stamp plan with its sparse templates and orderings, the
+    /// new macro skips compilation and ordering entirely — only the
+    /// fault dictionary is derived again.
     ///
     /// # Errors
     ///

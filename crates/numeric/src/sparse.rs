@@ -381,8 +381,9 @@ impl SparsePattern {
     /// linear merge instead of an O(nnz log nnz) sort. Slots already
     /// present are ignored; when nothing new remains, the existing
     /// `Arc` is returned unchanged (content-equal patterns are
-    /// interchangeable — every consumer keys on content, and pointer
-    /// sharing only widens symbolic reuse).
+    /// interchangeable, since every consumer keys on content; the
+    /// shared `Arc` is what tells a patched plan that it may inherit
+    /// the base pattern's orderings).
     ///
     /// This is the fault-campaign fast path: a bridge delta-stamp adds
     /// at most two off-diagonal slots to a nominal pattern with

@@ -6,8 +6,9 @@
 //!   construction.
 //! * [`PlanCache`] — process-wide lift of the per-`Circuit` plan
 //!   sharing: canonical deck digest → a compiled [`Circuit`] whose
-//!   `StampPlan`/`SparseSymbolic` are `Arc`-shared into every campaign
-//!   that uses the same deck. A second raw-text memo level maps
+//!   `StampPlan` (with the sparse templates, orderings and factor
+//!   cache it builds lazily) is `Arc`-shared into every campaign that
+//!   uses the same deck. A second raw-text memo level maps
 //!   `H(raw deck + param overrides)` to the canonical digest so repeat
 //!   decks skip the parse entirely.
 //!
@@ -137,12 +138,13 @@ impl ResultCache {
 
 /// A compiled deck held by the plan cache.
 ///
-/// Cloning the [`Circuit`] shares its compiled `StampPlan` and
-/// `SparseSymbolic` (they are `Arc`s inside), so every campaign built
-/// from this entry reuses the same symbolic factorization.
+/// Cloning the [`Circuit`] shares its compiled `StampPlan` (an `Arc`
+/// inside), so every campaign built from this entry reuses the same
+/// plan, with its sparse templates, orderings and cached first
+/// factorizations.
 #[derive(Clone)]
 pub struct PlanEntry {
-    /// Compiled circuit (plan + symbolic already built).
+    /// Compiled circuit (its plan already built).
     pub circuit: Circuit,
     /// Deck title, if the deck carried one.
     pub title: Option<String>,

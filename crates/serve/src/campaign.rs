@@ -338,7 +338,6 @@ impl Engine {
             threads: self.threads,
             max_newton_iters: options.max_newton_iters,
             budget_ms: options.budget_ms,
-            ..CampaignOptions::default()
         };
         let run = run_pipeline(&mac, &dict, &generator, &campaign).map_err(|e| {
             let (kind, message) = match &e {

@@ -57,9 +57,10 @@
 //! rather than probabilistic.
 //!
 //! The plan cache sits below it: canonical deck digest → compiled
-//! [`castg_spice::Circuit`] whose `StampPlan`/`SparseSymbolic` are
-//! `Arc`-shared into every campaign on the same deck, plus a raw-text
-//! memo so byte-identical resubmissions skip parsing entirely.
+//! [`castg_spice::Circuit`] whose `StampPlan` (sparse templates,
+//! orderings and factor cache included) is `Arc`-shared into every
+//! campaign on the same deck, plus a raw-text memo so byte-identical
+//! resubmissions skip parsing entirely.
 //!
 //! # Budget ceilings and failure isolation
 //!

@@ -35,11 +35,12 @@ pub struct Circuit {
     devices: Vec<Device>,
     device_index: HashMap<std::sync::Arc<str>, usize>,
     /// Lazily compiled assembly schedule, shared by every analysis of
-    /// this circuit and invalidated by any mutation. Compiling resolves
-    /// node ids to matrix slots and splits devices into constant /
-    /// stimulus / nonlinear contributions once, so repeated solves
-    /// (sensitivity sweeps hammer the same circuit thousands of times)
-    /// skip straight to the flat replay.
+    /// this circuit; an added resistor patches it, and every other
+    /// mutation drops it. Compiling resolves node ids to matrix slots
+    /// and splits devices into constant / stimulus / nonlinear
+    /// contributions once, so repeated solves (sensitivity sweeps
+    /// hammer the same circuit thousands of times) skip straight to the
+    /// flat replay.
     plan: PlanCache,
 }
 
@@ -83,7 +84,7 @@ impl Circuit {
     /// Drops any compiled assembly schedule, forcing the next analysis
     /// to recompile from the netlist.
     ///
-    /// Analyses never need this — patches keep the plan consistent —
+    /// Analyses never need this — a patch keeps the plan consistent —
     /// but differential test harnesses use it to pin the patched plan
     /// against a from-scratch recompilation, and long-lived circuit
     /// stores can use it to shed cached state.
@@ -95,31 +96,19 @@ impl Circuit {
     /// now instead of at the first analysis.
     ///
     /// Useful before fanning a shared circuit out to worker threads, or
-    /// before injecting faulted variants: a variant derived from a
-    /// compiled circuit patches the compiled plan (delta-stamps)
-    /// instead of recompiling its own from the netlist.
+    /// before injecting faulted variants: a variant that adds a
+    /// resistor to a compiled circuit patches the compiled plan
+    /// (delta-stamps) instead of recompiling its own from the netlist.
     pub fn compile_plan(&self) {
         let _ = self.plan();
     }
 
-    /// Drops the compiled plan; called by the structural `&mut self`
-    /// entry points (node creation, device removal, arbitrary device
-    /// mutation) so a mutated circuit recompiles on its next analysis.
-    /// Additive mutations patch the plan instead — see
-    /// [`Circuit::add`].
+    /// Drops the compiled plan; called by the `&mut self` entry points
+    /// (node creation, device removal, arbitrary device mutation) so a
+    /// mutated circuit recompiles on its next analysis. An added
+    /// resistor patches the plan instead — see [`Circuit::add`].
     fn invalidate_plan(&mut self) {
         self.plan.0.take();
-    }
-
-    /// Replaces the compiled plan with a patched successor, if one is
-    /// compiled at all.
-    fn patch_plan<F>(&mut self, patch: F)
-    where
-        F: FnOnce(&crate::stamp::StampPlan) -> crate::stamp::StampPlan,
-    {
-        if let Some(plan) = self.plan.0.take() {
-            let _ = self.plan.0.set(std::sync::Arc::new(patch(&plan)));
-        }
     }
 
     /// Returns the node with the given name, creating it if needed.
@@ -188,12 +177,13 @@ impl Circuit {
     /// Adds a fully-formed device, validating its values, its nodes and
     /// name uniqueness.
     ///
-    /// If the circuit's assembly schedule is already compiled, the new
-    /// device is *patched into it* (its ops appended, exactly as a
-    /// recompile would emit them) instead of dropping the plan — this
-    /// is the delta-stamp path that makes bridge-fault injection an
-    /// O(device) plan patch rather than a full recompilation plus
-    /// sparse-pattern re-analysis.
+    /// If the circuit's assembly schedule is already compiled, a
+    /// resistor is *patched into it* (its ops appended, exactly as a
+    /// recompile would emit them): the delta-stamp path that makes
+    /// bridge and junction-pinhole injection a plan patch rather than a
+    /// recompilation plus sparse-pattern re-analysis. Any other device
+    /// drops the plan, as node interning, [`remove`](Circuit::remove)
+    /// and [`device_mut`](Circuit::device_mut) do.
     ///
     /// # Errors
     ///
@@ -246,9 +236,13 @@ impl Circuit {
                 }
             }
         }
-        // All nodes of the device exist (just validated), so a compiled
-        // plan can absorb it as a patch.
-        self.patch_plan(|plan| plan.patched_with_device(&device));
+        // Only a resistor patches a compiled plan (its nodes exist, just
+        // validated); taking the plan out drops it for any other device.
+        let plan = self.plan.0.take();
+        if let (Some(plan), DeviceKind::Resistor { a, b, ohms }) = (plan, device.kind()) {
+            let patched = plan.patched_with_resistor(*a, *b, *ohms);
+            let _ = self.plan.0.set(std::sync::Arc::new(patched));
+        }
         self.device_index.insert(device.name_arc(), self.devices.len());
         self.devices.push(device);
         Ok(())
@@ -271,11 +265,11 @@ impl Circuit {
                 ),
             });
         }
-        self.invalidate_plan();
         let idx = self
             .device_index
             .remove(name)
             .ok_or_else(|| SpiceError::UnknownDevice { name: name.to_string() })?;
+        self.invalidate_plan();
         let dev = self.devices.remove(idx);
         // Reindex devices after the removed one.
         for (i, d) in self.devices.iter().enumerate().skip(idx) {
@@ -758,6 +752,36 @@ mod tests {
         c.add_resistor("F_bridge", b, Circuit::GROUND, 1e3).unwrap();
         let sol = DcAnalysis::new(&c).solve().unwrap();
         assert!((sol.voltage(b) - 2.0 / 3.0).abs() < 1e-6);
+    }
+
+    /// Only an added resistor patches a compiled plan: an added
+    /// capacitor drops it, and a failed `remove` keeps it. The next
+    /// solve is right either way.
+    #[test]
+    fn only_an_added_resistor_patches_the_plan() {
+        use crate::DcAnalysis;
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(2.0)).unwrap();
+        c.add_resistor("R1", a, b, 1e3).unwrap();
+        c.add_resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
+        c.compile_plan();
+        let compiled = |c: &Circuit| c.plan.0.get().is_some();
+
+        assert!(matches!(c.remove("missing"), Err(SpiceError::UnknownDevice { .. })));
+        assert!(compiled(&c), "a failed remove dropped the plan");
+
+        // 1k ∥ 1k = 500 Ω in the lower leg → v(b) = 2·(1/3).
+        c.add_resistor("F_bridge", b, Circuit::GROUND, 1e3).unwrap();
+        assert!(compiled(&c), "an added resistor must patch the plan");
+        assert!((DcAnalysis::new(&c).solve().unwrap().voltage(b) - 2.0 / 3.0).abs() < 1e-9);
+
+        // A capacitor is open in DC: same v(b) from the recompiled plan.
+        c.add_capacitor("C1", b, Circuit::GROUND, 1e-9).unwrap();
+        assert!(!compiled(&c), "an added capacitor must drop the plan");
+        assert!((DcAnalysis::new(&c).solve().unwrap().voltage(b) - 2.0 / 3.0).abs() < 1e-9);
+        assert!(compiled(&c), "the solve recompiles the plan");
     }
 
     /// Regression: a patched plan must never survive a *structural*

@@ -585,8 +585,8 @@ impl<'c> DcAnalysis<'c> {
     /// analysis only, without cloning or mutating the circuit.
     ///
     /// Bit-identical to solving a circuit built with `wave` on that
-    /// source, but the shared circuit (and its compiled plan, sparse
-    /// template and symbolic analysis) stays untouched, which is what
+    /// source, but the shared circuit keeps its compiled plan, with
+    /// the sparse templates and orderings built on it, which is what
     /// lets test configurations sweep stimulus parameters over one
     /// immutable circuit. Repeated overrides of the same source keep
     /// the last.

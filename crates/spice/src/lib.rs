@@ -113,18 +113,20 @@
 //! mechanisms make that sharing explicit (all bit-neutral — pinned by
 //! the campaign differential harness):
 //!
-//! * **Plan patching.** A compiled plan survives additive mutation:
-//!   [`Circuit::add`] appends the new device's ops exactly as a
+//! * **Plan patching.** A compiled plan survives one mutation, an
+//!   added resistor, which is what every bridge and junction-pinhole
+//!   fault injects: [`Circuit::add`] appends its ops exactly as a
 //!   recompile would emit them, merging its few new sparsity slots
-//!   into the existing pattern. A device
-//!   that adds no slot (a bridge across an existing resistor, as every
-//!   adjacent bridge of a mesh is) keeps the pattern's `Arc`, and the
-//!   patched plan takes over the pattern-only state with it: the AMD
-//!   permutation, the BTF orders and the `Auto` verdict. What depends
-//!   on values — the factor cache — starts empty per variant.
-//!   Bridge-fault injection therefore costs a plan patch, not a
-//!   recompilation. Structural mutations (node interning, removal,
-//!   `device_mut`) still drop the plan.
+//!   into the existing pattern. A resistor that adds no slot (a bridge
+//!   across an existing resistor, as every adjacent bridge of a mesh
+//!   is) keeps the pattern's `Arc`, and the patched plan takes over the
+//!   pattern-only state with it: the AMD permutation, the BTF orders
+//!   and the `Auto` verdict. What depends on values — the factor cache
+//!   — starts empty per variant. Bridge-fault injection therefore
+//!   costs a plan patch, not a recompilation. Every other mutation
+//!   (any other added device, node interning, removal, `device_mut`)
+//!   drops the plan; a MOS pinhole, which splits its transistor,
+//!   recompiles.
 //! * **Stimulus overrides.** Every analysis accepts
 //!   `override_stimulus(name, wave)`: the override applies at
 //!   source-evaluation time, so test configurations sweep stimulus

@@ -201,6 +201,24 @@ impl StampTarget for IndexedValues<'_> {
     }
 }
 
+/// A [`StampTarget`] that collects every add as a [`PlanOp::Mat`] and
+/// records its slot: a resistor patched into a compiled plan
+/// ([`StampPlan::patched_with_resistor`]) is stamped through it.
+#[derive(Default)]
+struct MatOps {
+    ops: Vec<PlanOp>,
+    slots: Vec<(usize, usize)>,
+}
+
+impl StampTarget for MatOps {
+    fn clear(&mut self) {}
+
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        self.ops.push(PlanOp::Mat { row, col, value });
+        self.slots.push((row, col));
+    }
+}
+
 /// A [`StampTarget`] that drops every add (rhs-only replays).
 struct NoMatrix;
 
@@ -265,10 +283,8 @@ struct BjtSite {
     params: BjtParams,
 }
 
-/// Accumulates the per-device assembly ops during plan construction.
-/// Shared by the full compile ([`StampPlan::build`]) and the
-/// incremental patch ([`StampPlan::patched_with_device`]), so a patched
-/// plan is structurally indistinguishable from a recompiled one.
+/// Accumulates the per-device assembly ops during plan construction
+/// ([`StampPlan::build`]).
 struct PlanBuilder {
     ops: Vec<PlanOp>,
     waves: Vec<Waveform>,
@@ -454,14 +470,14 @@ impl PlanBuilder {
 /// linearization sites. Replaying it is a single flat pass — the hot
 /// loop of every analysis.
 ///
-/// Plans are *patchable*: appending a device whose nodes already exist
-/// ([`patched_with_device`](StampPlan::patched_with_device), the
-/// delta-stamp path bridge-fault injection rides) derives the successor
-/// plan from the compiled one instead of recompiling from the netlist.
-/// A device patch that adds no sparsity slot keeps the template's
-/// pattern and the orderings computed from it. Stimuli need no patch:
-/// an analysis's stimulus overrides replace waveform slots at
-/// evaluation time and leave the plan untouched.
+/// A plan is *patchable* by one kind of device: a resistor between
+/// existing nodes ([`patched_with_resistor`](StampPlan::patched_with_resistor),
+/// the delta-stamp path every bridge and junction-pinhole fault rides)
+/// derives the successor plan from the compiled one instead of
+/// recompiling from the netlist. A patch that adds no sparsity slot
+/// keeps the template's pattern and the orderings computed from it.
+/// Stimuli need no patch: an analysis's stimulus overrides replace
+/// waveform slots at evaluation time and leave the plan untouched.
 #[derive(Debug)]
 pub(crate) struct StampPlan {
     n: usize,
@@ -470,10 +486,6 @@ pub(crate) struct StampPlan {
     mos_sites: Vec<MosSite>,
     diode_sites: Vec<DiodeSite>,
     bjt_sites: Vec<BjtSite>,
-    /// Branch row by device name (see [`PlanBuilder::branch_rows`]);
-    /// carried on the plan so a device patch can resolve the sensing
-    /// column of a patched-in current-controlled source.
-    branch_rows: HashMap<Arc<str>, usize>,
     /// The rhs-writing subset of `ops` (`Current`/`SourceRow`), in op
     /// order: [`assemble_rhs_only`](StampPlan::assemble_rhs_only) walks
     /// this instead of scanning every matrix op — a transient step of a
@@ -510,7 +522,7 @@ pub(crate) struct StampPlan {
     caches: [ScopeCaches; 2],
     /// First factorizations of a linear plan's Jacobians, adopted by
     /// later analyses (see [`FactorCache`](crate::solver::FactorCache)).
-    /// A device patch starts with an empty one.
+    /// A resistor patch starts with an empty one.
     factors: crate::solver::FactorCache,
 }
 
@@ -539,7 +551,7 @@ pub(crate) enum PatternScope {
 /// One [`PatternScope`]'s share of a [`StampPlan`]'s lazy state.
 ///
 /// Everything here is a pure function of the scope's pattern (and of
-/// the plan's slot list), never of values: a device patch that keeps
+/// the plan's slot list), never of values: a resistor patch that keeps
 /// the scope's pattern inherits its orderings and `Auto` verdict, and a
 /// rebuild of the same circuit computes identical ones. Pivot
 /// sequences are not cached here; each sparse solver instance picks
@@ -557,7 +569,7 @@ struct ScopeCaches {
     /// that decide whether a forced BTF is usable.
     /// Like `amd_perm`, a pure function of the pattern — delta-patched
     /// and rebuilt variants of one faulted circuit compute identical
-    /// orders, and a device patch that keeps the pattern inherits it.
+    /// orders, and a resistor patch that keeps the pattern inherits it.
     btf_blocks: OnceLock<Option<castg_numeric::BtfOrder>>,
     /// Lazily refined BTF preordering (the condensation plus per-block
     /// AMD), built only when a forced `Btf` order is factored, and
@@ -566,14 +578,14 @@ struct ScopeCaches {
     /// Lazily computed AMD permutation of this scope's pattern: one
     /// ordering construction per pattern, shared by the Auto
     /// comparison and every solver instance that factors under AMD. A
-    /// device patch that keeps the pattern inherits it, so a campaign
+    /// resistor patch that keeps the pattern inherits it, so a campaign
     /// of such variants runs the ordering once, on the nominal; a
     /// variant that adds slots runs it at most once.
     amd_perm: OnceLock<Vec<usize>>,
     /// Lazily resolved `OrderingKind::Auto` verdict (`Natural` or
     /// `Amd`); see [`resolve_ordering`](StampPlan::resolve_ordering)
     /// for the gates. A pure function of the pattern, like `amd_perm`:
-    /// a device patch that keeps the pattern inherits it, and a rebuild
+    /// a resistor patch that keeps the pattern inherits it, and a rebuild
     /// of the same faulted circuit reaches the same verdict.
     auto_ordering: OnceLock<OrderingKind>,
     /// Lazily resolved value-array index of every add the replay
@@ -624,25 +636,8 @@ impl StampPlan {
         for dev in circuit.devices() {
             builder.emit(dev);
         }
-        StampPlan::finalize(builder, n, n_nodes)
-    }
-
-    /// Completes a plan from emitted ops: splits off the rhs-writing ops
-    /// and records the static slot list by replaying the plan once.
-    fn finalize(builder: PlanBuilder, n: usize, n_nodes: usize) -> Self {
-        let PlanBuilder {
-            ops,
-            waves,
-            mos_sites,
-            diode_sites,
-            bjt_sites,
-            reactances,
-            branch_rows,
-            damped,
-            linear,
-            ..
-        } = builder;
-        let rhs_ops = ops
+        let rhs_ops = builder
+            .ops
             .iter()
             .filter(|op| matches!(op, PlanOp::Current { .. } | PlanOp::SourceRow { .. }))
             .cloned()
@@ -650,17 +645,16 @@ impl StampPlan {
         let mut plan = StampPlan {
             n,
             n_nodes,
-            ops,
-            mos_sites,
-            diode_sites,
-            bjt_sites,
-            branch_rows,
+            ops: builder.ops,
+            mos_sites: builder.mos_sites,
+            diode_sites: builder.diode_sites,
+            bjt_sites: builder.bjt_sites,
             rhs_ops,
-            waves,
-            damped,
-            linear,
+            waves: builder.waves,
+            damped: builder.damped,
+            linear: builder.linear,
             static_slots: Vec::new(),
-            reactances,
+            reactances: builder.reactances,
             caches: [ScopeCaches::default(), ScopeCaches::default()],
             factors: crate::solver::FactorCache::default(),
         };
@@ -678,83 +672,56 @@ impl StampPlan {
         &self.factors
     }
 
-    /// `scope`'s slots from static slot `statics` and reactance
-    /// `reactances` on: the static slots, then (`Full` only) the
-    /// reactance slots. `(0, 0)` gives the whole pattern; a device patch
-    /// passes its base plan's list lengths to get the new device's slots.
-    fn scope_slots(
-        &self,
-        scope: PatternScope,
-        statics: usize,
-        reactances: usize,
-    ) -> Vec<(usize, usize)> {
-        let mut slots = self.static_slots[statics..].to_vec();
-        if scope == PatternScope::Full {
-            slots.extend(slots_of(&self.reactances[reactances..]));
-        }
-        slots
-    }
-
-    /// Derives the plan for the circuit extended by `dev`, whose nodes
-    /// must all exist already (callers guarantee this: creating a node
-    /// drops the plan). The device's ops are appended exactly as a full
-    /// recompile would emit them — the patched plan is bit-for-bit
-    /// equivalent to `StampPlan::build` of the extended circuit — but
-    /// no netlist walk, node interning or waveform re-clone happens.
+    /// Derives the plan for the circuit extended by a resistor of `ohms`
+    /// between the existing nodes `a` and `b` (callers guarantee they
+    /// exist: creating a node drops the plan). The plan is `build`'s for
+    /// the extended circuit: a device added last is stamped and recorded
+    /// last, so the resistor's ops and slots are appended to the op list
+    /// and the static slot list, and nothing else changes, since a
+    /// resistor adds no unknown, waveform, reactance or nonlinear site.
     ///
-    /// Each scope's built template is extended by the device's slots in
-    /// that scope. A scope whose pattern gains no slot keeps the base's
-    /// pattern `Arc` and inherits that scope's pattern-only caches (AMD
+    /// Each scope's built template is extended by the resistor's slots.
+    /// A scope whose pattern gains no slot keeps the base's pattern
+    /// `Arc` and inherits that scope's pattern-only caches (AMD
     /// permutation, BTF orders, `Auto` verdict). The factor cache, which
-    /// holds values, starts empty, because the device changes the
+    /// holds values, starts empty, because the resistor changes the
     /// matrices.
-    pub(crate) fn patched_with_device(&self, dev: &Device) -> Self {
-        let n = if dev.has_branch_current() { self.n + 1 } else { self.n };
-        let mut damped = self.damped.clone();
-        damped.resize(n, false);
-        let mut builder = PlanBuilder {
-            ops: self.ops.clone(),
-            waves: self.waves.clone(),
+    pub(crate) fn patched_with_resistor(&self, a: NodeId, b: NodeId, ohms: f64) -> Self {
+        let mut stamp = MatOps::default();
+        conductance(&mut stamp, idx(a), idx(b), 1.0 / ohms);
+        let mut plan = StampPlan {
+            n: self.n,
+            n_nodes: self.n_nodes,
+            ops: [&self.ops[..], &stamp.ops].concat(),
             mos_sites: self.mos_sites.clone(),
             diode_sites: self.diode_sites.clone(),
             bjt_sites: self.bjt_sites.clone(),
-            reactances: self.reactances.clone(),
-            // Branch rows already assigned occupy n_nodes..n; the next
-            // one goes at n.
-            branch: self.n,
-            branch_rows: self.branch_rows.clone(),
-            damped,
+            rhs_ops: self.rhs_ops.clone(),
+            waves: self.waves.clone(),
+            damped: self.damped.clone(),
             linear: self.linear,
+            static_slots: [&self.static_slots[..], &stamp.slots].concat(),
+            reactances: self.reactances.clone(),
+            caches: [ScopeCaches::default(), ScopeCaches::default()],
+            factors: crate::solver::FactorCache::default(),
         };
-        builder.emit(dev);
-        let mut plan = StampPlan::finalize(builder, n, self.n_nodes);
-        // Template fast path: when a scope's base template is built and
-        // the dimension is unchanged (no new branch row), the
-        // successor's pattern is the base pattern merged with the new
-        // device's few slots — identical content to a from-scratch
-        // rebuild, without re-sorting thousands of slots. Slot lists
-        // follow op and device order (static: diagonal, then ops), so
-        // the new device's slots are exactly the tails beyond the base
-        // plan's lists.
-        if n == self.n {
-            for scope in [PatternScope::Static, PatternScope::Full] {
-                let base = &self.caches[scope as usize];
-                let Some(template) = base.template.get() else { continue };
-                let new_slots =
-                    plan.scope_slots(scope, self.static_slots.len(), self.reactances.len());
-                // `merged_with` hands back the base `Arc` when the device
-                // adds no slot (a bridge across an existing resistor), and
-                // the scope then takes over the base's pattern-only state —
-                // the AMD permutation, the BTF orders and the Auto verdict,
-                // pure functions of the pattern that a rebuild would
-                // recompute identically.
-                let pattern = template.pattern().merged_with(&new_slots);
-                let caches = &mut plan.caches[scope as usize];
-                if Arc::ptr_eq(&pattern, template.pattern()) {
-                    caches.inherit_pattern_state(base);
-                }
-                let _ = caches.template.set(SparseMatrix::with_pattern(pattern));
+        // The merged pattern has the content a rebuild would sort out of
+        // every slot, without re-sorting thousands of them.
+        for scope in [PatternScope::Static, PatternScope::Full] {
+            let base = &self.caches[scope as usize];
+            let Some(template) = base.template.get() else { continue };
+            // `merged_with` hands back the base `Arc` when the resistor
+            // adds no slot (a bridge across an existing resistor), and
+            // the scope then takes over the base's pattern-only state —
+            // the AMD permutation, the BTF orders and the Auto verdict,
+            // pure functions of the pattern that a rebuild would
+            // recompute identically.
+            let pattern = template.pattern().merged_with(&stamp.slots);
+            let caches = &mut plan.caches[scope as usize];
+            if Arc::ptr_eq(&pattern, template.pattern()) {
+                caches.inherit_pattern_state(base);
             }
+            let _ = caches.template.set(SparseMatrix::with_pattern(pattern));
         }
         plan
     }
@@ -771,9 +738,13 @@ impl StampPlan {
     /// (the pattern is shared by `Arc`, so a clone allocates only the
     /// value vector) and stamp into the clone.
     pub(crate) fn sparse_template(&self, scope: PatternScope) -> &SparseMatrix {
-        self.caches[scope as usize]
-            .template
-            .get_or_init(|| SparseMatrix::from_entries(self.n, &self.scope_slots(scope, 0, 0)))
+        self.caches[scope as usize].template.get_or_init(|| {
+            let mut slots = self.static_slots.clone();
+            if scope == PatternScope::Full {
+                slots.extend(slots_of(&self.reactances));
+            }
+            SparseMatrix::from_entries(self.n, &slots)
+        })
     }
 
     /// The AMD permutation of `scope`'s sparse pattern, constructed
@@ -1234,7 +1205,7 @@ mod tests {
     }
 
     /// `plan` with its templates, slot indices and orderings built in
-    /// both scopes, so a device patch of it takes the carry-over path.
+    /// both scopes, so a resistor patch of it takes the carry-over path.
     fn warmed(plan: StampPlan) -> StampPlan {
         for scope in [PatternScope::Full, PatternScope::Static] {
             let _ = plan.sparse_index(scope);
@@ -1267,59 +1238,40 @@ mod tests {
         c
     }
 
-    /// A device-add patch (the bridge-fault delta-stamp path) must
-    /// replay exactly like a recompile of the extended circuit, and
-    /// carry the same slot lists, slot indices and orderings — for
-    /// resistors that keep or extend the pattern, a branch-adding
-    /// voltage source, a diode and a current-controlled source.
+    /// A resistor patch (the bridge-fault delta-stamp path) must replay
+    /// exactly like a recompile of the extended circuit, and carry the
+    /// same slot lists, slot indices and orderings, whether it keeps a
+    /// scope's pattern or extends it.
     #[test]
     fn device_patch_matches_recompile() {
         let c = patch_fixture();
         let base = warmed(StampPlan::build(&c));
-        let (vdd, g, d) =
-            (c.find_node("vdd").unwrap(), c.find_node("g").unwrap(), c.find_node("d").unwrap());
-
-        // A resistor across RD adds no slot: both scopes keep their
-        // (distinct) patterns.
-        let mut parallel = c.clone();
-        parallel.add_resistor("F_parallel", vdd, d, 20e3).unwrap();
-        let patched0 = base.patched_with_device(parallel.device("F_parallel").unwrap());
-        for scope in [PatternScope::Full, PatternScope::Static] {
-            assert!(Arc::ptr_eq(
-                patched0.sparse_template(scope).pattern(),
-                base.sparse_template(scope).pattern()
-            ));
+        let node = |name: &str| c.find_node(name).unwrap();
+        // The terminals, and whether the static and the full pattern
+        // keep their `Arc`.
+        let cases = [
+            // Across RD: both scopes keep their (distinct) patterns.
+            (("vdd", "d"), [true, true]),
+            // A new static slot that the full pattern (the gate-drain
+            // capacitance) already holds.
+            (("g", "d"), [false, true]),
+            // New in both scopes.
+            (("g", "vdd"), [false, false]),
+        ];
+        for ((a, b), keeps) in cases {
+            let mut extended = c.clone();
+            extended.add_resistor("F_bridge", node(a), node(b), 10e3).unwrap();
+            let patched = base.patched_with_resistor(node(a), node(b), 10e3);
+            for (scope, keeps) in [PatternScope::Static, PatternScope::Full].into_iter().zip(keeps)
+            {
+                let kept = Arc::ptr_eq(
+                    patched.sparse_template(scope).pattern(),
+                    base.sparse_template(scope).pattern(),
+                );
+                assert_eq!(kept, keeps, "{a}–{b}: {scope:?} pattern");
+            }
+            assert_plans_replay_identically(&patched, &StampPlan::build(&extended));
         }
-        assert_plans_replay_identically(&patched0, &StampPlan::build(&parallel));
-        let patched0 = warmed(patched0);
-
-        // Bridge resistor between two existing nodes: a new static slot
-        // that the full pattern (gate-drain capacitance) already holds.
-        let mut bridged = parallel.clone();
-        bridged.add_resistor("F_bridge", g, d, 10e3).unwrap();
-        let patched = warmed(patched0.patched_with_device(bridged.device("F_bridge").unwrap()));
-        assert_plans_replay_identically(&patched, &StampPlan::build(&bridged));
-
-        // A branch-current device grows the system by one unknown.
-        let mut extended = bridged.clone();
-        extended.add_vsource("VX", d, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
-        let patched2 = warmed(patched.patched_with_device(extended.device("VX").unwrap()));
-        assert_eq!(patched2.dim(), patched.dim() + 1);
-        assert_plans_replay_identically(&patched2, &StampPlan::build(&extended));
-
-        // A nonlinear device patch (junction-pinhole shorts ride this
-        // for diode/BJT circuits) must register its damped slots too.
-        let mut dioded = extended.clone();
-        dioded.add_diode("DX", d, g, crate::diode::DiodeParams::signal_default()).unwrap();
-        let patched3 = warmed(patched2.patched_with_device(dioded.device("DX").unwrap()));
-        assert_plans_replay_identically(&patched3, &StampPlan::build(&dioded));
-
-        // A patched-in current-controlled source resolves its sensing
-        // column from the carried-over branch-row table.
-        let mut sensed = dioded.clone();
-        sensed.add_cccs("FX", g, Circuit::GROUND, "VX", 0.5).unwrap();
-        let patched4 = patched3.patched_with_device(sensed.device("FX").unwrap());
-        assert_plans_replay_identically(&patched4, &StampPlan::build(&sensed));
     }
 
     /// A `k × k` resistive mesh driven at one corner and loaded at the

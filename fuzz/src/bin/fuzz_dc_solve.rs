@@ -20,12 +20,20 @@
 //! sparse solver's own first pivoting factorization, its
 //! singular-matrix errors and its pivot-decay fallback to the same
 //! contract.
+//!
+//! Each pass then holds the delta path (the resistor patch a bridge
+//! fault rides) to its contract: a 10 kΩ bridge between the deck's
+//! first and last net (ground when it has one net), added to a clone of
+//! the compiled circuit, must solve exactly like the same circuit after
+//! [`Circuit::drop_compiled_plan`]: the same state bits, or the same
+//! error text. Both solve under an iteration-only budget, so both stop
+//! at the same iteration.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use castg_netlist::parse_deck;
-use castg_spice::{with_solve_budget, AnalysisOptions, DcAnalysis, SolverKind};
+use castg_spice::{with_solve_budget, AnalysisOptions, Circuit, DcAnalysis, SolverKind};
 
 /// Decks above this MNA size are skipped: the budget caps Newton
 /// iterations, not factorization cost, and the mutation loop should
@@ -68,6 +76,33 @@ fn main() -> ExitCode {
                 elapsed < OVERRUN,
                 "budgeted DC solve ({solver:?} solver) overran its caps: {elapsed:?} for:\n{text}"
             );
+            check_bridge_patch(circuit, options, &text);
         }
     })
+}
+
+/// Bridges the deck's first and last net on a clone of the compiled
+/// `circuit` and requires the patched plan to solve exactly like a
+/// recompiled one.
+fn check_bridge_patch(circuit: &Circuit, options: AnalysisOptions, text: &str) {
+    let mut nets = circuit.non_ground_nodes();
+    let Some(first) = nets.next() else { return };
+    let last = nets.last().unwrap_or(Circuit::GROUND);
+    circuit.compile_plan();
+    let mut patched = circuit.clone();
+    // No deck card can name a device with a space.
+    patched.add_resistor("F bridge", first, last, 10e3).expect("a new name between existing nets");
+    let mut rebuilt = patched.clone();
+    rebuilt.drop_compiled_plan();
+    let solve = |c: &Circuit| {
+        with_solve_budget(Some(2_000), None, || DcAnalysis::with_options(c, options).solve())
+            .map(|sol| sol.state().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            .map_err(|e| e.to_string())
+    };
+    assert_eq!(
+        solve(&patched),
+        solve(&rebuilt),
+        "patched and recompiled bridge variants ({:?} solver) diverged for:\n{text}",
+        options.solver
+    );
 }

@@ -285,7 +285,6 @@ fn generate(args: &[String]) -> Result<(), String> {
         threads: a.threads,
         max_newton_iters: a.max_newton_iters,
         budget_ms: a.budget_ms,
-        ..CampaignOptions::default()
     };
     let run = run_pipeline(&mac, &dict, &generator, &campaign).map_err(|e| {
         if let PipelineError::Generation { failures, .. } = &e {

@@ -47,7 +47,7 @@
 //!   request digest hashes the round-trip-canonicalized deck, sorted
 //!   config texts, resolved params and post-clamp budgets — see
 //!   `serve::digest`) and a **process-wide plan cache** that lifts the
-//!   per-`Circuit` stamp-plan/symbolic sharing to the whole daemon.
+//!   per-`Circuit` stamp-plan sharing to the whole daemon.
 //!   Responses are byte-identical to `castg generate --json` output and
 //!   between cache hits and misses; every request runs under server
 //!   budget ceilings and `catch_unwind` isolation.
